@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import struct
-import time
 import zlib
 from dataclasses import dataclass, field
 
@@ -433,9 +432,11 @@ def fst_rank_bound(n: int, delta: float) -> int:
 # serialization
 #
 # Layout: magic "ROAST\0", format version u16 LE, u32 LE header length, UTF-8
-# JSON header {n, w, r, method, seed?, created_unix_seconds}, V as
-# column-major complex128 (interleaved re/im, little-endian), CRC32 (u32 LE)
-# of every preceding byte.
+# JSON header {n, w, r, method, seed?} with sorted keys, V as column-major
+# complex128 (interleaved re/im, little-endian), CRC32 (u32 LE) of every
+# preceding byte.  The same basis always encodes to the same bytes; the
+# reader ignores unknown header keys, such as the creation time that older
+# writers stamped.
 
 _MAGIC = b"ROAST\x00"
 _FORMAT_VERSION = 1
@@ -452,7 +453,6 @@ def serialize_basis(basis: RoastBasis) -> bytes:
         "w": basis.w,
         "r": basis.r,
         "method": basis.method,
-        "created_unix_seconds": int(time.time()),
     }
     if basis.seed is not None:
         header["seed"] = basis.seed

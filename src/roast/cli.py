@@ -18,7 +18,7 @@ the dimension of the ``roast`` (svd_fb) row.
 Output is plot-ready CSV (metadata in ``#`` comment lines, floats at 17
 significant digits) or the JSON equivalent.  Identical configuration and
 seed reproduce byte-identical output; timing columns are the only
-nondeterministic values.  ROAST_THREADS caps worker threads.
+nondeterministic values.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import math
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -42,7 +41,7 @@ from .basis import (
     fst_rank_bound,
     serialize_basis,
 )
-from .diagnostics import SNR_CSV_CAP, residual_snr
+from .diagnostics import SNR_CSV_CAP, residual_snr, sinusoid_residual_sq
 from .prolate import build_band_split, build_dpss, log_width_constant, random_bandlimited
 from .recovery import recovery_experiment
 from .verify import (
@@ -59,17 +58,6 @@ _DEFAULT_N_LIST = (256, 512, 1024, 2048, 4096, 8192, 16384)
 
 # dense construction and the DPSS comparison get skipped past this length
 _DENSE_METHOD_LIMIT = 4096
-
-
-def worker_count() -> int:
-    env = os.environ.get("ROAST_THREADS")
-    cpus = os.cpu_count() or 1
-    if env:
-        try:
-            return max(1, min(int(env), cpus))
-        except ValueError:
-            pass
-    return cpus
 
 
 @dataclass
@@ -228,8 +216,7 @@ def run_verify(config: RunConfig) -> int:
         ledger.extend(capture_suite(config.n, config.w, eps, r=config.r))
     else:
         ledger = full_verification(num_seeds=config.num_seeds,
-                                   capture_r=config.r,
-                                   workers=worker_count())
+                                   capture_r=config.r)
     text = ledger.to_json(**{k: _fmt(v) for k, v in config.items()}) + "\n"
     _emit(config, text)
     if config.output_path:
@@ -253,23 +240,15 @@ def run_sweep_sinusoid(config: RunConfig) -> int:
     dpss = build_dpss(n, w, dim)
 
     grid = np.linspace(-0.5, 0.5, config.grid_points)
-    rows = []
-    m = np.arange(n)[:, None]
-    chunk = max(1, 2 * 1024 * 1024 // n)
-    projectors = [subdft.project, dpss.project, roast.project, roast_r.project]
-    for i0 in range(0, len(grid), chunk):
-        freqs = grid[i0:i0 + chunk]
-        block = np.exp(2j * np.pi * m * freqs[None, :])
-        norms = np.sqrt(float(n))
-        snr_cols = []
-        for proj in projectors:
-            resid = np.linalg.norm(block - proj(block), axis=0)
-            with np.errstate(divide="ignore"):
-                snr = 20.0 * np.log10(norms / np.maximum(resid, 1e-300))
-            snr[resid < 1e-15 * norms] = np.inf
-            snr_cols.append(snr)
-        for j, f in enumerate(freqs):
-            rows.append([float(f)] + [_cap_snr(c[j]) for c in snr_cols])
+    snr_cols = []
+    for proj in (subdft, dpss, roast, roast_r):
+        resid_sq = sinusoid_residual_sq(proj, n, grid)
+        with np.errstate(divide="ignore"):
+            snr = 10.0 * np.log10(n / resid_sq)
+        snr[resid_sq < (1e-15) ** 2 * n] = np.inf
+        snr_cols.append(snr)
+    rows = [[float(f)] + [_cap_snr(c[j]) for c in snr_cols]
+            for j, f in enumerate(grid)]
 
     config.extras["dimension"] = dim
     config.extras["r_used"] = r

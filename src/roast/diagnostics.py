@@ -28,6 +28,7 @@ __all__ = [
     "SNR_CSV_CAP",
     "integrated_residual",
     "integrated_residual_quadrature",
+    "sinusoid_residual_sq",
     "residual_paths_agree",
     "subspace_angle",
     "largest_angle_cos_direct",
@@ -214,23 +215,34 @@ def integrated_residual(op: ProlateOperator, q_like) -> float:
     return max(op.trace() - float(captured), 0.0)
 
 
+def sinusoid_residual_sq(projector, n: int, freqs: np.ndarray) -> np.ndarray:
+    """Squared residual ||e_f - P e_f||^2 of each sampled sinusoid e_f.
+
+    e_f[m] = exp(2 pi i f m) for m < n.  ``projector`` is anything
+    ``_as_projector`` accepts; a matrix Q is applied densely as Q (Q^* x).
+    The sinusoids are formed in blocks of max(1, 2**21 // n) columns, so
+    memory stays bounded however many frequencies are asked for.
+    """
+    project = _as_projector(projector)
+    freqs = np.asarray(freqs)
+    out = np.empty(len(freqs))
+    m = np.arange(n)[:, None]
+    chunk = max(1, 2 * 1024 * 1024 // n)
+    for i0 in range(0, len(freqs), chunk):
+        block = np.exp(2j * np.pi * m * freqs[i0:i0 + chunk][None, :])
+        resid = block - project(block)
+        out[i0:i0 + chunk] = np.einsum("ij,ij->j", resid.conj(), resid).real
+    return out
+
+
 def integrated_residual_quadrature(op: ProlateOperator, q_like,
                                    nodes: int = 4096) -> float:
     """Same quantity by composite trapezoid over the band, residual vectors
     evaluated pointwise.  Cross-validates the trace path."""
     q = _dense_columns(q_like)
     _ensure_orthonormal(q)
-    n, w = op.n, op.w
-    grid = np.linspace(-w, w, nodes)
-    vals = np.empty(nodes)
-    m = np.arange(n)[:, None]
-    chunk = max(1, 2 * 1024 * 1024 // max(n, 1))
-    for i0 in range(0, nodes, chunk):
-        i1 = min(i0 + chunk, nodes)
-        block = np.exp(2j * np.pi * m * grid[i0:i1][None, :])
-        resid = block - q @ (q.conj().T @ block)
-        vals[i0:i1] = np.einsum("ij,ij->j", resid.conj(), resid).real
-    return float(np.trapezoid(vals, grid))
+    grid = np.linspace(-op.w, op.w, nodes)
+    return float(np.trapezoid(sinusoid_residual_sq(q, op.n, grid), grid))
 
 
 def residual_paths_agree(trace_value: float, quad_value: float,
@@ -344,21 +356,9 @@ def sinusoid_derivative_check(op: ProlateOperator, q_like, grid_size: int = 4096
     _ensure_orthonormal(q)
 
     grid = np.linspace(-w, w, grid_size)
-    m = np.arange(n)[:, None]
-
-    def residual_sq(freqs: np.ndarray) -> np.ndarray:
-        out = np.empty(len(freqs))
-        chunk = max(1, 2 * 1024 * 1024 // max(n, 1))
-        for i0 in range(0, len(freqs), chunk):
-            i1 = min(i0 + chunk, len(freqs))
-            block = np.exp(2j * np.pi * m * freqs[i0:i1][None, :])
-            resid = block - q @ (q.conj().T @ block)
-            out[i0:i1] = np.einsum("ij,ij->j", resid.conj(), resid).real
-        return out
-
-    center = residual_sq(grid)
-    upper = residual_sq(grid + fd_step)
-    lower = residual_sq(grid - fd_step)
+    center = sinusoid_residual_sq(q, n, grid)
+    upper = sinusoid_residual_sq(q, n, grid + fd_step)
+    lower = sinusoid_residual_sq(q, n, grid - fd_step)
     deriv = (upper - lower) / (2.0 * fd_step)
 
     ledger = BoundLedger()

@@ -15,7 +15,6 @@ import numpy as np
 from .basis import (
     build_roast,
     build_roast_randomized,
-    cross_operator_dense,
     rank_for_average,
     rank_for_capture,
     rank_for_capture_angle,
@@ -33,6 +32,7 @@ from .diagnostics import (
     integrated_residual_quadrature,
     largest_angle_cos_direct,
     singular_decay_report,
+    sinusoid_residual_sq,
     subspace_angle,
 )
 from .prolate import build_band_split, build_dpss, build_prolate
@@ -151,96 +151,64 @@ def pointwise_suite(n: int, w: float, eps: float, grid_size: int = 4096) -> Boun
 
 
 def randomized_suite(n: int, w: float, eps: float, num_seeds: int = 20,
-                     grid_size: int = 4096, workers: int = 1) -> BoundLedger:
+                     grid_size: int = 4096) -> BoundLedger:
     """Expectation-level guarantees for the sketched construction.
 
-    Builds ``num_seeds`` independent bases for each sketch-width rule and
-    checks the seed means: capture error and per-vector residual, the
+    For each of ``num_seeds`` seeds, builds one basis per sketch-width rule
+    and checks the seed means: capture error and per-vector residual, the
     subspace-angle floor sqrt(1 - N*eps), the band-averaged residual, and
     the pointwise in-band residual.  Sketch widths are clamped to the
-    out-of-band width when the sizing rule exceeds it.
+    out-of-band width when the sizing rule exceeds it; rules whose widths
+    coincide share one build (and one dense basis) per seed.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     ledger = BoundLedger()
     op = build_prolate(n, w)
     split = build_band_split(n, w)
     dpss = build_dpss(n, w, n)
-    cross = cross_operator_dense(op, split)
     k = int(np.sum(dpss.eigenvalues >= eps))
     s_k = dpss.vectors[:, :k]
-    seeds = list(range(num_seeds))
-
-    def seed_map(fn):
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, seeds))
-        return [fn(s) for s in seeds]
-
-    # capture error and per-vector residual
     p_cap = min(sketch_for_capture(n, eps), split.n_high)
+    p_angle = min(sketch_for_capture_angle(n, eps), split.n_high)
+    p_avg = min(sketch_for_average(n, eps), split.n_high)
+    p_point = min(sketch_for_pointwise(n, w, eps), split.n_high)
+    grid = np.linspace(-w, w, grid_size)
 
-    def capture_stats(seed):
-        basis = build_roast_randomized(n, w, p_cap, seed)
-        q = basis.dense_basis()
-        resid = s_k - q @ (q.conj().T @ s_k)
-        spectral_sq = np.linalg.svd(resid, compute_uv=False)[0] ** 2
-        per_vec = float(np.max(np.einsum("ij,ij->j", resid.conj(), resid).real))
-        return spectral_sq, per_vec
+    spectral_sq, per_vec, cosines, averages, curves = [], [], [], [], []
+    for seed in range(num_seeds):
+        # one dense basis alive at a time keeps peak memory at one basis
+        for p in sorted({p_cap, p_angle, p_avg, p_point}):
+            q = build_roast_randomized(n, w, p, seed).dense_basis()
+            if p == p_cap:
+                resid = s_k - q @ (q.conj().T @ s_k)
+                spectral_sq.append(np.linalg.svd(resid, compute_uv=False)[0] ** 2)
+                per_vec.append(float(np.max(np.einsum("ij,ij->j", resid.conj(),
+                                                      resid).real)))
+                del resid
+            if p == p_angle:
+                cosines.append(subspace_angle(s_k, q).largest_angle_cos)
+            if p == p_avg:
+                averages.append(integrated_residual(op, q) / n)
+            if p == p_point:
+                curves.append(sinusoid_residual_sq(q, n, grid))
+            del q
 
-    stats = seed_map(capture_stats)
     params = {"n": n, "w": w, "eps": eps, "k": k, "p": p_cap,
               "num_seeds": num_seeds}
     ledger.add("randomized_capture_spectral_sq_mean",
-               float(np.mean([s[0] for s in stats])), eps, **params)
+               float(np.mean(spectral_sq)), eps, **params)
     ledger.add("randomized_capture_per_vector_mean",
-               float(np.mean([s[1] for s in stats])), eps, **params)
-
-    # subspace angle at the enlarged sketch
-    p_angle = min(sketch_for_capture_angle(n, eps), split.n_high)
-
-    def angle_stat(seed):
-        basis = build_roast_randomized(n, w, p_angle, seed)
-        return subspace_angle(s_k, basis.dense_basis()).largest_angle_cos
-
+               float(np.mean(per_vec)), eps, **params)
     # the guaranteed floor involves the dimension; the stricter
     # dimension-free floor is recorded alongside for reference
-    cos_mean = float(np.mean(seed_map(angle_stat)))
     ledger.add("randomized_angle_mean", math.sqrt(max(1.0 - n * eps, 0.0)),
-               cos_mean, n=n, w=w, eps=eps, k=k, p=p_angle,
+               float(np.mean(cosines)), n=n, w=w, eps=eps, k=k, p=p_angle,
                num_seeds=num_seeds, strict_floor=math.sqrt(1.0 - eps))
-
-    # band-averaged residual
-    p_avg = min(sketch_for_average(n, eps), split.n_high)
-
-    def average_stat(seed):
-        basis = build_roast_randomized(n, w, p_avg, seed)
-        return integrated_residual(op, basis) / n
-
     ledger.add("randomized_average_residual_mean",
-               float(np.mean(seed_map(average_stat))), eps,
+               float(np.mean(averages)), eps,
                n=n, w=w, eps=eps, p=p_avg, num_seeds=num_seeds)
-
     # pointwise residual: mean over seeds, then max over the in-band grid
-    p_point = min(sketch_for_pointwise(n, w, eps), split.n_high)
-    grid = np.linspace(-w, w, grid_size)
-    m = np.arange(n)[:, None]
-
-    def pointwise_curve(seed):
-        basis = build_roast_randomized(n, w, p_point, seed)
-        q = basis.dense_basis()
-        out = np.empty(grid_size)
-        chunk = max(1, 2 * 1024 * 1024 // max(n, 1))
-        for i0 in range(0, grid_size, chunk):
-            i1 = min(i0 + chunk, grid_size)
-            block = np.exp(2j * np.pi * m * grid[i0:i1][None, :])
-            resid = block - q @ (q.conj().T @ block)
-            out[i0:i1] = np.einsum("ij,ij->j", resid.conj(), resid).real
-        return out
-
-    curves = np.array(seed_map(pointwise_curve))
     ledger.add("randomized_pointwise_residual_mean",
-               float(np.max(curves.mean(axis=0)) / n), eps,
+               float(np.max(np.array(curves).mean(axis=0)) / n), eps,
                n=n, w=w, eps=eps, p=p_point, num_seeds=num_seeds,
                grid_size=grid_size)
     return ledger
@@ -283,8 +251,7 @@ def full_verification(grid=DEFAULT_GRID, detail_n: int = 512,
                       detail_w: float = 0.25, capture_eps: float = 1e-3,
                       average_eps: float = 1e-3, pointwise_eps: float = 1e-1,
                       randomized_eps: float = 1e-2, num_seeds: int = 20,
-                      capture_r: int | None = None,
-                      workers: int = 1) -> BoundLedger:
+                      capture_r: int | None = None) -> BoundLedger:
     """Run the whole suite; the single entry point behind ``roast verify``."""
     ledger = BoundLedger()
     for n, w in grid:
@@ -293,6 +260,6 @@ def full_verification(grid=DEFAULT_GRID, detail_n: int = 512,
     ledger.extend(average_suite(detail_n, detail_w, average_eps))
     ledger.extend(pointwise_suite(detail_n, detail_w, pointwise_eps))
     ledger.extend(randomized_suite(detail_n, detail_w, randomized_eps,
-                                   num_seeds=num_seeds, workers=workers))
+                                   num_seeds=num_seeds))
     ledger.extend(small_instance_checks())
     return ledger

@@ -1,3 +1,8 @@
+import json
+import struct
+import time
+import zlib
+
 import numpy as np
 import pytest
 
@@ -25,6 +30,17 @@ from roast import (
 
 def random_probe(n, rng):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def with_header(blob, **fields):
+    """Re-encode a basis stream with header fields changed and a valid CRC."""
+    header_len = struct.unpack_from("<I", blob, 8)[0]
+    header = json.loads(blob[12:12 + header_len])
+    header.update(fields)
+    new_header = json.dumps(header, sort_keys=True).encode()
+    body = (blob[:8] + struct.pack("<I", len(new_header)) + new_header
+            + blob[12 + header_len:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 class TestBuildRoast:
@@ -289,8 +305,6 @@ class TestSerialization:
             deserialize_basis(bytes(blob))
 
     def test_version_mismatch(self):
-        import struct
-        import zlib
         blob = bytearray(serialize_basis(build_roast(128, 0.25, 4)))
         struct.pack_into("<H", blob, 6, 999)
         body = bytes(blob[:-4])
@@ -298,18 +312,24 @@ class TestSerialization:
             deserialize_basis(body + struct.pack("<I", zlib.crc32(body)))
 
     def test_invalid_header_dimensions(self):
-        import json
-        import struct
-        import zlib
         blob = serialize_basis(build_roast(128, 0.25, 4))
-        header_len = struct.unpack_from("<I", blob, 8)[0]
-        header = json.loads(blob[12:12 + header_len])
-        header["n"] = 0
-        new_header = json.dumps(header, sort_keys=True).encode()
-        body = (blob[:8] + struct.pack("<I", len(new_header)) + new_header
-                + blob[12 + header_len:-4])
         with pytest.raises(BasisFormatError):
-            deserialize_basis(body + struct.pack("<I", zlib.crc32(body)))
+            deserialize_basis(with_header(blob, n=0))
+
+    def test_same_basis_same_bytes_at_different_times(self, monkeypatch):
+        basis = build_roast(128, 0.25, 4)
+        monkeypatch.setattr(time, "time", lambda: 1.0e9)
+        first = serialize_basis(basis)
+        monkeypatch.setattr(time, "time", lambda: 2.0e9)
+        assert serialize_basis(basis) == first
+
+    def test_reads_stream_with_creation_stamp(self):
+        basis = build_roast_randomized(128, 0.25, 6, seed=5)
+        blob = with_header(serialize_basis(basis),
+                           created_unix_seconds=1700000000)
+        restored = deserialize_basis(blob)
+        assert np.array_equal(restored.v, basis.v)
+        assert restored.seed == 5 and restored.method == "randomized"
 
 
 class TestSizingRules:

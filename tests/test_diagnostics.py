@@ -23,7 +23,7 @@ from roast import (
     sinusoid_derivative_check,
     subspace_angle,
 )
-from roast.diagnostics import largest_angle_cos_direct
+from roast.diagnostics import largest_angle_cos_direct, sinusoid_residual_sq
 from roast.verify import small_instance_checks
 
 
@@ -112,6 +112,23 @@ class TestIntegratedResidual:
         k = basis.dimension
         s_k = caches.dpss(256, 0.25).vectors[:, :k].astype(complex)
         assert integrated_residual(op, s_k) <= integrated_residual(op, basis) + 1e-10
+
+
+class TestSinusoidResidualKernel:
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_matches_per_frequency_across_block_boundary(self, dense):
+        # n=1100 gives blocks of 2**21 // 1100 = 1906 sinusoids, so 2000
+        # frequencies span two blocks
+        n = 1100
+        basis = roast.build_roast_randomized(n, 0.25, 12, seed=0)
+        q = basis.dense_basis()
+        freqs = np.linspace(-0.5, 0.5, 2000)
+        got = sinusoid_residual_sq(q if dense else basis, n, freqs)
+        assert got.shape == (2000,)
+        for i in (0, 1, 1000, *range(1900, 1912), 1998, 1999):
+            e = sampled_sinusoid(n, freqs[i]).samples
+            resid = e - q @ (q.conj().T @ e)
+            assert abs(got[i] - np.vdot(resid, resid).real) <= 1e-8
 
 
 class TestSubspaceAngle:
