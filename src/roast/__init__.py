@@ -24,6 +24,7 @@ from .prolate import (
     sampled_sinusoid,
 )
 from .basis import (
+    BASES,
     BasisFormatError,
     FstAnalog,
     RoastBasis,
@@ -38,7 +39,6 @@ from .basis import (
     deserialize_basis,
     dft_columns,
     fst_rank_bound,
-    project,
     rank_for_average,
     rank_for_capture,
     rank_for_capture_angle,

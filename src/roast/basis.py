@@ -6,11 +6,17 @@ span.  Analysis and synthesis run through one FFT plus a skinny matrix
 product, O(N log N + N R).  Also here: the widened-DFT baseline (Sub-DFT),
 a Hermitian low-rank-corrected band projector used as a non-orthogonal
 comparison point, and a binary serialization for built bases.
+
+``RoastBasis``, ``SubDftBasis`` and ``DpssBasis`` share one protocol: ``n``,
+``dimension``, ``analyze`` (Q^* x), ``synthesize`` (Q c), ``project``
+(Q Q^* x) and ``dense_basis`` (Q).  ``BASES`` maps each comparison basis
+name to a builder of that protocol at a common dimension.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -23,20 +29,22 @@ from .prolate import (
     DftBandSplit,
     ProlateOperator,
     build_band_split,
+    build_dpss,
     build_prolate,
     log_width_constant,
     prolate_apply,
+    prolate_dense,
 )
 
 __all__ = [
     "RoastBasis",
     "SubDftBasis",
     "FstAnalog",
+    "BASES",
     "build_roast",
     "build_roast_randomized",
     "apply_analysis",
     "apply_synthesis",
-    "project",
     "build_subdft",
     "build_fst_analog",
     "serialize_basis",
@@ -140,7 +148,7 @@ class RoastBasis:
         return apply_synthesis(self, coeffs)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return project(self, x)
+        return apply_synthesis(self, apply_analysis(self, x))
 
     def dense_basis(self) -> np.ndarray:
         """Explicit N x (n_low + R) matrix; the oracle for the fast paths."""
@@ -252,11 +260,6 @@ def apply_synthesis(basis: RoastBasis, coeffs: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spectrum, axis=0) * np.sqrt(n)
 
 
-def project(basis: RoastBasis, x: np.ndarray) -> np.ndarray:
-    """Orthogonal projection Q Q^* x via analysis then synthesis."""
-    return apply_synthesis(basis, apply_analysis(basis, x))
-
-
 @dataclass(frozen=True)
 class SubDftBasis:
     """Widened partial DFT: the band columns plus R nearest out-of-band ones.
@@ -282,12 +285,17 @@ class SubDftBasis:
         x = np.asarray(x)
         return np.fft.fft(x, axis=0)[self.indices] / np.sqrt(self.n)
 
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        coeffs = np.asarray(coeffs)
+        if coeffs.shape[0] != self.dimension:
+            raise ValueError(
+                f"expected {self.dimension} coefficients, got {coeffs.shape[0]}")
+        spectrum = np.zeros((self.n,) + coeffs.shape[1:], dtype=complex)
+        spectrum[self.indices] = coeffs
+        return np.fft.ifft(spectrum, axis=0) * np.sqrt(self.n)
+
     def project(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        spectrum = np.fft.fft(x, axis=0)
-        masked = np.zeros_like(spectrum)
-        masked[self.indices] = spectrum[self.indices]
-        return np.fft.ifft(masked, axis=0)
+        return self.synthesize(self.analyze(x))
 
 
 def build_subdft(n: int, w: float, r: int) -> SubDftBasis:
@@ -358,13 +366,25 @@ def build_fst_analog(n: int, w: float, rank_r: int) -> FstAnalog:
         raise ValueError(f"rank {rank_r} exceeds n={n}")
     op = build_prolate(n, w)
     f_low = dft_columns(n, split.low_indices)
-    diff = op.dense() - (f_low @ f_low.conj().T).real
+    diff = prolate_dense(op) - (f_low @ f_low.conj().T).real
     diff = (diff + diff.T) / 2.0
     vals, vecs = np.linalg.eigh(diff)
     order = np.argsort(-np.abs(vals))[:rank_r]
     return FstAnalog(split=split, rank_r=int(rank_r),
                      vectors=vecs[:, order].astype(complex),
                      values=vals[order])
+
+
+# Each builder takes (n, w, r, seed) and returns a basis of dimension
+# 2*floor(NW)+1+R (fewer only if a randomized sketch is rank-deficient).
+# The builders look the constructors up at call time, so a wrapped
+# module-level constructor sees these calls too.
+BASES = {
+    "dpss": lambda n, w, r, seed: build_dpss(n, w, 2 * math.floor(n * w) + 1 + r),
+    "roast": lambda n, w, r, seed: build_roast(n, w, r),
+    "roast_randomized": lambda n, w, r, seed: build_roast_randomized(n, w, r, seed),
+    "subdft": lambda n, w, r, seed: build_subdft(n, w, r),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +483,10 @@ def serialize_basis(basis: RoastBasis) -> bytes:
     return payload + struct.pack("<I", zlib.crc32(payload))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def deserialize_basis(data: bytes) -> RoastBasis:
     """Decode a serialized basis, validating structure, checksum, and shape."""
     fixed = len(_MAGIC) + 2 + 4
@@ -480,33 +504,44 @@ def deserialize_basis(data: bytes) -> RoastBasis:
         raise BasisFormatError("truncated stream: header extends past the end")
     try:
         header = json.loads(data[fixed:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise BasisFormatError(f"unreadable header: {exc}") from exc
 
     (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
     if zlib.crc32(data[:-4]) != stored_crc:
         raise BasisFormatError("checksum failure: payload does not match CRC32")
 
+    if not isinstance(header, dict):
+        raise BasisFormatError(
+            f"header must be a JSON object, got {type(header).__name__}")
     for key in ("n", "w", "r", "method"):
         if key not in header:
             raise BasisFormatError(f"header missing required field {key!r}")
     n, w, r, method = header["n"], header["w"], header["r"], header["method"]
-    if not isinstance(n, int) or n < 2:
+    seed = header.get("seed")
+    if not _is_int(n) or n < 2:
         raise BasisFormatError(f"invalid signal length in header: {n!r}")
     if not (isinstance(w, float) and 0.0 < w < 0.5):
         raise BasisFormatError(f"invalid half-bandwidth in header: {w!r}")
     if method not in _METHODS:
         raise BasisFormatError(f"unknown construction method {method!r}")
-    split = build_band_split(n, w)
-    if not isinstance(r, int) or not 0 <= r <= split.n_high:
+    if "seed" in header and not _is_int(seed):
+        raise BasisFormatError(f"invalid sketch seed in header: {seed!r}")
+    # the split is O(n) to build, so everything the header and payload
+    # length can settle is checked before it is
+    try:
+        n_high = n - (2 * math.floor(n * w) + 1)
+    except OverflowError as exc:
+        raise BasisFormatError(f"invalid signal length in header: {n!r}") from exc
+    if not _is_int(r) or not 0 <= r <= n_high:
         raise BasisFormatError(f"inconsistent column count r={r!r} for n={n}, w={w}")
 
     v_bytes = data[header_end:-4]
-    expected = split.n_high * r * 16
+    expected = n_high * r * 16
     if len(v_bytes) != expected:
         raise BasisFormatError(
             f"dimension inconsistency: payload holds {len(v_bytes)} bytes, "
             f"header implies {expected}")
-    v = np.frombuffer(v_bytes, dtype="<c16").reshape((split.n_high, r), order="F")
-    return RoastBasis(split=split, r=r, v=v.copy(), method=method,
-                      seed=header.get("seed"))
+    split = build_band_split(n, w)
+    v = np.frombuffer(v_bytes, dtype="<c16").reshape((n_high, r), order="F")
+    return RoastBasis(split=split, r=r, v=v.copy(), method=method, seed=seed)

@@ -34,6 +34,8 @@ import numpy as np
 
 from . import __version__
 from .basis import (
+    _METHODS,
+    BASES,
     build_roast,
     build_roast_randomized,
     build_subdft,
@@ -52,8 +54,6 @@ from .verify import (
 )
 
 LOG_BASES = {"natural": math.e, "base2": 2.0, "base10": 10.0}
-_COMMANDS = ("build", "verify", "sweep-sinusoid", "bandlimited-snr",
-             "scaling-bench", "rank-report", "recover")
 _DEFAULT_N_LIST = (256, 512, 1024, 2048, 4096, 8192, 16384)
 
 # dense construction and the DPSS comparison get skipped past this length
@@ -62,7 +62,11 @@ _DENSE_METHOD_LIMIT = 4096
 
 @dataclass
 class RunConfig:
-    """Validated parameters for one CLI run; stamped into every output."""
+    """Validated parameters for one CLI run; stamped into every output.
+
+    ``validate`` checks ranges and required options; the fixed choices
+    (command, method, log base, format, basis) are enforced by the parser.
+    """
 
     command: str
     n: int = 1024
@@ -87,18 +91,10 @@ class RunConfig:
     extras: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.command not in _COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
         if self.n < 2:
             raise ValueError("--n must be at least 2")
         if not 0.0 < self.w < 0.5:
             raise ValueError("--w must lie strictly inside (0, 1/2)")
-        if self.method not in ("svd_fb", "svd_fbf", "randomized"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.log_base not in LOG_BASES:
-            raise ValueError(f"--log-base must be one of {sorted(LOG_BASES)}")
-        if self.format not in ("csv", "json"):
-            raise ValueError("--format must be csv or json")
         if self.r is not None and self.r < 0:
             raise ValueError("--r must be nonnegative")
         if self.p is not None and self.p < 1:
@@ -127,12 +123,8 @@ class RunConfig:
                     raise ValueError("randomized build requires --p")
             elif self.r is None:
                 raise ValueError(f"{self.method} build requires --r")
-        if self.command == "recover":
-            if self.m is None:
-                raise ValueError("recover requires --m")
-            if self.basis_choice not in ("dpss", "roast", "roast_randomized",
-                                         "subdft"):
-                raise ValueError(f"unknown basis {self.basis_choice!r}")
+        if self.command == "recover" and self.m is None:
+            raise ValueError("recover requires --m")
 
     def items(self) -> list:
         pairs = [("command", self.command), ("version", __version__)]
@@ -412,8 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--w", type=float, default=0.25)
         p.add_argument("--r", type=int, default=None)
         p.add_argument("--p", type=int, default=None)
-        p.add_argument("--method", choices=["svd_fb", "svd_fbf", "randomized"],
-                       default="svd_fb")
+        p.add_argument("--method", choices=_METHODS, default="svd_fb")
         p.add_argument("--seed", type=int, default=1234)
         p.add_argument("--eps", type=float, default=None)
         p.add_argument("--log-base", choices=sorted(LOG_BASES),
@@ -457,9 +448,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="CG recovery through a subspace")
     add_common(p)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--basis", choices=["dpss", "roast", "roast_randomized",
-                                       "subdft"],
-                   default="roast", dest="basis_choice")
+    p.add_argument("--basis", choices=sorted(BASES), default="roast",
+                   dest="basis_choice")
     p.add_argument("--tol", type=float, default=1e-8)
     return parser
 

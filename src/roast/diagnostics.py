@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import cross_operator_dense, dft_columns
-from .prolate import ProlateOperator, build_band_split, build_dpss, build_prolate, log_width_constant
+from .prolate import (
+    ProlateOperator,
+    build_band_split,
+    build_dpss,
+    build_prolate,
+    log_width_constant,
+    prolate_apply,
+)
 
 __all__ = [
     "SpectrumReport",
@@ -83,6 +90,12 @@ class LedgerEntry:
                 "params": self.params}
 
     @classmethod
+    def check(cls, check_id: str, lhs: float, rhs: float, **params) -> "LedgerEntry":
+        """Entry for lhs <= rhs, allowing ``_LEDGER_SLACK`` of round-off."""
+        return cls(check_id=check_id, lhs_value=lhs, rhs_bound=rhs,
+                   satisfied=lhs <= rhs + _LEDGER_SLACK, params=params)
+
+    @classmethod
     def from_dict(cls, d: dict) -> "LedgerEntry":
         return cls(check_id=d["check_id"], lhs_value=d["lhs_value"],
                    rhs_bound=d["rhs_bound"], satisfied=d["satisfied"],
@@ -96,10 +109,7 @@ class BoundLedger:
     entries: list = field(default_factory=list)
 
     def add(self, check_id: str, lhs: float, rhs: float, **params) -> LedgerEntry:
-        entry = LedgerEntry(check_id=check_id, lhs_value=float(lhs),
-                            rhs_bound=float(rhs),
-                            satisfied=bool(lhs <= rhs + _LEDGER_SLACK),
-                            params=params)
+        entry = LedgerEntry.check(check_id, lhs, rhs, **params)
         self.entries.append(entry)
         return entry
 
@@ -139,11 +149,8 @@ class SpectrumReport:
     def tail_bound_entry(self, r: int) -> LedgerEntry:
         """Geometric-series envelope on the tail sum past index r."""
         rhs = 15.0 * math.exp(-(r - 1) / self.c_n) * self.c_n
-        lhs = self.tail_sum(r)
-        return LedgerEntry(check_id="singular_tail_geometric", lhs_value=lhs,
-                           rhs_bound=rhs,
-                           satisfied=lhs <= rhs + _LEDGER_SLACK,
-                           params={"n": self.n, "w": self.w, "r": r})
+        return LedgerEntry.check("singular_tail_geometric", self.tail_sum(r), rhs,
+                                 n=self.n, w=self.w, r=r)
 
 
 @dataclass(frozen=True)
@@ -211,7 +218,7 @@ def integrated_residual(op: ProlateOperator, q_like) -> float:
     if q.shape[0] != op.n:
         raise ValueError(f"basis rows {q.shape[0]} do not match operator size {op.n}")
     _ensure_orthonormal(q)
-    captured = np.einsum("ij,ij->", q.conj(), op.apply(q)).real
+    captured = np.einsum("ij,ij->", q.conj(), prolate_apply(op, q)).real
     return max(op.trace() - float(captured), 0.0)
 
 
@@ -290,27 +297,6 @@ def largest_angle_cos_direct(a_like, b_like) -> float:
     return float(sigma[-1])
 
 
-def _spectral_norm(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 5000) -> float:
-    if min(mat.shape) <= 2048:
-        return float(np.linalg.svd(mat, compute_uv=False)[0])
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(mat.shape[1])
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(max_iter):
-        u = mat @ v
-        v = mat.conj().T @ u
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            return 0.0
-        v /= norm
-        est = math.sqrt(norm)
-        if abs(est - prev) <= tol * est:
-            return est
-        prev = est
-    return prev
-
-
 def singular_decay_report(n: int, w: float) -> SpectrumReport:
     """Full singular spectrum of the cross operator with envelope comparison."""
     op = build_prolate(n, w)
@@ -333,9 +319,8 @@ def eigenvalue_concentration_report(n: int, w: float, eps: float,
         eigenvalues = build_dpss(n, w, n).eigenvalues
     count = int(np.sum((eigenvalues >= eps) & (eigenvalues <= 1.0 - eps)))
     bound = 2.0 * log_width_constant(n) * math.log(15.0 / eps)
-    return LedgerEntry(check_id="eigenvalue_concentration", lhs_value=float(count),
-                       rhs_bound=bound, satisfied=count <= bound + _LEDGER_SLACK,
-                       params={"n": n, "w": w, "eps": eps})
+    return LedgerEntry.check("eigenvalue_concentration", count, bound,
+                             n=n, w=w, eps=eps)
 
 
 def sinusoid_derivative_check(op: ProlateOperator, q_like, grid_size: int = 4096,
@@ -374,12 +359,15 @@ def sinusoid_derivative_check(op: ProlateOperator, q_like, grid_size: int = 4096
     return ledger
 
 
+def _deflate(cross: np.ndarray, basis) -> np.ndarray:
+    """(I - V V^*) Fbar^* B: the cross operator without the V directions."""
+    return cross - basis.v @ (basis.v.conj().T @ cross)
+
+
 def deflated_spectrum(op: ProlateOperator, basis) -> np.ndarray:
     """Singular values of the cross operator after removing the V directions."""
-    split = basis.split
-    cross = cross_operator_dense(op, split)
-    deflated = cross - basis.v @ (basis.v.conj().T @ cross)
-    return np.linalg.svd(deflated, compute_uv=False)
+    cross = cross_operator_dense(op, basis.split)
+    return np.linalg.svd(_deflate(cross, basis), compute_uv=False)
 
 
 def dpss_capture_report(n: int, w: float, eps: float, basis,
@@ -404,8 +392,7 @@ def dpss_capture_report(n: int, w: float, eps: float, basis,
 
     if cross is None:
         cross = cross_operator_dense(op, basis.split)
-    deflated = cross - basis.v @ (basis.v.conj().T @ cross)
-    eta = _spectral_norm(deflated) / eps
+    eta = np.linalg.norm(_deflate(cross, basis), 2) / eps
 
     q = basis.dense_basis()
     resid_cols = s_k - q @ (q.conj().T @ s_k)
@@ -413,7 +400,7 @@ def dpss_capture_report(n: int, w: float, eps: float, basis,
     ledger = BoundLedger()
     params = {"n": n, "w": w, "eps": eps, "k": k, "r": basis.r,
               "method": basis.method, "eta": eta}
-    capture_sq = _spectral_norm(resid_cols) ** 2
+    capture_sq = np.linalg.norm(resid_cols, 2) ** 2
     ledger.add("dpss_capture_spectral_sq", capture_sq, eta, **params)
     per_vector = float(np.max(np.einsum("ij,ij->j", resid_cols.conj(),
                                         resid_cols).real))

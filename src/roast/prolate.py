@@ -72,12 +72,6 @@ class ProlateOperator:
     def embed_size(self) -> int:
         return len(self.circulant_spectrum)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return prolate_apply(self, x)
-
-    def dense(self) -> np.ndarray:
-        return prolate_dense(self)
-
     def trace(self) -> float:
         return 2.0 * self.n * self.w
 
@@ -145,15 +139,22 @@ class DpssBasis:
     vectors: np.ndarray
     eigenvalues: np.ndarray
 
+    @property
+    def dimension(self) -> int:
+        return self.k
+
     def dense_basis(self) -> np.ndarray:
         return self.vectors
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto the span of the retained vectors."""
-        return self.vectors @ (self.vectors.T @ np.asarray(x))
-
     def analyze(self, x: np.ndarray) -> np.ndarray:
         return self.vectors.T @ np.asarray(x)
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        return self.vectors @ np.asarray(coeffs)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Orthogonal projection onto the span of the retained vectors."""
+        return self.synthesize(self.analyze(x))
 
 
 def build_dpss(n: int, w: float, k: int) -> DpssBasis:

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import build_roast, build_roast_randomized, build_subdft
-from .prolate import build_dpss, random_bandlimited
+from .basis import BASES
+from .prolate import random_bandlimited
 
 __all__ = [
     "CgResult",
@@ -152,53 +152,36 @@ class RecoveryReport:
     params: dict = field(default_factory=dict)
 
 
-_BASIS_CHOICES = ("dpss", "roast", "roast_randomized", "subdft")
-
-
 def recovery_experiment(n: int, w: float, m: int, basis_choice: str, seed: int,
                         r: int | None = None, tol: float = 1e-8,
                         num_tones: int = 1000,
                         identity_sensing: bool = False) -> RecoveryReport:
     """Recover a bandlimited signal from y = Phi x through the chosen subspace.
 
-    Solves the normal equations Q^* Phi^* Phi Q a = Q^* Phi^* y by CG and
+    ``basis_choice`` is a key of ``roast.basis.BASES``; the basis is built
+    as ``BASES[basis_choice](n, w, r, seed)``, so every choice has dimension
+    2*floor(NW)+1+R (``seed`` also seeds the randomized sketch).  R defaults
+    to floor(3 ln N).  Solves the normal equations Q^* Phi^* Phi Q a =
+    Q^* Phi^* y by CG through the basis's ``analyze`` and ``synthesize`` and
     reconstructs xhat = Q a, which lies in the subspace by construction.
-    All four basis choices are dimension-matched at 2*floor(NW)+1+R.
     """
-    if basis_choice not in _BASIS_CHOICES:
-        raise ValueError(f"basis_choice must be one of {_BASIS_CHOICES}, got {basis_choice!r}")
+    if basis_choice not in BASES:
+        raise ValueError(
+            f"basis_choice must be one of {sorted(BASES)}, got {basis_choice!r}")
     if r is None:
         r = int(np.floor(3.0 * np.log(n)))
     problem = build_recovery_problem(n, w, m, seed, num_tones=num_tones,
                                      identity_sensing=identity_sensing)
-    n_low = 2 * int(np.floor(n * w)) + 1
-    if basis_choice == "roast":
-        basis = build_roast(n, w, r)
-        synth, analyze = basis.synthesize, basis.analyze
-        dim = basis.dimension
-    elif basis_choice == "roast_randomized":
-        basis = build_roast_randomized(n, w, r, seed)
-        synth, analyze = basis.synthesize, basis.analyze
-        dim = basis.dimension
-    elif basis_choice == "subdft":
-        basis = build_subdft(n, w, r)
-        q = basis.dense_basis()
-        synth, analyze = (lambda c: q @ c), (lambda x: q.conj().T @ x)
-        dim = basis.dimension
-    else:
-        basis = build_dpss(n, w, n_low + r)
-        q = basis.vectors
-        synth, analyze = (lambda c: q @ c), (lambda x: q.T @ x)
-        dim = n_low + r
-
+    basis = BASES[basis_choice](n, w, r, seed)
+    dim = basis.dimension
     phi = problem.phi
 
     def normal_op(a):
-        return analyze(phi.conj().T @ (phi @ synth(a)))
+        return basis.analyze(phi.conj().T @ (phi @ basis.synthesize(a)))
 
-    rhs = analyze(phi.conj().T @ problem.y)
+    rhs = basis.analyze(phi.conj().T @ problem.y)
     result = cgd_solve(normal_op, rhs, tol=tol, max_iter=4 * dim)
-    xhat = synth(result.solution)
+    xhat = basis.synthesize(result.solution)
     rel_err = float(np.linalg.norm(xhat - problem.truth)
                     / np.linalg.norm(problem.truth))
     cond = condition_estimate(normal_op, dim, seed=seed)

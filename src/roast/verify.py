@@ -32,6 +32,7 @@ from .diagnostics import (
     integrated_residual_quadrature,
     largest_angle_cos_direct,
     singular_decay_report,
+    sinusoid_derivative_check,
     sinusoid_residual_sq,
     subspace_angle,
 )
@@ -135,8 +136,6 @@ def average_suite(n: int, w: float, eps: float, quad_nodes: int = 4096) -> Bound
 
 def pointwise_suite(n: int, w: float, eps: float, grid_size: int = 4096) -> BoundLedger:
     """Pointwise in-band residual relative to eps, and the derivative bound."""
-    from .diagnostics import sinusoid_derivative_check
-
     ledger = BoundLedger()
     op = build_prolate(n, w)
     r = min(rank_for_pointwise(n, w, eps), build_band_split(n, w).n_high)

@@ -22,7 +22,6 @@ from roast import (
     cgd_solve,
     integrated_residual,
     integrated_residual_quadrature,
-    project,
     residual_paths_agree,
 )
 from roast.cli import RunConfig, _median_seconds, run_bandlimited_snr, run_sweep_sinusoid
@@ -168,7 +167,7 @@ def test_criterion_08_fast_path_equivalence(caches, rng):
         worst_synthesis = max(worst_synthesis,
                               np.max(np.abs(apply_synthesis(basis, c) - q @ c)))
         worst_project = max(worst_project,
-                            np.max(np.abs(project(basis, x) - q @ (q.conj().T @ x))))
+                            np.max(np.abs(basis.project(x) - q @ (q.conj().T @ x))))
         worst_round = max(worst_round,
                           np.max(np.abs(apply_analysis(basis, apply_synthesis(basis, c)) - c)))
     conditions = [

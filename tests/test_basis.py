@@ -5,10 +5,13 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import roast
 from roast import (
     BasisFormatError,
+    RoastBasis,
     apply_analysis,
     apply_synthesis,
     build_fst_analog,
@@ -20,7 +23,6 @@ from roast import (
     dft_columns,
     integrated_residual,
     log_width_constant,
-    project,
     prolate_dense,
     rank_for_capture,
     sampled_sinusoid,
@@ -32,15 +34,33 @@ def random_probe(n, rng):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def stream(header, payload=b""):
+    """A version-1 basis stream of raw header bytes and payload, valid CRC."""
+    body = (b"ROAST\x00" + struct.pack("<H", 1) + struct.pack("<I", len(header))
+            + header + payload)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def with_header(blob, **fields):
     """Re-encode a basis stream with header fields changed and a valid CRC."""
     header_len = struct.unpack_from("<I", blob, 8)[0]
     header = json.loads(blob[12:12 + header_len])
     header.update(fields)
-    new_header = json.dumps(header, sort_keys=True).encode()
-    body = (blob[:8] + struct.pack("<I", len(new_header)) + new_header
-            + blob[12 + header_len:-4])
-    return body + struct.pack("<I", zlib.crc32(body))
+    return stream(json.dumps(header, sort_keys=True).encode(),
+                  blob[12 + header_len:-4])
+
+
+def decodes_or_rejects(data):
+    """The reader's contract: a RoastBasis or BasisFormatError, nothing else."""
+    try:
+        basis = deserialize_basis(data)
+    except BasisFormatError:
+        return
+    assert isinstance(basis, RoastBasis)
+
+
+VALID_STREAM = serialize_basis(build_roast_randomized(64, 0.25, 3, seed=1))
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 class TestBuildRoast:
@@ -48,7 +68,7 @@ class TestBuildRoast:
         basis = build_roast(128, 0.25, 0)
         sub = build_subdft(128, 0.25, 0)
         x = random_probe(128, rng)
-        np.testing.assert_allclose(project(basis, x), sub.project(x), atol=1e-12)
+        np.testing.assert_allclose(basis.project(x), sub.project(x), atol=1e-12)
         assert basis.dimension == sub.dimension
 
     @pytest.mark.parametrize("method", ["svd_fb", "svd_fbf"])
@@ -121,17 +141,17 @@ class TestApplyPaths:
     def test_project_fixes_band_signals(self, basis, rng):
         coeffs = rng.standard_normal(basis.split.n_low)
         x = dft_columns(512, basis.split.low_indices) @ coeffs.astype(complex)
-        assert np.max(np.abs(project(basis, x) - x)) <= 1e-10
+        assert np.max(np.abs(basis.project(x) - x)) <= 1e-10
 
     def test_project_idempotent(self, basis, rng):
         x = random_probe(512, rng)
-        once = project(basis, x)
-        assert np.max(np.abs(project(basis, once) - once)) <= 1e-10
+        once = basis.project(x)
+        assert np.max(np.abs(basis.project(once) - once)) <= 1e-10
 
     def test_project_matches_dense(self, basis, rng):
         q = basis.dense_basis()
         x = random_probe(512, rng)
-        assert np.max(np.abs(project(basis, x) - q @ (q.conj().T @ x))) <= 1e-10
+        assert np.max(np.abs(basis.project(x) - q @ (q.conj().T @ x))) <= 1e-10
 
     def test_length_mismatch(self, basis):
         with pytest.raises(ValueError):
@@ -143,7 +163,7 @@ class TestApplyPaths:
         n, w, eps = 512, 0.25, 1e-3
         basis = caches.roast(n, w, rank_for_capture(n, eps))
         s0 = caches.dpss(n, w).vectors[:, 0].astype(complex)
-        assert np.linalg.norm(s0 - project(basis, s0)) ** 2 <= eps
+        assert np.linalg.norm(s0 - basis.project(s0)) ** 2 <= eps
 
 
 class TestMonotonicityAndOptimality:
@@ -330,6 +350,54 @@ class TestSerialization:
         restored = deserialize_basis(blob)
         assert np.array_equal(restored.v, basis.v)
         assert restored.seed == 5 and restored.method == "randomized"
+
+
+    @pytest.mark.parametrize("header", [b'"n"', b"3", b"null", b"[128, 0.25]"])
+    def test_header_must_be_an_object(self, header):
+        with pytest.raises(BasisFormatError, match="JSON object"):
+            deserialize_basis(stream(header))
+
+    @pytest.mark.parametrize("fields", [
+        {"n": 2**26, "r": 1},     # payload too short for the header's V
+        {"n": 2**26, "r": 2**26},  # more columns than out-of-band frequencies
+        {"n": 10**400, "r": 1},   # n * w overflows a float
+    ])
+    def test_header_checked_before_the_split_is_built(self, fields, monkeypatch):
+        def refuse(n, w):
+            raise AssertionError(f"band split for n={n} built before validation")
+
+        monkeypatch.setattr(roast.basis, "build_band_split", refuse)
+        header = dict({"method": "randomized", "w": 0.25, "seed": 1}, **fields)
+        with pytest.raises(BasisFormatError):
+            deserialize_basis(stream(json.dumps(header).encode()))
+
+    @pytest.mark.parametrize("seed", [1.5, "5", None, True, [5]])
+    def test_seed_must_be_an_integer(self, seed):
+        blob = serialize_basis(build_roast_randomized(128, 0.25, 6, seed=5))
+        with pytest.raises(BasisFormatError, match="seed"):
+            deserialize_basis(with_header(blob, seed=seed))
+
+
+class TestDeserializeFuzz:
+    @FUZZ
+    @given(st.binary(max_size=512))
+    def test_arbitrary_bytes(self, data):
+        decodes_or_rejects(data)
+
+    @FUZZ
+    @given(st.binary(max_size=256))
+    def test_arbitrary_bytes_after_a_valid_prefix(self, tail):
+        decodes_or_rejects(VALID_STREAM[:12] + tail)
+
+    @FUZZ
+    @given(st.integers(0, len(VALID_STREAM) - 1), st.integers(0, 255))
+    def test_single_byte_mutation(self, index, value):
+        mutated = bytearray(VALID_STREAM)
+        mutated[index] = value
+        decodes_or_rejects(bytes(mutated))
+        # with the CRC refreshed, the checks after the checksum run too
+        body = bytes(mutated[:-4])
+        decodes_or_rejects(body + struct.pack("<I", zlib.crc32(body)))
 
 
 class TestSizingRules:

@@ -1,10 +1,12 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 import roast
-from roast.cli import main
+from roast.basis import _METHODS
+from roast.cli import _build_parser, main
 from roast.diagnostics import (
     SNR_CSV_CAP,
     BoundLedger,
@@ -182,6 +184,35 @@ class TestRecoverCommand:
     def test_requires_m(self, capsys):
         assert main(["recover", "--n", "128"]) == 2
         assert "requires --m" in capsys.readouterr().err
+
+
+class TestChoices:
+    """Fixed choices come from the library's own tables, checked by argparse."""
+
+    @staticmethod
+    def subcommands():
+        parser = _build_parser()
+        action = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    @staticmethod
+    def option(subparser, dest):
+        return next(a for a in subparser._actions if a.dest == dest)
+
+    def test_basis_choices_are_the_registry(self):
+        recover = self.subcommands()["recover"]
+        assert list(self.option(recover, "basis_choice").choices) == sorted(roast.BASES)
+
+    def test_method_choices_are_the_reader_methods(self):
+        for subparser in self.subcommands().values():
+            assert tuple(self.option(subparser, "method").choices) == _METHODS
+
+    def test_unknown_basis_stopped_by_the_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["recover", "--n", "128", "--m", "96", "--basis", "fourier"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -1,0 +1,63 @@
+"""Properties every registered basis shares, over random small (N, W, R).
+
+Each entry of ``roast.BASES`` builds a basis with ``n``, ``dimension``,
+``analyze``, ``synthesize``, ``project`` and ``dense_basis``; the fast
+paths must agree with the explicit matrix Q that ``dense_basis`` returns.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from roast import BASES
+
+TOL = 1e-10
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(8, 256))
+    w = draw(st.floats(0.02, 0.45))
+    n_high = n - (2 * math.floor(n * w) + 1)
+    assume(n_high >= 1)
+    r = draw(st.integers(1, n_high))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, w, r, seed
+
+
+def probe(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def gap(a, b):
+    return float(np.max(np.abs(a - b)))
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(instance=instances())
+def test_basis_protocol(name, instance):
+    n, w, r, seed = instance
+    basis = BASES[name](n, w, r, seed)
+    q = basis.dense_basis()
+    assert basis.n == n
+    assert q.shape == (n, basis.dimension)
+    assert gap(q.conj().T @ q, np.eye(basis.dimension)) <= TOL
+
+    rng = np.random.default_rng(seed)
+    for cols in ((), (3,)):
+        x = probe(rng, n, *cols)
+        c = probe(rng, basis.dimension, *cols)
+        assert gap(basis.analyze(x), q.conj().T @ x) <= TOL
+        assert gap(basis.synthesize(c), q @ c) <= TOL
+        assert gap(basis.project(x), q @ (q.conj().T @ x)) <= TOL
+        assert gap(basis.analyze(basis.synthesize(c)), c) <= TOL
+        once = basis.project(x)
+        assert gap(basis.project(once), once) <= TOL
+    for size in (1, basis.dimension + 1):
+        with pytest.raises(ValueError):
+            basis.synthesize(np.ones(size))
+

@@ -121,6 +121,21 @@ class TestRecoveryExperiment:
                   for seed in range(5)]
         assert np.median(errors) <= 1e-2
 
+    @pytest.mark.parametrize("name", sorted(roast.BASES))
+    def test_every_registered_basis(self, name):
+        # CG through the basis's own analyze/synthesize lands on the dense
+        # least-squares recovery through the same basis
+        n, w, m, r, seed = 128, 0.25, 96, 6, 2
+        report = recovery_experiment(n, w, m, name, seed, r=r, num_tones=200)
+        q = roast.BASES[name](n, w, r, seed).dense_basis()
+        problem = build_recovery_problem(n, w, m, seed, num_tones=200)
+        coeffs = np.linalg.lstsq(problem.phi @ q, problem.y, rcond=None)[0]
+        oracle = (np.linalg.norm(q @ coeffs - problem.truth)
+                  / np.linalg.norm(problem.truth))
+        assert report.converged
+        assert report.params["dimension"] == q.shape[1] == 2 * 32 + 1 + r
+        assert abs(report.relative_error - oracle) <= report.condition_estimate * 1e-8
+
     def test_unknown_basis_rejected(self):
         with pytest.raises(ValueError):
             recovery_experiment(128, 0.25, 96, "fourier", seed=0)
