@@ -69,11 +69,6 @@ _METHODS = ("svd_fb", "svd_fbf", "randomized")
 # below this fraction of the leading diagonal are dropped.
 _RANK_TOL = 1e-12
 
-# Above this size the skinny factor comes from a Lanczos solver on the dense
-# cross operator instead of a full SVD; both return the same leading
-# singular subspace, the full SVD is just O(N^3) against O(N^2 R).
-_DENSE_SVD_LIMIT = 1200
-
 
 def dft_columns(n: int, wrapped_indices: np.ndarray) -> np.ndarray:
     """Normalized DFT columns exp(j*2*pi*k*m/N)/sqrt(N) for wrapped indices k."""
@@ -158,15 +153,53 @@ class RoastBasis:
         return np.hstack([f_low, f_high @ self.v])
 
 
-def _top_left_singular_vectors(a: np.ndarray, r: int) -> np.ndarray:
-    if r == 0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
-    if min(a.shape) <= _DENSE_SVD_LIMIT or r > min(a.shape) // 3:
-        u, _, _ = np.linalg.svd(a, full_matrices=False)
-        return u[:, :r]
-    v0 = np.ones(min(a.shape))
-    u, s, _ = spla.svds(a, k=r, v0=v0)
-    return u[:, np.argsort(-s)]
+def _out_of_band_eigenvectors(op: ProlateOperator, split: DftBandSplit,
+                               r: int, power: int) -> np.ndarray:
+    """Leading ``r`` eigenvectors of G = Fbar^* B^power Fbar, matrix-free.
+
+    B is real, so the out-of-band span has a real orthonormal basis: the
+    cosine and the sine at each positive out-of-band frequency, and the
+    cosine alone at Nyquist.  In those coordinates G is real symmetric, and
+    one product is an inverse real FFT, ``power`` prolate matvecs and a real
+    FFT, O(N log N).  Symmetric Lanczos (ARPACK) runs on G + s I: its
+    residual test is relative to the Ritz value, so without the shift it
+    stalls once r passes the numerical rank.  Its tolerance sits a few
+    hundred eps above the round-off of one product, the floor that the
+    Ritz values past the numerical rank cannot get under.  The symmetric
+    solver returns orthonormal Ritz vectors, so no re-orthogonalization
+    follows.  Returns them in the out-of-band DFT coordinates, ordered by
+    eigenvalue, largest first.
+    """
+    n, n_high = op.n, split.n_high
+    bins = np.arange((split.n_low + 1) // 2, n // 2 + 1)
+    n_sin = n_high - len(bins)  # every bin but Nyquist has a sine
+    scale = np.sqrt(np.where(2 * bins == n, 1.0, 2.0) / n)[:, None]
+    shift = 1.0 if power == 1 else math.sqrt(np.finfo(float).eps)
+
+    def synthesize(a):
+        coeffs = a[:len(bins)].astype(complex)
+        coeffs[:n_sin] += 1j * a[len(bins):]
+        half = np.zeros((n // 2 + 1, a.shape[1]), dtype=complex)
+        half[bins] = coeffs / scale
+        return np.fft.irfft(half, n=n, axis=0)
+
+    def matvec(a):
+        a = a.reshape(n_high, -1)
+        y = synthesize(a)
+        for _ in range(power):
+            y = prolate_apply(op, y)
+        d = np.fft.rfft(y, axis=0)[bins] * scale
+        return np.concatenate([d.real, d[:n_sin].imag]) + shift * a
+
+    g = spla.LinearOperator((n_high, n_high), matvec=matvec, matmat=matvec,
+                            dtype=float)
+    try:
+        vals, ritz = spla.eigsh(g, k=r, which="LA", v0=np.ones(n_high), tol=1e-13)
+    except spla.ArpackError as exc:
+        raise RuntimeError(
+            f"Lanczos failed for n={n}, w={split.w}, r={r}: {exc}") from exc
+    x = synthesize(ritz[:, np.argsort(-vals, kind="stable")])
+    return np.fft.fft(x, axis=0)[split.high_indices] / np.sqrt(n)
 
 
 def build_roast(n: int, w: float, r: int, method: str = "svd_fb") -> RoastBasis:
@@ -185,6 +218,14 @@ def build_roast(n: int, w: float, r: int, method: str = "svd_fb") -> RoastBasis:
     10 log10(trace(B) / residual), are 153.1 dB for DPSS, 150.3 dB for
     "svd_fbf" and 148.7 dB for "svd_fb"; DPSS with one vector fewer scores
     143.9 dB.
+
+    For R <= n_high / 3 neither forms Fbar^* B: symmetric Lanczos (ARPACK
+    ``eigsh``) finds the leading eigenvectors of Fbar^* B^2 Fbar, whose
+    eigenvectors are the left singular vectors of Fbar^* B, or of
+    Fbar^* B Fbar, shifted by sqrt(eps) and 1 respectively, through
+    O(N log N) products, in O(N R) memory.  Larger R takes the dense route:
+    the n_high x N cross operator is formed and fully decomposed by SVD or
+    eigh.  Raises RuntimeError if Lanczos fails.
     """
     if method not in ("svd_fb", "svd_fbf"):
         raise ValueError(f"method must be 'svd_fb' or 'svd_fbf', got {method!r}")
@@ -193,17 +234,17 @@ def build_roast(n: int, w: float, r: int, method: str = "svd_fb") -> RoastBasis:
         raise ValueError(
             f"r must satisfy 0 <= r <= {split.n_high} for n={n}, w={w}, got {r}")
     op = build_prolate(n, w)
-    cross = cross_operator_dense(op, split)
-    if method == "svd_fb":
-        v = _top_left_singular_vectors(cross, r)
+    if r == 0:
+        v = np.zeros((split.n_high, 0), dtype=complex)
+    elif r <= split.n_high // 3:
+        v = _out_of_band_eigenvectors(op, split, r, 2 if method == "svd_fb" else 1)
     else:
-        f_high = dft_columns(n, split.high_indices)
-        compressed = cross @ f_high
-        compressed = (compressed + compressed.conj().T) / 2.0
-        if r == 0:
-            v = np.zeros((split.n_high, 0), dtype=complex)
+        cross = cross_operator_dense(op, split)
+        if method == "svd_fb":
+            v = np.linalg.svd(cross, full_matrices=False)[0][:, :r]
         else:
-            _, vecs = np.linalg.eigh(compressed)
+            compressed = cross @ dft_columns(n, split.high_indices)
+            vecs = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)[1]
             v = vecs[:, ::-1][:, :r]
     return RoastBasis(split=split, r=int(v.shape[1]), v=_phase_normalize(v),
                       method=method)
@@ -460,6 +501,10 @@ def fst_rank_bound(n: int, delta: float) -> int:
 
 _MAGIC = b"ROAST\x00"
 _FORMAT_VERSION = 1
+# The reader builds an N-sized band split (about 36 bytes per sample) for any
+# consistent header, so a few bytes with r = 0 could otherwise ask for
+# gigabytes; 2**24 samples cap it near 600 MB.
+_MAX_READ_LENGTH = 2**24
 
 
 class BasisFormatError(ValueError):
@@ -488,7 +533,10 @@ def _is_int(value) -> bool:
 
 
 def deserialize_basis(data: bytes) -> RoastBasis:
-    """Decode a serialized basis, validating structure, checksum, and shape."""
+    """Decode a serialized basis, validating structure, checksum, and shape.
+
+    Headers with a signal length above 2**24 are refused.
+    """
     fixed = len(_MAGIC) + 2 + 4
     if len(data) < fixed + 4:
         raise BasisFormatError("truncated stream: shorter than the fixed header")
@@ -521,6 +569,10 @@ def deserialize_basis(data: bytes) -> RoastBasis:
     seed = header.get("seed")
     if not _is_int(n) or n < 2:
         raise BasisFormatError(f"invalid signal length in header: {n!r}")
+    if n > _MAX_READ_LENGTH:
+        raise BasisFormatError(
+            f"signal length {n} in header exceeds the reader's limit "
+            f"{_MAX_READ_LENGTH}")
     if not (isinstance(w, float) and 0.0 < w < 0.5):
         raise BasisFormatError(f"invalid half-bandwidth in header: {w!r}")
     if method not in _METHODS:
@@ -529,10 +581,7 @@ def deserialize_basis(data: bytes) -> RoastBasis:
         raise BasisFormatError(f"invalid sketch seed in header: {seed!r}")
     # the split is O(n) to build, so everything the header and payload
     # length can settle is checked before it is
-    try:
-        n_high = n - (2 * math.floor(n * w) + 1)
-    except OverflowError as exc:
-        raise BasisFormatError(f"invalid signal length in header: {n!r}") from exc
+    n_high = n - (2 * math.floor(n * w) + 1)
     if not _is_int(r) or not 0 <= r <= n_high:
         raise BasisFormatError(f"inconsistent column count r={r!r} for n={n}, w={w}")
 

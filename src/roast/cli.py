@@ -13,7 +13,8 @@ recover          one CG recovery experiment through a chosen subspace
 In ``scaling-bench`` the ``snr`` column is the SNR of one draw of
 ``--tones`` random tones, at signal seed ``seed + n``, under each basis.  The
 ``dpss`` row keeps ``n_low + r`` Slepian vectors (n_low = 2 floor(NW) + 1),
-the dimension of the ``roast`` (svd_fb) row.
+the dimension of the ``roast`` (svd_fb) row, and is written only up to
+N = 4096; the other rows are written at every N.
 
 Output is plot-ready CSV (metadata in ``#`` comment lines, floats at 17
 significant digits) or the JSON equivalent.  Identical configuration and
@@ -56,7 +57,8 @@ from .verify import (
 LOG_BASES = {"natural": math.e, "base2": 2.0, "base10": 10.0}
 _DEFAULT_N_LIST = (256, 512, 1024, 2048, 4096, 8192, 16384)
 
-# dense construction and the DPSS comparison get skipped past this length
+# the DPSS row (a tridiagonal eigensolve for n_low + r vectors) is skipped
+# past this length
 _DENSE_METHOD_LIMIT = 4096
 
 
@@ -345,7 +347,7 @@ def run_scaling_bench(config: RunConfig) -> int:
         builders = [("subdft", lambda: build_subdft(n, w, r))]
         if n <= _DENSE_METHOD_LIMIT:
             builders.append(("dpss", lambda: build_dpss(n, w, split.n_low + r)))
-            builders.append(("roast", lambda: build_roast(n, w, r)))
+        builders.append(("roast", lambda: build_roast(n, w, r)))
         builders.append(
             ("roast_r", lambda: build_roast_randomized(n, w, max(r, 1),
                                                        config.seed)))

@@ -105,7 +105,8 @@ def prolate_apply(op: ProlateOperator, x: np.ndarray) -> np.ndarray:
     """Compute B @ x via the circulant embedding.
 
     ``x`` may be a length-N vector or an N x b block of columns; the result
-    matches the dense matvec to round-off.
+    matches the dense matvec to round-off.  Real input takes the half-length
+    real FFT and returns a real result.
     """
     x = np.asarray(x)
     if x.shape[0] != op.n:
@@ -114,9 +115,11 @@ def prolate_apply(op: ProlateOperator, x: np.ndarray) -> np.ndarray:
     block = x[:, None] if single else x
     size = op.embed_size
     spec = op.circulant_spectrum[:, None]
-    y = np.fft.ifft(spec * np.fft.fft(block, n=size, axis=0), axis=0)[:op.n]
     if np.isrealobj(x):
-        y = y.real
+        half = spec[:size // 2 + 1] * np.fft.rfft(block, n=size, axis=0)
+        y = np.fft.irfft(half, n=size, axis=0)[:op.n]
+    else:
+        y = np.fft.ifft(spec * np.fft.fft(block, n=size, axis=0), axis=0)[:op.n]
     return y[:, 0] if single else y
 
 
@@ -175,7 +178,8 @@ def build_dpss(n: int, w: float, k: int) -> DpssBasis:
     off = m[1:] * (n - m[1:]) / 2.0
     try:
         _, vecs = sla.eigh_tridiagonal(diag, off, select="i",
-                                       select_range=(n - k, n - 1))
+                                       select_range=(n - k, n - 1),
+                                       lapack_driver="stemr")
     except (sla.LinAlgError, ValueError) as exc:
         raise RuntimeError(
             f"tridiagonal eigensolver failed for n={n}, w={w}, k={k}: {exc}"

@@ -170,6 +170,23 @@ class TestScalingBench:
                           caches.dpss(n, w, k - 1)))
             assert resid_equal <= resid_fast <= resid_fewer
 
+    def test_roast_row_past_the_dpss_limit(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert main(["scaling-bench", "--n-list", "256,8192", "--tones", "100",
+                     "--out", str(out)]) == 0
+        meta, columns, rows = read_csv(out)
+        methods = column(rows, columns, "method", str)
+        lengths = column(rows, columns, "n", int)
+        at_8192 = {m: i for i, m in enumerate(methods) if lengths[i] == 8192}
+        assert set(at_8192) == {"subdft", "roast", "roast_r"}
+        w, seed = float(meta["w"]), int(meta["seed"])
+        r = int(rows[at_8192["roast"]][columns.index("r")])
+        signal = roast.random_bandlimited(8192, w, 100, seed + 8192).samples
+        want = min(roast.residual_snr(roast.build_roast(8192, w, r), signal),
+                   SNR_CSV_CAP)
+        got = column(rows, columns, "snr")[at_8192["roast"]]
+        assert got == pytest.approx(want, rel=1e-9)
+
 
 class TestRecoverCommand:
     def test_row_emitted(self, tmp_path):

@@ -66,6 +66,17 @@ class TestProlateOperator:
         expected = prolate_dense(op) @ block
         assert np.max(np.abs(prolate_apply(op, block) - expected)) <= 1e-10
 
+    @pytest.mark.parametrize("n", [300, 301])
+    @pytest.mark.parametrize("shape", [(), (4,)])
+    def test_real_input_takes_the_real_fft(self, n, shape, rng):
+        op = build_prolate(n, 0.25)
+        x = rng.standard_normal((n,) + shape)
+        y = prolate_apply(op, x)
+        assert y.dtype == np.float64 and y.shape == x.shape
+        np.testing.assert_allclose(y, prolate_apply(op, x.astype(complex)).real,
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(y, prolate_dense(op) @ x, rtol=0, atol=1e-13)
+
 
 class TestDpss:
     def test_eigen_relation(self, caches):
