@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import cross_operator_dense, dft_columns
+from .basis import RoastBasis, cross_operator_dense
 from .prolate import (
     ProlateOperator,
     build_band_split,
@@ -36,6 +36,7 @@ __all__ = [
     "integrated_residual",
     "integrated_residual_quadrature",
     "sinusoid_residual_sq",
+    "residual_path_bound",
     "residual_paths_agree",
     "subspace_angle",
     "largest_angle_cos_direct",
@@ -202,34 +203,106 @@ def _dense_columns(q_like) -> np.ndarray:
 
 def _ensure_orthonormal(q: np.ndarray, tol: float = 1e-8, what: str = "basis") -> None:
     gram = q.conj().T @ q
-    err = np.max(np.abs(gram - np.eye(q.shape[1])))
+    err = np.max(np.abs(gram - np.eye(q.shape[1])), initial=0.0)
     if err > tol:
         raise ValueError(f"{what} is not orthonormal: Gram deviation {err:.3e} > {tol:.0e}")
+
+
+def _checked_basis(q_like, what: str = "basis"):
+    """``q_like`` with orthonormal columns, in the form the kernels take.
+
+    A ``RoastBasis`` is returned as is and checked on V alone: Q^* Q is
+    blockdiag(I, V^* V) by construction.  Anything else becomes its dense
+    columns, checked in full.
+    """
+    if isinstance(q_like, RoastBasis):
+        _ensure_orthonormal(q_like.v, what=what)
+        return q_like
+    q = _dense_columns(q_like)
+    _ensure_orthonormal(q, what=what)
+    return q
 
 
 def integrated_residual(op: ProlateOperator, q_like) -> float:
     """Band-integrated squared residual of in-band sinusoids under Q Q^*.
 
     Computed without quadrature as trace(B) - sum_i q_i^* B q_i through the
-    fast prolate matvec.  For residuals below round-off the trace difference
-    can land epsilon-negative; it is floored at zero.
+    fast prolate matvec, the sum taken pairwise over every entry.  A
+    ``RoastBasis`` supplies its columns by synthesis, one inverse FFT, with
+    no dense DFT columns.  For residuals below round-off the trace
+    difference can land epsilon-negative; it is floored at zero.
     """
-    q = _dense_columns(q_like)
+    q = _checked_basis(q_like)
+    if isinstance(q, RoastBasis):
+        q = q.synthesize(np.eye(q.dimension))
     if q.shape[0] != op.n:
         raise ValueError(f"basis rows {q.shape[0]} do not match operator size {op.n}")
-    _ensure_orthonormal(q)
-    captured = np.einsum("ij,ij->", q.conj(), prolate_apply(op, q)).real
+    captured = np.sum((q.conj() * prolate_apply(op, q)).real)
     return max(op.trace() - float(captured), 0.0)
+
+
+def _dirichlet_residual_sq(basis: RoastBasis, freqs: np.ndarray) -> np.ndarray:
+    """||(I - V V^*) d_f||^2 with d_f = Fbar^* e_f, the Dirichlet kernel."""
+    n, k = basis.n, basis.split.high_indices
+    # d_f[k] = exp(i pi (n-1) x) sin(pi n x) / sin(pi x) / sqrt(n), x = f - k/n.
+    # The phase is a unit scalar in f times the row phase
+    # D[k] = exp(-i pi (n-1) k / n); folding D into W = D^* V leaves the
+    # real Dirichlet ratio s_f to project.  The exponent is reduced mod 2n
+    # so the row phase stays accurate at large n.
+    phase = np.exp(1j * np.pi * (((n - 1) * k) % (2 * n)) / n)
+    wv = phase[:, None] * basis.v
+    # W = A + iB acts on real s as real matrices: Re W W^* s = [A, B] c and
+    # Im W W^* s = [B, -A] c with c = [A, B]^T s
+    re_map = np.hstack([wv.real, wv.imag])
+    im_map = np.hstack([wv.imag, -wv.real])
+    rows = k[:, None] / n
+    out = np.empty(len(freqs))
+    chunk = max(1, 1024 * 1024 // max(len(k), 1))
+    for i0 in range(0, len(freqs), chunk):
+        x = freqs[None, i0:i0 + chunk] - rows
+        # x = j + t with |t| <= 1/2: sin(pi t) is accurate near every bin, and
+        # the ratio picks up (-1)^((n-1) j)
+        j = np.rint(x)
+        t = x - j
+        s = np.divide(np.sin(np.pi * n * t), np.sin(np.pi * t),
+                      out=np.full_like(t, float(n)), where=t != 0.0)
+        if n % 2 == 0:
+            np.negative(s, out=s, where=(j.astype(np.int64) & 1).astype(bool))
+        s /= math.sqrt(n)
+        c = re_map.T @ s
+        re = s - re_map @ c
+        im = im_map @ c
+        out[i0:i0 + chunk] = (np.einsum("ij,ij->j", re, re)
+                              + np.einsum("ij,ij->j", im, im))
+    return out
 
 
 def sinusoid_residual_sq(projector, n: int, freqs: np.ndarray) -> np.ndarray:
     """Squared residual ||e_f - P e_f||^2 of each sampled sinusoid e_f.
 
-    e_f[m] = exp(2 pi i f m) for m < n.  ``projector`` is anything
-    ``_as_projector`` accepts; a matrix Q is applied densely as Q (Q^* x).
-    The sinusoids are formed in blocks of max(1, 2**21 // n) columns, so
-    memory stays bounded however many frequencies are asked for.
+    e_f[m] = exp(2 pi i f m) for m < n.
+
+    A ``RoastBasis`` takes the Dirichlet path.  Its residual is
+    Fbar (I - V V^*) Fbar^* e_f, and d_f = Fbar^* e_f has the closed form
+    exp(i pi (n-1) x) sin(pi n x) / sin(pi x) / sqrt(n) with x = f - k/n,
+    so the norm is ||(I - V V^*) d_f|| in the n_high out-of-band
+    coordinates: no N x G exponentials and no N x K products.  The
+    argument of sin(pi x) is reduced mod 1, and where it is exactly zero,
+    at f = k/n and at f = +-1/2 against the Nyquist bin, the ratio takes
+    its limit n.  The residual vector is formed and its norm taken; the
+    subtraction form n - ||Q^* e_f||^2, which a czt or zoom-FFT evaluation
+    of Q^* e_f would give, would turn residuals of 1e-20 into round-off of
+    1e-13.  Frequencies go in blocks of max(1, 2**20 // n_high).
+
+    Any other ``projector`` is anything ``_as_projector`` accepts; a
+    matrix Q is applied densely as Q (Q^* x).  The sinusoids are formed in
+    blocks of max(1, 2**21 // n) columns, so memory stays bounded however
+    many frequencies are asked for.
     """
+    if isinstance(projector, RoastBasis):
+        if projector.n != n:
+            raise ValueError(f"basis length {projector.n} does not match n={n}")
+        return _dirichlet_residual_sq(projector, np.asarray(freqs, dtype=float))
     project = _as_projector(projector)
     freqs = np.asarray(freqs)
     out = np.empty(len(freqs))
@@ -246,21 +319,26 @@ def integrated_residual_quadrature(op: ProlateOperator, q_like,
                                    nodes: int = 4096) -> float:
     """Same quantity by composite trapezoid over the band, residual vectors
     evaluated pointwise.  Cross-validates the trace path."""
-    q = _dense_columns(q_like)
-    _ensure_orthonormal(q)
+    q = _checked_basis(q_like)
     grid = np.linspace(-op.w, op.w, nodes)
     return float(np.trapezoid(sinusoid_residual_sq(q, op.n, grid), grid))
 
 
-def residual_paths_agree(trace_value: float, quad_value: float,
-                         rel: float = 1e-4, abs_floor: float = 1e-9) -> bool:
-    """Agreement test for the two residual paths.
+def residual_path_bound(trace_value: float, quad_value: float,
+                        rel: float = 1e-4, abs_floor: float = 1e-9) -> float:
+    """Largest gap the two residual paths may show and still agree.
 
     Relative to the larger value, with an absolute floor for residuals that
     sit at the float64 noise level where relative comparison is meaningless.
     """
-    return abs(trace_value - quad_value) <= rel * max(abs(trace_value),
-                                                      abs(quad_value)) + abs_floor
+    return rel * max(abs(trace_value), abs(quad_value)) + abs_floor
+
+
+def residual_paths_agree(trace_value: float, quad_value: float,
+                         rel: float = 1e-4, abs_floor: float = 1e-9) -> bool:
+    """Agreement test for the two residual paths; see ``residual_path_bound``."""
+    return abs(trace_value - quad_value) <= residual_path_bound(
+        trace_value, quad_value, rel, abs_floor)
 
 
 def subspace_angle(a_like, b_like) -> AngleReport:
@@ -268,15 +346,20 @@ def subspace_angle(a_like, b_like) -> AngleReport:
 
     The cosines are the singular values of A^* B; the report's
     ``largest_angle_cos`` (the smallest cosine) measures how far the narrower
-    subspace sticks out of the wider one.
+    subspace sticks out of the wider one.  A ``RoastBasis`` on one side
+    enters through its analysis, Q^* A, with no dense columns.
     """
-    a = _dense_columns(a_like)
-    b = _dense_columns(b_like)
-    _ensure_orthonormal(a, what="first basis")
-    _ensure_orthonormal(b, what="second basis")
-    if a.shape[1] > b.shape[1]:
-        a, b = b, a
-    cosines = np.linalg.svd(b.conj().T @ a, compute_uv=False)
+    a = _checked_basis(a_like, what="first basis")
+    b = _checked_basis(b_like, what="second basis")
+    if isinstance(b, RoastBasis):
+        cross = b.analyze(_dense_columns(a))
+    elif isinstance(a, RoastBasis):
+        cross = a.analyze(b)  # the transpose of B^* A has the same cosines
+    else:
+        if a.shape[1] > b.shape[1]:
+            a, b = b, a
+        cross = b.conj().T @ a
+    cosines = np.linalg.svd(cross, compute_uv=False)
     return AngleReport(principal_cosines=np.sort(cosines)[::-1])
 
 
@@ -337,8 +420,7 @@ def sinusoid_derivative_check(op: ProlateOperator, q_like, grid_size: int = 4096
         raise ValueError(f"half-bandwidth {w} below 1/(4 pi N) for n={n}")
     if fd_step > 1e-3:
         raise ValueError(f"difference step {fd_step} too coarse to resolve (> 1e-3)")
-    q = _dense_columns(q_like)
-    _ensure_orthonormal(q)
+    q = _checked_basis(q_like)
 
     grid = np.linspace(-w, w, grid_size)
     center = sinusoid_residual_sq(q, n, grid)
@@ -394,8 +476,7 @@ def dpss_capture_report(n: int, w: float, eps: float, basis,
         cross = cross_operator_dense(op, basis.split)
     eta = np.linalg.norm(_deflate(cross, basis), 2) / eps
 
-    q = basis.dense_basis()
-    resid_cols = s_k - q @ (q.conj().T @ s_k)
+    resid_cols = s_k - basis.project(s_k)
 
     ledger = BoundLedger()
     params = {"n": n, "w": w, "eps": eps, "k": k, "r": basis.r,
@@ -405,7 +486,7 @@ def dpss_capture_report(n: int, w: float, eps: float, basis,
     per_vector = float(np.max(np.einsum("ij,ij->j", resid_cols.conj(),
                                         resid_cols).real))
     ledger.add("dpss_capture_per_vector", per_vector, eta, **params)
-    cos_theta = subspace_angle(s_k, q).largest_angle_cos
+    cos_theta = subspace_angle(s_k, basis).largest_angle_cos
     angle_floor = math.sqrt(max(1.0 - n * eta, 0.0))
     # angle inequality runs the other way: cos >= floor
     ledger.add("dpss_capture_angle", angle_floor, cos_theta, **params)

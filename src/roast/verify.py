@@ -31,6 +31,7 @@ from .diagnostics import (
     integrated_residual,
     integrated_residual_quadrature,
     largest_angle_cos_direct,
+    residual_path_bound,
     singular_decay_report,
     sinusoid_derivative_check,
     sinusoid_residual_sq,
@@ -110,8 +111,7 @@ def capture_suite(n: int, w: float, eps: float, r: int | None = None,
     r_angle = min(rank_for_capture_angle(n, eps) if r is None else r,
                   split.n_high)
     basis_angle = build_roast(n, w, r_angle) if r_angle != r_used else basis
-    cos_theta = subspace_angle(dpss.vectors[:, :k],
-                               basis_angle.dense_basis()).largest_angle_cos
+    cos_theta = subspace_angle(dpss.vectors[:, :k], basis_angle).largest_angle_cos
     ledger.add("dpss_capture_angle_vs_eps", math.sqrt(1.0 - eps), cos_theta,
                n=n, w=w, eps=eps, k=k, r=r_angle)
     return ledger
@@ -119,7 +119,11 @@ def capture_suite(n: int, w: float, eps: float, r: int | None = None,
 
 def average_suite(n: int, w: float, eps: float, quad_nodes: int = 4096) -> BoundLedger:
     """Band-averaged normalized residual at the rank sized for eps, plus the
-    trace/quadrature cross-check."""
+    trace/quadrature cross-check.
+
+    The two paths may differ by the round-off of the trace path,
+    dimension * eps * trace(B), on top of the relative tolerance.
+    """
     ledger = BoundLedger()
     op = build_prolate(n, w)
     r = min(rank_for_average(n, eps), build_band_split(n, w).n_high)
@@ -128,8 +132,9 @@ def average_suite(n: int, w: float, eps: float, quad_nodes: int = 4096) -> Bound
     quad_val = integrated_residual_quadrature(op, basis, nodes=quad_nodes)
     params = {"n": n, "w": w, "eps": eps, "r": r}
     ledger.add("average_residual_normalized", trace_val / n, eps, **params)
+    floor = basis.dimension * np.finfo(float).eps * op.trace()
     ledger.add("residual_path_agreement", abs(trace_val - quad_val),
-               1e-4 * max(abs(trace_val), abs(quad_val)) + 1e-9,
+               residual_path_bound(trace_val, quad_val, abs_floor=floor),
                trace_value=trace_val, quad_value=quad_val, **params)
     return ledger
 
@@ -150,7 +155,7 @@ def pointwise_suite(n: int, w: float, eps: float, grid_size: int = 4096) -> Boun
 
 
 def randomized_suite(n: int, w: float, eps: float, num_seeds: int = 20,
-                     grid_size: int = 4096) -> BoundLedger:
+                     grid_size: int = 4096, dpss=None) -> BoundLedger:
     """Expectation-level guarantees for the sketched construction.
 
     For each of ``num_seeds`` seeds, builds one basis per sketch-width rule
@@ -158,12 +163,16 @@ def randomized_suite(n: int, w: float, eps: float, num_seeds: int = 20,
     subspace-angle floor sqrt(1 - N*eps), the band-averaged residual, and
     the pointwise in-band residual.  Sketch widths are clamped to the
     out-of-band width when the sizing rule exceeds it; rules whose widths
-    coincide share one build (and one dense basis) per seed.
+    coincide share one build per seed.  Every diagnostic runs through the
+    basis object, never its dense columns.  Pivoted QR may keep fewer than P
+    columns, so each entry records the kept R over the seeds as ``r_min``
+    and ``r_max``.  ``dpss`` may pass in the full Slepian solve at (n, w).
     """
     ledger = BoundLedger()
     op = build_prolate(n, w)
     split = build_band_split(n, w)
-    dpss = build_dpss(n, w, n)
+    if dpss is None:
+        dpss = build_dpss(n, w, n)
     k = int(np.sum(dpss.eigenvalues >= eps))
     s_k = dpss.vectors[:, :k]
     p_cap = min(sketch_for_capture(n, eps), split.n_high)
@@ -172,44 +181,44 @@ def randomized_suite(n: int, w: float, eps: float, num_seeds: int = 20,
     p_point = min(sketch_for_pointwise(n, w, eps), split.n_high)
     grid = np.linspace(-w, w, grid_size)
 
+    widths = sorted({p_cap, p_angle, p_avg, p_point})
     spectral_sq, per_vec, cosines, averages, curves = [], [], [], [], []
+    kept = {p: [] for p in widths}
     for seed in range(num_seeds):
-        # one dense basis alive at a time keeps peak memory at one basis
-        for p in sorted({p_cap, p_angle, p_avg, p_point}):
-            q = build_roast_randomized(n, w, p, seed).dense_basis()
+        for p in widths:
+            basis = build_roast_randomized(n, w, p, seed)
+            kept[p].append(basis.r)
             if p == p_cap:
-                resid = s_k - q @ (q.conj().T @ s_k)
+                resid = s_k - basis.project(s_k)
                 spectral_sq.append(np.linalg.svd(resid, compute_uv=False)[0] ** 2)
                 per_vec.append(float(np.max(np.einsum("ij,ij->j", resid.conj(),
                                                       resid).real)))
-                del resid
             if p == p_angle:
-                cosines.append(subspace_angle(s_k, q).largest_angle_cos)
+                cosines.append(subspace_angle(s_k, basis).largest_angle_cos)
             if p == p_avg:
-                averages.append(integrated_residual(op, q) / n)
+                averages.append(integrated_residual(op, basis) / n)
             if p == p_point:
-                curves.append(sinusoid_residual_sq(q, n, grid))
-            del q
+                curves.append(sinusoid_residual_sq(basis, n, grid))
 
-    params = {"n": n, "w": w, "eps": eps, "k": k, "p": p_cap,
-              "num_seeds": num_seeds}
+    def common(p):
+        return {"n": n, "w": w, "eps": eps, "p": p, "num_seeds": num_seeds,
+                "r_min": min(kept[p]), "r_max": max(kept[p])}
+
     ledger.add("randomized_capture_spectral_sq_mean",
-               float(np.mean(spectral_sq)), eps, **params)
+               float(np.mean(spectral_sq)), eps, k=k, **common(p_cap))
     ledger.add("randomized_capture_per_vector_mean",
-               float(np.mean(per_vec)), eps, **params)
+               float(np.mean(per_vec)), eps, k=k, **common(p_cap))
     # the guaranteed floor involves the dimension; the stricter
     # dimension-free floor is recorded alongside for reference
     ledger.add("randomized_angle_mean", math.sqrt(max(1.0 - n * eps, 0.0)),
-               float(np.mean(cosines)), n=n, w=w, eps=eps, k=k, p=p_angle,
-               num_seeds=num_seeds, strict_floor=math.sqrt(1.0 - eps))
+               float(np.mean(cosines)), k=k, strict_floor=math.sqrt(1.0 - eps),
+               **common(p_angle))
     ledger.add("randomized_average_residual_mean",
-               float(np.mean(averages)), eps,
-               n=n, w=w, eps=eps, p=p_avg, num_seeds=num_seeds)
+               float(np.mean(averages)), eps, **common(p_avg))
     # pointwise residual: mean over seeds, then max over the in-band grid
     ledger.add("randomized_pointwise_residual_mean",
                float(np.max(np.array(curves).mean(axis=0)) / n), eps,
-               n=n, w=w, eps=eps, p=p_point, num_seeds=num_seeds,
-               grid_size=grid_size)
+               grid_size=grid_size, **common(p_point))
     return ledger
 
 
@@ -255,10 +264,13 @@ def full_verification(grid=DEFAULT_GRID, detail_n: int = 512,
     ledger = BoundLedger()
     for n, w in grid:
         ledger.extend(core_grid_checks(n, w))
-    ledger.extend(capture_suite(detail_n, detail_w, capture_eps, r=capture_r))
+    # one full Slepian solve at the detail point serves both suites
+    dpss = build_dpss(detail_n, detail_w, detail_n)
+    ledger.extend(capture_suite(detail_n, detail_w, capture_eps, r=capture_r,
+                                dpss=dpss))
     ledger.extend(average_suite(detail_n, detail_w, average_eps))
     ledger.extend(pointwise_suite(detail_n, detail_w, pointwise_eps))
     ledger.extend(randomized_suite(detail_n, detail_w, randomized_eps,
-                                   num_seeds=num_seeds))
+                                   num_seeds=num_seeds, dpss=dpss))
     ledger.extend(small_instance_checks())
     return ledger

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -51,3 +52,18 @@ def caches():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xC0FFEE)
+
+
+@pytest.fixture
+def forbid_dense_columns(monkeypatch):
+    """Make every reference to ``roast.basis.dft_columns`` raise."""
+    original = roast.basis.dft_columns
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense DFT columns formed")
+
+    for name, module in list(sys.modules.items()):
+        if name == "roast" or name.startswith("roast."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, forbidden)

@@ -130,8 +130,56 @@ class TestSinusoidResidualKernel:
             resid = e - q @ (q.conj().T @ e)
             assert abs(got[i] - np.vdot(resid, resid).real) <= 1e-8
 
+    @pytest.mark.parametrize("n", [512, 513])
+    @pytest.mark.parametrize("kind", ["svd_fb", "randomized", "complex"])
+    def test_exact_bins_and_band_edges_match_dense(self, n, kind, rng):
+        # every f = k/n, where the Dirichlet ratio is 0/0 on one row, and
+        # f = +-1/2, which for even n sits on the Nyquist bin from both sides.
+        # At a bin d_f has one nonzero entry, so its phase cannot matter;
+        # off-bin frequencies check the phase.  A complex V, whose span is
+        # not closed under conjugation, covers bases the builders never make.
+        if kind == "svd_fb":
+            basis = build_roast(n, 0.25, 20)
+        elif kind == "randomized":
+            basis = roast.build_roast_randomized(n, 0.25, 40, seed=1)
+        else:
+            split = roast.build_band_split(n, 0.25)
+            v = np.linalg.qr(rng.standard_normal((split.n_high, 30))
+                             + 1j * rng.standard_normal((split.n_high, 30)))[0]
+            basis = roast.RoastBasis(split=split, r=30, v=v, method="randomized")
+        freqs = np.concatenate([np.arange(-(n // 2), n // 2 + 1) / n, [-0.5, 0.5],
+                                rng.uniform(-0.5, 0.5, 64)])
+        got = sinusoid_residual_sq(basis, n, freqs)
+        want = sinusoid_residual_sq(basis.dense_basis(), n, freqs)
+        assert np.max(np.abs(got - want)) <= 1e-9
+        assert np.max(want) > 100.0  # out-of-band bins are in the comparison
+
+    def test_roast_basis_needs_no_dense_columns(self, caches,
+                                                forbid_dense_columns):
+        basis = caches.roast(64, 0.25, 5)
+        op = caches.op(64, 0.25)
+        assert integrated_residual_quadrature(op, basis, nodes=256) >= 0.0
+        assert integrated_residual(op, basis) >= 0.0
+        assert sinusoid_derivative_check(op, basis, grid_size=64).all_satisfied
+
+    def test_rejects_length_mismatch(self, caches):
+        with pytest.raises(ValueError, match="does not match"):
+            sinusoid_residual_sq(caches.roast(64, 0.25, 5), 65, np.zeros(3))
+
 
 class TestSubspaceAngle:
+    @pytest.mark.parametrize("k", [40, 200])
+    def test_roast_basis_matches_dense_angle(self, caches, k):
+        # k = 40 is narrower than the basis (dimension 143), k = 200 wider
+        basis = caches.roast(256, 0.25, 14)
+        s_k = caches.dpss(256, 0.25).vectors[:, :k]
+        via_analyze = subspace_angle(s_k, basis)
+        dense = subspace_angle(s_k, basis.dense_basis())
+        np.testing.assert_allclose(via_analyze.principal_cosines,
+                                   dense.principal_cosines, rtol=0, atol=1e-12)
+        assert abs(subspace_angle(basis, s_k).largest_angle_cos
+                   - dense.largest_angle_cos) <= 1e-12
+
     def test_identical_subspaces(self, rng):
         q = np.linalg.qr(rng.standard_normal((32, 6)))[0]
         report = subspace_angle(q, q)

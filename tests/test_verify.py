@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import roast.verify
+from roast.diagnostics import integrated_residual
 from roast.verify import (
     DEFAULT_GRID,
     average_suite,
@@ -59,3 +60,44 @@ class TestSuites:
         assert len(calls) == 2
         assert {args[2] for args in calls} == {31}
         assert {e.params["p"] for e in ledger.entries} == {31}
+
+    def test_randomized_entries_record_kept_rank(self):
+        ledger = randomized_suite(64, 0.25, 1e-2, num_seeds=2, grid_size=64)
+        for e in ledger.entries:
+            assert 1 <= e.params["r_min"] <= e.params["r_max"] <= e.params["p"]
+
+    def test_randomized_suite_takes_a_shared_dpss(self, caches, monkeypatch):
+        dpss = caches.dpss(64, 0.25)
+        want = randomized_suite(64, 0.25, 1e-2, num_seeds=2, grid_size=64)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("DPSS solved again")
+
+        monkeypatch.setattr(roast.verify, "build_dpss", no_solve)
+        got = randomized_suite(64, 0.25, 1e-2, num_seeds=2, grid_size=64,
+                               dpss=dpss)
+        assert [e.to_dict() for e in got.entries] == [e.to_dict() for e in want.entries]
+
+    def test_suites_run_without_dense_columns(self, forbid_dense_columns):
+        # the randomized and pointwise suites work through the basis
+        # objects, so forbidding the dense DFT columns changes nothing
+        assert randomized_suite(64, 0.25, 1e-2, num_seeds=2,
+                                grid_size=64).all_satisfied
+        assert pointwise_suite(64, 0.25, 1e-1, grid_size=128).all_satisfied
+
+
+class TestResidualPathAgreement:
+    def test_passes_at_the_detail_point(self):
+        entry = entry_map(average_suite(512, 0.25, 1e-3))["residual_path_agreement"]
+        assert entry.satisfied
+        # the floor is the trace path's round-off, dimension * eps * trace(B)
+        assert entry.rhs_bound == pytest.approx(311 * np.finfo(float).eps * 256.0,
+                                                rel=1e-3)
+
+    def test_trace_off_by_1e_10_fails(self, monkeypatch):
+        def shifted(op, q_like):
+            return integrated_residual(op, q_like) + 1e-10
+
+        monkeypatch.setattr(roast.verify, "integrated_residual", shifted)
+        entry = entry_map(average_suite(512, 0.25, 1e-3))["residual_path_agreement"]
+        assert not entry.satisfied
