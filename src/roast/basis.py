@@ -28,6 +28,7 @@ import scipy.sparse.linalg as spla
 from .prolate import (
     DftBandSplit,
     ProlateOperator,
+    _leading,
     build_band_split,
     build_dpss,
     build_prolate,
@@ -115,7 +116,8 @@ class RoastBasis:
     ``v`` has shape (n_high, r) with orthonormal columns; the implied full
     basis has 2*floor(NW)+1+R columns.  ``method`` records how V was built
     ("svd_fb", "svd_fbf", or "randomized"), ``seed`` the sketch seed when
-    randomized.  Immutable; the apply paths allocate per call.
+    randomized.  Immutable; analysis and synthesis read V in place, as
+    row slices, and never copy it.
     """
 
     split: DftBandSplit
@@ -275,29 +277,58 @@ def build_roast_randomized(n: int, w: float, p: int, seed: int) -> RoastBasis:
                       method="randomized", seed=int(seed))
 
 
+def _band_layout(split: DftBandSplit) -> tuple[int, int]:
+    """(h, n_neg): the in-band half-width and the count of negative
+    out-of-band bins.
+
+    In signed order the in-band bins are spectrum[N-h:] then spectrum[:h+1],
+    and the rows of V are the negative out-of-band bins spectrum[N//2+1:N-h]
+    (the first n_neg rows) then the positive ones spectrum[h+1:N//2+1], so
+    every part of the band split is a slice of the spectrum.
+    """
+    h = (split.n_low - 1) // 2
+    return h, (split.n - 1) // 2 - h
+
+
 def apply_analysis(basis: RoastBasis, x: np.ndarray) -> np.ndarray:
-    """Coefficients Q^* x in O(N log N + N R); accepts a vector or columns."""
-    x = np.asarray(x)
+    """Coefficients Q^* x in O(N log N + N R); accepts a vector or columns.
+
+    One orthonormal FFT, then slices of the spectrum (see ``_band_layout``):
+    the in-band coefficients are two slices, and V^H s is formed as
+    conj(V_neg^T conj(s_neg) + V_pos^T conj(s_pos)), which conjugates the
+    n_high x cols signal slices instead of copying the n_high x R matrix V.
+    """
     n = basis.n
-    if x.shape[0] != n:
-        raise ValueError(f"expected leading dimension {n}, got {x.shape[0]}")
-    spectrum = np.fft.fft(x, axis=0) / np.sqrt(n)
-    low = spectrum[basis.split.low_indices]
-    high = basis.v.conj().T @ spectrum[basis.split.high_indices]
-    return np.concatenate([low, high], axis=0)
+    x = _leading(x, n, "samples")
+    h, n_neg = _band_layout(basis.split)
+    spectrum = np.fft.fft(x, axis=0, norm="ortho")
+    v = basis.v
+    high = (v[:n_neg].T @ spectrum[n // 2 + 1:n - h].conj()
+            + v[n_neg:].T @ spectrum[h + 1:n // 2 + 1].conj())
+    return np.concatenate([spectrum[n - h:], spectrum[:h + 1], high.conj()], axis=0)
 
 
 def apply_synthesis(basis: RoastBasis, coeffs: np.ndarray) -> np.ndarray:
-    """Reconstruct Q @ coeffs; exact inverse of analysis on coefficient space."""
-    coeffs = np.asarray(coeffs)
-    n_low, n = basis.split.n_low, basis.n
-    if coeffs.shape[0] != n_low + basis.r:
-        raise ValueError(
-            f"expected {n_low + basis.r} coefficients, got {coeffs.shape[0]}")
-    shape = (n,) + coeffs.shape[1:]
-    spectrum = np.zeros(shape, dtype=complex)
-    spectrum[basis.split.low_indices] = coeffs[:n_low]
-    spectrum[basis.split.high_indices] = basis.v @ coeffs[n_low:]
+    """Reconstruct Q @ coeffs; exact inverse of analysis on coefficient space.
+
+    The spectrum is filled slice by slice (see ``_band_layout``): the in-band
+    coefficients by two assignments, the out-of-band bins by one product with
+    each half of V written in place.  The inverse FFT is scaled by sqrt(N)
+    afterwards, not taken with ``norm="ortho"``: the two round differently,
+    and the trace-path ``integrated_residual`` sits at round-off, so at the
+    verify ledger's detail point (N=512, W=0.25, R=115) the ortho inverse
+    moves it from 0 to 2.8e-14 (half an ulp of trace(B)) and the pointwise
+    bound derived from it from 0 to 6e-7.
+    """
+    n, n_low = basis.n, basis.split.n_low
+    coeffs = _leading(coeffs, n_low + basis.r, "coefficients")
+    h, n_neg = _band_layout(basis.split)
+    spectrum = np.empty((n,) + coeffs.shape[1:], dtype=complex)
+    spectrum[n - h:] = coeffs[:h]
+    spectrum[:h + 1] = coeffs[h:n_low]
+    c_high = coeffs[n_low:]
+    np.matmul(basis.v[:n_neg], c_high, out=spectrum[n // 2 + 1:n - h])
+    np.matmul(basis.v[n_neg:], c_high, out=spectrum[h + 1:n // 2 + 1])
     return np.fft.ifft(spectrum, axis=0) * np.sqrt(n)
 
 
@@ -323,14 +354,11 @@ class SubDftBasis:
         return dft_columns(self.n, self.indices)
 
     def analyze(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
+        x = _leading(x, self.n, "samples")
         return np.fft.fft(x, axis=0)[self.indices] / np.sqrt(self.n)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        coeffs = np.asarray(coeffs)
-        if coeffs.shape[0] != self.dimension:
-            raise ValueError(
-                f"expected {self.dimension} coefficients, got {coeffs.shape[0]}")
+        coeffs = _leading(coeffs, self.dimension, "coefficients")
         spectrum = np.zeros((self.n,) + coeffs.shape[1:], dtype=complex)
         spectrum[self.indices] = coeffs
         return np.fft.ifft(spectrum, axis=0) * np.sqrt(self.n)

@@ -46,6 +46,14 @@ def _validate_nw(n: int, w: float) -> None:
         raise ValueError(f"half-bandwidth must lie in the open interval (0, 1/2), got {w!r}")
 
 
+def _leading(a, length: int, what: str) -> np.ndarray:
+    """``a`` as an array, checked to be a vector or block of ``length`` rows."""
+    a = np.asarray(a)
+    if a.ndim == 0 or a.shape[0] != length:
+        raise ValueError(f"expected {length} {what}, got an array of shape {a.shape}")
+    return a
+
+
 def _embed_size(n: int) -> int:
     """Next power of two >= 2N-1, the circulant embedding length."""
     m = 1
@@ -150,10 +158,10 @@ class DpssBasis:
         return self.vectors
 
     def analyze(self, x: np.ndarray) -> np.ndarray:
-        return self.vectors.T @ np.asarray(x)
+        return self.vectors.T @ _leading(x, self.n, "samples")
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.vectors @ np.asarray(coeffs)
+        return self.vectors @ _leading(coeffs, self.k, "coefficients")
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the span of the retained vectors."""

@@ -175,11 +175,12 @@ def recovery_experiment(n: int, w: float, m: int, basis_choice: str, seed: int,
     basis = BASES[basis_choice](n, w, r, seed)
     dim = basis.dimension
     phi = problem.phi
+    phi_h = phi.conj().T  # conjugated once, not on every CG step
 
     def normal_op(a):
-        return basis.analyze(phi.conj().T @ (phi @ basis.synthesize(a)))
+        return basis.analyze(phi_h @ (phi @ basis.synthesize(a)))
 
-    rhs = basis.analyze(phi.conj().T @ problem.y)
+    rhs = basis.analyze(phi_h @ problem.y)
     result = cgd_solve(normal_op, rhs, tol=tol, max_iter=4 * dim)
     xhat = basis.synthesize(result.solution)
     rel_err = float(np.linalg.norm(xhat - problem.truth)

@@ -202,6 +202,60 @@ class TestApplyPaths:
         assert np.linalg.norm(s0 - basis.project(s0)) ** 2 <= eps
 
 
+def _fortran_v_basis():
+    built = build_roast(300, 0.25, 7)
+    return RoastBasis(split=built.split, r=built.r, v=np.asfortranarray(built.v),
+                      method=built.method)
+
+
+# The apply paths read the spectrum and V by slices; these cases cover both
+# parities of N (a Nyquist bin or not), no negative out-of-band bins
+# (N=64, W=0.49: the Nyquist bin is the only one), R = 0, and a V stored
+# column-major.
+SLICE_CASES = {
+    "even_n": lambda: build_roast(300, 0.25, 7),
+    "odd_n": lambda: build_roast_randomized(301, 0.25, 7, seed=2),
+    "nyquist_only": lambda: build_roast(64, 0.49, 1),
+    "r_zero": lambda: build_roast(128, 0.25, 0),
+    "fortran_v": _fortran_v_basis,
+}
+
+
+class TestSlicedApply:
+    @pytest.fixture(params=sorted(SLICE_CASES))
+    def case(self, request):
+        basis = SLICE_CASES[request.param]()
+        return basis, basis.dense_basis()
+
+    def test_layout_cases_are_what_they_claim(self):
+        assert build_band_split(64, 0.49).n_high == 1
+        assert SLICE_CASES["r_zero"]().r == 0
+        assert SLICE_CASES["fortran_v"]().v.flags.f_contiguous
+
+    @pytest.mark.parametrize("cols", [(), (3,)])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_matches_dense(self, case, cols, real, rng):
+        basis, q = case
+        x = rng.standard_normal((basis.n, *cols))
+        c = rng.standard_normal((basis.dimension, *cols))
+        if not real:
+            x = x + 1j * rng.standard_normal(x.shape)
+            c = c + 1j * rng.standard_normal(c.shape)
+        assert np.max(np.abs(basis.analyze(x) - q.conj().T @ x)) <= 1e-12
+        assert np.max(np.abs(basis.synthesize(c) - q @ c)) <= 1e-12
+        assert np.max(np.abs(basis.project(x) - q @ (q.conj().T @ x))) <= 1e-12
+
+    def test_synthesized_identity_is_the_scattered_spectrum(self, case):
+        basis, _ = case
+        split, n = basis.split, basis.n
+        eye = np.eye(basis.dimension)
+        spectrum = np.zeros((n, basis.dimension), dtype=complex)
+        spectrum[split.low_indices] = eye[:split.n_low]
+        spectrum[split.high_indices] = basis.v @ eye[split.n_low:]
+        expected = np.fft.ifft(spectrum, axis=0) * np.sqrt(n)
+        np.testing.assert_array_equal(basis.synthesize(eye), expected)
+
+
 class TestMonotonicityAndOptimality:
     def test_integrated_residual_monotone_in_r(self, caches):
         op = caches.op(256, 0.25)

@@ -61,3 +61,17 @@ def test_basis_protocol(name, instance):
         with pytest.raises(ValueError):
             basis.synthesize(np.ones(size))
 
+
+@pytest.mark.parametrize("name", sorted(BASES))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(instance=instances())
+def test_wrong_input_shapes_are_refused(name, instance):
+    n, w, r, seed = instance
+    basis = BASES[name](n, w, r, seed)
+    for size in (n - 1, n + 1):
+        with pytest.raises(ValueError):
+            basis.analyze(np.ones(size))
+    for method in (basis.analyze, basis.synthesize):
+        with pytest.raises(ValueError):
+            method(np.array(1.0))
+
