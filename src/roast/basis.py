@@ -167,10 +167,11 @@ def _out_of_band_eigenvectors(op: ProlateOperator, split: DftBandSplit,
     residual test is relative to the Ritz value, so without the shift it
     stalls once r passes the numerical rank.  Its tolerance sits a few
     hundred eps above the round-off of one product, the floor that the
-    Ritz values past the numerical rank cannot get under.  The symmetric
-    solver returns orthonormal Ritz vectors, so no re-orthogonalization
-    follows.  Returns them in the out-of-band DFT coordinates, ordered by
-    eigenvalue, largest first.
+    Ritz values past the numerical rank cannot get under.  ARPACK cannot
+    take r = n_high, so there ``eigh`` decomposes G applied to the identity.
+    Both return orthonormal vectors; no re-orthogonalization follows.
+    Returns them in the out-of-band DFT coordinates, largest eigenvalue
+    first.
     """
     n, n_high = op.n, split.n_high
     bins = np.arange((split.n_low + 1) // 2, n // 2 + 1)
@@ -193,13 +194,17 @@ def _out_of_band_eigenvectors(op: ProlateOperator, split: DftBandSplit,
         d = np.fft.rfft(y, axis=0)[bins] * scale
         return np.concatenate([d.real, d[:n_sin].imag]) + shift * a
 
-    g = spla.LinearOperator((n_high, n_high), matvec=matvec, matmat=matvec,
-                            dtype=float)
-    try:
-        vals, ritz = spla.eigsh(g, k=r, which="LA", v0=np.ones(n_high), tol=1e-13)
-    except spla.ArpackError as exc:
-        raise RuntimeError(
-            f"Lanczos failed for n={n}, w={split.w}, r={r}: {exc}") from exc
+    if r == n_high:
+        vals, ritz = np.linalg.eigh(matvec(np.eye(n_high)))
+    else:
+        g = spla.LinearOperator((n_high, n_high), matvec=matvec, matmat=matvec,
+                                dtype=float)
+        try:
+            vals, ritz = spla.eigsh(g, k=r, which="LA", v0=np.ones(n_high),
+                                    tol=1e-13)
+        except spla.ArpackError as exc:
+            raise RuntimeError(
+                f"Lanczos failed for n={n}, w={split.w}, r={r}: {exc}") from exc
     x = synthesize(ritz[:, np.argsort(-vals, kind="stable")])
     return np.fft.fft(x, axis=0)[split.high_indices] / np.sqrt(n)
 
@@ -221,13 +226,13 @@ def build_roast(n: int, w: float, r: int, method: str = "svd_fb") -> RoastBasis:
     "svd_fbf" and 148.7 dB for "svd_fb"; DPSS with one vector fewer scores
     143.9 dB.
 
-    For R <= n_high / 3 neither forms Fbar^* B: symmetric Lanczos (ARPACK
-    ``eigsh``) finds the leading eigenvectors of Fbar^* B^2 Fbar, whose
-    eigenvectors are the left singular vectors of Fbar^* B, or of
-    Fbar^* B Fbar, shifted by sqrt(eps) and 1 respectively, through
-    O(N log N) products, in O(N R) memory.  Larger R takes the dense route:
-    the n_high x N cross operator is formed and fully decomposed by SVD or
-    eigh.  Raises RuntimeError if Lanczos fails.
+    Neither forms Fbar^* B.  For every R < n_high symmetric Lanczos (ARPACK
+    ``eigsh``) finds the leading eigenvectors of Fbar^* B^2 Fbar (the left
+    singular vectors of Fbar^* B) or of Fbar^* B Fbar, through O(N log N)
+    products, in O(N R) memory; at R = n_high ``eigh`` decomposes the same
+    operator applied to the identity.  Past the numerical rank Lanczos stops
+    at its tolerance: ||(I - V V^*) Fbar^* B||_2 floors near 1e-11, against
+    a leading singular value near 0.43.  Raises RuntimeError if Lanczos fails.
     """
     if method not in ("svd_fb", "svd_fbf"):
         raise ValueError(f"method must be 'svd_fb' or 'svd_fbf', got {method!r}")
@@ -238,16 +243,8 @@ def build_roast(n: int, w: float, r: int, method: str = "svd_fb") -> RoastBasis:
     op = build_prolate(n, w)
     if r == 0:
         v = np.zeros((split.n_high, 0), dtype=complex)
-    elif r <= split.n_high // 3:
-        v = _out_of_band_eigenvectors(op, split, r, 2 if method == "svd_fb" else 1)
     else:
-        cross = cross_operator_dense(op, split)
-        if method == "svd_fb":
-            v = np.linalg.svd(cross, full_matrices=False)[0][:, :r]
-        else:
-            compressed = cross @ dft_columns(n, split.high_indices)
-            vecs = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)[1]
-            v = vecs[:, ::-1][:, :r]
+        v = _out_of_band_eigenvectors(op, split, r, 2 if method == "svd_fb" else 1)
     return RoastBasis(split=split, r=int(v.shape[1]), v=_phase_normalize(v),
                       method=method)
 
@@ -315,10 +312,8 @@ def apply_synthesis(basis: RoastBasis, coeffs: np.ndarray) -> np.ndarray:
     coefficients by two assignments, the out-of-band bins by one product with
     each half of V written in place.  The inverse FFT is scaled by sqrt(N)
     afterwards, not taken with ``norm="ortho"``: the two round differently,
-    and the trace-path ``integrated_residual`` sits at round-off, so at the
-    verify ledger's detail point (N=512, W=0.25, R=115) the ortho inverse
-    moves it from 0 to 2.8e-14 (half an ulp of trace(B)) and the pointwise
-    bound derived from it from 0 to 6e-7.
+    and the trace-path ``integrated_residual``, which sits at round-off in
+    the verify ledger, would read the difference.
     """
     n, n_low = basis.n, basis.split.n_low
     coeffs = _leading(coeffs, n_low + basis.r, "coefficients")

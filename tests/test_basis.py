@@ -117,15 +117,49 @@ class TestBuildRoast:
         for b in (fb, fbf):
             assert np.max(np.abs(b.v.conj().T @ b.v - np.eye(r))) <= 1e-12
 
+    @pytest.mark.parametrize("n, r", [(256, 60), (512, 91), (512, 149),
+                                      (512, 254), (512, 255)])
+    def test_single_route_matches_dense_oracle(self, n, r, caches):
+        # past n_high // 3, up to R = n_high (eigh on the formed operator):
+        # svd_fb deflates the cross operator to sigma_{R+1} up to the
+        # Lanczos floor, svd_fbf reaches the top-R eigenvalue sum of the
+        # compressed operator
+        split = build_band_split(n, 0.25)
+        cross = caches.cross(n, 0.25)
+        sigma = np.linalg.svd(cross, compute_uv=False)
+        fb = build_roast(n, 0.25, r, "svd_fb")
+        fbf = build_roast(n, 0.25, r, "svd_fbf")
+
+        along = fb.v.conj().T @ cross
+        deflated = cross - fb.v @ along
+        tail = sigma[r] if r < split.n_high else 0.0
+        assert np.linalg.norm(deflated, 2) <= tail + 1e-10 * sigma[0]
+        # columns in singular-value order, largest first: the squared gains
+        # are the eigenvalues of Fbar^* B^2 Fbar, accurate to round-off in it
+        gains_sq = np.linalg.norm(along, axis=1) ** 2
+        assert np.max(np.abs(gains_sq - sigma[:r] ** 2)) <= 1e-14 * sigma[0] ** 2
+
+        compressed = cross @ dft_columns(n, split.high_indices)
+        compressed = (compressed + compressed.conj().T) / 2.0
+        top = np.linalg.eigvalsh(compressed)[::-1][:r]
+        ritz = np.einsum("ij,ij->j", fbf.v.conj(), compressed @ fbf.v).real
+        assert np.sum(top) - np.sum(ritz) <= 1e-12
+        assert np.max(np.abs(ritz - top)) <= 1e-12
+        for b in (fb, fbf):
+            assert np.max(np.abs(b.v.conj().T @ b.v - np.eye(r))) <= 1e-12
+
     @pytest.mark.parametrize("method", ["svd_fb", "svd_fbf"])
-    def test_build_never_forms_the_cross_operator(self, method, monkeypatch):
+    def test_build_never_forms_the_cross_operator(self, method, monkeypatch,
+                                                  forbid_dense_columns):
         def refuse(*args, **kwargs):
             raise AssertionError("dense cross operator formed")
 
         monkeypatch.setattr(roast.basis, "cross_operator_dense", refuse)
-        basis = build_roast(16384, 0.25, 29, method)
-        assert basis.v.shape == (basis.split.n_high, 29)
-        assert np.max(np.abs(basis.v.conj().T @ basis.v - np.eye(29))) <= 1e-12
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for n, r in [(16384, 29), (512, 149), (512, 255)]:
+            basis = build_roast(n, 0.25, r, method)
+            assert basis.v.shape == (basis.split.n_high, r)
+            assert np.max(np.abs(basis.v.conj().T @ basis.v - np.eye(r))) <= 1e-12
 
     @pytest.mark.parametrize("method", ["svd_fb", "svd_fbf"])
     def test_same_bytes_from_two_builds(self, method):

@@ -198,6 +198,21 @@ class TestRecoverCommand:
         assert column(rows, columns, "relative_error")[0] <= 1e-2
         assert column(rows, columns, "converged", str)[0] == "true"
 
+    def test_same_bytes_from_two_runs(self, tmp_path):
+        args = ["recover", "--n", "128", "--w", "0.25", "--m", "96", "--r", "6",
+                "--seed", "3", "--basis", "roast_randomized"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        # the estimate is a Ritz ratio, so at most the dense condition number
+        _, columns, rows = read_csv(a)
+        got = column(rows, columns, "condition_estimate")[0]
+        q = roast.BASES["roast_randomized"](128, 0.25, 6, 3).dense_basis()
+        phi = roast.build_recovery_problem(128, 0.25, 96, 3).phi
+        s = np.linalg.svd(phi @ q, compute_uv=False)
+        assert 0.9 <= got / (s[0] / s[-1]) ** 2 <= 1.0
+
     def test_requires_m(self, capsys):
         assert main(["recover", "--n", "128"]) == 2
         assert "requires --m" in capsys.readouterr().err

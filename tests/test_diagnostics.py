@@ -273,6 +273,18 @@ class TestDerivativeCheck:
         assert by_id["residual_derivative_bound"].rhs_bound == pytest.approx(
             2 * np.pi * 512**2)
 
+    def test_pointwise_bound_holds_without_slack(self, caches):
+        # at the verify ledger's detail point the residual is ~1e-20, far
+        # below the trace path's round-off; the bound must still cover it
+        op = caches.op(512, 0.25)
+        basis = caches.roast(512, 0.25, 115)
+        ledger = sinusoid_derivative_check(op, basis)
+        entry = {e.check_id: e for e in ledger.entries}[
+            "pointwise_residual_from_average"]
+        assert entry.lhs_value <= entry.rhs_bound
+        assert entry.params["integral"] == pytest.approx(
+            integrated_residual_quadrature(op, basis), rel=1e-12)
+
     def test_coarse_step_rejected(self, caches):
         op = caches.op(64, 0.25)
         with pytest.raises(ValueError, match="coarse"):

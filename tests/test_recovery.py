@@ -141,6 +141,28 @@ class TestRecoveryExperiment:
             recovery_experiment(128, 0.25, 96, "fourier", seed=0)
 
 
+class TestConditionEstimate:
+    @pytest.mark.parametrize("name", sorted(roast.BASES))
+    @pytest.mark.parametrize("n, m, r", [(128, 96, 6), (512, 384, 19)])
+    def test_ritz_ratio_matches_dense(self, name, n, m, r):
+        # Ritz values lie inside the spectrum, so the estimate never exceeds
+        # cond((Phi Q)^* (Phi Q)); after a converged solve it is close to it
+        for seed in range(3):
+            report = recovery_experiment(n, 0.25, m, name, seed, r=r)
+            q = roast.BASES[name](n, 0.25, r, seed).dense_basis()
+            phi = build_recovery_problem(n, 0.25, m, seed).phi
+            s = np.linalg.svd(phi @ q, compute_uv=False)
+            ratio = report.condition_estimate / (s[0] / s[-1]) ** 2
+            assert 0.9 <= ratio <= 1 + 1e-8
+
+    def test_identity_is_perfectly_conditioned(self, rng):
+        rhs = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        assert condition_estimate(cgd_solve(lambda v: v, rhs)) == 1.0
+
+    def test_no_step_gives_nan(self):
+        assert np.isnan(condition_estimate(cgd_solve(lambda v: v, np.zeros(5))))
+
+
 class TestConditioningComparison:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_orthonormal_basis_converges_faster(self, seed, caches):
@@ -160,7 +182,7 @@ class TestConditioningComparison:
                 return analyze(phi.conj().T @ (phi @ synth(a)))
             res = cgd_solve(normal_op, analyze(phi.conj().T @ y), tol=1e-8,
                             max_iter=4 * dim)
-            return res.iterations, condition_estimate(normal_op, dim, seed=seed)
+            return res.iterations, condition_estimate(res)
 
         # orthonormal apply pair versus the asymmetric factor pair at
         # identical dimension
