@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import RoastBasis, cross_operator_dense
+from .basis import RoastBasis, SubDftBasis, cross_operator_dense
 from .prolate import (
     ProlateOperator,
     build_band_split,
@@ -241,36 +241,58 @@ def integrated_residual(op: ProlateOperator, q_like) -> float:
     return max(op.trace() - float(captured), 0.0)
 
 
-def _dirichlet_residual_sq(basis: RoastBasis, freqs: np.ndarray) -> np.ndarray:
-    """||(I - V V^*) d_f||^2 with d_f = Fbar^* e_f, the Dirichlet kernel."""
-    n, k = basis.n, basis.split.high_indices
+def _dirichlet_ratio(n: int, rows: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """Real ratio sin(pi n x) / sin(pi x) / sqrt(n), x = f - k/n, rows k by f.
+
+    Its magnitude is |d_f[k]| for d_f = F^* e_f, the unitary DFT of the
+    sampled sinusoid; the phase exp(i pi (n-1) x) is left to the caller.
+    """
+    # x = j + t with |t| <= 1/2: sin(pi t) is accurate near every bin, and
+    # the ratio picks up (-1)^((n-1) j).  The arithmetic runs in place on
+    # four row-by-frequency arrays.
+    t = freqs[None, :] - rows[:, None] / n
+    j = np.rint(t)
+    t -= j
+    # n t = m + r with |r| <= 1/2: sin(pi n t) = (-1)^m sin(pi r) is exactly
+    # zero wherever n t is an integer, as on the DFT grid off the row's bin
+    s = n * t
+    m = np.rint(s)
+    s -= m
+    s *= np.pi
+    np.sin(s, out=s)
+    if n % 2 == 0:
+        m += j
+    den = np.multiply(t, np.pi, out=j)
+    np.sin(den, out=den)
+    at_bin = t == 0.0
+    np.divide(s, den, out=s, where=~at_bin)
+    s[at_bin] = float(n)
+    np.negative(s, out=s, where=np.fmod(m, 2.0, out=m) != 0.0)
+    s /= math.sqrt(n)
+    return s
+
+
+def _dirichlet_residual_sq(n: int, rows: np.ndarray, v: np.ndarray,
+                           freqs: np.ndarray) -> np.ndarray:
+    """||(I - V V^*) d_f||^2 over ``rows`` of d_f = F^* e_f, the Dirichlet
+    kernel; V holds orthonormal columns on those rows, possibly none."""
     # d_f[k] = exp(i pi (n-1) x) sin(pi n x) / sin(pi x) / sqrt(n), x = f - k/n.
     # The phase is a unit scalar in f times the row phase
     # D[k] = exp(-i pi (n-1) k / n); folding D into W = D^* V leaves the
     # real Dirichlet ratio s_f to project.  The exponent is reduced mod 2n
     # so the row phase stays accurate at large n.
-    phase = np.exp(1j * np.pi * (((n - 1) * k) % (2 * n)) / n)
-    wv = phase[:, None] * basis.v
+    phase = np.exp(1j * np.pi * (((n - 1) * rows) % (2 * n)) / n)
+    wv = phase[:, None] * v
     # W = A + iB acts on real s as real matrices: Re W W^* s = [A, B] c and
     # Im W W^* s = [B, -A] c with c = [A, B]^T s
     re_map = np.hstack([wv.real, wv.imag])
     im_map = np.hstack([wv.imag, -wv.real])
-    rows = k[:, None] / n
     out = np.empty(len(freqs))
-    chunk = max(1, 1024 * 1024 // max(len(k), 1))
+    chunk = max(1, 1024 * 1024 // max(len(rows), 1))
     for i0 in range(0, len(freqs), chunk):
-        x = freqs[None, i0:i0 + chunk] - rows
-        # x = j + t with |t| <= 1/2: sin(pi t) is accurate near every bin, and
-        # the ratio picks up (-1)^((n-1) j)
-        j = np.rint(x)
-        t = x - j
-        s = np.divide(np.sin(np.pi * n * t), np.sin(np.pi * t),
-                      out=np.full_like(t, float(n)), where=t != 0.0)
-        if n % 2 == 0:
-            np.negative(s, out=s, where=(j.astype(np.int64) & 1).astype(bool))
-        s /= math.sqrt(n)
+        s = _dirichlet_ratio(n, rows, freqs[i0:i0 + chunk])
         c = re_map.T @ s
-        re = s - re_map @ c
+        re = np.subtract(s, re_map @ c, out=s)
         im = im_map @ c
         out[i0:i0 + chunk] = (np.einsum("ij,ij->j", re, re)
                               + np.einsum("ij,ij->j", im, im))
@@ -282,27 +304,39 @@ def sinusoid_residual_sq(projector, n: int, freqs: np.ndarray) -> np.ndarray:
 
     e_f[m] = exp(2 pi i f m) for m < n.
 
-    A ``RoastBasis`` takes the Dirichlet path.  Its residual is
-    Fbar (I - V V^*) Fbar^* e_f, and d_f = Fbar^* e_f has the closed form
-    exp(i pi (n-1) x) sin(pi n x) / sin(pi x) / sqrt(n) with x = f - k/n,
-    so the norm is ||(I - V V^*) d_f|| in the n_high out-of-band
-    coordinates: no N x G exponentials and no N x K products.  The
-    argument of sin(pi x) is reduced mod 1, and where it is exactly zero,
-    at f = k/n and at f = +-1/2 against the Nyquist bin, the ratio takes
-    its limit n.  The residual vector is formed and its norm taken; the
+    A ``RoastBasis`` or a ``SubDftBasis`` takes the Dirichlet path.  The
+    unitary DFT of e_f has the closed form d_f[k] =
+    exp(i pi (n-1) x) sin(pi n x) / sin(pi x) / sqrt(n) with x = f - k/n.
+    A ``RoastBasis`` residual is Fbar (I - V V^*) Fbar^* e_f, so the norm is
+    ||(I - V V^*) d_f|| in the n_high out-of-band coordinates.  A
+    ``SubDftBasis`` holds whole DFT columns, so its residual is the sum of
+    |d_f[k]|^2 over the bins outside its index set (the same form with no
+    V).  Neither forms N x G exponentials or N x K products.  The argument of
+    sin(pi x) is reduced mod 1, and where it is exactly zero, at f = k/n and
+    at f = +-1/2 against the Nyquist bin, the ratio takes its limit n.  The
+    argument of sin(pi n x) is reduced mod 1 as well, so the ratio is exactly
+    zero where n x is an integer: a sinusoid on the DFT grid (exactly so
+    when n is a power of two) that the basis holds leaves a zero residual,
+    not round-off.  The residual vector is formed and its norm taken; the
     subtraction form n - ||Q^* e_f||^2, which a czt or zoom-FFT evaluation
     of Q^* e_f would give, would turn residuals of 1e-20 into round-off of
-    1e-13.  Frequencies go in blocks of max(1, 2**20 // n_high).
+    1e-13.  Frequencies go in blocks of max(1, 2**20 // rows), rows being
+    the n_high out-of-band bins or the bins outside the index set.
 
     Any other ``projector`` is anything ``_as_projector`` accepts; a
     matrix Q is applied densely as Q (Q^* x).  The sinusoids are formed in
     blocks of max(1, 2**21 // n) columns, so memory stays bounded however
     many frequencies are asked for.
     """
-    if isinstance(projector, RoastBasis):
+    if isinstance(projector, (RoastBasis, SubDftBasis)):
         if projector.n != n:
             raise ValueError(f"basis length {projector.n} does not match n={n}")
-        return _dirichlet_residual_sq(projector, np.asarray(freqs, dtype=float))
+        if isinstance(projector, RoastBasis):
+            rows, v = projector.split.high_indices, projector.v
+        else:
+            rows = np.setdiff1d(np.arange(n), projector.indices)
+            v = np.zeros((len(rows), 0))
+        return _dirichlet_residual_sq(n, rows, v, np.asarray(freqs, dtype=float))
     project = _as_projector(projector)
     freqs = np.asarray(freqs)
     out = np.empty(len(freqs))

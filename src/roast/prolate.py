@@ -33,6 +33,12 @@ __all__ = [
 # Rayleigh quotients can land epsilon outside and are clamped back in.
 _EIG_CLAMP = 2.0 ** -53
 
+# build_dpss refuses a solve whose estimated working set exceeds this.
+_DPSS_MAX_BYTES = 2 ** 31
+
+# Columns per prolate matvec when build_dpss takes its Rayleigh quotients.
+_RAYLEIGH_BLOCK = 256
+
 
 def log_width_constant(n: int) -> float:
     """Spectral transition-width constant (4/pi^2) * ln(8N) + 6."""
@@ -141,7 +147,11 @@ class DpssBasis:
     """Leading ``k`` Slepian vectors (columns) with concentration eigenvalues.
 
     Columns are orthonormal, ordered by eigenvalue descending, and follow the
-    sign convention that the first entry of significant magnitude is positive.
+    sign convention that the first entry of magnitude above 1e-12 is
+    positive.  ``vectors`` is Fortran-ordered, so each column is contiguous.
+    Inside the clusters whose eigenvalues round to 1 or to 0 the column order
+    is deterministic but follows round-off, so it carries no meaning; the
+    span at every separated cut does.
     """
 
     n: int
@@ -168,44 +178,100 @@ class DpssBasis:
         return self.synthesize(self.analyze(x))
 
 
+def _half_eigenvectors(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndarray:
+    """Top ``count`` eigenvectors, descending, of a half-size tridiagonal."""
+    try:
+        _, u = sla.eigh_tridiagonal(diag, off, lapack_driver="stevd")
+    except (sla.LinAlgError, ValueError) as exc:
+        raise RuntimeError(
+            f"tridiagonal eigensolver failed at half size {len(diag)}: {exc}"
+        ) from exc
+    return u[:, len(diag) - count:][:, ::-1]
+
+
 def build_dpss(n: int, w: float, k: int) -> DpssBasis:
     """Compute the leading ``k`` DPSS vectors of bandwidth ``w``.
 
-    The vectors are eigenvectors of the symmetric tridiagonal matrix that
-    commutes with the prolate operator (diagonal ((N-1-2m)/2)^2 cos(2piW),
-    off-diagonal m(N-m)/2).  Concentration eigenvalues come from Rayleigh
-    quotients through the fast prolate matvec, which keeps the near-degenerate
-    clusters at 0 and 1 in a deterministic order.
+    The vectors are eigenvectors of the symmetric tridiagonal T that commutes
+    with the prolate operator (diagonal d_m = ((N-1-2m)/2)^2 cos(2piW),
+    off-diagonal e_m = (m+1)(N-m-1)/2).  T is persymmetric, so each
+    eigenvector is exactly even or odd under reversal J, and with h =
+    floor(N/2) the problem splits into two of half size:
+
+    - N even: T[:h,:h] with +-e_{h-1} added to its last diagonal entry,
+      v = [u; +-Ju] / sqrt(2);
+    - N odd, even parity: diagonal d_0..d_h, off-diagonal e_0..e_{h-1} with
+      the last entry times sqrt(2), v = [u_{:h}/sqrt(2); u_h; Ju_{:h}/sqrt(2)];
+    - N odd, odd parity: T[:h,:h], v = [u; 0; -Ju] / sqrt(2).
+
+    Each half is solved in full by divide and conquer (LAPACK ``stevd``).
+    T is a Jacobi matrix, so in descending order the j-th eigenvector has
+    parity (-1)^j: the columns interleave the top ceil(k/2) even and
+    floor(k/2) odd vectors.  The cost is O(N^2) time and memory whatever k
+    is, so a small k pays for both full halves: on a 2-core Xeon with one
+    BLAS thread, (2048, 0.25, 16) takes 140 ms against 29 ms for an MRRR
+    solve of the selected 16 pairs.  At the k >= 2 floor(NW) + 1 that
+    every caller in the package asks for it is the faster of the two:
+    (2048, 0.05, 227) 175 against 228 ms, (2048, 0.25, 1024) 273 against
+    1018 ms.  A call whose estimate 8 (N k + 2 ceil(N/2)^2) bytes exceeds
+    ``_DPSS_MAX_BYTES`` is refused before anything is allocated.
+
+    Concentration eigenvalues are Rayleigh quotients through the fast
+    prolate matvec, taken in blocks of ``_RAYLEIGH_BLOCK`` columns to bound
+    the FFT temporaries, then clamped into (0, 1) and stably sorted.
     """
     _validate_nw(n, w)
     if not 1 <= k <= n:
         raise ValueError(f"number of vectors must satisfy 1 <= k <= {n}, got {k}")
+    estimate = 8 * (n * k + 2 * ((n + 1) // 2) ** 2)
+    if estimate > _DPSS_MAX_BYTES:
+        raise ValueError(
+            f"build_dpss(n={n}, k={k}) needs about {estimate / 2**20:.0f} MiB, "
+            f"above the {_DPSS_MAX_BYTES / 2**20:.0f} MiB limit")
 
-    m = np.arange(n)
+    h = n // 2
+    m = np.arange(h + 1)
     diag = ((n - 1.0 - 2.0 * m) / 2.0) ** 2 * np.cos(2.0 * np.pi * w)
-    off = m[1:] * (n - m[1:]) / 2.0
-    try:
-        _, vecs = sla.eigh_tridiagonal(diag, off, select="i",
-                                       select_range=(n - k, n - 1),
-                                       lapack_driver="stemr")
-    except (sla.LinAlgError, ValueError) as exc:
-        raise RuntimeError(
-            f"tridiagonal eigensolver failed for n={n}, w={w}, k={k}: {exc}"
-        ) from exc
-    vecs = np.ascontiguousarray(vecs[:, ::-1])
+    off = (m[:h] + 1.0) * (n - m[:h] - 1.0) / 2.0
+    k_even, k_odd = (k + 1) // 2, k // 2
+    vecs = np.empty((n, k), order="F")
+    even, odd = vecs[:, 0::2], vecs[:, 1::2]
+    root2 = math.sqrt(2.0)
+    if n % 2 == 0:
+        for sign, cols, count in ((1.0, even, k_even), (-1.0, odd, k_odd)):
+            d = diag[:h].copy()
+            d[-1] += sign * off[h - 1]
+            u = _half_eigenvectors(d, off[:h - 1], count) / root2
+            cols[:h] = u
+            cols[h:] = sign * u[::-1]
+    else:
+        e = off.copy()
+        e[-1] *= root2
+        u = _half_eigenvectors(diag, e, k_even)
+        even[:h] = u[:h] / root2
+        even[h] = u[h]
+        even[h + 1:] = even[h - 1::-1]
+        u = _half_eigenvectors(diag[:h], off[:h - 1], k_odd) / root2
+        odd[:h] = u
+        odd[h] = 0.0
+        odd[h + 1:] = -u[::-1]
 
     # sign convention: first entry with magnitude above 1e-12 is positive
-    for j in range(vecs.shape[1]):
-        nz = np.flatnonzero(np.abs(vecs[:, j]) > 1e-12)
-        if nz.size and vecs[nz[0], j] < 0:
-            vecs[:, j] *= -1.0
+    significant = np.abs(vecs) > 1e-12
+    first = vecs[significant.argmax(axis=0), np.arange(k)]
+    vecs *= np.where(first < 0.0, -1.0, 1.0)
 
     op = build_prolate(n, w)
-    lam = np.einsum("ij,ij->j", vecs, prolate_apply(op, vecs))
+    lam = np.empty(k)
+    for j0 in range(0, k, _RAYLEIGH_BLOCK):
+        block = vecs[:, j0:j0 + _RAYLEIGH_BLOCK]
+        lam[j0:j0 + _RAYLEIGH_BLOCK] = np.einsum("ij,ij->j", block,
+                                                 prolate_apply(op, block))
     lam = np.clip(lam, _EIG_CLAMP, 1.0 - _EIG_CLAMP)
     order = np.argsort(-lam, kind="stable")
+    # permuting the rows of the C-ordered transpose keeps columns contiguous
     return DpssBasis(n=int(n), w=float(w), k=int(k),
-                     vectors=vecs[:, order], eigenvalues=lam[order])
+                     vectors=vecs.T[order].T, eigenvalues=lam[order])
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from roast.diagnostics import (
     SNR_CSV_CAP,
     BoundLedger,
     integrated_residual_quadrature,
+    sinusoid_residual_sq,
 )
 
 
@@ -87,6 +88,34 @@ class TestSweepSinusoid:
         freqs = column(rows, columns, "f")
         idx = freqs.index(0.0)
         assert column(rows, columns, "snr_subdft")[idx] == 320.0
+
+    @pytest.mark.parametrize("n,r,grid,held_bins", [(128, 4, 65, 35),
+                                                    (1024, 27, 1025, 540)])
+    def test_exact_captures_read_the_cap(self, tmp_path, n, r, grid, held_bins):
+        # every grid point is a DFT bin; a sinusoid the basis holds leaves an
+        # exactly zero residual, and the rest match the dense projection
+        out = tmp_path / "sweep.csv"
+        main(["sweep-sinusoid", "--n", str(n), "--w", "0.25", "--r", str(r),
+              "--grid", str(grid), "--out", str(out)])
+        _, columns, rows = read_csv(out)
+        freqs = np.array(column(rows, columns, "f"))
+        bins = np.rint(freqs * n).astype(int)
+        np.testing.assert_array_equal(bins, freqs * n)
+        half = n // 4
+        held = (bins >= -(half + r // 2)) & (bins <= half + (r + 1) // 2)
+        subdft = np.array(column(rows, columns, "snr_subdft"))
+        assert held.sum() == held_bins
+        assert np.all(subdft[held] == SNR_CSV_CAP)
+        roast_snr = np.array(column(rows, columns, "snr_roast"))
+        assert np.all(roast_snr[np.abs(bins) <= half] == SNR_CSV_CAP)
+
+        basis = roast.build_subdft(n, 0.25, r)
+        dense = sinusoid_residual_sq(basis.dense_basis(), n, freqs)
+        finite = subdft < 200.0
+        assert finite.any()
+        np.testing.assert_allclose(subdft[finite],
+                                   10 * np.log10(n / dense[finite]),
+                                   rtol=0, atol=1e-3)
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "sweep.json"

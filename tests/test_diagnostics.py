@@ -154,6 +154,26 @@ class TestSinusoidResidualKernel:
         assert np.max(np.abs(got - want)) <= 1e-9
         assert np.max(want) > 100.0  # out-of-band bins are in the comparison
 
+    @pytest.mark.parametrize("n", [128, 129])
+    def test_subdft_matches_dense_off_the_bins(self, n, rng):
+        basis = build_subdft(n, 0.25, 5)
+        freqs = rng.uniform(-0.5, 0.5, 200)
+        got = sinusoid_residual_sq(basis, n, freqs)
+        want = sinusoid_residual_sq(basis.dense_basis(), n, freqs)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    def test_held_bins_leave_exact_zero(self):
+        # n a power of two: every f = k/n is exact, so n x is an integer and
+        # the Dirichlet ratio vanishes off the sinusoid's own bin
+        n = 1024
+        freqs = np.arange(-(n // 2), n // 2) / n
+        subdft = build_subdft(n, 0.25, 27)
+        held = np.isin(np.mod(np.arange(-(n // 2), n // 2), n), subdft.indices)
+        assert np.all(sinusoid_residual_sq(subdft, n, freqs)[held] == 0.0)
+        basis = build_roast(n, 0.25, 20)
+        in_band = np.abs(np.arange(-(n // 2), n // 2)) <= n // 4
+        assert np.all(sinusoid_residual_sq(basis, n, freqs)[in_band] == 0.0)
+
     def test_roast_basis_needs_no_dense_columns(self, caches,
                                                 forbid_dense_columns):
         basis = caches.roast(64, 0.25, 5)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from roast import (
     build_band_split,
@@ -220,3 +221,76 @@ class TestSignals:
     def test_num_tones_validation(self):
         with pytest.raises(ValueError):
             random_bandlimited(64, 0.25, 0, seed=1)
+
+
+def _commuting_tridiagonal(n, w):
+    m = np.arange(n)
+    diag = ((n - 1.0 - 2.0 * m) / 2.0) ** 2 * np.cos(2.0 * np.pi * w)
+    off = (m[:-1] + 1.0) * (n - m[:-1] - 1.0) / 2.0
+    return diag, off
+
+
+class TestDpssParitySplit:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9])
+    @pytest.mark.parametrize("w", [0.1, 0.25, 0.4])
+    def test_every_k_small(self, n, w):
+        dense = prolate_dense(build_prolate(n, w))
+        for k in range(1, n + 1):
+            basis = build_dpss(n, w, k)
+            v = basis.vectors
+            assert v.shape == (n, k)
+            assert np.max(np.abs(v.T @ v - np.eye(k))) <= 1e-12
+            quotients = np.einsum("ij,ij->j", v, dense @ v)
+            assert np.max(np.abs(basis.eigenvalues - quotients)) <= 1e-14
+            for j in range(k):
+                flipped = v[::-1, j]
+                assert (np.array_equal(flipped, v[:, j])
+                        or np.array_equal(flipped, -v[:, j]))
+
+    @pytest.mark.parametrize("n", [64, 65, 256, 257])
+    @pytest.mark.parametrize("w", [0.1, 0.25])
+    def test_top_k_of_the_full_tridiagonal(self, n, w):
+        diag, off = _commuting_tridiagonal(n, w)
+        top = sla.eigvalsh_tridiagonal(diag, off)[::-1]
+        scale = np.max(np.abs(top))
+        for k in (1, n // 3, n // 2 + 1, n):
+            v = build_dpss(n, w, k).vectors
+            tv = diag[:, None] * v
+            tv[1:] += off[:, None] * v[:-1]
+            tv[:-1] += off[:, None] * v[1:]
+            quotients = np.sort(np.einsum("ij,ij->j", v, tv))[::-1]
+            np.testing.assert_allclose(quotients, top[:k], rtol=0,
+                                       atol=1e-9 * scale)
+
+    @pytest.mark.parametrize("n", [64, 65, 256, 257])
+    def test_span_at_separated_cut_matches_dense(self, n):
+        # k = n // 2 + 1 sits in the transition band at W = 1/4, where the
+        # concentration eigenvalues are well separated
+        k = n // 2 + 1
+        _, dense_vecs = np.linalg.eigh(prolate_dense(build_prolate(n, 0.25)))
+        cosines = np.linalg.svd(build_dpss(n, 0.25, k).vectors.T
+                                @ dense_vecs[:, ::-1][:, :k], compute_uv=False)
+        assert cosines.min() >= 1 - 1e-10
+
+    @pytest.mark.parametrize("n", [64, 65, 256, 257])
+    def test_two_half_size_solves(self, n, monkeypatch):
+        calls = []
+        original = sla.eigh_tridiagonal
+
+        def recording(d, e, **kwargs):
+            calls.append((len(d), kwargs))
+            return original(d, e, **kwargs)
+
+        monkeypatch.setattr(sla, "eigh_tridiagonal", recording)
+        for k in (1, n // 3, n):
+            calls.clear()
+            build_dpss(n, 0.25, k)
+            assert sorted(size for size, _ in calls) == [n // 2, (n + 1) // 2]
+            assert all("select" not in kwargs for _, kwargs in calls)
+
+    def test_columns_are_contiguous(self, caches):
+        assert caches.dpss(256, 0.25).vectors.flags.f_contiguous
+
+    def test_oversized_solve_is_refused(self):
+        with pytest.raises(ValueError, match="MiB"):
+            build_dpss(2 ** 17, 0.25, 2 ** 16)
