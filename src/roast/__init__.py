@@ -10,10 +10,6 @@ while analysis and synthesis stay at FFT cost.
 __version__ = "0.1.0"
 
 from .prolate import (
-    DftBandSplit,
-    DpssBasis,
-    ProlateOperator,
-    SignalEnsemble,
     build_band_split,
     build_dpss,
     build_prolate,
@@ -26,9 +22,7 @@ from .prolate import (
 from .basis import (
     BASES,
     BasisFormatError,
-    FstAnalog,
     RoastBasis,
-    SubDftBasis,
     apply_analysis,
     apply_synthesis,
     build_fst_analog,
@@ -39,21 +33,11 @@ from .basis import (
     deserialize_basis,
     dft_columns,
     fst_rank_bound,
-    rank_for_average,
     rank_for_capture,
-    rank_for_capture_angle,
-    rank_for_pointwise,
     serialize_basis,
-    sketch_for_average,
-    sketch_for_capture,
-    sketch_for_capture_angle,
-    sketch_for_pointwise,
 )
 from .diagnostics import (
-    AngleReport,
     BoundLedger,
-    LedgerEntry,
-    SpectrumReport,
     dpss_capture_report,
     eigenvalue_concentration_report,
     integrated_residual,
@@ -65,9 +49,6 @@ from .diagnostics import (
     subspace_angle,
 )
 from .recovery import (
-    CgResult,
-    RecoveryProblem,
-    RecoveryReport,
     build_recovery_problem,
     cgd_solve,
     condition_estimate,

@@ -64,7 +64,9 @@ __all__ = [
     "fst_rank_bound",
 ]
 
-_METHODS = ("svd_fb", "svd_fbf", "randomized")
+# build_roast's methods; a serialized basis may also come from the sketch
+_ROAST_METHODS = ("svd_fb", "svd_fbf")
+_METHODS = (*_ROAST_METHODS, "randomized")
 
 # Columns of a rank-deficient sketch whose triangular-factor diagonal falls
 # below this fraction of the leading diagonal are dropped.
@@ -234,7 +236,7 @@ def build_roast(n: int, w: float, r: int, method: str = "svd_fb") -> RoastBasis:
     at its tolerance: ||(I - V V^*) Fbar^* B||_2 floors near 1e-11, against
     a leading singular value near 0.43.  Raises RuntimeError if Lanczos fails.
     """
-    if method not in ("svd_fb", "svd_fbf"):
+    if method not in _ROAST_METHODS:
         raise ValueError(f"method must be 'svd_fb' or 'svd_fbf', got {method!r}")
     split = build_band_split(n, w)
     if not 0 <= r <= split.n_high:

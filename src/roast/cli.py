@@ -16,6 +16,17 @@ In ``scaling-bench`` the ``snr`` column is the SNR of one draw of
 the dimension of the ``roast`` (svd_fb) row, and is written only up to
 N = 4096; the other rows are written at every N.
 
+Three commands list their bases by hand rather than through
+``roast.basis.BASES``: ``bandlimited-snr`` accumulates capture column by
+column from one ``build_roast(r_max)``, so each curve is exactly monotone in
+R (acceptance criterion 09 relies on that); ``sweep-sinusoid`` honours
+``--method`` and falls back to the deterministic basis at R = 0, because a
+sketch needs P >= 1; ``scaling-bench`` times each builder separately.
+
+Each subcommand takes only the flags it reads.  Every output is stamped
+with the command, the version, those flags (unset ones left out) and the
+values the run derives (``dimension``, ``r_used``).
+
 Output is plot-ready CSV (metadata in ``#`` comment lines, floats at 17
 significant digits) or the JSON equivalent.  Identical configuration and
 seed reproduce byte-identical output; timing columns are the only
@@ -29,13 +40,13 @@ import math
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .basis import (
     _METHODS,
+    _ROAST_METHODS,
     BASES,
     build_roast,
     build_roast_randomized,
@@ -47,101 +58,14 @@ from .basis import (
 from .diagnostics import SNR_CSV_CAP, residual_snr, sinusoid_residual_sq
 from .prolate import build_band_split, build_dpss, log_width_constant, random_bandlimited
 from .recovery import recovery_experiment
-from .verify import (
-    DEFAULT_GRID,
-    capture_suite,
-    core_grid_checks,
-    full_verification,
-)
+from .verify import capture_suite, core_grid_checks, full_verification
 
 LOG_BASES = {"natural": math.e, "base2": 2.0, "base10": 10.0}
 _DEFAULT_N_LIST = (256, 512, 1024, 2048, 4096, 8192, 16384)
 
-# the DPSS row (a tridiagonal eigensolve for n_low + r vectors) is skipped
-# past this length
-_DENSE_METHOD_LIMIT = 4096
-
-
-@dataclass
-class RunConfig:
-    """Validated parameters for one CLI run; stamped into every output.
-
-    ``validate`` checks ranges and required options; the fixed choices
-    (command, method, log base, format, basis) are enforced by the parser.
-    """
-
-    command: str
-    n: int = 1024
-    w: float = 0.25
-    r: int | None = None
-    p: int | None = None
-    method: str = "svd_fb"
-    seed: int = 1234
-    eps: float | None = None
-    log_base: str = "natural"
-    output_path: str | None = None
-    format: str = "csv"
-    grid_points: int = 2048
-    tones: int = 10000
-    r_max: int = 30
-    n_list: tuple = _DEFAULT_N_LIST
-    delta: float = 1e-5
-    m: int | None = None
-    basis_choice: str = "roast"
-    tol: float = 1e-8
-    num_seeds: int = 20
-    extras: dict = field(default_factory=dict)
-
-    def validate(self) -> None:
-        if self.n < 2:
-            raise ValueError("--n must be at least 2")
-        if not 0.0 < self.w < 0.5:
-            raise ValueError("--w must lie strictly inside (0, 1/2)")
-        if self.r is not None and self.r < 0:
-            raise ValueError("--r must be nonnegative")
-        if self.p is not None and self.p < 1:
-            raise ValueError("--p must be positive")
-        if self.eps is not None and not 0.0 < self.eps < 0.5:
-            raise ValueError("--eps must lie in (0, 1/2)")
-        if self.grid_points < 16:
-            raise ValueError("--grid must be at least 16")
-        if self.tones < 1:
-            raise ValueError("--tones must be positive")
-        if self.r_max < 0:
-            raise ValueError("--r-max must be nonnegative")
-        if self.delta <= 0 or self.delta >= 1:
-            raise ValueError("--delta must lie in (0, 1)")
-        if self.tol <= 0:
-            raise ValueError("--tol must be positive")
-        if self.num_seeds < 1:
-            raise ValueError("--seeds must be positive")
-        if any(nn < 2 for nn in self.n_list):
-            raise ValueError("--n-list entries must be at least 2")
-        if self.command == "build":
-            if self.output_path is None:
-                raise ValueError("build requires --out")
-            if self.method == "randomized":
-                if self.p is None:
-                    raise ValueError("randomized build requires --p")
-            elif self.r is None:
-                raise ValueError(f"{self.method} build requires --r")
-        if self.command == "recover" and self.m is None:
-            raise ValueError("recover requires --m")
-
-    def items(self) -> list:
-        pairs = [("command", self.command), ("version", __version__)]
-        skip = {"command", "extras", "output_path"}
-        for key in sorted(vars(self)):
-            if key in skip:
-                continue
-            value = getattr(self, key)
-            if value is None:
-                continue
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            pairs.append((key, value))
-        pairs.extend(sorted(self.extras.items()))
-        return pairs
+# the DPSS row (a tridiagonal eigensolve for n_low + r vectors) of
+# scaling-bench is skipped past this length
+_DPSS_ROW_LIMIT = 4096
 
 
 def _fmt(value) -> str:
@@ -156,26 +80,39 @@ def _cap_snr(value: float) -> float:
     return min(float(value), SNR_CSV_CAP)
 
 
-def render_output(config: RunConfig, columns: list, rows: list) -> str:
-    """Render rows in the configured format with the config stamped on top."""
-    if config.format == "json":
+def _stamp(args: argparse.Namespace, **derived) -> list:
+    """(key, value) pairs stamped on every output: the command, the version,
+    the subcommand's own flags (unset ones left out), then ``derived``."""
+    flags = {key: ",".join(str(v) for v in value) if isinstance(value, tuple)
+             else value
+             for key, value in vars(args).items()
+             if value is not None and key not in ("command", "output_path")}
+    return ([("command", args.command), ("version", __version__)]
+            + sorted(flags.items()) + sorted(derived.items()))
+
+
+def render_output(args: argparse.Namespace, columns: list, rows: list,
+                  **derived) -> str:
+    """Render rows in the chosen format with the run stamped on top."""
+    stamp = _stamp(args, **derived)
+    if args.format == "json":
         doc = {
-            "meta": {k: v for k, v in config.items()},
+            "meta": dict(stamp),
             "columns": columns,
             "rows": [[_fmt(v) if isinstance(v, float) else v for v in row]
                      for row in rows],
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    lines = [f"# {key}={_fmt(value)}" for key, value in config.items()]
+    lines = [f"# {key}={_fmt(value)}" for key, value in stamp]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output_path:
+        with open(args.output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -188,14 +125,14 @@ def _rank_from_length(n: int, factor: float, base_name: str) -> int:
 # ---------------------------------------------------------------------------
 # commands
 
-def run_build(config: RunConfig) -> int:
-    if config.method == "randomized":
-        basis = build_roast_randomized(config.n, config.w, config.p, config.seed)
+def run_build(args: argparse.Namespace) -> int:
+    if args.method == "randomized":
+        basis = build_roast_randomized(args.n, args.w, args.p, args.seed)
     else:
-        basis = build_roast(config.n, config.w, config.r, config.method)
+        basis = build_roast(args.n, args.w, args.r, args.method)
     blob = serialize_basis(basis)
     deserialize_basis(blob)  # self-check before anything touches the file
-    with open(config.output_path, "wb") as fh:
+    with open(args.output_path, "wb") as fh:
         fh.write(blob)
     sys.stdout.write(
         f"wrote basis n={basis.n} w={basis.w} r={basis.r} "
@@ -203,17 +140,16 @@ def run_build(config: RunConfig) -> int:
     return 0
 
 
-def run_verify(config: RunConfig) -> int:
-    eps = config.eps if config.eps is not None else 1e-3
-    if config.extras.get("single_point"):
-        ledger = core_grid_checks(config.n, config.w)
-        ledger.extend(capture_suite(config.n, config.w, eps, r=config.r))
+def run_verify(args: argparse.Namespace) -> int:
+    if args.single_point:
+        ledger = core_grid_checks(args.n, args.w)
+        ledger.extend(capture_suite(args.n, args.w, args.eps, r=args.r))
     else:
-        ledger = full_verification(num_seeds=config.num_seeds,
-                                   capture_r=config.r)
-    text = ledger.to_json(**{k: _fmt(v) for k, v in config.items()}) + "\n"
-    _emit(config, text)
-    if config.output_path:
+        ledger = full_verification(num_seeds=args.num_seeds,
+                                   capture_r=args.r)
+    text = ledger.to_json(**{k: _fmt(v) for k, v in _stamp(args)}) + "\n"
+    _emit(args, text)
+    if args.output_path:
         status = "ok" if ledger.all_satisfied else "UNSATISFIED"
         failed = sum(not e.satisfied for e in ledger.entries)
         sys.stdout.write(
@@ -221,19 +157,18 @@ def run_verify(config: RunConfig) -> int:
     return 0 if ledger.all_satisfied else 1
 
 
-def run_sweep_sinusoid(config: RunConfig) -> int:
-    n, w = config.n, config.w
-    r = config.r if config.r is not None else _rank_from_length(n, 4.0, config.log_base)
+def run_sweep_sinusoid(args: argparse.Namespace) -> int:
+    n, w = args.n, args.w
+    r = args.r if args.r is not None else _rank_from_length(n, 4.0, args.log_base)
     split = build_band_split(n, w)
     dim = split.n_low + r
 
     subdft = build_subdft(n, w, r)
-    method = config.method if config.method != "randomized" else "svd_fb"
-    roast = build_roast(n, w, r, method)
-    roast_r = build_roast_randomized(n, w, r, config.seed) if r >= 1 else roast
+    roast = build_roast(n, w, r, args.method)
+    roast_r = build_roast_randomized(n, w, r, args.seed) if r >= 1 else roast
     dpss = build_dpss(n, w, dim)
 
-    grid = np.linspace(-0.5, 0.5, config.grid_points)
+    grid = np.linspace(-0.5, 0.5, args.grid_points)
     snr_cols = []
     for proj in (subdft, dpss, roast, roast_r):
         resid_sq = sinusoid_residual_sq(proj, n, grid)
@@ -244,10 +179,8 @@ def run_sweep_sinusoid(config: RunConfig) -> int:
     rows = [[float(f)] + [_cap_snr(c[j]) for c in snr_cols]
             for j, f in enumerate(grid)]
 
-    config.extras["dimension"] = dim
-    config.extras["r_used"] = r
     columns = ["f", "snr_subdft", "snr_dpss", "snr_roast", "snr_roast_randomized"]
-    _emit(config, render_output(config, columns, rows))
+    _emit(args, render_output(args, columns, rows, dimension=dim, r_used=r))
     return 0
 
 
@@ -263,10 +196,10 @@ def _snr_from_capture(total: float, captured: np.ndarray) -> np.ndarray:
     return out
 
 
-def run_bandlimited_snr(config: RunConfig) -> int:
-    n, w, r_max = config.n, config.w, config.r_max
+def run_bandlimited_snr(args: argparse.Namespace) -> int:
+    n, w, r_max = args.n, args.w, args.r_max
     split = build_band_split(n, w)
-    x = random_bandlimited(n, w, config.tones, config.seed).samples
+    x = random_bandlimited(n, w, args.tones, args.seed).samples
     total = float(np.vdot(x, x).real)
     spectrum = np.fft.fft(x) / np.sqrt(n)
     low_energy = float(np.sum(np.abs(spectrum[split.low_indices]) ** 2))
@@ -276,8 +209,7 @@ def run_bandlimited_snr(config: RunConfig) -> int:
 
     # energies are accumulated column by column so each curve is exactly
     # non-increasing in the residual
-    method = config.method if config.method != "randomized" else "svd_fb"
-    v = build_roast(n, w, r_max, method).v
+    v = build_roast(n, w, r_max, args.method).v
     roast_gain = np.abs(v.conj().T @ high) ** 2
     roast_captured = low_energy + np.concatenate([[0.0], np.cumsum(roast_gain)])
 
@@ -298,7 +230,7 @@ def run_bandlimited_snr(config: RunConfig) -> int:
     rand_captured = np.empty(r_max + 1)
     rand_captured[0] = low_energy
     for rr in range(1, r_max + 1):
-        vr = build_roast_randomized(n, w, rr, config.seed).v
+        vr = build_roast_randomized(n, w, rr, args.seed).v
         rand_captured[rr] = low_energy + float(np.sum(np.abs(vr.conj().T @ high) ** 2))
 
     snr = {
@@ -310,7 +242,7 @@ def run_bandlimited_snr(config: RunConfig) -> int:
     columns = ["r", "snr_subdft", "snr_dpss", "snr_roast", "snr_roast_randomized"]
     rows = [[int(rr)] + [_cap_snr(snr[c][rr]) for c in columns[1:]]
             for rr in r_values]
-    _emit(config, render_output(config, columns, rows))
+    _emit(args, render_output(args, columns, rows))
     return 0
 
 
@@ -334,23 +266,23 @@ def _median_seconds(fn, repeats: int = 20) -> float:
     return float(np.median(samples))
 
 
-def run_scaling_bench(config: RunConfig) -> int:
+def run_scaling_bench(args: argparse.Namespace) -> int:
     rows = []
-    base = config.log_base
-    for n in config.n_list:
+    base = args.log_base
+    for n in args.n_list:
         r = max(_rank_from_length(n, 3.0, base), 0)
-        w = config.w
+        w = args.w
         split = build_band_split(n, w)
-        signal = random_bandlimited(n, w, config.tones, config.seed + n).samples
+        signal = random_bandlimited(n, w, args.tones, args.seed + n).samples
         probe = signal / np.linalg.norm(signal)
 
         builders = [("subdft", lambda: build_subdft(n, w, r))]
-        if n <= _DENSE_METHOD_LIMIT:
+        if n <= _DPSS_ROW_LIMIT:
             builders.append(("dpss", lambda: build_dpss(n, w, split.n_low + r)))
         builders.append(("roast", lambda: build_roast(n, w, r)))
         builders.append(
             ("roast_r", lambda: build_roast_randomized(n, w, max(r, 1),
-                                                       config.seed)))
+                                                       args.seed)))
         for name, make in builders:
             t0 = time.perf_counter()
             built = make()
@@ -361,112 +293,146 @@ def run_scaling_bench(config: RunConfig) -> int:
             rows.append([int(n), int(r), name, float(precompute),
                          float(apply_seconds), snr])
     columns = ["n", "r", "method", "precompute_seconds", "apply_seconds", "snr"]
-    _emit(config, render_output(config, columns, rows))
+    _emit(args, render_output(args, columns, rows))
     return 0
 
 
-def run_rank_report(config: RunConfig) -> int:
+def run_rank_report(args: argparse.Namespace) -> int:
     rows = []
-    for n in config.n_list:
+    for n in args.n_list:
         c_n = log_width_constant(n)
-        r_roast = _rank_from_length(n, 3.0, config.log_base)
-        r_fst = fst_rank_bound(n, config.delta)
+        r_roast = _rank_from_length(n, 3.0, args.log_base)
+        r_fst = fst_rank_bound(n, args.delta)
         rows.append([int(n), float(c_n), int(r_roast), int(r_fst)])
     columns = ["n", "c_n", "r_roast", "r_fst_bound"]
-    _emit(config, render_output(config, columns, rows))
+    _emit(args, render_output(args, columns, rows))
     return 0
 
 
-def run_recover(config: RunConfig) -> int:
-    r = config.r if config.r is not None else _rank_from_length(
-        config.n, 3.0, config.log_base)
-    report = recovery_experiment(config.n, config.w, config.m,
-                                 config.basis_choice, config.seed, r=r,
-                                 tol=config.tol)
+def run_recover(args: argparse.Namespace) -> int:
+    r = args.r if args.r is not None else _rank_from_length(
+        args.n, 3.0, args.log_base)
+    report = recovery_experiment(args.n, args.w, args.m,
+                                 args.basis_choice, args.seed, r=r,
+                                 tol=args.tol)
     columns = ["basis", "n", "w", "m", "r", "seed", "relative_error",
                "iterations", "condition_estimate", "converged"]
-    rows = [[report.basis_choice, config.n, config.w, config.m, r, config.seed,
+    rows = [[report.basis_choice, args.n, args.w, args.m, r, args.seed,
              report.relative_error, report.iterations,
              report.condition_estimate, report.converged]]
-    _emit(config, render_output(config, columns, rows))
+    _emit(args, render_output(args, columns, rows))
     return 0 if report.converged else 1
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# Every flag once, with its one default.
+_FLAGS = {
+    "--n": dict(type=int, default=1024),
+    "--w": dict(type=float, default=0.25),
+    "--r": dict(type=int),
+    "--p": dict(type=int),
+    "--method": dict(choices=_ROAST_METHODS, default="svd_fb"),
+    "--seed": dict(type=int, default=1234),
+    "--eps": dict(type=float, default=1e-3,
+                  help="capture accuracy; read only with --single-point"),
+    "--seeds": dict(type=int, default=20, dest="num_seeds",
+                    help="randomized-suite seeds; read only without --single-point"),
+    "--single-point": dict(action="store_true",
+                           help="check only --n and --w instead of the grid"),
+    "--log-base": dict(choices=sorted(LOG_BASES), default="natural"),
+    "--grid": dict(type=int, default=2048, dest="grid_points"),
+    "--tones": dict(type=int, default=10000),
+    "--r-max": dict(type=int, default=30),
+    "--n-list": dict(type=lambda s: tuple(int(v) for v in s.split(",")),
+                     default=_DEFAULT_N_LIST),
+    "--delta": dict(type=float, default=1e-5),
+    "--m": dict(type=int),
+    "--basis": dict(choices=sorted(BASES), default="roast", dest="basis_choice"),
+    "--tol": dict(type=float, default=1e-8),
+    "--format": dict(choices=["csv", "json"], default="csv"),
+    "--out": dict(dest="output_path"),
+}
+
+# Ranges checked after parsing, by destination; main returns 2 with the
+# message of the first one a given value fails.
+_LIMITS = {
+    "n": (lambda v: v >= 2, "--n must be at least 2"),
+    "w": (lambda v: 0.0 < v < 0.5, "--w must lie strictly inside (0, 1/2)"),
+    "r": (lambda v: v >= 0, "--r must be nonnegative"),
+    "p": (lambda v: v >= 1, "--p must be positive"),
+    "eps": (lambda v: 0.0 < v < 0.5, "--eps must lie in (0, 1/2)"),
+    "grid_points": (lambda v: v >= 16, "--grid must be at least 16"),
+    "tones": (lambda v: v >= 1, "--tones must be positive"),
+    "r_max": (lambda v: v >= 0, "--r-max must be nonnegative"),
+    "delta": (lambda v: 0.0 < v < 1.0, "--delta must lie in (0, 1)"),
+    "tol": (lambda v: v > 0.0, "--tol must be positive"),
+    "num_seeds": (lambda v: v >= 1, "--seeds must be positive"),
+    "n_list": (lambda v: all(n >= 2 for n in v), "--n-list entries must be at least 2"),
+}
+
+# Each subcommand's help and the flags its runner reads.  A (flag, keywords)
+# pair narrows or widens that flag's declaration for the one subcommand.
+_COMMANDS = {
+    "build": ("build a basis and serialize it",
+              ("--n", "--w", "--r", "--p",
+               ("--method", dict(choices=_METHODS,
+                                 help="randomized sketches --p columns, the "
+                                      "others take --r extra directions")),
+               "--seed", "--out")),
+    "verify": ("run the bound suite and emit a JSON ledger; --n, --w and "
+               "--eps apply only with --single-point, --seeds only without it",
+               ("--n", "--w", "--r", "--eps", "--seeds", "--single-point",
+                "--out")),
+    "sweep-sinusoid": ("SNR versus frequency",
+                       ("--n", "--w", "--r", "--method", "--seed", "--log-base",
+                        "--grid", "--format", "--out")),
+    "bandlimited-snr": ("SNR versus R",
+                        ("--n", "--w", "--r-max", "--method", "--seed",
+                         "--tones", "--format", "--out")),
+    "scaling-bench": ("timings across signal lengths; snr is one draw of "
+                      "--tones tones at signal seed seed + n, and the dpss row "
+                      "keeps n_low + r vectors",
+                      ("--n-list", "--w", "--seed", "--tones", "--log-base",
+                       "--format", "--out")),
+    "rank-report": ("skinny widths versus length",
+                    ("--n-list", "--log-base", "--delta", "--format", "--out")),
+    "recover": ("CG recovery through a subspace",
+                ("--n", "--w", "--r", "--m", "--basis", "--seed", "--tol",
+                 "--log-base", "--format", "--out")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="roast",
         description="Fast orthonormal approximate Slepian transform toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--n", type=int, default=1024)
-        p.add_argument("--w", type=float, default=0.25)
-        p.add_argument("--r", type=int, default=None)
-        p.add_argument("--p", type=int, default=None)
-        p.add_argument("--method", choices=_METHODS, default="svd_fb")
-        p.add_argument("--seed", type=int, default=1234)
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--log-base", choices=sorted(LOG_BASES),
-                       default="natural", dest="log_base")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--out", dest="output_path", default=None)
-
-    p = sub.add_parser("build", help="build a basis and serialize it")
-    add_common(p)
-
-    p = sub.add_parser("verify", help="run the bound suite, emit a JSON ledger")
-    add_common(p)
-    p.add_argument("--seeds", type=int, default=20, dest="num_seeds")
-    p.add_argument("--single-point", action="store_true",
-                   help="check only the configured (n, w) instead of the grid")
-    p.set_defaults(format="json")
-
-    p = sub.add_parser("sweep-sinusoid", help="SNR versus frequency")
-    add_common(p)
-    p.add_argument("--grid", type=int, default=2048, dest="grid_points")
-
-    p = sub.add_parser("bandlimited-snr", help="SNR versus R")
-    add_common(p)
-    p.add_argument("--tones", type=int, default=10000)
-    p.add_argument("--r-max", type=int, default=30, dest="r_max")
-
-    text = ("timings across signal lengths; snr is one draw of --tones tones "
-            "at signal seed seed + n, and the dpss row keeps n_low + r vectors")
-    p = sub.add_parser("scaling-bench", help=text, description=text)
-    add_common(p)
-    p.add_argument("--n-list", type=lambda s: tuple(int(v) for v in s.split(",")),
-                   default=_DEFAULT_N_LIST, dest="n_list")
-    p.add_argument("--tones", type=int, default=10000)
-
-    p = sub.add_parser("rank-report", help="skinny widths versus length")
-    add_common(p)
-    p.add_argument("--n-list", type=lambda s: tuple(int(v) for v in s.split(",")),
-                   default=_DEFAULT_N_LIST, dest="n_list")
-    p.add_argument("--delta", type=float, default=1e-5)
-
-    p = sub.add_parser("recover", help="CG recovery through a subspace")
-    add_common(p)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--basis", choices=sorted(BASES), default="roast",
-                   dest="basis_choice")
-    p.add_argument("--tol", type=float, default=1e-8)
+    for command, (text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text, description=text)
+        for flag in flags:
+            flag, own = (flag, {}) if isinstance(flag, str) else flag
+            p.add_argument(flag, **{**_FLAGS[flag], **own})
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    for key in vars(config):
-        if key in ("command", "extras"):
-            continue
-        if hasattr(args, key) and getattr(args, key) is not None:
-            setattr(config, key, getattr(args, key))
-    if getattr(args, "single_point", False):
-        config.extras["single_point"] = True
-    config.validate()
-    return config
+def _rejection(args: argparse.Namespace) -> str | None:
+    """Why ``args`` cannot run, or None."""
+    for dest, (ok, message) in _LIMITS.items():
+        value = getattr(args, dest, None)
+        if value is not None and not ok(value):
+            return message
+    if args.command == "build":
+        if args.output_path is None:
+            return "build requires --out"
+        if args.method == "randomized" and args.p is None:
+            return "randomized build requires --p"
+        if args.method != "randomized" and args.r is None:
+            return f"{args.method} build requires --r"
+    if args.command == "recover" and args.m is None:
+        return "recover requires --m"
+    return None
 
 
 _RUNNERS = {
@@ -482,12 +448,11 @@ _RUNNERS = {
 
 def main(argv: list | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        config = config_from_args(args)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    rejection = _rejection(args)
+    if rejection is not None:
+        sys.stderr.write(f"error: {rejection}\n")
         return 2
-    return _RUNNERS[config.command](config)
+    return _RUNNERS[args.command](args)
 
 
 if __name__ == "__main__":

@@ -212,11 +212,20 @@ def _checked_basis(q_like, what: str = "basis"):
     """``q_like`` with orthonormal columns, in the form the kernels take.
 
     A ``RoastBasis`` is returned as is and checked on V alone: Q^* Q is
-    blockdiag(I, V^* V) by construction.  Anything else becomes its dense
-    columns, checked in full.
+    blockdiag(I, V^* V) by construction.  A ``SubDftBasis`` is returned as
+    is too: its unitary DFT columns are exactly orthonormal when its indices
+    are distinct and lie in [0, N), which is what is checked.  Anything else
+    becomes its dense columns, checked in full.
     """
     if isinstance(q_like, RoastBasis):
         _ensure_orthonormal(q_like.v, what=what)
+        return q_like
+    if isinstance(q_like, SubDftBasis):
+        idx = q_like.indices
+        in_range = np.all((idx >= 0) & (idx < q_like.n))
+        if len(np.unique(idx)) != len(idx) or not in_range:
+            raise ValueError(f"{what} is not orthonormal: DFT indices repeat "
+                             f"or leave [0, {q_like.n})")
         return q_like
     q = _dense_columns(q_like)
     _ensure_orthonormal(q, what=what)
@@ -228,12 +237,12 @@ def integrated_residual(op: ProlateOperator, q_like) -> float:
 
     Computed without quadrature as trace(B) - sum_i q_i^* B q_i through the
     fast prolate matvec, the sum taken pairwise over every entry.  A
-    ``RoastBasis`` supplies its columns by synthesis, one inverse FFT, with
-    no dense DFT columns.  For residuals below round-off the trace
-    difference can land epsilon-negative; it is floored at zero.
+    ``RoastBasis`` or ``SubDftBasis`` supplies its columns by synthesis, one
+    inverse FFT, with no dense DFT columns.  For residuals below round-off
+    the trace difference can land epsilon-negative; it is floored at zero.
     """
     q = _checked_basis(q_like)
-    if isinstance(q, RoastBasis):
+    if isinstance(q, (RoastBasis, SubDftBasis)):
         q = q.synthesize(np.eye(q.dimension))
     if q.shape[0] != op.n:
         raise ValueError(f"basis rows {q.shape[0]} do not match operator size {op.n}")
@@ -380,14 +389,15 @@ def subspace_angle(a_like, b_like) -> AngleReport:
 
     The cosines are the singular values of A^* B; the report's
     ``largest_angle_cos`` (the smallest cosine) measures how far the narrower
-    subspace sticks out of the wider one.  A ``RoastBasis`` on one side
-    enters through its analysis, Q^* A, with no dense columns.
+    subspace sticks out of the wider one.  A ``RoastBasis`` or
+    ``SubDftBasis`` on one side enters through its analysis, Q^* A, with no
+    dense columns.
     """
     a = _checked_basis(a_like, what="first basis")
     b = _checked_basis(b_like, what="second basis")
-    if isinstance(b, RoastBasis):
+    if isinstance(b, (RoastBasis, SubDftBasis)):
         cross = b.analyze(_dense_columns(a))
-    elif isinstance(a, RoastBasis):
+    elif isinstance(a, (RoastBasis, SubDftBasis)):
         cross = a.analyze(b)  # the transpose of B^* A has the same cosines
     else:
         if a.shape[1] > b.shape[1]:

@@ -24,7 +24,7 @@ from roast import (
     integrated_residual_quadrature,
     residual_paths_agree,
 )
-from roast.cli import RunConfig, _median_seconds, run_bandlimited_snr, run_sweep_sinusoid
+from roast.cli import _median_seconds, main
 from roast.verify import (
     DEFAULT_GRID,
     average_suite,
@@ -184,10 +184,8 @@ def test_criterion_09_figure_shapes(caches, tmp_path):
     conditions = []
 
     sweep_path = tmp_path / "sweep.csv"
-    config = RunConfig(command="sweep-sinusoid", n=n, w=w, r=r, seed=1234,
-                       grid_points=2048, output_path=str(sweep_path))
-    config.validate()
-    run_sweep_sinusoid(config)
+    assert main(["sweep-sinusoid", "--n", str(n), "--w", str(w), "--r", str(r),
+                 "--seed", "1234", "--grid", "2048", "--out", str(sweep_path)]) == 0
     columns, rows = read_csv(sweep_path)
     freqs = col(rows, columns, "f")
     inband = np.abs(freqs) <= w
@@ -200,10 +198,8 @@ def test_criterion_09_figure_shapes(caches, tmp_path):
                        f"in-band agreement fraction {fraction:.3f} < 0.95"))
 
     bl_path = tmp_path / "bandlimited.csv"
-    config = RunConfig(command="bandlimited-snr", n=n, w=w, seed=1234,
-                       tones=10000, r_max=30, output_path=str(bl_path))
-    config.validate()
-    run_bandlimited_snr(config)
+    assert main(["bandlimited-snr", "--n", str(n), "--w", str(w), "--seed", "1234",
+                 "--tones", "10000", "--r-max", "30", "--out", str(bl_path)]) == 0
     columns, rows = read_csv(bl_path)
     curve = col(rows, columns, "snr_roast")
     sub_curve = col(rows, columns, "snr_subdft")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import roast
-from roast.basis import _METHODS
+from roast.basis import _METHODS, _ROAST_METHODS
 from roast.cli import _build_parser, main
 from roast.diagnostics import (
     SNR_CSV_CAP,
@@ -41,6 +41,8 @@ class TestRankReport:
         meta, columns, rows = read_csv(out)
         assert columns == ["n", "c_n", "r_roast", "r_fst_bound"]
         assert meta["command"] == "rank-report"
+        assert set(meta) == {"command", "version", "n_list", "log_base",
+                             "delta", "format"}
         for row in rows:
             n = int(row[0])
             assert abs(float(row[1]) - roast.log_width_constant(n)) <= 1e-12
@@ -266,8 +268,45 @@ class TestChoices:
         assert list(self.option(recover, "basis_choice").choices) == sorted(roast.BASES)
 
     def test_method_choices_are_the_reader_methods(self):
-        for subparser in self.subcommands().values():
-            assert tuple(self.option(subparser, "method").choices) == _METHODS
+        # build also writes sketches; the experiments call build_roast
+        subcommands = self.subcommands()
+        assert tuple(self.option(subcommands["build"], "method").choices) == _METHODS
+        for name in ("sweep-sinusoid", "bandlimited-snr"):
+            got = self.option(subcommands[name], "method").choices
+            assert tuple(got) == _ROAST_METHODS
+        others = set(subcommands) - {"build", "sweep-sinusoid", "bandlimited-snr"}
+        for name in others:
+            assert all(a.dest != "method" for a in subcommands[name]._actions)
+
+    def test_each_subcommand_takes_only_its_flags(self):
+        want = {
+            "build": {"n", "w", "r", "p", "method", "seed", "out"},
+            "verify": {"n", "w", "r", "eps", "seeds", "single-point", "out"},
+            "sweep-sinusoid": {"n", "w", "r", "method", "seed", "log-base",
+                               "grid", "format", "out"},
+            "bandlimited-snr": {"n", "w", "r-max", "method", "seed", "tones",
+                                "format", "out"},
+            "scaling-bench": {"n-list", "w", "seed", "tones", "log-base",
+                              "format", "out"},
+            "rank-report": {"n-list", "log-base", "delta", "format", "out"},
+            "recover": {"n", "w", "r", "m", "basis", "seed", "tol", "log-base",
+                        "format", "out"},
+        }
+        got = {name: {opt[2:] for a in sub._actions for opt in a.option_strings
+                      if opt != "--help" and opt != "-h"}
+               for name, sub in self.subcommands().items()}
+        assert got == want
+        assert sum(len(flags) for flags in got.values()) == 53
+
+    @pytest.mark.parametrize("args", [
+        ["rank-report", "--w", "0.25"],
+        ["sweep-sinusoid", "--method", "randomized"],
+        ["verify", "--format", "csv"],
+    ])
+    def test_flags_a_subcommand_does_not_read_are_refused(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
 
     def test_unknown_basis_stopped_by_the_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -295,6 +334,21 @@ class TestVerifyCommand:
         assert not ledger.all_satisfied
         bad = [e for e in ledger.entries if not e.satisfied]
         assert any("capture" in e.check_id for e in bad)
+
+    def test_same_bytes_from_two_runs(self, tmp_path):
+        args = ["verify", "--single-point", "--n", "64", "--w", "0.25"]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_meta_stamps_only_verify_flags(self, tmp_path):
+        out = tmp_path / "ledger.json"
+        main(["verify", "--single-point", "--n", "64", "--out", str(out)])
+        meta = json.loads(out.read_text())["meta"]
+        assert set(meta) == {"command", "version", "n", "w", "eps", "num_seeds",
+                             "single_point"}
+        assert meta["eps"] == "0.001" and meta["single_point"] == "true"
 
     def test_ledger_json_round_trip(self, tmp_path):
         out = tmp_path / "ledger.json"

@@ -182,6 +182,35 @@ class TestSinusoidResidualKernel:
         assert integrated_residual(op, basis) >= 0.0
         assert sinusoid_derivative_check(op, basis, grid_size=64).all_satisfied
 
+    @pytest.mark.parametrize("n", [128, 129])
+    def test_subdft_basis_needs_no_dense_columns(self, caches, n,
+                                                 forbid_dense_columns):
+        basis = build_subdft(n, 0.25, 4)
+        op = caches.op(n, 0.25)
+        # the same columns, formed here rather than through dft_columns
+        dense = np.exp(2j * np.pi * np.outer(np.arange(n), basis.indices) / n)
+        dense /= np.sqrt(n)
+        for path in (integrated_residual_quadrature, integrated_residual):
+            got, want = path(op, basis), path(op, dense)
+            assert want > 0.0
+            assert abs(got - want) <= 1e-12 * want
+        # the difference quotient scales the residuals' round-off by
+        # 1 / (2 fd_step) = 5e4: its gap reads 5.6e-12 at N=128
+        got, want = (sinusoid_derivative_check(op, q) for q in (basis, dense))
+        for a, b in zip(got.entries, want.entries):
+            rel = 1e-10 if a.check_id == "residual_derivative_bound" else 1e-12
+            assert a.check_id == b.check_id
+            assert abs(a.lhs_value - b.lhs_value) <= rel * b.lhs_value
+            assert abs(a.rhs_bound - b.rhs_bound) <= 1e-12 * b.rhs_bound
+
+    @pytest.mark.parametrize("last", [0, 64])  # a repeated bin, a bin past N-1
+    def test_subdft_basis_with_bad_indices_refused(self, last):
+        basis = build_subdft(64, 0.25, 4)
+        bad = roast.basis.SubDftBasis(n=64, w=0.25, r=4,
+                                      indices=np.r_[basis.indices[:-1], last])
+        with pytest.raises(ValueError, match="not orthonormal"):
+            integrated_residual_quadrature(build_prolate(64, 0.25), bad)
+
     def test_rejects_length_mismatch(self, caches):
         with pytest.raises(ValueError, match="does not match"):
             sinusoid_residual_sq(caches.roast(64, 0.25, 5), 65, np.zeros(3))
