@@ -28,6 +28,7 @@ import scipy.sparse.linalg as spla
 from .prolate import (
     DftBandSplit,
     ProlateOperator,
+    _check_dense_bytes,
     _leading,
     build_band_split,
     build_dpss,
@@ -86,9 +87,12 @@ def cross_operator_dense(op: ProlateOperator, split: DftBandSplit,
 
     Each block of B columns is read off the Toeplitz structure, pushed
     through the FFT, and restricted to the out-of-band rows.  Memory stays at
-    O(N * chunk) on top of the (n_high x N) result.
+    O(N * chunk) on top of the (n_high x N) result, whose 16 n_high N bytes
+    are checked against the dense-byte limit before anything is allocated.
     """
     n = op.n
+    _check_dense_bytes(f"cross_operator_dense(n={n}, w={op.w})",
+                       16 * split.n_high * n)
     fr = op.first_row
     out = np.empty((split.n_high, n), dtype=complex)
     i = np.arange(n)[:, None]
@@ -150,8 +154,14 @@ class RoastBasis:
         return apply_synthesis(self, apply_analysis(self, x))
 
     def dense_basis(self) -> np.ndarray:
-        """Explicit N x (n_low + R) matrix; the oracle for the fast paths."""
+        """Explicit N x (n_low + R) matrix; the oracle for the fast paths.
+
+        It forms all N DFT columns on the way, so a call whose 16 N (N +
+        n_low + R) bytes exceed the dense-byte limit is refused first.
+        """
         n = self.n
+        _check_dense_bytes(f"dense_basis(n={n}, r={self.r})",
+                           16 * n * (n + self.dimension))
         f_low = dft_columns(n, self.split.low_indices)
         f_high = dft_columns(n, self.split.high_indices)
         return np.hstack([f_low, f_high @ self.v])
@@ -423,13 +433,16 @@ def build_fst_analog(n: int, w: float, rank_r: int) -> FstAnalog:
 
     The correction comes from a dense eigendecomposition of B - F F^* with
     the r largest-magnitude eigenpairs retained, so the spectral error is
-    exactly the (r+1)-th magnitude.
+    exactly the (r+1)-th magnitude.  B, the complex F F^* and their
+    difference are alive at once, 32 N^2 bytes; above the dense-byte limit
+    the call is refused before any of them is formed.
     """
     if rank_r < 0:
         raise ValueError(f"rank must be nonnegative, got {rank_r}")
     split = build_band_split(n, w)
     if rank_r > n:
         raise ValueError(f"rank {rank_r} exceeds n={n}")
+    _check_dense_bytes(f"build_fst_analog(n={n})", 32 * n * n)
     op = build_prolate(n, w)
     f_low = dft_columns(n, split.low_indices)
     diff = prolate_dense(op) - (f_low @ f_low.conj().T).real

@@ -122,6 +122,18 @@ def _rank_from_length(n: int, factor: float, base_name: str) -> int:
     return int(math.floor(factor * math.log(n) / math.log(LOG_BASES[base_name])))
 
 
+# Without --r, R = floor(factor * log N) in the --log-base logarithm;
+# scaling-bench always derives it.
+_RANK_FACTORS = {"sweep-sinusoid": 4.0, "recover": 3.0, "scaling-bench": 3.0}
+
+
+def _rank_used(args: argparse.Namespace) -> int:
+    """The R that sweep-sinusoid or recover runs with: --r, else derived."""
+    if args.r is not None:
+        return args.r
+    return _rank_from_length(args.n, _RANK_FACTORS[args.command], args.log_base)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -159,7 +171,7 @@ def run_verify(args: argparse.Namespace) -> int:
 
 def run_sweep_sinusoid(args: argparse.Namespace) -> int:
     n, w = args.n, args.w
-    r = args.r if args.r is not None else _rank_from_length(n, 4.0, args.log_base)
+    r = _rank_used(args)
     split = build_band_split(n, w)
     dim = split.n_low + r
 
@@ -170,8 +182,10 @@ def run_sweep_sinusoid(args: argparse.Namespace) -> int:
 
     grid = np.linspace(-0.5, 0.5, args.grid_points)
     snr_cols = []
-    for proj in (subdft, dpss, roast, roast_r):
-        resid_sq = sinusoid_residual_sq(proj, n, grid)
+    # the two ROAST bases share one split, so one call forms their kernel
+    for resid_sq in (sinusoid_residual_sq(subdft, n, grid),
+                     sinusoid_residual_sq(dpss, n, grid),
+                     *sinusoid_residual_sq([roast, roast_r], n, grid)):
         with np.errstate(divide="ignore"):
             snr = 10.0 * np.log10(n / resid_sq)
         snr[resid_sq < (1e-15) ** 2 * n] = np.inf
@@ -270,7 +284,7 @@ def run_scaling_bench(args: argparse.Namespace) -> int:
     rows = []
     base = args.log_base
     for n in args.n_list:
-        r = max(_rank_from_length(n, 3.0, base), 0)
+        r = max(_rank_from_length(n, _RANK_FACTORS[args.command], base), 0)
         w = args.w
         split = build_band_split(n, w)
         signal = random_bandlimited(n, w, args.tones, args.seed + n).samples
@@ -310,8 +324,7 @@ def run_rank_report(args: argparse.Namespace) -> int:
 
 
 def run_recover(args: argparse.Namespace) -> int:
-    r = args.r if args.r is not None else _rank_from_length(
-        args.n, 3.0, args.log_base)
+    r = _rank_used(args)
     report = recovery_experiment(args.n, args.w, args.m,
                                  args.basis_choice, args.seed, r=r,
                                  tol=args.tol)
@@ -432,6 +445,42 @@ def _rejection(args: argparse.Namespace) -> str | None:
             return f"{args.method} build requires --r"
     if args.command == "recover" and args.m is None:
         return "recover requires --m"
+    return _size_rejection(args)
+
+
+def _size_rejection(args: argparse.Namespace) -> str | None:
+    """Why a width or count in ``args`` does not fit the band split of its
+    N and --w, or None.
+
+    Each rank or sketch width a runner will use must lie within the n_high
+    out-of-band bins, and recover's --m within [2 floor(NW), N].
+    """
+    command = args.command
+    if command == "scaling-bench":
+        checks = [(n, "the derived r", _rank_from_length(
+            n, _RANK_FACTORS[command], args.log_base)) for n in args.n_list]
+    elif command == "build":
+        checks = [(args.n, "--p", args.p) if args.method == "randomized"
+                  else (args.n, "--r", args.r)]
+    elif command == "bandlimited-snr":
+        checks = [(args.n, "--r-max", args.r_max)]
+    elif command in _RANK_FACTORS:
+        checks = [(args.n, "--r" if args.r is not None else "the derived r",
+                   _rank_used(args))]
+    else:
+        return None
+    w = args.w
+    for n, flag, width in checks:
+        n_high = build_band_split(n, w).n_high
+        if width > n_high:
+            return (f"{flag} = {width} exceeds the {n_high} out-of-band bins "
+                    f"of N = {n} at --w {w}")
+    if command == "recover":
+        lowest = 2 * math.floor(args.n * w)
+        if not lowest <= args.m <= args.n:
+            return f"--m must lie in [{lowest}, {args.n}] for --n {args.n} --w {w}"
+        if args.basis_choice == "roast_randomized" and width < 1:
+            return f"--basis roast_randomized needs {flag} >= 1"
     return None
 
 

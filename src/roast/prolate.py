@@ -33,8 +33,9 @@ __all__ = [
 # Rayleigh quotients can land epsilon outside and are clamped back in.
 _EIG_CLAMP = 2.0 ** -53
 
-# build_dpss refuses a solve whose estimated working set exceeds this.
-_DPSS_MAX_BYTES = 2 ** 31
+# Every dense path (the DPSS solve, the cross operator, dense bases and
+# projectors, the FST analog) refuses a call whose estimated bytes exceed this.
+_MAX_DENSE_BYTES = 2 ** 31
 
 # Columns per prolate matvec when build_dpss takes its Rayleigh quotients.
 _RAYLEIGH_BLOCK = 256
@@ -43,6 +44,14 @@ _RAYLEIGH_BLOCK = 256
 def log_width_constant(n: int) -> float:
     """Spectral transition-width constant (4/pi^2) * ln(8N) + 6."""
     return (4.0 / math.pi**2) * math.log(8.0 * n) + 6.0
+
+
+def _check_dense_bytes(what: str, estimate: int) -> None:
+    """Refuse ``what`` when its estimated bytes exceed ``_MAX_DENSE_BYTES``."""
+    if estimate > _MAX_DENSE_BYTES:
+        raise ValueError(
+            f"{what} needs about {estimate / 2**20:.0f} MiB, "
+            f"above the {_MAX_DENSE_BYTES / 2**20:.0f} MiB limit")
 
 
 def _validate_nw(n: int, w: float) -> None:
@@ -214,7 +223,7 @@ def build_dpss(n: int, w: float, k: int) -> DpssBasis:
     every caller in the package asks for it is the faster of the two:
     (2048, 0.05, 227) 175 against 228 ms, (2048, 0.25, 1024) 273 against
     1018 ms.  A call whose estimate 8 (N k + 2 ceil(N/2)^2) bytes exceeds
-    ``_DPSS_MAX_BYTES`` is refused before anything is allocated.
+    ``_MAX_DENSE_BYTES`` is refused before anything is allocated.
 
     Concentration eigenvalues are Rayleigh quotients through the fast
     prolate matvec, taken in blocks of ``_RAYLEIGH_BLOCK`` columns to bound
@@ -223,11 +232,8 @@ def build_dpss(n: int, w: float, k: int) -> DpssBasis:
     _validate_nw(n, w)
     if not 1 <= k <= n:
         raise ValueError(f"number of vectors must satisfy 1 <= k <= {n}, got {k}")
-    estimate = 8 * (n * k + 2 * ((n + 1) // 2) ** 2)
-    if estimate > _DPSS_MAX_BYTES:
-        raise ValueError(
-            f"build_dpss(n={n}, k={k}) needs about {estimate / 2**20:.0f} MiB, "
-            f"above the {_DPSS_MAX_BYTES / 2**20:.0f} MiB limit")
+    _check_dense_bytes(f"build_dpss(n={n}, k={k})",
+                       8 * (n * k + 2 * ((n + 1) // 2) ** 2))
 
     h = n // 2
     m = np.arange(h + 1)

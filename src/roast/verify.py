@@ -164,9 +164,12 @@ def randomized_suite(n: int, w: float, eps: float, num_seeds: int = 20,
     the pointwise in-band residual.  Sketch widths are clamped to the
     out-of-band width when the sizing rule exceeds it; rules whose widths
     coincide share one build per seed.  Every diagnostic runs through the
-    basis object, never its dense columns.  Pivoted QR may keep fewer than P
-    columns, so each entry records the kept R over the seeds as ``r_min``
-    and ``r_max``.  ``dpss`` may pass in the full Slepian solve at (n, w).
+    basis object, never its dense columns.  The pointwise bases of all seeds
+    are kept and go through one ``sinusoid_residual_sq`` call after the seed
+    loop, so the Dirichlet ratio over the grid is formed once, not once per
+    seed.  Pivoted QR may keep fewer than P columns, so each entry records
+    the kept R over the seeds as ``r_min`` and ``r_max``.  ``dpss`` may pass
+    in the full Slepian solve at (n, w).
     """
     ledger = BoundLedger()
     op = build_prolate(n, w)
@@ -182,7 +185,7 @@ def randomized_suite(n: int, w: float, eps: float, num_seeds: int = 20,
     grid = np.linspace(-w, w, grid_size)
 
     widths = sorted({p_cap, p_angle, p_avg, p_point})
-    spectral_sq, per_vec, cosines, averages, curves = [], [], [], [], []
+    spectral_sq, per_vec, cosines, averages, point_bases = [], [], [], [], []
     kept = {p: [] for p in widths}
     for seed in range(num_seeds):
         for p in widths:
@@ -198,7 +201,8 @@ def randomized_suite(n: int, w: float, eps: float, num_seeds: int = 20,
             if p == p_avg:
                 averages.append(integrated_residual(op, basis) / n)
             if p == p_point:
-                curves.append(sinusoid_residual_sq(basis, n, grid))
+                point_bases.append(basis)
+    curves = sinusoid_residual_sq(point_bases, n, grid)
 
     def common(p):
         return {"n": n, "w": w, "eps": eps, "p": p, "num_seeds": num_seeds,
@@ -217,7 +221,7 @@ def randomized_suite(n: int, w: float, eps: float, num_seeds: int = 20,
                float(np.mean(averages)), eps, **common(p_avg))
     # pointwise residual: mean over seeds, then max over the in-band grid
     ledger.add("randomized_pointwise_residual_mean",
-               float(np.max(np.array(curves).mean(axis=0)) / n), eps,
+               float(np.max(curves.mean(axis=0)) / n), eps,
                grid_size=grid_size, **common(p_point))
     return ledger
 

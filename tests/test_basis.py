@@ -1,6 +1,7 @@
 import json
 import struct
 import time
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -413,6 +414,52 @@ class TestFstAnalog:
     def test_negative_rank_rejected(self):
         with pytest.raises(ValueError):
             build_fst_analog(64, 0.25, -1)
+
+
+def _empty_roast_basis(n, w):
+    split = build_band_split(n, w)
+    return RoastBasis(split=split, r=0, v=np.zeros((split.n_high, 0), complex),
+                      method="svd_fb")
+
+
+class TestDenseByteGuards:
+    # every call would need gigabytes; each must refuse before allocating
+    @pytest.mark.parametrize("name,call", [
+        ("cross_operator_dense",  # 16 n_high N = 3.4 GB
+         lambda: roast.singular_decay_report(16384, 0.1)),
+        ("dense_basis",  # 16 N (N + dimension) = 6.4 GB
+         lambda: _empty_roast_basis(16384, 0.25).dense_basis()),
+        ("largest_angle_cos_direct",  # 16 N (N + 1) = 4.3 GB
+         lambda: roast.diagnostics.largest_angle_cos_direct(
+             np.eye(16384, 1), np.eye(16384, 2))),
+        ("build_fst_analog",  # 32 N^2 = 8.6 GB
+         lambda: build_fst_analog(16384, 0.25, 4)),
+    ])
+    def test_refused_before_allocating(self, name, call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{name}.*MiB, above the"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**24
+
+    def test_every_guard_reads_the_one_limit(self, monkeypatch):
+        # 256 KiB refuses each of these small calls; 2**31 lets them all run
+        calls = [lambda: roast.build_dpss(256, 0.25, 256),
+                 lambda: roast.singular_decay_report(256, 0.25),
+                 lambda: _empty_roast_basis(256, 0.25).dense_basis(),
+                 lambda: roast.diagnostics.largest_angle_cos_direct(
+                     np.eye(256, 1), np.eye(256, 2)),
+                 lambda: build_fst_analog(256, 0.25, 4)]
+        assert roast.prolate._MAX_DENSE_BYTES == 2**31
+        for call in calls:
+            call()
+        monkeypatch.setattr(roast.prolate, "_MAX_DENSE_BYTES", 2**18)
+        for call in calls:
+            with pytest.raises(ValueError, match="MiB limit"):
+                call()
 
 
 class TestSerialization:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 
 import numpy as np
 import pytest
@@ -391,3 +392,48 @@ class TestValidation:
     ])
     def test_bad_parameters_exit_2(self, args):
         assert main(args) == 2
+
+    @pytest.mark.parametrize("args,message", [
+        # n_high = 31 at --n 64 --w 0.25, and --m must lie in [32, 64]
+        (["sweep-sinusoid", "--n", "64", "--r", "100"], "--r = 100 exceeds the 31"),
+        (["bandlimited-snr", "--n", "64", "--r-max", "200"],
+         "--r-max = 200 exceeds the 31"),
+        (["recover", "--n", "64", "--m", "0"], r"--m must lie in \[32, 64\]"),
+        (["recover", "--n", "64", "--m", "1000"], r"--m must lie in \[32, 64\]"),
+        (["recover", "--n", "64", "--r", "100", "--m", "40"],
+         "--r = 100 exceeds the 31"),
+        (["build", "--n", "64", "--r", "100", "--out", "unused.bin"],
+         "--r = 100 exceeds the 31"),
+        (["build", "--n", "64", "--method", "randomized", "--p", "100",
+          "--out", "unused.bin"], "--p = 100 exceeds the 31"),
+        (["recover", "--n", "64", "--r", "0", "--m", "40",
+          "--basis", "roast_randomized"], "roast_randomized needs --r >= 1"),
+        # n_high = 7 at --w 0.45: the derived floor(4 ln 64) = 16 and
+        # floor(3 ln 64) = 12 do not fit
+        (["sweep-sinusoid", "--n", "64", "--w", "0.45"],
+         "the derived r = 16 exceeds the 7"),
+        (["recover", "--n", "64", "--w", "0.45", "--m", "60"],
+         "the derived r = 12 exceeds the 7"),
+        (["scaling-bench", "--n-list", "1024,64", "--w", "0.45"],
+         "the derived r = 12 exceeds the 7 out-of-band bins of N = 64"),
+    ])
+    def test_oversize_values_exit_2(self, args, message, capsys, tmp_path,
+                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert re.search(message, err)
+        assert not (tmp_path / "unused.bin").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["sweep-sinusoid", "--n", "64", "--r", "31", "--grid", "16"],
+        ["bandlimited-snr", "--n", "64", "--r-max", "31", "--tones", "50"],
+        ["recover", "--n", "64", "--r", "31", "--m", "64"],
+        ["build", "--n", "64", "--r", "31"],
+        ["build", "--n", "64", "--method", "randomized", "--p", "31"],
+    ])
+    def test_widths_up_to_n_high_run(self, args, tmp_path):
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == 0
+        assert out.stat().st_size > 0

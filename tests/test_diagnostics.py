@@ -214,6 +214,32 @@ class TestSinusoidResidualKernel:
     def test_rejects_length_mismatch(self, caches):
         with pytest.raises(ValueError, match="does not match"):
             sinusoid_residual_sq(caches.roast(64, 0.25, 5), 65, np.zeros(3))
+        with pytest.raises(ValueError, match="does not match"):
+            sinusoid_residual_sq([caches.roast(64, 0.25, 5)], 65, np.zeros(3))
+
+    @pytest.mark.parametrize("n", [512, 513])
+    def test_sequence_equals_per_basis_calls(self, n):
+        # 255 or 256 out-of-band rows give blocks of about 4100 frequencies,
+        # so 9000 frequencies span three blocks
+        bases = [roast.build_roast_randomized(n, 0.25, 40, seed) for seed in (0, 1)]
+        bases += [build_roast(n, 0.25, 20), bases[0], build_roast(n, 0.25, 0)]
+        freqs = np.linspace(-0.5, 0.5, 9000)
+        got = sinusoid_residual_sq(bases, n, freqs)
+        assert got.shape == (len(bases), len(freqs))
+        for row, basis in zip(got, bases):
+            assert np.array_equal(row, sinusoid_residual_sq(basis, n, freqs))
+        assert np.array_equal(sinusoid_residual_sq(tuple(bases), n, freqs), got)
+
+    @pytest.mark.parametrize("bases", [
+        [],
+        [build_roast(64, 0.25, 5), build_roast(128, 0.25, 5)],
+        [build_roast(64, 0.25, 5), build_roast(64, 0.2, 5)],
+        [build_roast(64, 0.25, 5), build_subdft(64, 0.25, 5)],
+        [np.eye(64)[:, :40]],
+    ])
+    def test_other_sequences_refused(self, bases):
+        with pytest.raises(ValueError, match="share one"):
+            sinusoid_residual_sq(bases, 64, np.zeros(3))
 
 
 class TestSubspaceAngle:
@@ -277,6 +303,17 @@ class TestSpectrumReport:
         report = caches.spectrum(256, 0.25)
         for r in (5, 10, 20):
             assert report.tail_bound_entry(r).satisfied
+
+    @pytest.mark.parametrize("n,w", [(256, 0.25), (257, 0.25), (64, 0.1),
+                                     (129, 0.4)])
+    def test_matches_complex_svd_of_the_cross_operator(self, n, w):
+        # the report decomposes a real matrix U C with U unitary
+        sigma = np.linalg.svd(roast.cross_operator_dense(
+            build_prolate(n, w), roast.build_band_split(n, w)), compute_uv=False)
+        got = roast.singular_decay_report(n, w).singular_values
+        assert got.shape == sigma.shape
+        np.testing.assert_allclose(got, sigma, rtol=0,
+                                   atol=10 * np.finfo(float).eps * sigma[0])
 
     def test_bound_curve_matches_formula(self, caches):
         report = caches.spectrum(256, 0.25)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import roast.diagnostics
 import roast.verify
 from roast.diagnostics import integrated_residual
 from roast.verify import (
@@ -60,6 +61,19 @@ class TestSuites:
         assert len(calls) == 2
         assert {args[2] for args in calls} == {31}
         assert {e.params["p"] for e in ledger.entries} == {31}
+
+    def test_randomized_suite_forms_the_dirichlet_ratio_once(self, monkeypatch):
+        # both seeds' pointwise bases go through one kernel call
+        calls = []
+        ratio = roast.diagnostics._dirichlet_ratio
+
+        def counting_ratio(*args):
+            calls.append(args)
+            return ratio(*args)
+
+        monkeypatch.setattr(roast.diagnostics, "_dirichlet_ratio", counting_ratio)
+        randomized_suite(64, 0.25, 1e-2, num_seeds=2, grid_size=64)
+        assert len(calls) == 1
 
     def test_randomized_entries_record_kept_rank(self):
         ledger = randomized_suite(64, 0.25, 1e-2, num_seeds=2, grid_size=64)
