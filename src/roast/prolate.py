@@ -40,6 +40,9 @@ _MAX_DENSE_BYTES = 2 ** 31
 # Columns per prolate matvec when build_dpss takes its Rayleigh quotients.
 _RAYLEIGH_BLOCK = 256
 
+# Complex entries in one tone chunk's phasor tables in random_bandlimited.
+_PHASOR_BUDGET = 2 ** 20
+
 
 def log_width_constant(n: int) -> float:
     """Spectral transition-width constant (4/pi^2) * ln(8N) + 6."""
@@ -350,6 +353,19 @@ def sampled_sinusoid(n: int, f: float) -> SignalEnsemble:
 def random_bandlimited(n: int, w: float, num_tones: int, seed: int) -> SignalEnsemble:
     """Superpose ``num_tones`` unit-amplitude random-phase sinusoids with
     frequencies drawn uniformly from [-w, w].  Fully reproducible from seed.
+
+    x[m] = sum_j c_j exp(2 pi i f_j m) is evaluated through the two-level
+    factorization exp(2 pi i f (qB + r)) = exp(2 pi i f qB) exp(2 pi i f r),
+    with B the power of two nearest sqrt(N), r < B and q < ceil(N/B).  Each
+    tone then costs ceil(N/B) + B exponentials instead of N, and the weighted
+    sum over tones is one complex GEMM, (outer * c) @ inner^T, whose
+    ceil(N/B) x B result read row by row holds the N samples.  Tones go in
+    chunks of max(1, ``_PHASOR_BUDGET`` // (ceil(N/B) + B)), so one chunk's
+    two phasor tables hold at most 2**20 complex entries (16 MiB) whatever
+    the tone count.  The samples differ from the direct sum at round-off:
+    the largest error against an extended-precision reference stays within
+    4 sqrt(T) (2 pi W N + 8) eps for T tones, the direct formula's own phase
+    error being 2 pi W N eps per tone.
     """
     _validate_nw(n, w)
     if num_tones < 1:
@@ -357,12 +373,18 @@ def random_bandlimited(n: int, w: float, num_tones: int, seed: int) -> SignalEns
     rng = np.random.default_rng(seed)
     freqs = rng.uniform(-w, w, num_tones)
     coeffs = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, num_tones))
-    samples = np.zeros(n, dtype=complex)
-    m = np.arange(n)[:, None]
-    chunk = max(1, min(num_tones, 4 * 1024 * 1024 // max(n, 1)))
+    inner_len = 1 << round(math.log2(n) / 2)
+    outer_len = -(-n // inner_len)
+    inner_m = np.arange(inner_len, dtype=float)
+    outer_m = inner_len * np.arange(outer_len, dtype=float)
+    chunk = max(1, _PHASOR_BUDGET // (outer_len + inner_len))
+    samples = np.zeros((outer_len, inner_len), dtype=complex)
     for j0 in range(0, num_tones, chunk):
-        j1 = min(j0 + chunk, num_tones)
-        samples += np.exp(2j * np.pi * m * freqs[j0:j1][None, :]) @ coeffs[j0:j1]
-    return SignalEnsemble(n=int(n), kind="random_bandlimited", samples=samples,
+        omega = 2.0 * np.pi * freqs[j0:j0 + chunk]
+        outer = np.exp(1j * np.outer(outer_m, omega))
+        outer *= coeffs[j0:j0 + chunk]
+        samples += outer @ np.exp(1j * np.outer(omega, inner_m))
+    return SignalEnsemble(n=int(n), kind="random_bandlimited",
+                          samples=samples.reshape(-1)[:n],
                           params={"w": float(w), "num_tones": int(num_tones),
                                   "seed": int(seed)})

@@ -111,9 +111,15 @@ def build_recovery_problem(n: int, w: float, m: int, seed: int,
             raise ValueError("identity sensing requires m == n")
         phi = np.eye(n, dtype=complex)
     else:
+        # (g_re + 1j g_im) / sqrt(2m), bit for bit: complex division by a
+        # real scalar multiplies both parts by its reciprocal
         rng = np.random.default_rng(seed + 0x5EED)
-        phi = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
-        phi /= np.sqrt(2.0 * m)
+        scale = 1.0 / np.sqrt(2.0 * m)
+        phi = np.empty((m, n), dtype=complex)
+        draw = rng.standard_normal((m, n))
+        np.multiply(draw, scale, out=phi.real)
+        rng.standard_normal(out=draw)
+        np.multiply(draw, scale, out=phi.imag)
     return RecoveryProblem(n=int(n), m=int(m), w=float(w), phi=phi,
                            y=phi @ truth, truth=truth)
 
@@ -160,6 +166,9 @@ def recovery_experiment(n: int, w: float, m: int, basis_choice: str, seed: int,
     to floor(3 ln N).  Solves the normal equations Q^* Phi^* Phi Q a =
     Q^* Phi^* y by CG through the basis's ``analyze`` and ``synthesize`` and
     reconstructs xhat = Q a, which lies in the subspace by construction.
+    The adjoint is applied as Phi^* t = conj(Phi^T conj(t)): the transpose
+    is a view, so no conjugated M x N copy of Phi is formed, and each CG step
+    conjugates only two vectors.
     """
     if basis_choice not in BASES:
         raise ValueError(
@@ -171,12 +180,14 @@ def recovery_experiment(n: int, w: float, m: int, basis_choice: str, seed: int,
     basis = BASES[basis_choice](n, w, r, seed)
     dim = basis.dimension
     phi = problem.phi
-    phi_h = phi.conj().T  # conjugated once, not on every CG step
+
+    def adjoint(t):
+        return (phi.T @ t.conj()).conj()
 
     def normal_op(a):
-        return basis.analyze(phi_h @ (phi @ basis.synthesize(a)))
+        return basis.analyze(adjoint(phi @ basis.synthesize(a)))
 
-    rhs = basis.analyze(phi_h @ problem.y)
+    rhs = basis.analyze(adjoint(problem.y))
     result = cgd_solve(normal_op, rhs, tol=tol, max_iter=4 * dim)
     xhat = basis.synthesize(result.solution)
     rel_err = float(np.linalg.norm(xhat - problem.truth)

@@ -1,7 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import roast.prolate
 from roast import (
     build_band_split,
     build_dpss,
@@ -221,6 +225,38 @@ class TestSignals:
     def test_num_tones_validation(self):
         with pytest.raises(ValueError):
             random_bandlimited(64, 0.25, 0, seed=1)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 1000, 1024, 1025])
+    def test_bandlimited_matches_extended_precision_sum(self, n, monkeypatch):
+        # a small phasor budget puts a few dozen tones in a chunk, so tone
+        # counts below, at and above one chunk stay cheap to check against
+        # the direct sum in extended precision
+        budget = 4096
+        monkeypatch.setattr(roast.prolate, "_PHASOR_BUDGET", budget)
+        inner = 1 << round(math.log2(n) / 2)
+        chunk = max(1, budget // (inner + -(-n // inner)))
+        w, seed, eps = 0.25, 5, np.finfo(float).eps
+        two_pi = 2 * np.arccos(np.longdouble(-1))
+        m = np.arange(n, dtype=np.longdouble)[:, None]
+        for tones in (chunk - 1, chunk, chunk + 1, 3 * chunk + 2):
+            rng = np.random.default_rng(seed)
+            freqs = rng.uniform(-w, w, tones).astype(np.longdouble)
+            coeffs = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, tones))
+            direct = np.exp(1j * two_pi * m * freqs) @ coeffs.astype(np.clongdouble)
+            got = random_bandlimited(n, w, tones, seed).samples
+            assert got.shape == (n,)
+            err = float(np.max(np.abs(got - direct)))
+            assert err <= 4 * math.sqrt(tones) * (2 * math.pi * w * n + 8) * eps
+
+    def test_bandlimited_memory_bounded_by_chunk(self):
+        # 4096 tones at N = 16384 fill one chunk: two 128 x 4096 tables
+        tracemalloc.start()
+        try:
+            random_bandlimited(16384, 0.25, 4096, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20
 
 
 def _commuting_tridiagonal(n, w):

@@ -73,6 +73,14 @@ class TestRecoveryProblem:
         with pytest.raises(ValueError):
             build_recovery_problem(128, 0.25, 200, seed=0)
 
+    def test_sensing_matrix_from_two_gaussian_draws(self):
+        n, m, seed = 128, 96, 3
+        rng = np.random.default_rng(seed + 0x5EED)
+        g_re = rng.standard_normal((m, n))
+        g_im = rng.standard_normal((m, n))
+        phi = build_recovery_problem(n, 0.25, m, seed).phi
+        assert np.array_equal(phi, (g_re + 1j * g_im) / np.sqrt(2.0 * m))
+
     def test_identity_sensing_shape(self):
         problem = build_recovery_problem(64, 0.25, 64, seed=1,
                                          identity_sensing=True)
@@ -135,6 +143,22 @@ class TestRecoveryExperiment:
         assert report.converged
         assert report.params["dimension"] == q.shape[1] == 2 * 32 + 1 + r
         assert abs(report.relative_error - oracle) <= report.condition_estimate * 1e-8
+
+    @pytest.mark.parametrize("name", sorted(roast.BASES))
+    def test_within_cg_tolerance_of_dense_least_squares(self, name):
+        # the recover benchmark's correctness check at its default rank and
+        # tone count: CG stops within cond * tol of the least-squares solution
+        n, w, m, tol = 128, 0.25, 96, 1e-8
+        r = int(np.floor(3.0 * np.log(n)))
+        for seed in range(3):
+            report = recovery_experiment(n, w, m, name, seed, tol=tol)
+            q = roast.BASES[name](n, w, r, seed).dense_basis()
+            problem = build_recovery_problem(n, w, m, seed)
+            coeffs = np.linalg.lstsq(problem.phi @ q, problem.y, rcond=None)[0]
+            oracle = (np.linalg.norm(q @ coeffs - problem.truth)
+                      / np.linalg.norm(problem.truth))
+            assert report.converged
+            assert abs(report.relative_error - oracle) <= report.condition_estimate * tol
 
     def test_unknown_basis_rejected(self):
         with pytest.raises(ValueError):

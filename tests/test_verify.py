@@ -3,7 +3,7 @@ import pytest
 
 import roast.diagnostics
 import roast.verify
-from roast.diagnostics import integrated_residual
+from roast.diagnostics import integrated_residual, integrated_residual_quadrature
 from roast.verify import (
     DEFAULT_GRID,
     average_suite,
@@ -74,6 +74,20 @@ class TestSuites:
         monkeypatch.setattr(roast.diagnostics, "_dirichlet_ratio", counting_ratio)
         randomized_suite(64, 0.25, 1e-2, num_seeds=2, grid_size=64)
         assert len(calls) == 1
+
+    def test_randomized_average_is_the_mean_quadrature(self):
+        # the trace path floors its round-off at zero; the quadrature over
+        # the suite's own grid resolves the residual of every seed
+        n, w, eps, seeds, nodes = 64, 0.25, 1e-2, 2, 64
+        ledger = randomized_suite(n, w, eps, num_seeds=seeds, grid_size=nodes)
+        entry = entry_map(ledger)["randomized_average_residual_mean"]
+        op = roast.prolate.build_prolate(n, w)
+        p = entry.params["p"]
+        want = np.mean([integrated_residual_quadrature(
+            op, roast.verify.build_roast_randomized(n, w, p, seed), nodes=nodes) / n
+            for seed in range(seeds)])
+        assert entry.lhs_value > 0.0
+        assert entry.lhs_value == pytest.approx(want, rel=1e-12)
 
     def test_randomized_entries_record_kept_rank(self):
         ledger = randomized_suite(64, 0.25, 1e-2, num_seeds=2, grid_size=64)
