@@ -17,9 +17,11 @@ the dimension of the ``roast`` (svd_fb) row, and is written only up to
 N = 4096; the other rows are written at every N.
 
 Three commands list their bases by hand rather than through
-``roast.basis.BASES``: ``bandlimited-snr`` accumulates capture column by
-column from one ``build_roast(r_max)``, so each curve is exactly monotone in
-R (acceptance criterion 09 relies on that); ``sweep-sinusoid`` honours
+``roast.basis.BASES``: ``bandlimited-snr`` forms residual vectors, peeling
+the columns of one ``build_roast(r_max)`` off one at a time, and reports
+the running minimum over R of the nested families (ROAST, DPSS, Sub-DFT),
+so their curves are monotone in R (acceptance criterion 09 relies on
+that); ``sweep-sinusoid`` honours
 ``--method`` and falls back to the deterministic basis at R = 0, because a
 sketch needs P >= 1; ``scaling-bench`` times each builder separately.
 
@@ -198,9 +200,8 @@ def run_sweep_sinusoid(args: argparse.Namespace) -> int:
     return 0
 
 
-def _snr_from_capture(total: float, captured: np.ndarray) -> np.ndarray:
-    """SNR series from cumulative captured energy; exact capture saturates."""
-    resid = total - captured
+def _snr_from_residual(total: float, resid: np.ndarray) -> np.ndarray:
+    """SNR series from residual energies; exact capture saturates."""
     out = np.empty(len(resid))
     for i, val in enumerate(resid):
         if val < (1e-15) ** 2 * total:
@@ -210,52 +211,74 @@ def _snr_from_capture(total: float, captured: np.ndarray) -> np.ndarray:
     return out
 
 
+def _peeled_energies(resid: np.ndarray, cols: np.ndarray,
+                     coeffs: np.ndarray) -> np.ndarray:
+    """||resid - sum_{j<R} cols_j coeffs_j||^2 for R = 0 .. len(coeffs).
+
+    The columns are subtracted from the residual vector one at a time and
+    each energy is the norm of that vector, so it keeps its accuracy far
+    below the round-off of total minus captured energy.
+    """
+    resid = np.array(resid, dtype=complex)
+    out = np.empty(len(coeffs) + 1)
+    out[0] = np.vdot(resid, resid).real
+    for j, c in enumerate(coeffs):
+        resid -= cols[:, j] * c
+        out[j + 1] = np.vdot(resid, resid).real
+    return out
+
+
 def run_bandlimited_snr(args: argparse.Namespace) -> int:
     n, w, r_max = args.n, args.w, args.r_max
     split = build_band_split(n, w)
     x = random_bandlimited(n, w, args.tones, args.seed).samples
     total = float(np.vdot(x, x).real)
-    spectrum = np.fft.fft(x) / np.sqrt(n)
-    low_energy = float(np.sum(np.abs(spectrum[split.low_indices]) ** 2))
-    high = spectrum[split.high_indices]
+    # every basis but DPSS holds the in-band DFT columns, so its residual
+    # lives on the out-of-band bins alone
+    high = np.fft.fft(x)[split.high_indices] / np.sqrt(n)
     half = (split.n_low - 1) // 2
-    r_values = np.arange(r_max + 1)
 
-    # energies are accumulated column by column so each curve is exactly
-    # non-increasing in the residual
     v = build_roast(n, w, r_max, args.method).v
-    roast_gain = np.abs(v.conj().T @ high) ** 2
-    roast_captured = low_energy + np.concatenate([[0.0], np.cumsum(roast_gain)])
+    roast_resid = _peeled_energies(high, v, v.conj().T @ high)
 
     # widened-DFT columns arrive positive side first (R=1 -> +, R=2 -> -),
-    # matching the ceil/floor split of build_subdft
+    # matching the ceil/floor split of build_subdft; each one zeroes its
+    # bin, so the energy is a direct sum over the bins outside the set
     extra_signed = [half + (j + 1) // 2 if j % 2 == 1 else -(half + j // 2)
                     for j in range(1, r_max + 1)]
-    extra_idx = np.mod(np.array(extra_signed, dtype=int), n) if extra_signed else \
-        np.empty(0, dtype=int)
-    sub_gain = np.abs(spectrum[extra_idx]) ** 2
-    sub_captured = low_energy + np.concatenate([[0.0], np.cumsum(sub_gain)])
+    row_of = np.empty(n, dtype=int)
+    row_of[split.high_indices] = np.arange(split.n_high)
+    sub_resid = np.empty(r_max + 1)
+    sub_vec = high.copy()
+    sub_resid[0] = np.vdot(sub_vec, sub_vec).real
+    for j, k in enumerate(row_of[np.mod(np.array(extra_signed, dtype=int), n)]):
+        sub_vec[k] = 0.0
+        sub_resid[j + 1] = np.vdot(sub_vec, sub_vec).real
 
-    dpss = build_dpss(n, w, split.n_low + r_max)
-    dpss_coeff = np.abs(dpss.vectors.T @ x) ** 2
-    dpss_cum = np.cumsum(dpss_coeff)
-    dpss_captured = dpss_cum[split.n_low - 1 + r_values]
+    s = build_dpss(n, w, split.n_low + r_max).vectors
+    coeff = s.T @ x
+    low = split.n_low
+    dpss_resid = _peeled_energies(x - s[:, :low] @ coeff[:low], s[:, low:],
+                                  coeff[low:])
 
-    rand_captured = np.empty(r_max + 1)
-    rand_captured[0] = low_energy
+    rand_resid = np.empty(r_max + 1)
+    rand_resid[0] = roast_resid[0]
     for rr in range(1, r_max + 1):
         vr = build_roast_randomized(n, w, rr, args.seed).v
-        rand_captured[rr] = low_energy + float(np.sum(np.abs(vr.conj().T @ high) ** 2))
+        rand_vec = high - vr @ (vr.conj().T @ high)
+        rand_resid[rr] = np.vdot(rand_vec, rand_vec).real
 
+    # the nested families cannot lose energy as R grows; the running
+    # minimum keeps their curves monotone through round-off
     snr = {
-        "snr_subdft": _snr_from_capture(total, sub_captured),
-        "snr_dpss": _snr_from_capture(total, dpss_captured),
-        "snr_roast": _snr_from_capture(total, roast_captured),
-        "snr_roast_randomized": _snr_from_capture(total, rand_captured),
+        "snr_subdft": _snr_from_residual(total, np.minimum.accumulate(sub_resid)),
+        "snr_dpss": _snr_from_residual(total, np.minimum.accumulate(dpss_resid)),
+        "snr_roast": _snr_from_residual(total, np.minimum.accumulate(roast_resid)),
+        "snr_roast_randomized": _snr_from_residual(total, rand_resid),
     }
     columns = ["r", "snr_subdft", "snr_dpss", "snr_roast", "snr_roast_randomized"]
-    rows = [[int(rr)] + [_cap_snr(snr[c][rr]) for c in columns[1:]]
-            for rr in r_values]
+    rows = [[rr] + [_cap_snr(snr[c][rr]) for c in columns[1:]]
+            for rr in range(r_max + 1)]
     _emit(args, render_output(args, columns, rows))
     return 0
 

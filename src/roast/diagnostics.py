@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import RoastBasis, SubDftBasis, cross_operator_dense
+from .basis import RoastBasis, SubDftBasis, _cos_sin_rows, cross_operator_dense
 from .prolate import (
     ProlateOperator,
     _check_dense_bytes,
@@ -457,10 +457,10 @@ def singular_decay_report(n: int, w: float) -> SpectrumReport:
     B is real, so row -k of C = Fbar^* B is the conjugate of row k.  Mixing
     each such pair by a 2 x 2 unitary leaves sqrt(2) Re and sqrt(2) Im of
     row k, and the Nyquist row (N even) is real.  The real n_high x N
-    matrix of those rows is U C with U unitary, so it has C's singular
-    values; it is filled from C's positive-frequency rows, C is dropped, and
-    a real SVD runs in its place.  On a 2-core Xeon with one BLAS thread
-    that took the report at N=1024, W=0.1 from 368 to 192 ms.
+    matrix of those rows (``_cos_sin_rows``) is U C with U unitary, so it
+    has C's singular values; it is filled from C's positive-frequency rows,
+    C is dropped, and a real SVD runs in its place.  On a 2-core Xeon with
+    one BLAS thread that took the report at N=1024, W=0.1 from 368 to 192 ms.
 
     The SVD decomposes the factor, not its Gram matrix C C^* = Fbar^* B^2
     Fbar: the tail singular values fall many orders below the leading one,
@@ -474,12 +474,8 @@ def singular_decay_report(n: int, w: float) -> SpectrumReport:
     # the first n_high // 2 rows are the negative bins; the positive ones
     # follow in the same order, Nyquist last
     half = split.n_high // 2
-    pos = cross[half:]
-    real = np.empty((split.n_high, n))
-    np.multiply(pos[:half].real, math.sqrt(2.0), out=real[:half])
-    np.multiply(pos[:half].imag, math.sqrt(2.0), out=real[half:2 * half])
-    real[2 * half:] = pos[half:].real
-    del cross, pos
+    real = _cos_sin_rows(cross[half:], half)
+    del cross
     sigma = np.linalg.svd(real, compute_uv=False)
     c_n = log_width_constant(n)
     bound = 15.0 * np.exp(-np.arange(len(sigma)) / c_n)

@@ -201,6 +201,13 @@ def _half_eigenvectors(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndar
     return u[:, len(diag) - count:][:, ::-1]
 
 
+def _fix_signs(vecs: np.ndarray) -> None:
+    """Flip real columns in place so each one's first entry of magnitude
+    above 1e-12 is positive."""
+    first = vecs[(np.abs(vecs) > 1e-12).argmax(axis=0), np.arange(vecs.shape[1])]
+    vecs *= np.where(first < 0.0, -1.0, 1.0)
+
+
 def build_dpss(n: int, w: float, k: int) -> DpssBasis:
     """Compute the leading ``k`` DPSS vectors of bandwidth ``w``.
 
@@ -265,10 +272,7 @@ def build_dpss(n: int, w: float, k: int) -> DpssBasis:
         odd[h] = 0.0
         odd[h + 1:] = -u[::-1]
 
-    # sign convention: first entry with magnitude above 1e-12 is positive
-    significant = np.abs(vecs) > 1e-12
-    first = vecs[significant.argmax(axis=0), np.arange(k)]
-    vecs *= np.where(first < 0.0, -1.0, 1.0)
+    _fix_signs(vecs)
 
     op = build_prolate(n, w)
     lam = np.empty(k)

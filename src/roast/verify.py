@@ -13,6 +13,8 @@ import math
 import numpy as np
 
 from .basis import (
+    _cos_sin_rows,
+    _real_factor,
     build_roast,
     build_roast_randomized,
     rank_for_average,
@@ -26,6 +28,7 @@ from .basis import (
 )
 from .diagnostics import (
     BoundLedger,
+    _ensure_orthonormal,
     dpss_capture_report,
     eigenvalue_concentration_report,
     integrated_residual,
@@ -154,6 +157,34 @@ def pointwise_suite(n: int, w: float, eps: float, grid_size: int = 4096) -> Boun
     return ledger
 
 
+def _slepian_rows(s_k: np.ndarray, split) -> tuple[np.ndarray, np.ndarray]:
+    """(L, X): the real Slepian vectors ``s_k`` in cosine/sine coordinates,
+    their in-band rows (DC first) and their out-of-band rows, from one
+    ``rfft``.  [L; X] is U F_all^* s_k with U unitary, so it keeps every
+    inner product of the columns of s_k."""
+    h = (split.n_low - 1) // 2
+    spec = np.fft.rfft(s_k, axis=0, norm="ortho")
+    in_band = np.concatenate([spec[:1].real, _cos_sin_rows(spec[1:h + 1], h)])
+    return in_band, _cos_sin_rows(spec[h + 1:], split.n_high // 2)
+
+
+def _capture_errors(x: np.ndarray, q: np.ndarray) -> tuple[float, float]:
+    """Squared spectral norm and largest squared column norm of the capture
+    residual s_k - Q Q^* s_k, from its out-of-band rows ``x`` and the real
+    factor ``q``: the residual is Fbar U^* (X - q q^T X), and Fbar U^* has
+    orthonormal columns."""
+    resid = x - q @ (q.T @ x)
+    spectral_sq = np.linalg.svd(resid, compute_uv=False)[0] ** 2
+    return float(spectral_sq), float(np.max(np.einsum("ij,ij->j", resid, resid)))
+
+
+def _largest_angle_cos(in_band: np.ndarray, x: np.ndarray, q: np.ndarray) -> float:
+    """Smallest singular value of Q^* s_k, the ``subspace_angle`` cosine,
+    from the real rows [L; q^T X] of the same unitary image."""
+    cross = np.concatenate([in_band, q.T @ x])
+    return float(np.linalg.svd(cross, compute_uv=False)[-1])
+
+
 def randomized_suite(n: int, w: float, eps: float, num_seeds: int = 20,
                      grid_size: int = 4096, dpss=None) -> BoundLedger:
     """Expectation-level guarantees for the sketched construction.
@@ -164,16 +195,27 @@ def randomized_suite(n: int, w: float, eps: float, num_seeds: int = 20,
     the pointwise in-band residual.  Sketch widths are clamped to the
     out-of-band width when the sizing rule exceeds it; rules whose widths
     coincide share one build per seed.  Every diagnostic runs through the
-    basis object, never its dense columns.  The average-width and pointwise
-    bases of all seeds are kept and go through one ``sinusoid_residual_sq``
-    call on the ``grid_size``-point in-band grid after the seed loop, so the
-    Dirichlet ratio over the grid is formed once, not once per seed.  Each
-    seed's band-averaged residual is the trapezoid of its residual curve
-    over that grid, divided by N: the quadrature path, which resolves
-    residuals that the trace path loses to the round-off of trace(B).
-    Pivoted QR may keep fewer than P columns, so each entry records
-    the kept R over the seeds as ``r_min`` and ``r_max``.  ``dpss`` may pass
-    in the full Slepian solve at (n, w).
+    basis object, never its dense columns.
+
+    The capture and angle values run in real cosine/sine coordinates.  One
+    ``rfft`` of the K real Slepian vectors gives their in-band rows L and
+    out-of-band rows X (``_slepian_rows``), and each basis gives its real
+    factor q (``roast.basis._real_factor``), which every builder makes
+    exactly.  The capture error and the per-vector residuals come from a
+    real SVD of X - q q^T X, the largest-angle cosine from a real SVD of
+    [L; q^T X]: the same singular values as s_k - Q Q^* s_k and Q^* s_k,
+    since the coordinate map is unitary.  s_k is checked orthonormal once,
+    and each real factor, like V in ``subspace_angle``, to 1e-8.
+
+    The average-width and pointwise bases of all seeds are kept and go
+    through one ``sinusoid_residual_sq`` call on the ``grid_size``-point
+    in-band grid after the seed loop, so the Dirichlet ratio over the grid
+    is formed once, not once per seed.  Each seed's band-averaged residual
+    is the trapezoid of its residual curve over that grid, divided by N:
+    the quadrature path, which resolves residuals that the trace path loses
+    to the round-off of trace(B).  Pivoted QR may keep fewer than P
+    columns, so each entry records the kept R over the seeds as ``r_min``
+    and ``r_max``.  ``dpss`` may pass in the full Slepian solve at (n, w).
     """
     ledger = BoundLedger()
     split = build_band_split(n, w)
@@ -181,6 +223,8 @@ def randomized_suite(n: int, w: float, eps: float, num_seeds: int = 20,
         dpss = build_dpss(n, w, n)
     k = int(np.sum(dpss.eigenvalues >= eps))
     s_k = dpss.vectors[:, :k]
+    _ensure_orthonormal(s_k, what="Slepian vectors")
+    in_band, x = _slepian_rows(s_k, split)
     p_cap = min(sketch_for_capture(n, eps), split.n_high)
     p_angle = min(sketch_for_capture_angle(n, eps), split.n_high)
     p_avg = min(sketch_for_average(n, eps), split.n_high)
@@ -194,13 +238,15 @@ def randomized_suite(n: int, w: float, eps: float, num_seeds: int = 20,
         for p in widths:
             basis = build_roast_randomized(n, w, p, seed)
             kept[p].append(basis.r)
+            if p in (p_cap, p_angle):
+                q = _real_factor(basis)
+                _ensure_orthonormal(q, what="sketch factor")
             if p == p_cap:
-                resid = s_k - basis.project(s_k)
-                spectral_sq.append(np.linalg.svd(resid, compute_uv=False)[0] ** 2)
-                per_vec.append(float(np.max(np.einsum("ij,ij->j", resid.conj(),
-                                                      resid).real)))
+                spectral, worst = _capture_errors(x, q)
+                spectral_sq.append(spectral)
+                per_vec.append(worst)
             if p == p_angle:
-                cosines.append(subspace_angle(s_k, basis).largest_angle_cos)
+                cosines.append(_largest_angle_cos(in_band, x, q))
             if p == p_avg:
                 avg_bases.append(basis)
             if p == p_point:

@@ -96,19 +96,36 @@ class TestBuildRoast:
         # eigh of the dense compressed operator.  The svd_fbf eigenvalues
         # near index r sit at 1e-13, where the spans agree only to about
         # 1e-8 in cosine, so it is compared on the band-averaged residual.
+        # B is real, so both oracles run on real matrices: the rows of
+        # Fbar^* B in cosine/sine coordinates (sqrt(2) Re and sqrt(2) Im of
+        # each positive bin, then the Nyquist row), a unitary image with
+        # the same spectra, mapped here independently of the builder.
         op = caches.op(n, 0.25)
         split = build_band_split(n, 0.25)
-        cross = caches.cross(n, 0.25)
+        half = split.n_high // 2
         fb = build_roast(n, 0.25, r, "svd_fb")
         fbf = build_roast(n, 0.25, r, "svd_fbf")
 
+        def real_rows(rows):
+            pos = rows[half:]
+            return np.concatenate([np.sqrt(2.0) * pos[:half].real,
+                                   np.sqrt(2.0) * pos[:half].imag,
+                                   pos[half:].real])
+
+        def dft_rows(real):
+            pos = (real[:half] + 1j * real[half:2 * half]) / np.sqrt(2.0)
+            return np.concatenate([pos[::-1].conj(), pos, real[2 * half:]])
+
+        cross = real_rows(caches.cross(n, 0.25))
         u = np.linalg.svd(cross, full_matrices=False)[0][:, :r]
-        cosines = np.linalg.svd(u.conj().T @ fb.v, compute_uv=False)
+        cosines = np.linalg.svd(dft_rows(u).conj().T @ fb.v, compute_uv=False)
         assert cosines.min() >= 1 - 1e-12
 
-        compressed = cross @ dft_columns(n, split.high_indices)
-        vecs = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)[1]
-        oracle = RoastBasis(split=split, r=r, v=vecs[:, ::-1][:, :r],
+        # the real out-of-band basis E has E^T = real_rows(Fbar^*), so the
+        # compressed operator in those coordinates is real_rows(C) E
+        compressed = cross @ real_rows(dft_columns(n, split.high_indices).conj().T).T
+        vecs = np.linalg.eigh((compressed + compressed.T) / 2.0)[1]
+        oracle = RoastBasis(split=split, r=r, v=dft_rows(vecs[:, ::-1][:, :r]),
                             method="svd_fbf")
 
         def snr_db(b):
@@ -161,6 +178,35 @@ class TestBuildRoast:
             basis = build_roast(n, 0.25, r, method)
             assert basis.v.shape == (basis.split.n_high, r)
             assert np.max(np.abs(basis.v.conj().T @ basis.v - np.eye(r))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1024, 1025])
+    @pytest.mark.parametrize("method", ["svd_fb", "svd_fbf", "randomized"])
+    def test_v_is_closed_under_conjugation(self, n, method):
+        # V[-k] == conj V[k] bit for bit, the Nyquist row real, so the span
+        # is that of a real factor and Q Q^* is real up to the round-off of
+        # the dense DFT columns
+        if method == "randomized":
+            basis = build_roast_randomized(n, 0.25, 25, seed=3)
+        else:
+            basis = build_roast(n, 0.25, 20, method)
+        half = basis.split.n_high // 2
+        pos = basis.v[half:]
+        assert np.array_equal(basis.v[:half], pos[:half][::-1].conj())
+        assert not np.any(pos[half:].imag)
+        real = roast.basis._real_factor(basis)
+        assert real.dtype == np.float64
+        assert np.max(np.abs(real.T @ real - np.eye(basis.r))) <= 1e-12
+        if n == 1024:
+            q = basis.dense_basis()
+            assert np.max(np.abs((q @ q.conj().T).imag)) <= 1e-12
+
+    def test_real_factor_refuses_a_general_complex_v(self, rng):
+        split = build_band_split(512, 0.25)
+        v = np.linalg.qr(rng.standard_normal((split.n_high, 30))
+                         + 1j * rng.standard_normal((split.n_high, 30)))[0]
+        basis = RoastBasis(split=split, r=30, v=v, method="randomized")
+        with pytest.raises(ValueError, match="conjugation"):
+            roast.basis._real_factor(basis)
 
     @pytest.mark.parametrize("method", ["svd_fb", "svd_fbf"])
     def test_same_bytes_from_two_builds(self, method):

@@ -143,6 +143,35 @@ class TestBandlimitedSnr:
         assert sub[0] == ro[0]  # R=0 collapses to the same band projector
         assert np.all(np.diff(ro) >= 0)
 
+    def test_columns_are_residual_snrs(self, tmp_path):
+        # every column is the SNR of the residual vector under its basis, so
+        # past the 157-dB floor of total minus captured energy the curves
+        # keep rising; ROAST at R holds the first R columns of the r_max build
+        n, w, r_max, seed = 512, 0.25, 30, 1234
+        out = tmp_path / "bl.csv"
+        assert main(["bandlimited-snr", "--n", str(n), "--r-max", str(r_max),
+                     "--seed", str(seed), "--out", str(out)]) == 0
+        meta, columns, rows = read_csv(out)
+        x = roast.random_bandlimited(n, w, int(meta["tones"]), seed).samples
+        split = roast.build_band_split(n, w)
+        full = roast.build_roast(n, w, r_max)
+        for r in (0, 10, 19, 30):
+            bases = {
+                "snr_subdft": roast.build_subdft(n, w, r),
+                "snr_dpss": roast.build_dpss(n, w, split.n_low + r),
+                "snr_roast": roast.RoastBasis(split=split, r=r, v=full.v[:, :r],
+                                              method="svd_fb"),
+            }
+            if r:
+                bases["snr_roast_randomized"] = roast.build_roast_randomized(
+                    n, w, r, seed)
+            for name, basis in bases.items():
+                got = column(rows, columns, name)[r]
+                assert got == pytest.approx(roast.residual_snr(basis, x), abs=1e-3)
+        roast_curve = column(rows, columns, "snr_roast")
+        assert roast_curve[30] - roast_curve[19] > 30.0
+        assert max(roast_curve) < SNR_CSV_CAP
+
     def test_determinism(self, tmp_path):
         args = ["bandlimited-snr", "--n", "128", "--tones", "200",
                 "--r-max", "6", "--seed", "11"]

@@ -106,6 +106,32 @@ class TestSuites:
                                dpss=dpss)
         assert [e.to_dict() for e in got.entries] == [e.to_dict() for e in want.entries]
 
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_real_coordinates_match_the_dense_oracle(self, n, caches):
+        # the suite's capture and angle values from the real cosine/sine
+        # rows against the SVD of s_k - Q Q^* s_k and subspace_angle; a
+        # four-column sketch leaves residuals far above round-off
+        w, eps = 0.25, 1e-2
+        dpss = caches.dpss(n, w)
+        s_k = dpss.vectors[:, :int(np.sum(dpss.eigenvalues >= eps))]
+        split = roast.prolate.build_band_split(n, w)
+        in_band, x = roast.verify._slepian_rows(s_k, split)
+        for seed in range(3):
+            basis = roast.verify.build_roast_randomized(n, w, 4, seed)
+            q = roast.basis._real_factor(basis)
+            spectral_sq, per_vector = roast.verify._capture_errors(x, q)
+            cos_theta = roast.verify._largest_angle_cos(in_band, x, q)
+
+            dense = basis.dense_basis()
+            resid = s_k - dense @ (dense.conj().T @ s_k)
+            want_sq = np.linalg.svd(resid, compute_uv=False)[0] ** 2
+            want_per = np.max(np.einsum("ij,ij->j", resid.conj(), resid).real)
+            want_cos = roast.diagnostics.subspace_angle(s_k, basis).largest_angle_cos
+            assert want_per > 1e-6
+            assert spectral_sq == pytest.approx(want_sq, rel=1e-12, abs=0)
+            assert per_vector == pytest.approx(want_per, rel=1e-12, abs=0)
+            assert cos_theta == pytest.approx(want_cos, rel=1e-12, abs=0)
+
     def test_suites_run_without_dense_columns(self, forbid_dense_columns):
         # the randomized and pointwise suites work through the basis
         # objects, so forbidding the dense DFT columns changes nothing
