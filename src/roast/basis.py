@@ -143,8 +143,7 @@ def _real_factor(basis: "RoastBasis") -> np.ndarray:
     Raises ``ValueError`` unless V[-k] = conj V[k] holds bit for bit, which
     every builder guarantees and a general complex V breaks.
     """
-    v = basis.v
-    half = v.shape[0] // 2
+    v, half = basis.v, basis.split.n_neg
     pos = v[half:]
     if not (np.array_equal(v[:half], pos[:half][::-1].conj())
             and not np.any(pos[half:].imag)):
@@ -229,8 +228,7 @@ def _out_of_band_eigenvectors(op: ProlateOperator, split: DftBandSplit,
     Returns them in those real coordinates, largest eigenvalue first, each
     column signed as the DPSS vectors are.
     """
-    n, n_high = op.n, split.n_high
-    h, n_neg = _band_layout(split)
+    n, n_high, h, n_neg = op.n, split.n_high, split.h, split.n_neg
     shift = 1.0 if power == 1 else math.sqrt(np.finfo(float).eps)
 
     def matvec(a):
@@ -321,7 +319,7 @@ def build_roast_randomized(n: int, w: float, p: int, seed: int) -> RoastBasis:
     op = build_prolate(n, w)
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((n, p))
-    h, n_neg = _band_layout(split)
+    h, n_neg = split.h, split.n_neg
     pos = np.fft.rfft(prolate_apply(op, omega), axis=0, norm="ortho")[h + 1:]
     q, rmat, _ = sla.qr(_cos_sin_rows(pos, n_neg), mode="economic",
                         pivoting=True)
@@ -333,30 +331,17 @@ def build_roast_randomized(n: int, w: float, p: int, seed: int) -> RoastBasis:
                       method="randomized", seed=int(seed))
 
 
-def _band_layout(split: DftBandSplit) -> tuple[int, int]:
-    """(h, n_neg): the in-band half-width and the count of negative
-    out-of-band bins.
-
-    In signed order the in-band bins are spectrum[N-h:] then spectrum[:h+1],
-    and the rows of V are the negative out-of-band bins spectrum[N//2+1:N-h]
-    (the first n_neg rows) then the positive ones spectrum[h+1:N//2+1], so
-    every part of the band split is a slice of the spectrum.
-    """
-    h = (split.n_low - 1) // 2
-    return h, (split.n - 1) // 2 - h
-
-
 def apply_analysis(basis: RoastBasis, x: np.ndarray) -> np.ndarray:
     """Coefficients Q^* x in O(N log N + N R); accepts a vector or columns.
 
-    One orthonormal FFT, then slices of the spectrum (see ``_band_layout``):
+    One orthonormal FFT, then slices of the spectrum (see ``DftBandSplit``):
     the in-band coefficients are two slices, and V^H s is formed as
     conj(V_neg^T conj(s_neg) + V_pos^T conj(s_pos)), which conjugates the
     n_high x cols signal slices instead of copying the n_high x R matrix V.
     """
     n = basis.n
     x = _leading(x, n, "samples")
-    h, n_neg = _band_layout(basis.split)
+    h, n_neg = basis.split.h, basis.split.n_neg
     spectrum = np.fft.fft(x, axis=0, norm="ortho")
     v = basis.v
     high = (v[:n_neg].T @ spectrum[n // 2 + 1:n - h].conj()
@@ -367,7 +352,7 @@ def apply_analysis(basis: RoastBasis, x: np.ndarray) -> np.ndarray:
 def apply_synthesis(basis: RoastBasis, coeffs: np.ndarray) -> np.ndarray:
     """Reconstruct Q @ coeffs; exact inverse of analysis on coefficient space.
 
-    The spectrum is filled slice by slice (see ``_band_layout``): the in-band
+    The spectrum is filled slice by slice (see ``DftBandSplit``): the in-band
     coefficients by two assignments, the out-of-band bins by one product with
     each half of V written in place.  The inverse FFT is scaled by sqrt(N)
     afterwards, not taken with ``norm="ortho"``: the two round differently,
@@ -376,7 +361,7 @@ def apply_synthesis(basis: RoastBasis, coeffs: np.ndarray) -> np.ndarray:
     """
     n, n_low = basis.n, basis.split.n_low
     coeffs = _leading(coeffs, n_low + basis.r, "coefficients")
-    h, n_neg = _band_layout(basis.split)
+    h, n_neg = basis.split.h, basis.split.n_neg
     spectrum = np.empty((n,) + coeffs.shape[1:], dtype=complex)
     spectrum[n - h:] = coeffs[:h]
     spectrum[:h + 1] = coeffs[h:n_low]
@@ -424,13 +409,12 @@ class SubDftBasis:
 def build_subdft(n: int, w: float, r: int) -> SubDftBasis:
     """Baseline projector onto the 2*floor(NW)+1+R lowest-frequency columns."""
     split = build_band_split(n, w)
-    half = (split.n_low - 1) // 2
     if split.n_low + r > n:
         raise ValueError(
             f"band overflow: {split.n_low}+{r} columns exceed n={n}")
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
-    signed = np.arange(-(half + r // 2), half + (r + 1) // 2 + 1)
+    signed = np.arange(-(split.h + r // 2), split.h + (r + 1) // 2 + 1)
     return SubDftBasis(n=int(n), w=float(w), r=int(r),
                        indices=np.mod(signed, n))
 

@@ -57,7 +57,8 @@ from .basis import (
     fst_rank_bound,
     serialize_basis,
 )
-from .diagnostics import SNR_CSV_CAP, residual_snr, sinusoid_residual_sq
+from .diagnostics import (SNR_CSV_CAP, residual_snr, sinusoid_residual_sq,
+                          snr_from_energies)
 from .prolate import build_band_split, build_dpss, log_width_constant, random_bandlimited
 from .recovery import recovery_experiment
 from .verify import capture_suite, core_grid_checks, full_verification
@@ -156,8 +157,11 @@ def run_build(args: argparse.Namespace) -> int:
 
 def run_verify(args: argparse.Namespace) -> int:
     if args.single_point:
-        ledger = core_grid_checks(args.n, args.w)
-        ledger.extend(capture_suite(args.n, args.w, args.eps, r=args.r))
+        # one full Slepian solve serves both suites
+        dpss = build_dpss(args.n, args.w, args.n)
+        ledger = core_grid_checks(args.n, args.w, dpss=dpss)
+        ledger.extend(capture_suite(args.n, args.w, args.eps, r=args.r,
+                                    dpss=dpss))
     else:
         ledger = full_verification(num_seeds=args.num_seeds,
                                    capture_r=args.r)
@@ -183,32 +187,16 @@ def run_sweep_sinusoid(args: argparse.Namespace) -> int:
     dpss = build_dpss(n, w, dim)
 
     grid = np.linspace(-0.5, 0.5, args.grid_points)
-    snr_cols = []
     # the two ROAST bases share one split, so one call forms their kernel
-    for resid_sq in (sinusoid_residual_sq(subdft, n, grid),
-                     sinusoid_residual_sq(dpss, n, grid),
-                     *sinusoid_residual_sq([roast, roast_r], n, grid)):
-        with np.errstate(divide="ignore"):
-            snr = 10.0 * np.log10(n / resid_sq)
-        snr[resid_sq < (1e-15) ** 2 * n] = np.inf
-        snr_cols.append(snr)
+    snr_cols = [snr_from_energies(n, resid_sq) for resid_sq in (
+        sinusoid_residual_sq(subdft, n, grid), sinusoid_residual_sq(dpss, n, grid),
+        *sinusoid_residual_sq([roast, roast_r], n, grid))]
     rows = [[float(f)] + [_cap_snr(c[j]) for c in snr_cols]
             for j, f in enumerate(grid)]
 
     columns = ["f", "snr_subdft", "snr_dpss", "snr_roast", "snr_roast_randomized"]
     _emit(args, render_output(args, columns, rows, dimension=dim, r_used=r))
     return 0
-
-
-def _snr_from_residual(total: float, resid: np.ndarray) -> np.ndarray:
-    """SNR series from residual energies; exact capture saturates."""
-    out = np.empty(len(resid))
-    for i, val in enumerate(resid):
-        if val < (1e-15) ** 2 * total:
-            out[i] = np.inf
-        else:
-            out[i] = 10.0 * np.log10(total / val)
-    return out
 
 
 def _peeled_energies(resid: np.ndarray, cols: np.ndarray,
@@ -236,24 +224,20 @@ def run_bandlimited_snr(args: argparse.Namespace) -> int:
     # every basis but DPSS holds the in-band DFT columns, so its residual
     # lives on the out-of-band bins alone
     high = np.fft.fft(x)[split.high_indices] / np.sqrt(n)
-    half = (split.n_low - 1) // 2
 
     v = build_roast(n, w, r_max, args.method).v
     roast_resid = _peeled_energies(high, v, v.conj().T @ high)
 
-    # widened-DFT columns arrive positive side first (R=1 -> +, R=2 -> -),
-    # matching the ceil/floor split of build_subdft; each one zeroes its
-    # bin, so the energy is a direct sum over the bins outside the set
-    extra_signed = [half + (j + 1) // 2 if j % 2 == 1 else -(half + j // 2)
-                    for j in range(1, r_max + 1)]
-    row_of = np.empty(n, dtype=int)
+    # each widened-DFT basis zeroes the bins it holds, so its energy is a
+    # direct sum over the out-of-band bins outside build_subdft's set
+    row_of = np.full(n, -1)
     row_of[split.high_indices] = np.arange(split.n_high)
     sub_resid = np.empty(r_max + 1)
     sub_vec = high.copy()
-    sub_resid[0] = np.vdot(sub_vec, sub_vec).real
-    for j, k in enumerate(row_of[np.mod(np.array(extra_signed, dtype=int), n)]):
-        sub_vec[k] = 0.0
-        sub_resid[j + 1] = np.vdot(sub_vec, sub_vec).real
+    for rr in range(r_max + 1):
+        rows = row_of[build_subdft(n, w, rr).indices]
+        sub_vec[rows[rows >= 0]] = 0.0
+        sub_resid[rr] = np.vdot(sub_vec, sub_vec).real
 
     s = build_dpss(n, w, split.n_low + r_max).vectors
     coeff = s.T @ x
@@ -271,10 +255,10 @@ def run_bandlimited_snr(args: argparse.Namespace) -> int:
     # the nested families cannot lose energy as R grows; the running
     # minimum keeps their curves monotone through round-off
     snr = {
-        "snr_subdft": _snr_from_residual(total, np.minimum.accumulate(sub_resid)),
-        "snr_dpss": _snr_from_residual(total, np.minimum.accumulate(dpss_resid)),
-        "snr_roast": _snr_from_residual(total, np.minimum.accumulate(roast_resid)),
-        "snr_roast_randomized": _snr_from_residual(total, rand_resid),
+        "snr_subdft": snr_from_energies(total, np.minimum.accumulate(sub_resid)),
+        "snr_dpss": snr_from_energies(total, np.minimum.accumulate(dpss_resid)),
+        "snr_roast": snr_from_energies(total, np.minimum.accumulate(roast_resid)),
+        "snr_roast_randomized": snr_from_energies(total, rand_resid),
     }
     columns = ["r", "snr_subdft", "snr_dpss", "snr_roast", "snr_roast_randomized"]
     rows = [[rr] + [_cap_snr(snr[c][rr]) for c in columns[1:]]

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import RoastBasis, SubDftBasis, _cos_sin_rows, cross_operator_dense
+from .basis import (RoastBasis, SubDftBasis, _cos_sin_rows, _real_factor,
+                    cross_operator_dense)
 from .prolate import (
     ProlateOperator,
     _check_dense_bytes,
@@ -33,6 +34,7 @@ __all__ = [
     "LedgerEntry",
     "BoundLedger",
     "residual_snr",
+    "snr_from_energies",
     "SNR_CSV_CAP",
     "integrated_residual",
     "integrated_residual_quadrature",
@@ -191,6 +193,16 @@ def residual_snr(projector, x: np.ndarray) -> float:
     if resid < _SNR_EXACT * xnorm:
         return math.inf
     return float(20.0 * np.log10(xnorm / resid))
+
+
+def snr_from_energies(signal: float, residual) -> np.ndarray:
+    """``residual_snr``, elementwise, from the squared norms of the signal
+    and of each residual: 10 log10(signal / residual) dB, or +inf."""
+    residual = np.asarray(residual, dtype=float)
+    with np.errstate(divide="ignore"):
+        snr = 10.0 * np.log10(signal / residual)
+    snr[residual < _SNR_EXACT ** 2 * signal] = np.inf
+    return snr
 
 
 def _dense_columns(q_like) -> np.ndarray:
@@ -468,13 +480,9 @@ def singular_decay_report(n: int, w: float) -> SpectrumReport:
     so sqrt(eigvalsh(G)) would return round-off for every value below about
     1e-8 of the largest.
     """
-    op = build_prolate(n, w)
     split = build_band_split(n, w)
-    cross = cross_operator_dense(op, split)
-    # the first n_high // 2 rows are the negative bins; the positive ones
-    # follow in the same order, Nyquist last
-    half = split.n_high // 2
-    real = _cos_sin_rows(cross[half:], half)
+    cross = cross_operator_dense(build_prolate(n, w), split)
+    real = _cos_sin_rows(cross[split.n_neg:], split.n_neg)
     del cross
     sigma = np.linalg.svd(real, compute_uv=False)
     c_n = log_width_constant(n)
@@ -533,15 +541,48 @@ def sinusoid_derivative_check(op: ProlateOperator, q_like, grid_size: int = 4096
     return ledger
 
 
-def _deflate(cross: np.ndarray, basis) -> np.ndarray:
-    """(I - V V^*) Fbar^* B: the cross operator without the V directions."""
-    return cross - basis.v @ (basis.v.conj().T @ cross)
+def _checked_factor(basis, what: str = "basis") -> np.ndarray:
+    """The real factor q of a ``RoastBasis`` (``roast.basis._real_factor``),
+    checked orthonormal to 1e-8 as ``subspace_angle`` checks V."""
+    q = _real_factor(basis)
+    _ensure_orthonormal(q, what=what)
+    return q
+
+
+def _slepian_rows(s_k: np.ndarray, split) -> tuple[np.ndarray, np.ndarray]:
+    """(L, X): the real Slepian vectors ``s_k`` in cosine/sine coordinates,
+    their in-band rows (DC first) and their out-of-band rows, from one
+    ``rfft``.  [L; X] is U F_all^* s_k with U unitary, so it keeps every
+    inner product of the columns of s_k."""
+    h, spec = split.h, np.fft.rfft(s_k, axis=0, norm="ortho")
+    in_band = np.concatenate([spec[:1].real, _cos_sin_rows(spec[1:h + 1], h)])
+    return in_band, _cos_sin_rows(spec[h + 1:], split.n_neg)
+
+
+def _capture_errors(x: np.ndarray, q: np.ndarray) -> tuple[float, float]:
+    """Squared spectral norm and largest squared column norm of the capture
+    residual s_k - Q Q^* s_k, from its out-of-band rows ``x`` and the real
+    factor ``q``: the residual is Fbar U^* (X - q q^T X), and Fbar U^* has
+    orthonormal columns."""
+    resid = x - q @ (q.T @ x)
+    spectral_sq = np.linalg.svd(resid, compute_uv=False)[0] ** 2
+    return float(spectral_sq), float(np.max(np.einsum("ij,ij->j", resid, resid)))
+
+
+def _largest_angle_cos(in_band: np.ndarray, x: np.ndarray, q: np.ndarray) -> float:
+    """Smallest singular value of Q^* s_k, the ``subspace_angle`` cosine,
+    from the real rows [L; q^T X] of the same unitary image."""
+    cross = np.concatenate([in_band, q.T @ x])
+    return float(np.linalg.svd(cross, compute_uv=False)[-1])
 
 
 def deflated_spectrum(op: ProlateOperator, basis) -> np.ndarray:
-    """Singular values of the cross operator after removing the V directions."""
-    cross = cross_operator_dense(op, basis.split)
-    return np.linalg.svd(_deflate(cross, basis), compute_uv=False)
+    """Singular values of the cross operator after removing the V directions,
+    from its real rows minus q (q^T rows), q the real factor of V."""
+    split, q = basis.split, _checked_factor(basis)
+    cross = cross_operator_dense(op, split)
+    real = _cos_sin_rows(cross[split.n_neg:], split.n_neg)
+    return np.linalg.svd(real - q @ (q.T @ real), compute_uv=False)
 
 
 def dpss_capture_report(n: int, w: float, eps: float, basis,
@@ -553,32 +594,41 @@ def dpss_capture_report(n: int, w: float, eps: float, basis,
     squared spectral capture error of the K-dimensional Slepian projector,
     the per-vector squared residuals, and the subspace-angle cosine (via
     sqrt(1 - N eta)).
+
+    All three run in real cosine/sine coordinates, whose maps are unitary:
+    eta from the real rows of the cross operator minus q (q^T rows), q the
+    real factor of V, and the rest from the real rows of s_k
+    (``_slepian_rows``).  s_k and q are checked orthonormal to 1e-8; a V
+    not closed under conjugation has no real factor and raises
+    ``ValueError``.  ``cross`` may pass in Fbar^* B at (n, w).
+
+    For the svd_fb basis at the verify detail point eta reads the Lanczos
+    stopping floor of ``build_roast``, while both capture errors sit near
+    1e-20, so those two entries cannot show a change in the solver.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps!r}")
-    op = build_prolate(n, w)
     if dpss is None:
         dpss = build_dpss(n, w, n)
     k = int(np.sum(dpss.eigenvalues >= eps))
     if k == 0:
         raise ValueError(f"no eigenvalues reach eps={eps}; nothing to capture")
     s_k = dpss.vectors[:, :k]
-
+    _ensure_orthonormal(s_k, what="Slepian vectors")
+    q = _checked_factor(basis)
     if cross is None:
-        cross = cross_operator_dense(op, basis.split)
-    eta = np.linalg.norm(_deflate(cross, basis), 2) / eps
-
-    resid_cols = s_k - basis.project(s_k)
+        cross = cross_operator_dense(build_prolate(n, w), basis.split)
+    real = _cos_sin_rows(cross[basis.split.n_neg:], basis.split.n_neg)
+    eta = np.linalg.norm(real - q @ (q.T @ real), 2) / eps
+    in_band, x = _slepian_rows(s_k, basis.split)
+    capture_sq, per_vector = _capture_errors(x, q)
 
     ledger = BoundLedger()
     params = {"n": n, "w": w, "eps": eps, "k": k, "r": basis.r,
               "method": basis.method, "eta": eta}
-    capture_sq = np.linalg.norm(resid_cols, 2) ** 2
     ledger.add("dpss_capture_spectral_sq", capture_sq, eta, **params)
-    per_vector = float(np.max(np.einsum("ij,ij->j", resid_cols.conj(),
-                                        resid_cols).real))
     ledger.add("dpss_capture_per_vector", per_vector, eta, **params)
-    cos_theta = subspace_angle(s_k, basis).largest_angle_cos
+    cos_theta = _largest_angle_cos(in_band, x, q)
     angle_floor = math.sqrt(max(1.0 - n * eta, 0.0))
     # angle inequality runs the other way: cos >= floor
     ledger.add("dpss_capture_angle", angle_floor, cos_theta, **params)

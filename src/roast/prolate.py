@@ -295,7 +295,12 @@ class DftBandSplit:
     ``low_indices`` holds the wrapped indices of frequencies -floor(NW)/N ..
     +floor(NW)/N in ascending signed order; ``high_indices`` holds the rest,
     also ascending by signed frequency (index k maps to k/N for k <= N/2 and
-    (k-N)/N otherwise).
+    (k-N)/N otherwise).  With the in-band half-width ``h`` = floor(NW) and
+    the count ``n_neg`` of negative out-of-band bins, every part of the
+    split is a slice of the spectrum: the in-band bins are spectrum[N-h:]
+    then spectrum[:h+1], and the out-of-band ones are the negative bins
+    spectrum[N//2+1:N-h] (the first n_neg) then the positive ones
+    spectrum[h+1:N//2+1], Nyquist last.
     """
 
     n: int
@@ -310,6 +315,14 @@ class DftBandSplit:
     @property
     def n_high(self) -> int:
         return len(self.high_indices)
+
+    @property
+    def h(self) -> int:
+        return (self.n_low - 1) // 2
+
+    @property
+    def n_neg(self) -> int:
+        return self.n_high // 2
 
     def signed_frequencies(self, indices: np.ndarray) -> np.ndarray:
         """Signed integer frequencies for wrapped DFT indices."""

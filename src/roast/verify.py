@@ -13,8 +13,6 @@ import math
 import numpy as np
 
 from .basis import (
-    _cos_sin_rows,
-    _real_factor,
     build_roast,
     build_roast_randomized,
     rank_for_average,
@@ -28,7 +26,11 @@ from .basis import (
 )
 from .diagnostics import (
     BoundLedger,
+    _capture_errors,
+    _checked_factor,
     _ensure_orthonormal,
+    _largest_angle_cos,
+    _slepian_rows,
     dpss_capture_report,
     eigenvalue_concentration_report,
     integrated_residual,
@@ -114,7 +116,8 @@ def capture_suite(n: int, w: float, eps: float, r: int | None = None,
     r_angle = min(rank_for_capture_angle(n, eps) if r is None else r,
                   split.n_high)
     basis_angle = build_roast(n, w, r_angle) if r_angle != r_used else basis
-    cos_theta = subspace_angle(dpss.vectors[:, :k], basis_angle).largest_angle_cos
+    in_band, x = _slepian_rows(dpss.vectors[:, :k], split)
+    cos_theta = _largest_angle_cos(in_band, x, _checked_factor(basis_angle))
     ledger.add("dpss_capture_angle_vs_eps", math.sqrt(1.0 - eps), cos_theta,
                n=n, w=w, eps=eps, k=k, r=r_angle)
     return ledger
@@ -157,34 +160,6 @@ def pointwise_suite(n: int, w: float, eps: float, grid_size: int = 4096) -> Boun
     return ledger
 
 
-def _slepian_rows(s_k: np.ndarray, split) -> tuple[np.ndarray, np.ndarray]:
-    """(L, X): the real Slepian vectors ``s_k`` in cosine/sine coordinates,
-    their in-band rows (DC first) and their out-of-band rows, from one
-    ``rfft``.  [L; X] is U F_all^* s_k with U unitary, so it keeps every
-    inner product of the columns of s_k."""
-    h = (split.n_low - 1) // 2
-    spec = np.fft.rfft(s_k, axis=0, norm="ortho")
-    in_band = np.concatenate([spec[:1].real, _cos_sin_rows(spec[1:h + 1], h)])
-    return in_band, _cos_sin_rows(spec[h + 1:], split.n_high // 2)
-
-
-def _capture_errors(x: np.ndarray, q: np.ndarray) -> tuple[float, float]:
-    """Squared spectral norm and largest squared column norm of the capture
-    residual s_k - Q Q^* s_k, from its out-of-band rows ``x`` and the real
-    factor ``q``: the residual is Fbar U^* (X - q q^T X), and Fbar U^* has
-    orthonormal columns."""
-    resid = x - q @ (q.T @ x)
-    spectral_sq = np.linalg.svd(resid, compute_uv=False)[0] ** 2
-    return float(spectral_sq), float(np.max(np.einsum("ij,ij->j", resid, resid)))
-
-
-def _largest_angle_cos(in_band: np.ndarray, x: np.ndarray, q: np.ndarray) -> float:
-    """Smallest singular value of Q^* s_k, the ``subspace_angle`` cosine,
-    from the real rows [L; q^T X] of the same unitary image."""
-    cross = np.concatenate([in_band, q.T @ x])
-    return float(np.linalg.svd(cross, compute_uv=False)[-1])
-
-
 def randomized_suite(n: int, w: float, eps: float, num_seeds: int = 20,
                      grid_size: int = 4096, dpss=None) -> BoundLedger:
     """Expectation-level guarantees for the sketched construction.
@@ -197,15 +172,10 @@ def randomized_suite(n: int, w: float, eps: float, num_seeds: int = 20,
     coincide share one build per seed.  Every diagnostic runs through the
     basis object, never its dense columns.
 
-    The capture and angle values run in real cosine/sine coordinates.  One
-    ``rfft`` of the K real Slepian vectors gives their in-band rows L and
-    out-of-band rows X (``_slepian_rows``), and each basis gives its real
-    factor q (``roast.basis._real_factor``), which every builder makes
-    exactly.  The capture error and the per-vector residuals come from a
-    real SVD of X - q q^T X, the largest-angle cosine from a real SVD of
-    [L; q^T X]: the same singular values as s_k - Q Q^* s_k and Q^* s_k,
-    since the coordinate map is unitary.  s_k is checked orthonormal once,
-    and each real factor, like V in ``subspace_angle``, to 1e-8.
+    The capture and angle values take the real cosine/sine route of
+    ``dpss_capture_report``: one ``rfft`` of the K Slepian vectors
+    (``_slepian_rows``), checked orthonormal once, and the real factor q of
+    each basis, checked to 1e-8; no ``project`` and no ``subspace_angle``.
 
     The average-width and pointwise bases of all seeds are kept and go
     through one ``sinusoid_residual_sq`` call on the ``grid_size``-point
@@ -239,8 +209,7 @@ def randomized_suite(n: int, w: float, eps: float, num_seeds: int = 20,
             basis = build_roast_randomized(n, w, p, seed)
             kept[p].append(basis.r)
             if p in (p_cap, p_angle):
-                q = _real_factor(basis)
-                _ensure_orthonormal(q, what="sketch factor")
+                q = _checked_factor(basis, what="sketch factor")
             if p == p_cap:
                 spectral, worst = _capture_errors(x, q)
                 spectral_sq.append(spectral)

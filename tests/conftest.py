@@ -55,15 +55,22 @@ def rng():
 
 
 @pytest.fixture
-def forbid_dense_columns(monkeypatch):
-    """Make every reference to ``roast.basis.dft_columns`` raise."""
-    original = roast.basis.dft_columns
+def patch_everywhere(monkeypatch):
+    """``patch(original, replacement)`` swaps every reference to
+    ``original`` in the loaded ``roast`` modules for the test."""
+    def patch(original, replacement):
+        for name, module in list(sys.modules.items()):
+            if name == "roast" or name.startswith("roast."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, replacement)
+    return patch
 
+
+@pytest.fixture
+def forbid_dense_columns(patch_everywhere):
+    """Make every reference to ``roast.basis.dft_columns`` raise."""
     def forbidden(*args, **kwargs):
         raise AssertionError("dense DFT columns formed")
 
-    for name, module in list(sys.modules.items()):
-        if name == "roast" or name.startswith("roast."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, forbidden)
+    patch_everywhere(roast.basis.dft_columns, forbidden)

@@ -355,6 +355,19 @@ class TestVerifyCommand:
         assert ledger.all_satisfied
         assert len(ledger.entries) >= 10
 
+    def test_single_point_solves_the_dpss_once(self, tmp_path, patch_everywhere):
+        calls = []
+        original = roast.prolate.build_dpss
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        patch_everywhere(original, counted)
+        assert main(["verify", "--single-point", "--n", "64", "--w", "0.25",
+                     "--out", str(tmp_path / "ledger.json")]) == 0
+        assert calls == [(64, 0.25, 64)]
+
     def test_undersized_rank_reported_not_crashed(self, tmp_path):
         out = tmp_path / "ledger.json"
         code = main(["verify", "--single-point", "--n", "64", "--w", "0.25",

@@ -409,6 +409,43 @@ class TestCaptureReport:
         with pytest.raises(ValueError):
             dpss_capture_report(128, 0.25, 0.7, caches.roast(128, 0.25, 5))
 
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_matches_the_dense_oracle(self, n, caches):
+        # the real-coordinate report against the SVD of s_k - Q Q^* s_k,
+        # subspace_angle and the complex deflation of the cross operator; a
+        # four-column sketch leaves residuals far above round-off
+        w, eps = 0.25, 1e-2
+        dpss = caches.dpss(n, w)
+        s_k = dpss.vectors[:, :int(np.sum(dpss.eigenvalues >= eps))]
+        basis = roast.build_roast_randomized(n, w, 4, 0)
+        cross = caches.cross(n, w)
+        by_id = {e.check_id: e for e in dpss_capture_report(
+            n, w, eps, basis, dpss=dpss, cross=cross).entries}
+
+        dense = basis.dense_basis()
+        resid = s_k - dense @ (dense.conj().T @ s_k)
+        want_sq = np.linalg.svd(resid, compute_uv=False)[0] ** 2
+        want_per = np.max(np.einsum("ij,ij->j", resid.conj(), resid).real)
+        want_cos = subspace_angle(s_k, basis).largest_angle_cos
+        deflated = cross - basis.v @ (basis.v.conj().T @ cross)
+        want_eta = np.linalg.norm(deflated, 2) / eps
+        assert want_per > 1e-6
+        got = (by_id["dpss_capture_spectral_sq"].lhs_value,
+               by_id["dpss_capture_per_vector"].lhs_value,
+               by_id["dpss_capture_angle"].rhs_bound,
+               by_id["dpss_capture_spectral_sq"].params["eta"])
+        assert got == pytest.approx((want_sq, want_per, want_cos, want_eta),
+                                    rel=1e-12, abs=0)
+
+    def test_refuses_a_v_not_closed_under_conjugation(self, caches, rng):
+        n, w = 64, 0.25
+        split = roast.build_band_split(n, w)
+        v = np.linalg.qr(rng.standard_normal((split.n_high, 3))
+                         + 1j * rng.standard_normal((split.n_high, 3)))[0]
+        basis = roast.RoastBasis(split=split, r=3, v=v, method="svd_fb")
+        with pytest.raises(ValueError, match="closed under conjugation"):
+            dpss_capture_report(n, w, 1e-2, basis, dpss=caches.dpss(n, w))
+
 
 class TestLedger:
     def test_satisfaction_rule(self):

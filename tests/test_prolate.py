@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import roast.prolate
 from roast import (
@@ -166,6 +168,21 @@ class TestBandSplit:
         split = build_band_split(16, 0.2)
         assert np.all(np.diff(split.signed_frequencies(split.low_indices)) > 0)
         assert np.all(np.diff(split.signed_frequencies(split.high_indices)) > 0)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(half_n=st.integers(4, 128), w=st.floats(0.02, 0.45))
+    def test_layout_slices_reproduce_the_index_sets(self, parity, half_n, w):
+        # (n, w) drawn as in the basis-protocol tests, each parity of N
+        n = 2 * half_n + parity
+        split = build_band_split(n, w)
+        h, n_neg, idx = split.h, split.n_neg, np.arange(n)
+        np.testing.assert_array_equal(
+            np.concatenate([idx[n - h:], idx[:h + 1]]), split.low_indices)
+        np.testing.assert_array_equal(
+            np.concatenate([idx[n // 2 + 1:n - h], idx[h + 1:n // 2 + 1]]),
+            split.high_indices)
+        assert len(idx[n // 2 + 1:n - h]) == n_neg
 
     def test_implied_columns_unitary(self):
         split = build_band_split(64, 0.25)
