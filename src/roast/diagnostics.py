@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigvalsh
 
 from .basis import (RoastBasis, SubDftBasis, _cos_sin_rows, _real_factor,
                     cross_operator_dense)
@@ -596,11 +597,16 @@ def dpss_capture_report(n: int, w: float, eps: float, basis,
     sqrt(1 - N eta)).
 
     All three run in real cosine/sine coordinates, whose maps are unitary:
-    eta from the real rows of the cross operator minus q (q^T rows), q the
-    real factor of V, and the rest from the real rows of s_k
-    (``_slepian_rows``).  s_k and q are checked orthonormal to 1e-8; a V
-    not closed under conjugation has no real factor and raises
-    ``ValueError``.  ``cross`` may pass in Fbar^* B at (n, w).
+    eta from the real rows M of the cross operator minus q (q^T M), q the
+    real factor of V, and the rest from the out-of-band rows of s_k
+    (``_slepian_rows``).  ||M||_2 is the square root of the largest
+    eigenvalue of the n_high x n_high Gram M M^T, which carries only relative
+    round-off because M is deflated before the Gram is formed.  The angle
+    cosine is sqrt(1 - ||(I - Q Q^*) s_k||_2^2), exact for orthonormal s_k,
+    so the capture residual's one SVD gives all three Slepian values.  s_k
+    and q are checked orthonormal to 1e-8; a V not closed under conjugation
+    has no real factor and raises ``ValueError``.  ``cross`` may pass in
+    Fbar^* B at (n, w).
 
     For the svd_fb basis at the verify detail point eta reads the Lanczos
     stopping floor of ``build_roast``, while both capture errors sit near
@@ -619,16 +625,18 @@ def dpss_capture_report(n: int, w: float, eps: float, basis,
     if cross is None:
         cross = cross_operator_dense(build_prolate(n, w), basis.split)
     real = _cos_sin_rows(cross[basis.split.n_neg:], basis.split.n_neg)
-    eta = np.linalg.norm(real - q @ (q.T @ real), 2) / eps
-    in_band, x = _slepian_rows(s_k, basis.split)
-    capture_sq, per_vector = _capture_errors(x, q)
+    deflated = real - q @ (q.T @ real)
+    top = deflated.shape[0] - 1
+    gram_top = eigvalsh(deflated @ deflated.T, subset_by_index=[top, top])[0]
+    eta = math.sqrt(max(gram_top, 0.0)) / eps
+    capture_sq, per_vector = _capture_errors(_slepian_rows(s_k, basis.split)[1], q)
 
     ledger = BoundLedger()
     params = {"n": n, "w": w, "eps": eps, "k": k, "r": basis.r,
               "method": basis.method, "eta": eta}
     ledger.add("dpss_capture_spectral_sq", capture_sq, eta, **params)
     ledger.add("dpss_capture_per_vector", per_vector, eta, **params)
-    cos_theta = _largest_angle_cos(in_band, x, q)
+    cos_theta = math.sqrt(max(1.0 - capture_sq, 0.0))
     angle_floor = math.sqrt(max(1.0 - n * eta, 0.0))
     # angle inequality runs the other way: cos >= floor
     ledger.add("dpss_capture_angle", angle_floor, cos_theta, **params)

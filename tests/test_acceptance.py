@@ -259,11 +259,12 @@ def test_criterion_11_cg_conditioning(caches):
         phi /= np.sqrt(2.0 * m)
         truth = roast.random_bandlimited(n, w, 500, seed).samples
         y = phi @ truth
+        phi_h = phi.conj().T  # one conjugated copy per seed, not per step
 
         def iterations(synth, analyze, dim):
             def normal_op(a):
-                return analyze(phi.conj().T @ (phi @ synth(a)))
-            return cgd_solve(normal_op, analyze(phi.conj().T @ y), tol=1e-8,
+                return analyze(phi_h @ (phi @ synth(a)))
+            return cgd_solve(normal_op, analyze(phi_h @ y), tol=1e-8,
                              max_iter=4 * dim).iterations
 
         it_q = iterations(basis.synthesize, basis.analyze, basis.dimension)

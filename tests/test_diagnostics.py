@@ -437,6 +437,24 @@ class TestCaptureReport:
         assert got == pytest.approx((want_sq, want_per, want_cos, want_eta),
                                     rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("n", [64, 65, 512])
+    def test_eta_matches_the_full_spectral_norm(self, n, caches):
+        # eta from the top eigenvalue of the deflated Gram against the
+        # 2-norm of the same deflated real rows; at N=512 the sized svd_fb
+        # basis leaves a deflated norm near 1e-11
+        w, eps = 0.25, 1e-3 if n == 512 else 1e-2
+        if n == 512:
+            basis = caches.roast(n, w, rank_for_capture(n, eps))
+        else:
+            basis = roast.build_roast_randomized(n, w, 4, 0)
+        cross = caches.cross(n, w)
+        split, q = basis.split, roast.basis._real_factor(basis)
+        real = roast.basis._cos_sin_rows(cross[split.n_neg:], split.n_neg)
+        want = np.linalg.norm(real - q @ (q.T @ real), 2) / eps
+        entry = dpss_capture_report(n, w, eps, basis, dpss=caches.dpss(n, w),
+                                    cross=cross).entries[0]
+        assert entry.params["eta"] == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_refuses_a_v_not_closed_under_conjugation(self, caches, rng):
         n, w = 64, 0.25
         split = roast.build_band_split(n, w)

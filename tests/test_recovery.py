@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,64 @@ class TestRecoveryExperiment:
             assert report.converged
             assert abs(report.relative_error - oracle) <= report.condition_estimate * tol
 
+    @pytest.mark.parametrize("name", sorted(roast.BASES))
+    @pytest.mark.parametrize("m, block_rows, identity", [
+        (96, None, False),    # m below one block
+        (96, 7, False),       # m not a multiple of the block
+        (128, 5, True),       # A^* = Q^*
+    ])
+    def test_compressed_adjoint_matches_dense(self, name, m, block_rows,
+                                              identity, monkeypatch):
+        n, w, r, seed = 128, 0.25, 6, 4
+        if block_rows is not None:
+            monkeypatch.setattr(roast.recovery, "_SENSING_BLOCK_BYTES",
+                                16 * n * block_rows)
+        problem = build_recovery_problem(n, w, m, seed, num_tones=200,
+                                         identity_sensing=identity)
+        basis = roast.BASES[name](n, w, r, seed)
+        got = roast.recovery._compressed_adjoint(problem.phi, basis)
+        want = (problem.phi @ basis.dense_basis()).conj().T
+        assert got.shape == (basis.dimension, m)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("name", sorted(roast.BASES))
+    def test_matches_the_per_step_normal_operator(self, name):
+        # CG on (Phi Q)^* (Phi Q) against CG through analyze/synthesize and
+        # Phi in every step: the iterates differ only at round-off
+        n, w, m, tol = 256, 0.25, 192, 1e-8
+        r = int(np.floor(3.0 * np.log(n)))
+        for seed in range(3):
+            report = recovery_experiment(n, w, m, name, seed, tol=tol)
+            basis = roast.BASES[name](n, w, r, seed)
+            problem = build_recovery_problem(n, w, m, seed)
+            phi, phi_h = problem.phi, problem.phi.conj().T
+
+            def normal_op(a):
+                return basis.analyze(phi_h @ (phi @ basis.synthesize(a)))
+
+            result = cgd_solve(normal_op, basis.analyze(phi_h @ problem.y),
+                               tol=tol, max_iter=4 * basis.dimension)
+            xhat = basis.synthesize(result.solution)
+            error = (np.linalg.norm(xhat - problem.truth)
+                     / np.linalg.norm(problem.truth))
+            assert report.converged and result.converged
+            assert abs(report.iterations - result.iterations) <= 1
+            assert (abs(report.relative_error - error)
+                    <= report.condition_estimate * tol)
+
+    def test_peak_memory_holds_no_copy_of_phi(self):
+        # Phi and (Phi Q)^* plus block workspace; one conjugated copy of
+        # Phi would add 12 MiB
+        n, w, m = 1024, 0.25, 768
+        dim = 2 * 256 + 1 + int(np.floor(3.0 * np.log(n)))
+        tracemalloc.start()
+        try:
+            recovery_experiment(n, w, m, "roast_randomized", 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * m * n + 16 * dim * m + 8 * 2**20
+
     def test_unknown_basis_rejected(self):
         with pytest.raises(ValueError):
             recovery_experiment(128, 0.25, 96, "fourier", seed=0)
@@ -200,11 +260,12 @@ class TestConditioningComparison:
         phi /= np.sqrt(2.0 * m)
         truth = roast.random_bandlimited(n, w, 300, seed).samples
         y = phi @ truth
+        phi_h = phi.conj().T  # one conjugated copy per seed, not per step
 
         def run(synth, analyze, dim):
             def normal_op(a):
-                return analyze(phi.conj().T @ (phi @ synth(a)))
-            res = cgd_solve(normal_op, analyze(phi.conj().T @ y), tol=1e-8,
+                return analyze(phi_h @ (phi @ synth(a)))
+            res = cgd_solve(normal_op, analyze(phi_h @ y), tol=1e-8,
                             max_iter=4 * dim)
             return res.iterations, condition_estimate(res)
 
