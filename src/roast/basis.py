@@ -29,6 +29,7 @@ from .prolate import (
     DftBandSplit,
     ProlateOperator,
     _check_dense_bytes,
+    _column_major,
     _fix_signs,
     _leading,
     build_band_split,
@@ -86,20 +87,20 @@ def cross_operator_dense(op: ProlateOperator, split: DftBandSplit,
                          chunk: int = 512) -> np.ndarray:
     """Dense out-of-band cross operator Fbar^* B, formed column-block-wise.
 
-    Each block of B columns is read off the Toeplitz structure, pushed
-    through the FFT, and restricted to the out-of-band rows.  Memory stays at
-    O(N * chunk) on top of the (n_high x N) result, whose 16 n_high N bytes
-    are checked against the dense-byte limit before anything is allocated.
+    Each block of B columns is read off the Toeplitz structure in column
+    order, pushed through the FFT, and restricted to the out-of-band rows.
+    Memory stays at O(N * chunk) beside the n_high x N result, whose 16
+    n_high N bytes are checked against the dense-byte limit first.
     """
     n = op.n
     _check_dense_bytes(f"cross_operator_dense(n={n}, w={op.w})",
                        16 * split.n_high * n)
     fr = op.first_row
     out = np.empty((split.n_high, n), dtype=complex)
-    i = np.arange(n)[:, None]
+    i = np.arange(n)[None, :]
     for j0 in range(0, n, chunk):
         j1 = min(j0 + chunk, n)
-        cols = fr[np.abs(i - np.arange(j0, j1)[None, :])]
+        cols = fr[np.abs(np.arange(j0, j1)[:, None] - i)].T
         out[:, j0:j1] = np.fft.fft(cols, axis=0)[split.high_indices] / np.sqrt(n)
     return out
 
@@ -158,14 +159,11 @@ class RoastBasis:
     ``v`` has shape (n_high, r) with orthonormal columns; the implied full
     basis has 2*floor(NW)+1+R columns.  ``method`` records how V was built
     ("svd_fb", "svd_fbf", or "randomized"), ``seed`` the sketch seed when
-    randomized.  Immutable; analysis and synthesis read V in place, as
-    row slices, and never copy it.
-
-    Every builder makes V from a real factor in cosine/sine coordinates
+    randomized.  Immutable; analysis and synthesis read V in place.  Every
+    builder makes V from a real factor in cosine/sine coordinates
     (``_dft_rows``), so V[-k] = conj V[k] holds bit for bit and Q Q^* is
     real; ``_real_factor`` reads the factor back.  V stays complex because
-    the apply path takes complex input: at N=65536, R=33 one ``zgemv``
-    took 0.95 ms against 1.05 ms for the two ``dgemv`` of a real factor.
+    the apply path takes complex input.
     """
 
     split: DftBandSplit
@@ -211,22 +209,19 @@ class RoastBasis:
 
 def _out_of_band_eigenvectors(op: ProlateOperator, split: DftBandSplit,
                                r: int, power: int) -> np.ndarray:
-    """Leading ``r`` eigenvectors of G = Fbar^* B^power Fbar, matrix-free.
+    """Leading ``r`` eigenvectors of G = Fbar^* B^power Fbar, matrix-free, in
+    the real cosine/sine coordinates of ``_cos_sin_rows``, largest first,
+    each column signed as the DPSS vectors are.
 
-    B is real, so the out-of-band span has a real orthonormal basis: the
-    cosine and the sine at each positive out-of-band frequency, and the
-    cosine alone at Nyquist (see ``_cos_sin_rows``).  In those coordinates
-    G is real symmetric, and one product is an inverse real FFT, ``power``
-    prolate matvecs and a real FFT, O(N log N).  Symmetric Lanczos (ARPACK)
-    runs on G + s I: its residual test is relative to the Ritz value, so
-    without the shift it stalls once r passes the numerical rank.  Its
-    tolerance sits a few hundred eps above the round-off of one product,
-    the floor that the Ritz values past the numerical rank cannot get
-    under.  ARPACK cannot take r = n_high, so there ``eigh`` decomposes G
-    applied to the identity.
-    Both return orthonormal vectors; no re-orthogonalization follows.
-    Returns them in those real coordinates, largest eigenvalue first, each
-    column signed as the DPSS vectors are.
+    B is real, so G is real symmetric in those coordinates, and one product
+    is an inverse real FFT, ``power`` prolate matvecs and a real FFT,
+    O(N log N).  Symmetric Lanczos (ARPACK) runs on G + s I: its residual
+    test is relative to the Ritz value, so without the shift it stalls once
+    r passes the numerical rank.  Its tolerance sits a few hundred eps above
+    the round-off of one product, which the Ritz values past the numerical
+    rank cannot get under.  ARPACK cannot take r = n_high, so there ``eigh``
+    decomposes G applied to the identity.  Both return orthonormal vectors;
+    no re-orthogonalization follows.
     """
     n, n_high, h, n_neg = op.n, split.n_high, split.h, split.n_neg
     shift = 1.0 if power == 1 else math.sqrt(np.finfo(float).eps)
@@ -297,32 +292,36 @@ def build_roast(n: int, w: float, r: int, method: str = "svd_fb") -> RoastBasis:
 
 
 def build_roast_randomized(n: int, w: float, p: int, seed: int) -> RoastBasis:
-    """Build the basis from a Gaussian range sketch of the cross operator.
+    """Build the basis from a Gaussian range sketch of the cross operator
+    (Halko, Martinsson and Tropp, arXiv:0909.4061, Alg. 4.1).
 
-    Draws a real N x P standard Gaussian Omega and pushes it through the
-    fast prolate matvec and a real FFT, O(P N log N) in all.  B Omega is
-    real, so the sketch Fbar^* B Omega is real in the cosine/sine
-    coordinates of ``_cos_sin_rows``, which read only the positive bins of
-    the ``rfft``.  Pivoted QR orthonormalizes it in real arithmetic (Halko,
-    Martinsson and Tropp, arXiv:0909.4061, Alg. 4.1): the row map is
-    unitary, so the column norms, and with them the pivots, are those of
-    the complex sketch.  Columns whose triangular-factor diagonal falls
-    below 1e-12 of the leading one are dropped, so the retained R may be
-    < P for rank-deficient sketches; the actual R is recorded on the
-    result.  The kept factor, signed as the DPSS vectors are, becomes V
-    through ``_dft_rows``, so V is exactly closed under conjugation.
+    ``_sketch`` pushes a real N x P standard Gaussian Omega through the fast
+    prolate matvec and a real FFT, O(P N log N), and ``_sketch_basis``
+    orthonormalizes it by pivoted QR.  Columns whose triangular-factor
+    diagonal falls below 1e-12 of the leading one are dropped, so the kept
+    R, recorded on the result, may be < P for rank-deficient sketches.
     """
     split = build_band_split(n, w)
     if not 1 <= p <= split.n_high:
         raise ValueError(
             f"sketch width must satisfy 1 <= p <= {split.n_high}, got {p}")
-    op = build_prolate(n, w)
-    rng = np.random.default_rng(seed)
-    omega = rng.standard_normal((n, p))
-    h, n_neg = split.h, split.n_neg
-    pos = np.fft.rfft(prolate_apply(op, omega), axis=0, norm="ortho")[h + 1:]
-    q, rmat, _ = sla.qr(_cos_sin_rows(pos, n_neg), mode="economic",
-                        pivoting=True)
+    return _sketch_basis(split, _sketch(build_prolate(n, w), split, p, seed), seed)
+
+
+def _sketch(op: ProlateOperator, split: DftBandSplit, p: int, seed: int) -> np.ndarray:
+    """Real cosine/sine rows of Fbar^* B Omega, Omega the N x ``p`` standard
+    Gaussian from ``seed``: B Omega is real, so ``_cos_sin_rows`` reads only
+    the positive bins of its ``rfft``."""
+    omega = np.random.default_rng(seed).standard_normal((op.n, p))
+    pos = np.fft.rfft(prolate_apply(op, omega), axis=0, norm="ortho")[split.h + 1:]
+    return _cos_sin_rows(pos, split.n_neg)
+
+
+def _sketch_basis(split: DftBandSplit, sketch: np.ndarray, seed: int) -> RoastBasis:
+    """The randomized basis from the pivoted QR of a real ``sketch``; the row
+    map is unitary, so the pivots are those of the complex sketch.  The kept
+    factor, signed as the DPSS vectors are, becomes V through ``_dft_rows``."""
+    q, rmat, _ = sla.qr(sketch, mode="economic", pivoting=True)
     diag = np.abs(np.diag(rmat))
     keep = int(np.sum(diag > _RANK_TOL * diag[0])) if diag.size else 0
     real = q[:, :keep]
@@ -331,44 +330,57 @@ def build_roast_randomized(n: int, w: float, p: int, seed: int) -> RoastBasis:
                       method="randomized", seed=int(seed))
 
 
+def _column_fft(x: np.ndarray, norm: str | None = None) -> np.ndarray:
+    """FFT down axis 0; a block whose columns are not contiguous, which numpy's
+    FFT reads at about half speed, is transformed in a ``_column_major`` copy."""
+    if x.ndim == 1 or x.flags.f_contiguous:
+        return np.fft.fft(x, axis=0, norm=norm)
+    buf = _column_major(x, complex)
+    return np.fft.fft(buf, axis=0, norm=norm, out=buf)
+
+
 def apply_analysis(basis: RoastBasis, x: np.ndarray) -> np.ndarray:
     """Coefficients Q^* x in O(N log N + N R); accepts a vector or columns.
 
-    One orthonormal FFT, then slices of the spectrum (see ``DftBandSplit``):
-    the in-band coefficients are two slices, and V^H s is formed as
+    One orthonormal FFT (``_column_fft``), then slices of the spectrum (see
+    ``DftBandSplit``): the in-band coefficients are two slices, and V^H s is
     conj(V_neg^T conj(s_neg) + V_pos^T conj(s_pos)), which conjugates the
-    n_high x cols signal slices instead of copying the n_high x R matrix V.
+    n_high x cols signal slices instead of copying V.  Block coefficients
+    come back column-major, the layout synthesis fills.
     """
     n = basis.n
     x = _leading(x, n, "samples")
     h, n_neg = basis.split.h, basis.split.n_neg
-    spectrum = np.fft.fft(x, axis=0, norm="ortho")
+    spectrum = _column_fft(x, norm="ortho")
     v = basis.v
     high = (v[:n_neg].T @ spectrum[n // 2 + 1:n - h].conj()
             + v[n_neg:].T @ spectrum[h + 1:n // 2 + 1].conj())
-    return np.concatenate([spectrum[n - h:], spectrum[:h + 1], high.conj()], axis=0)
+    out = np.empty((basis.dimension,) + x.shape[1:], dtype=complex, order="F")
+    return np.concatenate([spectrum[n - h:], spectrum[:h + 1], high.conj()],
+                          axis=0, out=out)
 
 
 def apply_synthesis(basis: RoastBasis, coeffs: np.ndarray) -> np.ndarray:
     """Reconstruct Q @ coeffs; exact inverse of analysis on coefficient space.
 
-    The spectrum is filled slice by slice (see ``DftBandSplit``): the in-band
-    coefficients by two assignments, the out-of-band bins by one product with
-    each half of V written in place.  The inverse FFT is scaled by sqrt(N)
-    afterwards, not taken with ``norm="ortho"``: the two round differently,
-    and the trace-path ``integrated_residual``, which sits at round-off in
-    the verify ledger, would read the difference.
+    A column-major spectrum is filled slice by slice (see ``DftBandSplit``):
+    the in-band coefficients by two assignments, the out-of-band bins by
+    one product with each half of V written in place.  The inverse FFT runs
+    in place and is scaled by sqrt(N) afterwards, not taken with
+    ``norm="ortho"``: the two round differently, and the trace-path
+    ``integrated_residual`` in the verify ledger would read the difference.
     """
     n, n_low = basis.n, basis.split.n_low
     coeffs = _leading(coeffs, n_low + basis.r, "coefficients")
     h, n_neg = basis.split.h, basis.split.n_neg
-    spectrum = np.empty((n,) + coeffs.shape[1:], dtype=complex)
+    spectrum = np.empty((n,) + coeffs.shape[1:], dtype=complex, order="F")
     spectrum[n - h:] = coeffs[:h]
     spectrum[:h + 1] = coeffs[h:n_low]
     c_high = coeffs[n_low:]
     np.matmul(basis.v[:n_neg], c_high, out=spectrum[n // 2 + 1:n - h])
     np.matmul(basis.v[n_neg:], c_high, out=spectrum[h + 1:n // 2 + 1])
-    return np.fft.ifft(spectrum, axis=0) * np.sqrt(n)
+    return np.multiply(np.fft.ifft(spectrum, axis=0, out=spectrum), np.sqrt(n),
+                       out=spectrum)
 
 
 @dataclass(frozen=True)
@@ -394,13 +406,14 @@ class SubDftBasis:
 
     def analyze(self, x: np.ndarray) -> np.ndarray:
         x = _leading(x, self.n, "samples")
-        return np.fft.fft(x, axis=0)[self.indices] / np.sqrt(self.n)
+        return _column_fft(x)[self.indices] / np.sqrt(self.n)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         coeffs = _leading(coeffs, self.dimension, "coefficients")
-        spectrum = np.zeros((self.n,) + coeffs.shape[1:], dtype=complex)
+        spectrum = np.zeros((self.n,) + coeffs.shape[1:], dtype=complex, order="F")
         spectrum[self.indices] = coeffs
-        return np.fft.ifft(spectrum, axis=0) * np.sqrt(self.n)
+        return np.multiply(np.fft.ifft(spectrum, axis=0, out=spectrum),
+                           np.sqrt(self.n), out=spectrum)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return self.synthesize(self.analyze(x))

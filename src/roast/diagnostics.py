@@ -48,7 +48,6 @@ __all__ = [
     "eigenvalue_concentration_report",
     "sinusoid_derivative_check",
     "dpss_capture_report",
-    "deflated_spectrum",
 ]
 
 # Ledger inequalities get this much additive slack against round-off.
@@ -307,7 +306,7 @@ def _dirichlet_residual_sq(n: int, rows: np.ndarray, vs: list,
     # so the row phase stays accurate at large n.
     phase = np.exp(1j * np.pi * (((n - 1) * rows) % (2 * n)) / n)
     out = np.empty((len(vs), len(freqs)))
-    chunk = max(1, 1024 * 1024 // max(len(rows), 1))
+    chunk = max(1, 2 ** 16 // max(len(rows), 1))
     for i0 in range(0, len(freqs), chunk):
         # the ratio is formed once per block and kept while every V projects
         # it through two shared buffers: three rows x block arrays in all
@@ -327,41 +326,28 @@ def _dirichlet_residual_sq(n: int, rows: np.ndarray, vs: list,
 
 
 def sinusoid_residual_sq(projector, n: int, freqs: np.ndarray) -> np.ndarray:
-    """Squared residual ||e_f - P e_f||^2 of each sampled sinusoid e_f.
-
-    e_f[m] = exp(2 pi i f m) for m < n.
+    """Squared residual ||e_f - P e_f||^2 of each sampled sinusoid
+    e_f[m] = exp(2 pi i f m), m < n.
 
     ``projector`` may also be a non-empty list or tuple of ``RoastBasis``
-    objects that share one (n, w); the result then has one row per basis,
-    each equal bit for bit to that basis's own call.  The Dirichlet ratio of
-    each frequency block is formed once and projected through every basis in
-    turn, so the block's memory stays at three rows x block arrays however
-    many bases there are: the ratio and two buffers that each projection
-    reuses.  Any other list or tuple raises ``ValueError``.
+    objects that share one (n, w): one row per basis, each bit for bit that
+    basis's own call.  Any other list or tuple raises ``ValueError``.
 
-    A ``RoastBasis`` or a ``SubDftBasis`` takes the Dirichlet path.  The
-    unitary DFT of e_f has the closed form d_f[k] =
-    exp(i pi (n-1) x) sin(pi n x) / sin(pi x) / sqrt(n) with x = f - k/n.
-    A ``RoastBasis`` residual is Fbar (I - V V^*) Fbar^* e_f, so the norm is
-    ||(I - V V^*) d_f|| in the n_high out-of-band coordinates.  A
-    ``SubDftBasis`` holds whole DFT columns, so its residual is the sum of
-    |d_f[k]|^2 over the bins outside its index set (the same form with no
-    V).  Neither forms N x G exponentials or N x K products.  The argument of
-    sin(pi x) is reduced mod 1, and where it is exactly zero, at f = k/n and
-    at f = +-1/2 against the Nyquist bin, the ratio takes its limit n.  The
-    argument of sin(pi n x) is reduced mod 1 as well, so the ratio is exactly
-    zero where n x is an integer: a sinusoid on the DFT grid (exactly so
-    when n is a power of two) that the basis holds leaves a zero residual,
-    not round-off.  The residual vector is formed and its norm taken; the
-    subtraction form n - ||Q^* e_f||^2, which a czt or zoom-FFT evaluation
-    of Q^* e_f would give, would turn residuals of 1e-20 into round-off of
-    1e-13.  Frequencies go in blocks of max(1, 2**20 // rows), rows being
-    the n_high out-of-band bins or the bins outside the index set.
+    A ``RoastBasis`` or ``SubDftBasis`` takes the Dirichlet path: with
+    d_f[k] = exp(i pi (n-1) x) sin(pi n x) / sin(pi x) / sqrt(n), x = f - k/n,
+    the unitary DFT of e_f, the residual is ||(I - V V^*) d_f|| over the
+    n_high out-of-band rows, or over the bins outside a ``SubDftBasis``'s
+    index set with no V.  Both sine arguments are reduced mod 1, so the
+    ratio takes its limit n where sin(pi x) vanishes and is exactly zero
+    where n x is an integer: a held sinusoid on the DFT grid leaves a zero
+    residual.  The residual vector is formed before its norm; n -
+    ||Q^* e_f||^2 would turn residuals of 1e-20 into round-off of 1e-13.
+    Frequencies go in blocks of max(1, 2**16 // rows), each block's ratio
+    formed once for every basis, so its three arrays stay in cache.
 
-    Any other ``projector`` is anything ``_as_projector`` accepts; a
-    matrix Q is applied densely as Q (Q^* x).  The sinusoids are formed in
-    blocks of max(1, 2**21 // n) columns, so memory stays bounded however
-    many frequencies are asked for.
+    Any other ``projector`` is anything ``_as_projector`` accepts; a matrix
+    Q is applied densely as Q (Q^* x) to blocks of max(1, 2**21 // n)
+    sinusoids.
     """
     sequence = isinstance(projector, (list, tuple))
     if sequence and (not projector
@@ -472,8 +458,7 @@ def singular_decay_report(n: int, w: float) -> SpectrumReport:
     row k, and the Nyquist row (N even) is real.  The real n_high x N
     matrix of those rows (``_cos_sin_rows``) is U C with U unitary, so it
     has C's singular values; it is filled from C's positive-frequency rows,
-    C is dropped, and a real SVD runs in its place.  On a 2-core Xeon with
-    one BLAS thread that took the report at N=1024, W=0.1 from 368 to 192 ms.
+    C is dropped, and a real SVD runs in its place.
 
     The SVD decomposes the factor, not its Gram matrix C C^* = Fbar^* B^2
     Fbar: the tail singular values fall many orders below the leading one,
@@ -550,40 +535,27 @@ def _checked_factor(basis, what: str = "basis") -> np.ndarray:
     return q
 
 
-def _slepian_rows(s_k: np.ndarray, split) -> tuple[np.ndarray, np.ndarray]:
-    """(L, X): the real Slepian vectors ``s_k`` in cosine/sine coordinates,
-    their in-band rows (DC first) and their out-of-band rows, from one
-    ``rfft``.  [L; X] is U F_all^* s_k with U unitary, so it keeps every
-    inner product of the columns of s_k."""
-    h, spec = split.h, np.fft.rfft(s_k, axis=0, norm="ortho")
-    in_band = np.concatenate([spec[:1].real, _cos_sin_rows(spec[1:h + 1], h)])
-    return in_band, _cos_sin_rows(spec[h + 1:], split.n_neg)
+def _slepian_rows(s_k: np.ndarray, split) -> np.ndarray:
+    """X: the out-of-band rows of the real Slepian vectors ``s_k`` in
+    cosine/sine coordinates, from one ``rfft``.  X is U Fbar^* s_k with U
+    unitary."""
+    spec = np.fft.rfft(s_k, axis=0, norm="ortho")
+    return _cos_sin_rows(spec[split.h + 1:], split.n_neg)
 
 
-def _capture_errors(x: np.ndarray, q: np.ndarray) -> tuple[float, float]:
-    """Squared spectral norm and largest squared column norm of the capture
-    residual s_k - Q Q^* s_k, from its out-of-band rows ``x`` and the real
-    factor ``q``: the residual is Fbar U^* (X - q q^T X), and Fbar U^* has
-    orthonormal columns."""
+def _capture_errors(x: np.ndarray, q: np.ndarray) -> tuple[float, float, float]:
+    """||R||_2^2, the largest squared column norm of R, and sqrt(1 - ||R||_2^2)
+    for R = X - q q^T X.  For the out-of-band rows ``x`` of orthonormal s_k
+    (``_slepian_rows``) and the real factor ``q``, R is s_k - Q Q^* s_k up to
+    an isometry and the third value is the ``subspace_angle`` cosine of s_k
+    against Q.  ||R||_2^2 is the top eigenvalue of the smaller Gram of R,
+    formed after deflation, so it carries only relative round-off."""
     resid = x - q @ (q.T @ x)
-    spectral_sq = np.linalg.svd(resid, compute_uv=False)[0] ** 2
-    return float(spectral_sq), float(np.max(np.einsum("ij,ij->j", resid, resid)))
-
-
-def _largest_angle_cos(in_band: np.ndarray, x: np.ndarray, q: np.ndarray) -> float:
-    """Smallest singular value of Q^* s_k, the ``subspace_angle`` cosine,
-    from the real rows [L; q^T X] of the same unitary image."""
-    cross = np.concatenate([in_band, q.T @ x])
-    return float(np.linalg.svd(cross, compute_uv=False)[-1])
-
-
-def deflated_spectrum(op: ProlateOperator, basis) -> np.ndarray:
-    """Singular values of the cross operator after removing the V directions,
-    from its real rows minus q (q^T rows), q the real factor of V."""
-    split, q = basis.split, _checked_factor(basis)
-    cross = cross_operator_dense(op, split)
-    real = _cos_sin_rows(cross[split.n_neg:], split.n_neg)
-    return np.linalg.svd(real - q @ (q.T @ real), compute_uv=False)
+    gram = resid @ resid.T if resid.shape[0] <= resid.shape[1] else resid.T @ resid
+    top = gram.shape[0] - 1
+    spectral_sq = float(eigvalsh(gram, subset_by_index=[top, top])[0])
+    return (spectral_sq, float(np.max(np.einsum("ij,ij->j", resid, resid))),
+            math.sqrt(max(1.0 - spectral_sq, 0.0)))
 
 
 def dpss_capture_report(n: int, w: float, eps: float, basis,
@@ -591,22 +563,16 @@ def dpss_capture_report(n: int, w: float, eps: float, basis,
     """Check how well the basis captures the leading Slepian subspace.
 
     K is the number of eigenvalues >= eps.  The deflation residual
-    eta = ||(I - V V^*) Fbar^* B|| / eps controls three quantities: the
-    squared spectral capture error of the K-dimensional Slepian projector,
-    the per-vector squared residuals, and the subspace-angle cosine (via
-    sqrt(1 - N eta)).
+    eta = ||(I - V V^*) Fbar^* B|| / eps bounds the squared spectral capture
+    error of the K-dimensional Slepian projector and the per-vector squared
+    residuals, and through sqrt(1 - N eta) the subspace-angle cosine.
 
-    All three run in real cosine/sine coordinates, whose maps are unitary:
-    eta from the real rows M of the cross operator minus q (q^T M), q the
-    real factor of V, and the rest from the out-of-band rows of s_k
-    (``_slepian_rows``).  ||M||_2 is the square root of the largest
-    eigenvalue of the n_high x n_high Gram M M^T, which carries only relative
-    round-off because M is deflated before the Gram is formed.  The angle
-    cosine is sqrt(1 - ||(I - Q Q^*) s_k||_2^2), exact for orthonormal s_k,
-    so the capture residual's one SVD gives all three Slepian values.  s_k
-    and q are checked orthonormal to 1e-8; a V not closed under conjugation
-    has no real factor and raises ``ValueError``.  ``cross`` may pass in
-    Fbar^* B at (n, w).
+    All run in real cosine/sine coordinates, whose maps are unitary, through
+    ``_capture_errors``: eta from the real rows M of the cross operator and
+    q, the real factor of V, and the Slepian values from the out-of-band
+    rows of s_k (``_slepian_rows``).  s_k and q are checked orthonormal to
+    1e-8; a V not closed under conjugation has no real factor and raises
+    ``ValueError``.  ``cross`` may pass in Fbar^* B at (n, w).
 
     For the svd_fb basis at the verify detail point eta reads the Lanczos
     stopping floor of ``build_roast``, while both capture errors sit near
@@ -625,18 +591,15 @@ def dpss_capture_report(n: int, w: float, eps: float, basis,
     if cross is None:
         cross = cross_operator_dense(build_prolate(n, w), basis.split)
     real = _cos_sin_rows(cross[basis.split.n_neg:], basis.split.n_neg)
-    deflated = real - q @ (q.T @ real)
-    top = deflated.shape[0] - 1
-    gram_top = eigvalsh(deflated @ deflated.T, subset_by_index=[top, top])[0]
-    eta = math.sqrt(max(gram_top, 0.0)) / eps
-    capture_sq, per_vector = _capture_errors(_slepian_rows(s_k, basis.split)[1], q)
+    eta = math.sqrt(max(_capture_errors(real, q)[0], 0.0)) / eps
+    capture_sq, per_vector, cos_theta = _capture_errors(
+        _slepian_rows(s_k, basis.split), q)
 
     ledger = BoundLedger()
     params = {"n": n, "w": w, "eps": eps, "k": k, "r": basis.r,
               "method": basis.method, "eta": eta}
     ledger.add("dpss_capture_spectral_sq", capture_sq, eta, **params)
     ledger.add("dpss_capture_per_vector", per_vector, eta, **params)
-    cos_theta = math.sqrt(max(1.0 - capture_sq, 0.0))
     angle_floor = math.sqrt(max(1.0 - n * eta, 0.0))
     # angle inequality runs the other way: cos >= floor
     ledger.add("dpss_capture_angle", angle_floor, cos_theta, **params)

@@ -37,8 +37,15 @@ _EIG_CLAMP = 2.0 ** -53
 # projectors, the FST analog) refuses a call whose estimated bytes exceed this.
 _MAX_DENSE_BYTES = 2 ** 31
 
-# Columns per prolate matvec when build_dpss takes its Rayleigh quotients.
+# Columns per real FFT when build_dpss takes its Rayleigh quotients.
 _RAYLEIGH_BLOCK = 256
+
+# Bytes of one column group's spectrum when prolate_apply regroups a block
+# whose columns are not contiguous.
+_GROUP_BYTES = 2 ** 22
+
+# Bytes of one row block of a copy into column-major order.
+_COPY_BYTES = 2 ** 17
 
 # Complex entries in one tone chunk's phasor tables in random_bandlimited.
 _PHASOR_BUDGET = 2 ** 20
@@ -70,6 +77,16 @@ def _leading(a, length: int, what: str) -> np.ndarray:
     if a.ndim == 0 or a.shape[0] != length:
         raise ValueError(f"expected {length} {what}, got an array of shape {a.shape}")
     return a
+
+
+def _column_major(x: np.ndarray, dtype) -> np.ndarray:
+    """``x`` copied into a new column-major ``dtype`` array, in row blocks of
+    about ``_COPY_BYTES`` so each block's transposition stays in cache."""
+    out = np.empty(x.shape, dtype=dtype, order="F")
+    rows = max(1, _COPY_BYTES // (out.itemsize * x.shape[1]))
+    for i0 in range(0, x.shape[0], rows):
+        out[i0:i0 + rows] = x[i0:i0 + rows]
+    return out
 
 
 def _embed_size(n: int) -> int:
@@ -127,26 +144,42 @@ def build_prolate(n: int, w: float) -> ProlateOperator:
                            circulant_spectrum=spectrum)
 
 
+def _circulant_apply(op: ProlateOperator, block: np.ndarray) -> np.ndarray:
+    """B @ block for a vector or an N x b block with contiguous columns."""
+    size = op.embed_size
+    spec = op.circulant_spectrum
+    spec = spec if block.ndim == 1 else spec[:, None]
+    if np.isrealobj(block):
+        half = np.fft.rfft(block, n=size, axis=0)
+        np.multiply(spec[:size // 2 + 1], half, out=half)
+        return np.fft.irfft(half, n=size, axis=0)[:op.n]
+    full = np.fft.fft(block, n=size, axis=0)
+    np.multiply(spec, full, out=full)
+    return np.fft.ifft(full, axis=0, out=full)[:op.n]
+
+
 def prolate_apply(op: ProlateOperator, x: np.ndarray) -> np.ndarray:
     """Compute B @ x via the circulant embedding.
 
     ``x`` may be a length-N vector or an N x b block of columns; the result
-    matches the dense matvec to round-off.  Real input takes the half-length
-    real FFT and returns a real result.
+    matches the dense matvec to round-off, each column bit for bit the same
+    whatever the layout.  Real input takes the half-length real FFT and
+    returns a real result.  A block whose columns are not contiguous, which
+    numpy's FFT reads at about half speed, goes in groups of columns whose
+    spectrum holds at most ``_GROUP_BYTES``, each copied column-major; the
+    temporaries stay at one group's size beside the Fortran-ordered result.
     """
     x = np.asarray(x)
     if x.shape[0] != op.n:
         raise ValueError(f"operator size {op.n} does not match input length {x.shape[0]}")
-    single = x.ndim == 1
-    block = x[:, None] if single else x
-    size = op.embed_size
-    spec = op.circulant_spectrum[:, None]
-    if np.isrealobj(x):
-        half = spec[:size // 2 + 1] * np.fft.rfft(block, n=size, axis=0)
-        y = np.fft.irfft(half, n=size, axis=0)[:op.n]
-    else:
-        y = np.fft.ifft(spec * np.fft.fft(block, n=size, axis=0), axis=0)[:op.n]
-    return y[:, 0] if single else y
+    if x.ndim == 1 or x.flags.f_contiguous:
+        return _circulant_apply(op, x)
+    out = np.empty(x.shape, dtype=float if np.isrealobj(x) else complex, order="F")
+    cols = max(1, _GROUP_BYTES // (out.itemsize * op.embed_size))
+    for j0 in range(0, x.shape[1], cols):
+        group = _column_major(x[:, j0:j0 + cols], out.dtype)
+        out[:, j0:j0 + cols] = _circulant_apply(op, group)
+    return out
 
 
 def prolate_dense(op: ProlateOperator) -> np.ndarray:
@@ -223,21 +256,18 @@ def build_dpss(n: int, w: float, k: int) -> DpssBasis:
       the last entry times sqrt(2), v = [u_{:h}/sqrt(2); u_h; Ju_{:h}/sqrt(2)];
     - N odd, odd parity: T[:h,:h], v = [u; 0; -Ju] / sqrt(2).
 
-    Each half is solved in full by divide and conquer (LAPACK ``stevd``).
-    T is a Jacobi matrix, so in descending order the j-th eigenvector has
-    parity (-1)^j: the columns interleave the top ceil(k/2) even and
-    floor(k/2) odd vectors.  The cost is O(N^2) time and memory whatever k
-    is, so a small k pays for both full halves: on a 2-core Xeon with one
-    BLAS thread, (2048, 0.25, 16) takes 140 ms against 29 ms for an MRRR
-    solve of the selected 16 pairs.  At the k >= 2 floor(NW) + 1 that
-    every caller in the package asks for it is the faster of the two:
-    (2048, 0.05, 227) 175 against 228 ms, (2048, 0.25, 1024) 273 against
-    1018 ms.  A call whose estimate 8 (N k + 2 ceil(N/2)^2) bytes exceeds
+    Each half is solved in full by divide and conquer (LAPACK ``stevd``), at
+    O(N^2) time and memory whatever k is.  T is a Jacobi matrix, so in
+    descending order the j-th eigenvector has parity (-1)^j: the columns
+    interleave the top ceil(k/2) even and floor(k/2) odd vectors.  A call
+    whose estimate 8 (N k + 2 ceil(N/2)^2) bytes exceeds
     ``_MAX_DENSE_BYTES`` is refused before anything is allocated.
 
-    Concentration eigenvalues are Rayleigh quotients through the fast
-    prolate matvec, taken in blocks of ``_RAYLEIGH_BLOCK`` columns to bound
-    the FFT temporaries, then clamped into (0, 1) and stably sorted.
+    Each eigenvalue is a Rayleigh quotient from one real FFT: B is the
+    leading block of the circulant embedding, so by Parseval v^T B v =
+    sum_j c_j |V_j|^2 / M for the M-point spectrum V of the padded v and the
+    real circulant spectrum c.  Columns go in blocks of ``_RAYLEIGH_BLOCK``;
+    the values are clamped into (0, 1) and stably sorted.
     """
     _validate_nw(n, w)
     if not 1 <= k <= n:
@@ -275,11 +305,15 @@ def build_dpss(n: int, w: float, k: int) -> DpssBasis:
     _fix_signs(vecs)
 
     op = build_prolate(n, w)
+    size = op.embed_size
+    weight = op.circulant_spectrum[:size // 2 + 1].real * (2.0 / size)
+    weight[[0, -1]] /= 2.0
     lam = np.empty(k)
     for j0 in range(0, k, _RAYLEIGH_BLOCK):
-        block = vecs[:, j0:j0 + _RAYLEIGH_BLOCK]
-        lam[j0:j0 + _RAYLEIGH_BLOCK] = np.einsum("ij,ij->j", block,
-                                                 prolate_apply(op, block))
+        spec = np.fft.rfft(vecs[:, j0:j0 + _RAYLEIGH_BLOCK], n=size, axis=0)
+        power = spec.real ** 2
+        power += spec.imag ** 2
+        lam[j0:j0 + _RAYLEIGH_BLOCK] = weight @ power
     lam = np.clip(lam, _EIG_CLAMP, 1.0 - _EIG_CLAMP)
     order = np.argsort(-lam, kind="stable")
     # permuting the rows of the C-ordered transpose keeps columns contiguous

@@ -13,8 +13,9 @@ import math
 import numpy as np
 
 from .basis import (
+    _sketch,
+    _sketch_basis,
     build_roast,
-    build_roast_randomized,
     rank_for_average,
     rank_for_capture,
     rank_for_capture_angle,
@@ -29,7 +30,6 @@ from .diagnostics import (
     _capture_errors,
     _checked_factor,
     _ensure_orthonormal,
-    _largest_angle_cos,
     _slepian_rows,
     dpss_capture_report,
     eigenvalue_concentration_report,
@@ -116,19 +116,20 @@ def capture_suite(n: int, w: float, eps: float, r: int | None = None,
     r_angle = min(rank_for_capture_angle(n, eps) if r is None else r,
                   split.n_high)
     basis_angle = build_roast(n, w, r_angle) if r_angle != r_used else basis
-    in_band, x = _slepian_rows(dpss.vectors[:, :k], split)
-    cos_theta = _largest_angle_cos(in_band, x, _checked_factor(basis_angle))
+    cos_theta = _capture_errors(_slepian_rows(dpss.vectors[:, :k], split),
+                                _checked_factor(basis_angle))[2]
     ledger.add("dpss_capture_angle_vs_eps", math.sqrt(1.0 - eps), cos_theta,
                n=n, w=w, eps=eps, k=k, r=r_angle)
     return ledger
 
 
 def average_suite(n: int, w: float, eps: float, quad_nodes: int = 4096) -> BoundLedger:
-    """Band-averaged normalized residual at the rank sized for eps, plus the
-    trace/quadrature cross-check.
+    """Band-averaged normalized residual at the rank sized for eps, the
+    quadrature value over N, plus the trace/quadrature cross-check.
 
-    The two paths may differ by the round-off of the trace path,
-    dimension * eps * trace(B), on top of the relative tolerance.
+    The trace path floors its round-off, dimension * eps * trace(B), at zero;
+    the two paths may differ by that round-off on top of the relative
+    tolerance.
     """
     ledger = BoundLedger()
     op = build_prolate(n, w)
@@ -137,7 +138,7 @@ def average_suite(n: int, w: float, eps: float, quad_nodes: int = 4096) -> Bound
     trace_val = integrated_residual(op, basis)
     quad_val = integrated_residual_quadrature(op, basis, nodes=quad_nodes)
     params = {"n": n, "w": w, "eps": eps, "r": r}
-    ledger.add("average_residual_normalized", trace_val / n, eps, **params)
+    ledger.add("average_residual_normalized", quad_val / n, eps, **params)
     floor = basis.dimension * np.finfo(float).eps * op.trace()
     ledger.add("residual_path_agreement", abs(trace_val - quad_val),
                residual_path_bound(trace_val, quad_val, abs_floor=floor),
@@ -164,37 +165,32 @@ def randomized_suite(n: int, w: float, eps: float, num_seeds: int = 20,
                      grid_size: int = 4096, dpss=None) -> BoundLedger:
     """Expectation-level guarantees for the sketched construction.
 
-    For each of ``num_seeds`` seeds, builds one basis per sketch-width rule
-    and checks the seed means: capture error and per-vector residual, the
-    subspace-angle floor sqrt(1 - N*eps), the band-averaged residual, and
-    the pointwise in-band residual.  Sketch widths are clamped to the
-    out-of-band width when the sizing rule exceeds it; rules whose widths
-    coincide share one build per seed.  Every diagnostic runs through the
-    basis object, never its dense columns.
+    Over ``num_seeds`` seeds, checks the seed means of the capture error and
+    per-vector residual, the subspace-angle floor sqrt(1 - N*eps), the
+    band-averaged residual and the pointwise in-band residual, each at the
+    width its sizing rule gives, clamped to n_high.  Each seed draws one
+    sketch at the widest width, whose basis is ``build_roast_randomized``'s
+    bit for bit; a narrower width takes a column prefix, still an N x p
+    standard Gaussian sketch, through its own pivoted QR.  Each entry
+    records the kept R over the seeds as ``r_min`` and ``r_max``.
 
-    The capture and angle values take the real cosine/sine route of
-    ``dpss_capture_report``: one ``rfft`` of the K Slepian vectors
-    (``_slepian_rows``), checked orthonormal once, and the real factor q of
-    each basis, checked to 1e-8; no ``project`` and no ``subspace_angle``.
-
-    The average-width and pointwise bases of all seeds are kept and go
-    through one ``sinusoid_residual_sq`` call on the ``grid_size``-point
-    in-band grid after the seed loop, so the Dirichlet ratio over the grid
-    is formed once, not once per seed.  Each seed's band-averaged residual
-    is the trapezoid of its residual curve over that grid, divided by N:
-    the quadrature path, which resolves residuals that the trace path loses
-    to the round-off of trace(B).  Pivoted QR may keep fewer than P
-    columns, so each entry records the kept R over the seeds as ``r_min``
-    and ``r_max``.  ``dpss`` may pass in the full Slepian solve at (n, w).
+    Capture and angle take the real route of ``dpss_capture_report``; the
+    angle cosine is sqrt(1 - ||R||_2^2) for the capture residual R.  The
+    average-width and pointwise bases of all seeds share one
+    ``sinusoid_residual_sq`` call on the ``grid_size``-point in-band grid,
+    and each seed's average is the trapezoid of its curve over N, which
+    resolves residuals the trace path floors at zero.  ``dpss`` may pass in
+    the full Slepian solve at (n, w).
     """
     ledger = BoundLedger()
     split = build_band_split(n, w)
+    op = build_prolate(n, w)
     if dpss is None:
         dpss = build_dpss(n, w, n)
     k = int(np.sum(dpss.eigenvalues >= eps))
     s_k = dpss.vectors[:, :k]
     _ensure_orthonormal(s_k, what="Slepian vectors")
-    in_band, x = _slepian_rows(s_k, split)
+    x = _slepian_rows(s_k, split)
     p_cap = min(sketch_for_capture(n, eps), split.n_high)
     p_angle = min(sketch_for_capture_angle(n, eps), split.n_high)
     p_avg = min(sketch_for_average(n, eps), split.n_high)
@@ -202,31 +198,25 @@ def randomized_suite(n: int, w: float, eps: float, num_seeds: int = 20,
     grid = np.linspace(-w, w, grid_size)
 
     widths = sorted({p_cap, p_angle, p_avg, p_point})
-    spectral_sq, per_vec, cosines, avg_bases, point_bases = [], [], [], [], []
-    kept = {p: [] for p in widths}
+    by_seed, caps, cosines = [], [], []
     for seed in range(num_seeds):
-        for p in widths:
-            basis = build_roast_randomized(n, w, p, seed)
-            kept[p].append(basis.r)
-            if p in (p_cap, p_angle):
-                q = _checked_factor(basis, what="sketch factor")
-            if p == p_cap:
-                spectral, worst = _capture_errors(x, q)
-                spectral_sq.append(spectral)
-                per_vec.append(worst)
-            if p == p_angle:
-                cosines.append(_largest_angle_cos(in_band, x, q))
-            if p == p_avg:
-                avg_bases.append(basis)
-            if p == p_point:
-                point_bases.append(basis)
-    curves = sinusoid_residual_sq(avg_bases + point_bases, n, grid)
+        sketch = _sketch(op, split, widths[-1], seed)
+        bases = {p: _sketch_basis(split, sketch[:, :p], seed) for p in widths}
+        errors = {p: _capture_errors(x, _checked_factor(bases[p], what="sketch factor"))
+                  for p in {p_cap, p_angle}}
+        caps.append(errors[p_cap])
+        cosines.append(errors[p_angle][2])
+        by_seed.append(bases)
+    spectral_sq, per_vec, _ = zip(*caps)
+    curves = sinusoid_residual_sq([b[p] for p in (p_avg, p_point) for b in by_seed],
+                                  n, grid)
     averages = np.trapezoid(curves[:num_seeds], grid, axis=1) / n
     point_curves = curves[num_seeds:]
 
     def common(p):
+        kept = [bases[p].r for bases in by_seed]
         return {"n": n, "w": w, "eps": eps, "p": p, "num_seeds": num_seeds,
-                "r_min": min(kept[p]), "r_max": max(kept[p])}
+                "r_min": min(kept), "r_max": max(kept)}
 
     ledger.add("randomized_capture_spectral_sq_mean",
                float(np.mean(spectral_sq)), eps, k=k, **common(p_cap))

@@ -251,6 +251,7 @@ def test_criterion_11_cg_conditioning(caches):
     basis = caches.roast(n, w, r)
     t1, t2 = build_fst_analog(n, w, r).factor_pair()
     assert t2.shape[1] == basis.dimension
+    t2_h = t2.conj().T  # one conjugated copy, not one per CG step
     wins = 0
     details = []
     for seed in range(10):
@@ -268,8 +269,7 @@ def test_criterion_11_cg_conditioning(caches):
                              max_iter=4 * dim).iterations
 
         it_q = iterations(basis.synthesize, basis.analyze, basis.dimension)
-        it_t = iterations(lambda a: t2 @ a, lambda x: t2.conj().T @ x,
-                          t2.shape[1])
+        it_t = iterations(lambda a: t2 @ a, lambda x: t2_h @ x, t2.shape[1])
         wins += int(it_q < it_t)
         details.append((it_q, it_t))
     conditions = [(wins >= 9, f"orthonormal basis faster on {wins}/10 seeds: {details}")]

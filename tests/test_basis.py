@@ -337,6 +337,47 @@ class TestSlicedApply:
         np.testing.assert_array_equal(basis.synthesize(eye), expected)
 
 
+LAYOUT_BASES = {
+    "roast": lambda: build_roast_randomized(300, 0.25, 9, 1),
+    "subdft": lambda: build_subdft(300, 0.25, 6),
+}
+
+
+class TestBlockLayouts:
+    @pytest.mark.parametrize("name", sorted(LAYOUT_BASES))
+    @pytest.mark.parametrize("real", [False, True])
+    def test_every_layout_matches_column_calls(self, name, real, rng):
+        # C-ordered, Fortran-ordered and strided blocks agree with each other
+        # bit for bit and with one call per column to round-off
+        basis = LAYOUT_BASES[name]()
+        for method, rows in (("analyze", basis.n), ("synthesize", basis.dimension),
+                             ("project", basis.n)):
+            block = rng.standard_normal((rows, 5))
+            if not real:
+                block = block + 1j * rng.standard_normal(block.shape)
+            wide = np.zeros((rows, 10), dtype=block.dtype)
+            wide[:, ::2] = block
+            apply = getattr(basis, method)
+            first = apply(block)
+            for x in (block, np.asfortranarray(block), wide[:, ::2]):
+                got = apply(x)
+                np.testing.assert_array_equal(got, first)
+                want = np.column_stack([apply(x[:, j]) for j in range(5)])
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_vector_analysis_is_one_fft_and_two_products(self, rng):
+        # a single vector takes the direct FFT, bit for bit the formula of
+        # apply_analysis's docstring
+        basis = LAYOUT_BASES["roast"]()
+        n, h, n_neg, v = basis.n, basis.split.h, basis.split.n_neg, basis.v
+        x = random_probe(n, rng)
+        s = np.fft.fft(x, norm="ortho")
+        high = (v[:n_neg].T @ s[n // 2 + 1:n - h].conj()
+                + v[n_neg:].T @ s[h + 1:n // 2 + 1].conj())
+        want = np.concatenate([s[n - h:], s[:h + 1], high.conj()])
+        np.testing.assert_array_equal(basis.analyze(x), want)
+
+
 class TestMonotonicityAndOptimality:
     def test_integrated_residual_monotone_in_r(self, caches):
         op = caches.op(256, 0.25)

@@ -73,6 +73,39 @@ class TestProlateOperator:
         expected = prolate_dense(op) @ block
         assert np.max(np.abs(prolate_apply(op, block) - expected)) <= 1e-10
 
+    @pytest.mark.parametrize("real", [True, False])
+    def test_every_layout_matches_column_calls_bit_for_bit(self, real, rng,
+                                                           monkeypatch):
+        # a budget of three real or one complex column per group sends the
+        # C-ordered and sliced blocks through several column groups
+        op = build_prolate(300, 0.25)
+        monkeypatch.setattr(roast.prolate, "_GROUP_BYTES", 24 * op.embed_size)
+        block = rng.standard_normal((300, 7))
+        if not real:
+            block = block + 1j * rng.standard_normal(block.shape)
+        wide = np.zeros((300, 14), dtype=block.dtype)
+        wide[:, ::2] = block
+        for x in (block, np.asfortranarray(block), wide[:, ::2]):
+            got = prolate_apply(op, x)
+            want = np.column_stack([prolate_apply(op, x[:, j]) for j in range(7)])
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_regrouped_block_holds_one_group(self):
+        # a C-ordered real block at N=65536 takes four columns per group:
+        # the result plus one group's copy and spectra, not the whole
+        # block's two 16-column spectra
+        op = build_prolate(65536, 0.25)
+        x = np.random.default_rng(0).standard_normal((65536, 16))
+        tracemalloc.start()
+        try:
+            y = prolate_apply(op, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.flags.f_contiguous
+        assert peak <= y.nbytes + 3 * roast.prolate._GROUP_BYTES
+
     @pytest.mark.parametrize("n", [300, 301])
     @pytest.mark.parametrize("shape", [(), (4,)])
     def test_real_input_takes_the_real_fft(self, n, shape, rng):
@@ -97,6 +130,15 @@ class TestDpss:
     def test_trace_identity(self, caches):
         lam = caches.dpss(256, 0.25).eigenvalues
         assert abs(lam.sum() - 128.0) <= 1e-8
+
+    @pytest.mark.parametrize("n, w", [(256, 0.25), (301, 0.1), (1024, 0.4)])
+    def test_eigenvalues_match_the_dense_spectrum(self, n, w):
+        # the one-FFT Parseval quotients against eigvalsh of the dense
+        # Toeplitz matrix, clamped into (0, 1) as build_dpss clamps
+        lam = build_dpss(n, w, n).eigenvalues
+        dense = np.linalg.eigvalsh(prolate_dense(build_prolate(n, w)))[::-1]
+        want = np.clip(dense, 2.0 ** -53, 1.0 - 2.0 ** -53)
+        np.testing.assert_allclose(lam, want, rtol=0, atol=1e-13)
 
     def test_orthonormal_columns(self, caches):
         vec = caches.dpss(256, 0.25).vectors

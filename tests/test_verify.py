@@ -3,6 +3,7 @@ import pytest
 
 import roast.diagnostics
 import roast.verify
+from roast.basis import build_roast_randomized, rank_for_capture
 from roast.diagnostics import integrated_residual, integrated_residual_quadrature
 from roast.verify import (
     DEFAULT_GRID,
@@ -45,22 +46,58 @@ class TestSuites:
         assert "strict_floor" in angle.params
         assert angle.params["strict_floor"] >= angle.lhs_value
 
+    @staticmethod
+    def _count_sketches_and_qrs(monkeypatch, n):
+        sketches, qrs = [], []
+        sketch, sketch_basis = roast.verify._sketch, roast.verify._sketch_basis
+
+        def counting_sketch(op, split, p, seed):
+            sketches.append((p, seed))
+            return sketch(op, split, p, seed)
+
+        def counting_basis(split, rows, seed):
+            qrs.append((rows.shape[1], seed))
+            return sketch_basis(split, rows, seed)
+
+        monkeypatch.setattr(roast.verify, "_sketch", counting_sketch)
+        monkeypatch.setattr(roast.verify, "_sketch_basis", counting_basis)
+        ledger = randomized_suite(n, 0.25, 1e-2, num_seeds=2, grid_size=64)
+        return sketches, qrs, {e.params["p"] for e in ledger.entries}
+
     def test_randomized_suite_builds_once_per_distinct_width(self, monkeypatch):
         # at N=64 every sketch-width rule clamps to n_high = 31, so each
-        # seed needs exactly one build
-        calls = []
-        build = roast.verify.build_roast_randomized
+        # seed needs one sketch and one pivoted QR
+        sketches, qrs, widths = self._count_sketches_and_qrs(monkeypatch, 64)
+        assert sketches == qrs == [(31, 0), (31, 1)]
+        assert widths == {31}
 
-        def counting_build(*args, **kwargs):
-            calls.append(args)
-            return build(*args, **kwargs)
+    def test_narrower_widths_take_prefixes_of_one_sketch(self, monkeypatch):
+        # at the verify detail point the rules give three widths: each seed
+        # draws one sketch at the widest and runs one pivoted QR per width
+        sketches, qrs, widths = self._count_sketches_and_qrs(monkeypatch, 512)
+        assert sketches == [(255, 0), (255, 1)]
+        assert qrs == [(p, seed) for seed in (0, 1) for p in (113, 170, 255)]
+        assert widths == {113, 170, 255}
 
-        monkeypatch.setattr(roast.verify, "build_roast_randomized",
-                            counting_build)
-        ledger = randomized_suite(64, 0.25, 1e-2, num_seeds=2, grid_size=64)
-        assert len(calls) == 2
-        assert {args[2] for args in calls} == {31}
-        assert {e.params["p"] for e in ledger.entries} == {31}
+    def test_widest_basis_is_the_builder_output(self, monkeypatch):
+        # at the verify detail point the widest width, 255, serves the angle
+        # and pointwise entries; its basis is build_roast_randomized's
+        n, w, widest = 512, 0.25, {}
+        sketch_basis = roast.verify._sketch_basis
+
+        def keeping_basis(split, rows, seed):
+            basis = sketch_basis(split, rows, seed)
+            if rows.shape[1] == split.n_high:
+                widest[seed] = basis
+            return basis
+
+        monkeypatch.setattr(roast.verify, "_sketch_basis", keeping_basis)
+        randomized_suite(n, w, 1e-2, num_seeds=2, grid_size=64)
+        assert sorted(widest) == [0, 1]
+        for seed, got in widest.items():
+            want = build_roast_randomized(n, w, 255, seed)
+            assert (got.r, got.seed, got.method) == (want.r, want.seed, want.method)
+            np.testing.assert_array_equal(got.v, want.v)
 
     def test_randomized_suite_forms_the_dirichlet_ratio_once(self, monkeypatch):
         # both seeds' pointwise bases go through one kernel call
@@ -84,7 +121,7 @@ class TestSuites:
         op = roast.prolate.build_prolate(n, w)
         p = entry.params["p"]
         want = np.mean([integrated_residual_quadrature(
-            op, roast.verify.build_roast_randomized(n, w, p, seed), nodes=nodes) / n
+            op, build_roast_randomized(n, w, p, seed), nodes=nodes) / n
             for seed in range(seeds)])
         assert entry.lhs_value > 0.0
         assert entry.lhs_value == pytest.approx(want, rel=1e-12)
@@ -108,19 +145,19 @@ class TestSuites:
 
     @pytest.mark.parametrize("n", [64, 65])
     def test_real_coordinates_match_the_dense_oracle(self, n, caches):
-        # the suite's capture and angle values from the real cosine/sine
-        # rows against the SVD of s_k - Q Q^* s_k and subspace_angle; a
-        # four-column sketch leaves residuals far above round-off
+        # the suite's capture values from the real cosine/sine rows, and its
+        # angle cosine sqrt(1 - ||R||_2^2), against the SVD of
+        # R = s_k - Q Q^* s_k and subspace_angle; a four-column sketch
+        # leaves residuals far above round-off
         w, eps = 0.25, 1e-2
         dpss = caches.dpss(n, w)
         s_k = dpss.vectors[:, :int(np.sum(dpss.eigenvalues >= eps))]
         split = roast.prolate.build_band_split(n, w)
-        in_band, x = roast.verify._slepian_rows(s_k, split)
+        x = roast.verify._slepian_rows(s_k, split)
         for seed in range(3):
-            basis = roast.verify.build_roast_randomized(n, w, 4, seed)
+            basis = build_roast_randomized(n, w, 4, seed)
             q = roast.basis._real_factor(basis)
-            spectral_sq, per_vector = roast.verify._capture_errors(x, q)
-            cos_theta = roast.verify._largest_angle_cos(in_band, x, q)
+            spectral_sq, per_vector, cos_theta = roast.verify._capture_errors(x, q)
 
             dense = basis.dense_basis()
             resid = s_k - dense @ (dense.conj().T @ s_k)
@@ -131,6 +168,24 @@ class TestSuites:
             assert spectral_sq == pytest.approx(want_sq, rel=1e-12, abs=0)
             assert per_vector == pytest.approx(want_per, rel=1e-12, abs=0)
             assert cos_theta == pytest.approx(want_cos, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("eps, p", [(1e-3, None), (1e-2, 170)])
+    def test_gram_route_matches_the_svd_at_the_detail_point(self, eps, p, caches):
+        # ||R||_2^2 from the top Gram eigenvalue of the deflated capture
+        # residual against its largest singular value squared, for the
+        # capture suite's svd_fb basis and a randomized basis at p_cap;
+        # both residuals sit near 1e-20
+        n, w = 512, 0.25
+        dpss = caches.dpss(n, w)
+        s_k = dpss.vectors[:, :int(np.sum(dpss.eigenvalues >= eps))]
+        x = roast.verify._slepian_rows(s_k, roast.prolate.build_band_split(n, w))
+        basis = (caches.roast(n, w, rank_for_capture(n, eps)) if p is None
+                 else build_roast_randomized(n, w, p, 0))
+        q = roast.basis._real_factor(basis)
+        want = np.linalg.svd(x - q @ (q.T @ x), compute_uv=False)[0] ** 2
+        got = roast.verify._capture_errors(x, q)[0]
+        assert 0.0 < want < 1e-15
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_suites_run_without_dense_columns(self, forbid_dense_columns):
         # the randomized and pointwise suites work through the basis
