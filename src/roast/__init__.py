@@ -10,6 +10,7 @@ while analysis and synthesis stay at FFT cost.
 __version__ = "0.1.0"
 
 from .prolate import (
+    DenseSizeError,
     build_band_split,
     build_dpss,
     build_prolate,

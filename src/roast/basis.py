@@ -83,13 +83,12 @@ def dft_columns(n: int, wrapped_indices: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * m * k / n) / np.sqrt(n)
 
 
-def cross_operator_dense(op: ProlateOperator, split: DftBandSplit,
-                         chunk: int = 512) -> np.ndarray:
+def cross_operator_dense(op: ProlateOperator, split: DftBandSplit) -> np.ndarray:
     """Dense out-of-band cross operator Fbar^* B, formed column-block-wise.
 
-    Each block of B columns is read off the Toeplitz structure in column
+    Each block of 512 B columns is read off the Toeplitz structure in column
     order, pushed through the FFT, and restricted to the out-of-band rows.
-    Memory stays at O(N * chunk) beside the n_high x N result, whose 16
+    Memory stays at O(N * 512) beside the n_high x N result, whose 16
     n_high N bytes are checked against the dense-byte limit first.
     """
     n = op.n
@@ -98,10 +97,11 @@ def cross_operator_dense(op: ProlateOperator, split: DftBandSplit,
     fr = op.first_row
     out = np.empty((split.n_high, n), dtype=complex)
     i = np.arange(n)[None, :]
-    for j0 in range(0, n, chunk):
-        j1 = min(j0 + chunk, n)
+    rows, block = split.high_indices, 512
+    for j0 in range(0, n, block):
+        j1 = min(j0 + block, n)
         cols = fr[np.abs(np.arange(j0, j1)[:, None] - i)].T
-        out[:, j0:j1] = np.fft.fft(cols, axis=0)[split.high_indices] / np.sqrt(n)
+        out[:, j0:j1] = np.fft.fft(cols, axis=0)[rows] / np.sqrt(n)
     return out
 
 
@@ -121,6 +121,14 @@ def _cos_sin_rows(pos: np.ndarray, n_sin: int) -> np.ndarray:
     np.multiply(pos[:n_sin].imag, math.sqrt(2.0), out=out[n_sin:2 * n_sin])
     out[2 * n_sin:] = pos[n_sin:].real
     return out
+
+
+def _slepian_rows(x: np.ndarray, split: DftBandSplit) -> np.ndarray:
+    """The out-of-band DFT rows of real columns ``x``, such as Slepian
+    vectors or B Omega, in the cosine/sine coordinates of ``_cos_sin_rows``:
+    U Fbar^* x with U unitary, from one orthonormal ``rfft``."""
+    spec = np.fft.rfft(x, axis=0, norm="ortho")
+    return _cos_sin_rows(spec[split.h + 1:], split.n_neg)
 
 
 def _dft_rows(cos_sin: np.ndarray) -> np.ndarray:
@@ -233,8 +241,7 @@ def _out_of_band_eigenvectors(op: ProlateOperator, split: DftBandSplit,
         y = np.fft.irfft(half, n=n, axis=0, norm="ortho")
         for _ in range(power):
             y = prolate_apply(op, y)
-        pos = np.fft.rfft(y, axis=0, norm="ortho")[h + 1:]
-        return _cos_sin_rows(pos, n_neg) + shift * a
+        return _slepian_rows(y, split) + shift * a
 
     if r == n_high:
         vals, ritz = np.linalg.eigh(matvec(np.eye(n_high)))
@@ -309,12 +316,11 @@ def build_roast_randomized(n: int, w: float, p: int, seed: int) -> RoastBasis:
 
 
 def _sketch(op: ProlateOperator, split: DftBandSplit, p: int, seed: int) -> np.ndarray:
-    """Real cosine/sine rows of Fbar^* B Omega, Omega the N x ``p`` standard
-    Gaussian from ``seed``: B Omega is real, so ``_cos_sin_rows`` reads only
-    the positive bins of its ``rfft``."""
-    omega = np.random.default_rng(seed).standard_normal((op.n, p))
-    pos = np.fft.rfft(prolate_apply(op, omega), axis=0, norm="ortho")[split.h + 1:]
-    return _cos_sin_rows(pos, split.n_neg)
+    """Real cosine/sine rows (``_slepian_rows``) of Fbar^* B Omega, Omega
+    the N x ``p`` standard Gaussian from ``seed``."""
+    # Omega is a temporary, freed before the rows of B Omega are written
+    rng = np.random.default_rng(seed)
+    return _slepian_rows(prolate_apply(op, rng.standard_normal((op.n, p))), split)
 
 
 def _sketch_basis(split: DftBandSplit, sketch: np.ndarray, seed: int) -> RoastBasis:
@@ -583,9 +589,9 @@ def fst_rank_bound(n: int, delta: float) -> int:
 
 _MAGIC = b"ROAST\x00"
 _FORMAT_VERSION = 1
-# The reader builds an N-sized band split (about 36 bytes per sample) for any
-# consistent header, so a few bytes with r = 0 could otherwise ask for
-# gigabytes; 2**24 samples cap it near 600 MB.
+# A consistent header of a few bytes with r = 0 describes a basis of any
+# length, and each analysis or synthesis of it allocates 16 N bytes or more;
+# 2**24 samples cap one such vector at 256 MiB.
 _MAX_READ_LENGTH = 2**24
 
 
@@ -661,18 +667,15 @@ def deserialize_basis(data: bytes) -> RoastBasis:
         raise BasisFormatError(f"unknown construction method {method!r}")
     if "seed" in header and not _is_int(seed):
         raise BasisFormatError(f"invalid sketch seed in header: {seed!r}")
-    # the split is O(n) to build, so everything the header and payload
-    # length can settle is checked before it is
-    n_high = n - (2 * math.floor(n * w) + 1)
-    if not _is_int(r) or not 0 <= r <= n_high:
+    split = build_band_split(n, w)
+    if not _is_int(r) or not 0 <= r <= split.n_high:
         raise BasisFormatError(f"inconsistent column count r={r!r} for n={n}, w={w}")
 
     v_bytes = data[header_end:-4]
-    expected = n_high * r * 16
+    expected = split.n_high * r * 16
     if len(v_bytes) != expected:
         raise BasisFormatError(
             f"dimension inconsistency: payload holds {len(v_bytes)} bytes, "
             f"header implies {expected}")
-    split = build_band_split(n, w)
-    v = np.frombuffer(v_bytes, dtype="<c16").reshape((n_high, r), order="F")
+    v = np.frombuffer(v_bytes, dtype="<c16").reshape((split.n_high, r), order="F")
     return RoastBasis(split=split, r=r, v=v.copy(), method=method, seed=seed)

@@ -59,7 +59,8 @@ from .basis import (
 )
 from .diagnostics import (SNR_CSV_CAP, residual_snr, sinusoid_residual_sq,
                           snr_from_energies)
-from .prolate import build_band_split, build_dpss, log_width_constant, random_bandlimited
+from .prolate import (DenseSizeError, build_band_split, build_dpss,
+                      log_width_constant, random_bandlimited)
 from .recovery import recovery_experiment
 from .verify import capture_suite, core_grid_checks, full_verification
 
@@ -267,7 +268,7 @@ def run_bandlimited_snr(args: argparse.Namespace) -> int:
     return 0
 
 
-def _median_seconds(fn, repeats: int = 20) -> float:
+def _median_seconds(fn) -> float:
     for _ in range(3):
         fn()
     resolution = time.get_clock_info("perf_counter").resolution
@@ -279,7 +280,7 @@ def _median_seconds(fn, repeats: int = 20) -> float:
     while estimate * inner < floor:
         inner *= 2
     samples = []
-    for _ in range(repeats):
+    for _ in range(20):
         t0 = time.perf_counter()
         for _ in range(inner):
             fn()
@@ -505,10 +506,13 @@ _RUNNERS = {
 def main(argv: list | None = None) -> int:
     args = _build_parser().parse_args(argv)
     rejection = _rejection(args)
-    if rejection is not None:
-        sys.stderr.write(f"error: {rejection}\n")
-        return 2
-    return _RUNNERS[args.command](args)
+    if rejection is None:
+        try:
+            return _RUNNERS[args.command](args)
+        except DenseSizeError as exc:  # a size only a dense path can judge
+            rejection = str(exc)
+    sys.stderr.write(f"error: {rejection}\n")
+    return 2
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import eigvalsh
 
 from .basis import (RoastBasis, SubDftBasis, _cos_sin_rows, _real_factor,
-                    cross_operator_dense)
+                    _slepian_rows, cross_operator_dense)
 from .prolate import (
     ProlateOperator,
     _check_dense_bytes,
@@ -298,29 +298,27 @@ def _dirichlet_residual_sq(n: int, rows: np.ndarray, vs: list,
                            freqs: np.ndarray) -> np.ndarray:
     """||(I - V V^*) d_f||^2 over ``rows`` of d_f = F^* e_f, the Dirichlet
     kernel, one row of the result for each V in ``vs``; every V holds
-    orthonormal columns on those rows, possibly none."""
+    orthonormal columns on those rows, possibly none.  Frequencies go in
+    blocks of max(64, 2**16 // rows), set by the row count alone, so each
+    V's row is the same bit for bit whatever else is in ``vs``."""
     # d_f[k] = exp(i pi (n-1) x) sin(pi n x) / sin(pi x) / sqrt(n), x = f - k/n.
     # The phase is a unit scalar in f times the row phase
-    # D[k] = exp(-i pi (n-1) k / n); folding D into W = D^* V leaves the
-    # real Dirichlet ratio s_f to project.  The exponent is reduced mod 2n
-    # so the row phase stays accurate at large n.
+    # D[k] = exp(-i pi (n-1) k / n); folding D into W = D^* V = A + iB leaves
+    # the real Dirichlet ratio s to project.  With M = [A, B] and c = M^T s,
+    # Re W W^* s = M c and Im W W^* s = M [-c_B; c_A].  The exponent is
+    # reduced mod 2n so the row phase stays accurate at large n.
     phase = np.exp(1j * np.pi * (((n - 1) * rows) % (2 * n)) / n)
+    maps = [np.hstack([wv.real, wv.imag]) for wv in (phase[:, None] * v for v in vs)]
     out = np.empty((len(vs), len(freqs)))
-    chunk = max(1, 2 ** 16 // max(len(rows), 1))
-    for i0 in range(0, len(freqs), chunk):
-        # the ratio is formed once per block and kept while every V projects
-        # it through two shared buffers: three rows x block arrays in all
-        s = _dirichlet_ratio(n, rows, freqs[i0:i0 + chunk])
-        re, im = np.empty_like(s), np.empty_like(s)
-        for b, v in enumerate(vs):
-            wv = phase[:, None] * v
-            # W = A + iB acts on real s as real matrices: Re W W^* s = [A, B] c
-            # and Im W W^* s = [B, -A] c with c = [A, B]^T s
-            re_map = np.hstack([wv.real, wv.imag])
-            c = re_map.T @ s
-            np.subtract(s, np.matmul(re_map, c, out=re), out=re)
-            np.matmul(np.hstack([wv.imag, -wv.real]), c, out=im)
-            out[b, i0:i0 + chunk] = (np.einsum("ij,ij->j", re, re)
+    block = max(64, 2 ** 16 // max(len(rows), 1))
+    for i0 in range(0, len(freqs), block):
+        s = _dirichlet_ratio(n, rows, freqs[i0:i0 + block])
+        for b, m in enumerate(maps):
+            c = m.T @ s
+            r = c.shape[0] // 2
+            re = s - m @ c
+            im = m @ np.concatenate([-c[r:], c[:r]])
+            out[b, i0:i0 + block] = (np.einsum("ij,ij->j", re, re)
                                      + np.einsum("ij,ij->j", im, im))
     return out
 
@@ -342,8 +340,8 @@ def sinusoid_residual_sq(projector, n: int, freqs: np.ndarray) -> np.ndarray:
     where n x is an integer: a held sinusoid on the DFT grid leaves a zero
     residual.  The residual vector is formed before its norm; n -
     ||Q^* e_f||^2 would turn residuals of 1e-20 into round-off of 1e-13.
-    Frequencies go in blocks of max(1, 2**16 // rows), each block's ratio
-    formed once for every basis, so its three arrays stay in cache.
+    Frequencies go in blocks of max(64, 2**16 // rows), each block's ratio
+    formed once for every basis and each basis's real map once per call.
 
     Any other ``projector`` is anything ``_as_projector`` accepts; a matrix
     Q is applied densely as Q (Q^* x) to blocks of max(1, 2**21 // n)
@@ -389,20 +387,19 @@ def integrated_residual_quadrature(op: ProlateOperator, q_like,
 
 
 def residual_path_bound(trace_value: float, quad_value: float,
-                        rel: float = 1e-4, abs_floor: float = 1e-9) -> float:
+                        abs_floor: float = 1e-9) -> float:
     """Largest gap the two residual paths may show and still agree.
 
     Relative to the larger value, with an absolute floor for residuals that
     sit at the float64 noise level where relative comparison is meaningless.
     """
-    return rel * max(abs(trace_value), abs(quad_value)) + abs_floor
+    return 1e-4 * max(abs(trace_value), abs(quad_value)) + abs_floor
 
 
-def residual_paths_agree(trace_value: float, quad_value: float,
-                         rel: float = 1e-4, abs_floor: float = 1e-9) -> bool:
+def residual_paths_agree(trace_value: float, quad_value: float) -> bool:
     """Agreement test for the two residual paths; see ``residual_path_bound``."""
     return abs(trace_value - quad_value) <= residual_path_bound(
-        trace_value, quad_value, rel, abs_floor)
+        trace_value, quad_value)
 
 
 def subspace_angle(a_like, b_like) -> AngleReport:
@@ -500,6 +497,7 @@ def sinusoid_derivative_check(op: ProlateOperator, q_like, grid_size: int = 4096
     stay below 2 pi N^2, and the pointwise residual ratio must respect the
     bound implied by the band-integrated residual, the trapezoid rule over
     the same grid (the trace path cancels to round-off, even 0, when tiny).
+    The grid and both shifted grids go through one ``sinusoid_residual_sq``.
     """
     n, w = op.n, op.w
     if w < 1.0 / (4.0 * np.pi * n):
@@ -509,9 +507,8 @@ def sinusoid_derivative_check(op: ProlateOperator, q_like, grid_size: int = 4096
     q = _checked_basis(q_like)
 
     grid = np.linspace(-w, w, grid_size)
-    center = sinusoid_residual_sq(q, n, grid)
-    upper = sinusoid_residual_sq(q, n, grid + fd_step)
-    lower = sinusoid_residual_sq(q, n, grid - fd_step)
+    center, upper, lower = np.split(sinusoid_residual_sq(
+        q, n, np.concatenate([grid, grid + fd_step, grid - fd_step])), 3)
     deriv = (upper - lower) / (2.0 * fd_step)
 
     ledger = BoundLedger()
@@ -533,14 +530,6 @@ def _checked_factor(basis, what: str = "basis") -> np.ndarray:
     q = _real_factor(basis)
     _ensure_orthonormal(q, what=what)
     return q
-
-
-def _slepian_rows(s_k: np.ndarray, split) -> np.ndarray:
-    """X: the out-of-band rows of the real Slepian vectors ``s_k`` in
-    cosine/sine coordinates, from one ``rfft``.  X is U Fbar^* s_k with U
-    unitary."""
-    spec = np.fft.rfft(s_k, axis=0, norm="ortho")
-    return _cos_sin_rows(spec[split.h + 1:], split.n_neg)
 
 
 def _capture_errors(x: np.ndarray, q: np.ndarray) -> tuple[float, float, float]:

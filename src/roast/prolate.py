@@ -18,6 +18,7 @@ __all__ = [
     "ProlateOperator",
     "DpssBasis",
     "DftBandSplit",
+    "DenseSizeError",
     "SignalEnsemble",
     "build_prolate",
     "prolate_apply",
@@ -56,10 +57,14 @@ def log_width_constant(n: int) -> float:
     return (4.0 / math.pi**2) * math.log(8.0 * n) + 6.0
 
 
+class DenseSizeError(ValueError):
+    """Raised when a dense path refuses a size above ``_MAX_DENSE_BYTES``."""
+
+
 def _check_dense_bytes(what: str, estimate: int) -> None:
     """Refuse ``what`` when its estimated bytes exceed ``_MAX_DENSE_BYTES``."""
     if estimate > _MAX_DENSE_BYTES:
-        raise ValueError(
+        raise DenseSizeError(
             f"{what} needs about {estimate / 2**20:.0f} MiB, "
             f"above the {_MAX_DENSE_BYTES / 2**20:.0f} MiB limit")
 
@@ -324,39 +329,44 @@ def build_dpss(n: int, w: float, k: int) -> DpssBasis:
 @dataclass(frozen=True)
 class DftBandSplit:
     """Partition of the N DFT columns into the 2*floor(NW)+1 lowest
-    frequencies and their complement.
+    frequencies and their complement, stored as (N, W) alone.
 
-    ``low_indices`` holds the wrapped indices of frequencies -floor(NW)/N ..
-    +floor(NW)/N in ascending signed order; ``high_indices`` holds the rest,
-    also ascending by signed frequency (index k maps to k/N for k <= N/2 and
-    (k-N)/N otherwise).  With the in-band half-width ``h`` = floor(NW) and
-    the count ``n_neg`` of negative out-of-band bins, every part of the
-    split is a slice of the spectrum: the in-band bins are spectrum[N-h:]
-    then spectrum[:h+1], and the out-of-band ones are the negative bins
-    spectrum[N//2+1:N-h] (the first n_neg) then the positive ones
-    spectrum[h+1:N//2+1], Nyquist last.
+    With the in-band half-width ``h`` = floor(NW) and the count ``n_neg``
+    of negative out-of-band bins, every part of the split is a slice of the
+    spectrum: the in-band bins are spectrum[N-h:] then spectrum[:h+1], and
+    the out-of-band ones are the negative bins spectrum[N//2+1:N-h] (the
+    first n_neg) then the positive ones spectrum[h+1:N//2+1], Nyquist last.
+    ``low_indices`` and ``high_indices``, built on each read, index those
+    slices in ascending signed frequency (k/N for k <= N/2, else (k-N)/N).
     """
 
     n: int
     w: float
-    low_indices: np.ndarray
-    high_indices: np.ndarray
-
-    @property
-    def n_low(self) -> int:
-        return len(self.low_indices)
-
-    @property
-    def n_high(self) -> int:
-        return len(self.high_indices)
 
     @property
     def h(self) -> int:
-        return (self.n_low - 1) // 2
+        return math.floor(self.n * self.w)
+
+    @property
+    def n_low(self) -> int:
+        return 2 * self.h + 1
+
+    @property
+    def n_high(self) -> int:
+        return self.n - self.n_low
 
     @property
     def n_neg(self) -> int:
         return self.n_high // 2
+
+    @property
+    def low_indices(self) -> np.ndarray:
+        return np.r_[self.n - self.h:self.n, :self.h + 1]
+
+    @property
+    def high_indices(self) -> np.ndarray:
+        n, h = self.n, self.h
+        return np.r_[n // 2 + 1:n - h, h + 1:n // 2 + 1]
 
     def signed_frequencies(self, indices: np.ndarray) -> np.ndarray:
         """Signed integer frequencies for wrapped DFT indices."""
@@ -367,17 +377,11 @@ class DftBandSplit:
 def build_band_split(n: int, w: float) -> DftBandSplit:
     """Split the normalized DFT into in-band and out-of-band column sets."""
     _validate_nw(n, w)
-    half = int(np.floor(n * w))
-    if 2 * half + 1 > n:
+    split = DftBandSplit(n=int(n), w=float(w))
+    if split.n_low > n:
         raise ValueError(
-            f"band too wide: 2*floor(n*w)+1 = {2 * half + 1} exceeds n = {n}")
-    idx = np.arange(n)
-    signed = np.where(idx <= n // 2, idx, idx - n)
-    order = np.argsort(signed, kind="stable")
-    in_band = np.abs(signed[order]) <= half
-    return DftBandSplit(n=int(n), w=float(w),
-                        low_indices=order[in_band],
-                        high_indices=order[~in_band])
+            f"band too wide: 2*floor(n*w)+1 = {split.n_low} exceeds n = {n}")
+    return split
 
 
 @dataclass(frozen=True)

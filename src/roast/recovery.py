@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .basis import BASES
-from .prolate import random_bandlimited
+from .prolate import _check_dense_bytes, random_bandlimited
 
 __all__ = [
     "CgResult",
@@ -107,10 +107,14 @@ class RecoveryProblem:
 def build_recovery_problem(n: int, w: float, m: int, seed: int,
                            num_tones: int = 1000,
                            identity_sensing: bool = False) -> RecoveryProblem:
-    """Random bandlimited truth observed through an M x N sensing matrix."""
+    """Random bandlimited truth observed through an M x N sensing matrix; a
+    call whose 24 M N bytes (16 N^2 for the identity) exceed the dense-byte
+    limit is refused before the matrix is formed."""
     if not 2 * int(np.floor(n * w)) <= m <= n:
         raise ValueError(
             f"measurement count must satisfy 2*floor(NW) <= m <= n, got m={m}")
+    _check_dense_bytes(f"build_recovery_problem(n={n}, m={m})",
+                       (16 if identity_sensing else 24) * m * n)
     truth = random_bandlimited(n, w, num_tones, seed).samples
     if identity_sensing:
         if m != n:

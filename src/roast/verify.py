@@ -14,6 +14,7 @@ import numpy as np
 
 from .basis import (
     _sketch,
+    _slepian_rows,
     _sketch_basis,
     build_roast,
     rank_for_average,
@@ -30,7 +31,6 @@ from .diagnostics import (
     _capture_errors,
     _checked_factor,
     _ensure_orthonormal,
-    _slepian_rows,
     dpss_capture_report,
     eigenvalue_concentration_report,
     integrated_residual,
@@ -236,12 +236,12 @@ def randomized_suite(n: int, w: float, eps: float, num_seeds: int = 20,
     return ledger
 
 
-def small_instance_checks(num_pairs: int = 100, dim: int = 16,
-                          seed: int = 0) -> BoundLedger:
+def small_instance_checks(num_pairs: int = 100) -> BoundLedger:
     """Direct small-matrix verification of the trace inequality and the
     equivalence of the two subspace-angle formulations."""
     ledger = BoundLedger()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
+    dim = 16
 
     worst = -np.inf
     for _ in range(num_pairs):
@@ -269,22 +269,17 @@ def small_instance_checks(num_pairs: int = 100, dim: int = 16,
     return ledger
 
 
-def full_verification(grid=DEFAULT_GRID, detail_n: int = 512,
-                      detail_w: float = 0.25, capture_eps: float = 1e-3,
-                      average_eps: float = 1e-3, pointwise_eps: float = 1e-1,
-                      randomized_eps: float = 1e-2, num_seeds: int = 20,
-                      capture_r: int | None = None) -> BoundLedger:
+def full_verification(num_seeds: int = 20, capture_r: int | None = None) -> BoundLedger:
     """Run the whole suite; the single entry point behind ``roast verify``."""
     ledger = BoundLedger()
-    for n, w in grid:
+    for n, w in DEFAULT_GRID:
         ledger.extend(core_grid_checks(n, w))
-    # one full Slepian solve at the detail point serves both suites
-    dpss = build_dpss(detail_n, detail_w, detail_n)
-    ledger.extend(capture_suite(detail_n, detail_w, capture_eps, r=capture_r,
-                                dpss=dpss))
-    ledger.extend(average_suite(detail_n, detail_w, average_eps))
-    ledger.extend(pointwise_suite(detail_n, detail_w, pointwise_eps))
-    ledger.extend(randomized_suite(detail_n, detail_w, randomized_eps,
-                                   num_seeds=num_seeds, dpss=dpss))
+    # the detail point, where one full Slepian solve serves two suites
+    n, w = 512, 0.25
+    dpss = build_dpss(n, w, n)
+    ledger.extend(capture_suite(n, w, 1e-3, r=capture_r, dpss=dpss))
+    ledger.extend(average_suite(n, w, 1e-3))
+    ledger.extend(pointwise_suite(n, w, 1e-1))
+    ledger.extend(randomized_suite(n, w, 1e-2, num_seeds=num_seeds, dpss=dpss))
     ledger.extend(small_instance_checks())
     return ledger

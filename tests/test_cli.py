@@ -468,6 +468,25 @@ class TestValidation:
         assert re.search(message, err)
         assert not (tmp_path / "unused.bin").exists()
 
+    def test_dense_refusal_exits_2(self, capsys):
+        # build_dpss refuses the full solve at N=65536 before allocating
+        assert main(["verify", "--single-point", "--n", "65536"]) == 2
+        err = capsys.readouterr().err
+        assert re.match(r"error: build_dpss\(n=65536, k=65536\).*MiB limit", err)
+
+    def test_oversize_sensing_matrix_refused(self, monkeypatch, capsys):
+        # 24 m N bytes is 3 MiB at N=1024, m=128, and the identity's 16 N^2
+        # is 4 MiB at N=512: both above a 1 MiB limit
+        monkeypatch.setattr(roast.prolate, "_MAX_DENSE_BYTES", 2**20)
+        with pytest.raises(roast.DenseSizeError, match=r"m=128\) needs about 3 MiB"):
+            roast.build_recovery_problem(1024, 0.05, 128, seed=0)
+        with pytest.raises(roast.DenseSizeError, match="needs about 4 MiB"):
+            roast.build_recovery_problem(512, 0.05, 512, seed=0,
+                                         identity_sensing=True)
+        assert main(["recover", "--n", "1024", "--w", "0.05", "--m", "128"]) == 2
+        assert re.match(r"error: build_recovery_problem\(n=1024, m=128\)",
+                        capsys.readouterr().err)
+
     @pytest.mark.parametrize("args", [
         ["sweep-sinusoid", "--n", "64", "--r", "31", "--grid", "16"],
         ["bandlimited-snr", "--n", "64", "--r-max", "31", "--tones", "50"],

@@ -232,6 +232,30 @@ class TestSinusoidResidualKernel:
             assert np.array_equal(row, sinusoid_residual_sq(basis, n, freqs))
         assert np.array_equal(sinusoid_residual_sq(tuple(bases), n, freqs), got)
 
+    def test_blocks_of_64_where_the_floor_sets_them(self, monkeypatch):
+        # N=4096 has 2047 out-of-band rows: blocks of max(64, 2**16 // 2047)
+        # = 64 frequencies, so 200 frequencies span four blocks.  The
+        # per-frequency residual comes from the FFT projection, not a dense Q.
+        n = 4096
+        bases = [roast.build_roast_randomized(n, 0.25, p, seed=p) for p in (30, 20)]
+        freqs = np.linspace(-0.5, 0.5, 200)
+        widths = []
+        ratio = roast.diagnostics._dirichlet_ratio
+
+        def counted(n, rows, f):
+            widths.append(len(f))
+            return ratio(n, rows, f)
+
+        monkeypatch.setattr(roast.diagnostics, "_dirichlet_ratio", counted)
+        got = sinusoid_residual_sq(bases, n, freqs)
+        assert widths == [64, 64, 64, 8]
+        for row, basis in zip(got, bases):
+            assert np.array_equal(row, sinusoid_residual_sq(basis, n, freqs))
+        for i in (0, 63, 64, 127, 128, 191, 192, 199):
+            e = sampled_sinusoid(n, freqs[i]).samples
+            resid = e - bases[0].project(e)
+            assert abs(got[0, i] - np.vdot(resid, resid).real) <= 1e-8
+
     @pytest.mark.parametrize("bases", [
         [],
         [build_roast(64, 0.25, 5), build_roast(128, 0.25, 5)],

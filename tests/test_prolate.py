@@ -226,6 +226,20 @@ class TestBandSplit:
             split.high_indices)
         assert len(idx[n // 2 + 1:n - h]) == n_neg
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 33, 64, 513, 1100])
+    @pytest.mark.parametrize("w", [0.01, 0.1, 0.25, 0.3, 0.49])
+    def test_index_sets_match_the_signed_frequency_sort(self, n, w):
+        # the reference: every bin sorted by signed frequency, then cut at
+        # |signed| <= floor(N W)
+        idx = np.arange(n)
+        signed = np.where(idx <= n // 2, idx, idx - n)
+        order = np.argsort(signed, kind="stable")
+        in_band = np.abs(signed[order]) <= int(np.floor(n * w))
+        split = build_band_split(n, w)
+        np.testing.assert_array_equal(split.low_indices, order[in_band])
+        np.testing.assert_array_equal(split.high_indices, order[~in_band])
+        assert (split.n_low, split.n_high) == (in_band.sum(), (~in_band).sum())
+
     def test_implied_columns_unitary(self):
         split = build_band_split(64, 0.25)
         cols = dft_columns(64, np.concatenate([split.low_indices,
