@@ -84,25 +84,12 @@ def dft_columns(n: int, wrapped_indices: np.ndarray) -> np.ndarray:
 
 
 def cross_operator_dense(op: ProlateOperator, split: DftBandSplit) -> np.ndarray:
-    """Dense out-of-band cross operator Fbar^* B, formed column-block-wise.
-
-    Each block of 512 B columns is read off the Toeplitz structure in column
-    order, pushed through the FFT, and restricted to the out-of-band rows.
-    Memory stays at O(N * 512) beside the n_high x N result, whose 16
-    n_high N bytes are checked against the dense-byte limit first.
+    """Dense out-of-band cross operator Fbar^* B, complex n_high x N, its
+    rows in ``high_indices`` order: the real rows of ``_cross_rows``
+    expanded by ``_dft_rows``, so row -k is the conjugate of row k bit for
+    bit.  Refused, with ``_cross_rows``'s message, above the dense-byte limit.
     """
-    n = op.n
-    _check_dense_bytes(f"cross_operator_dense(n={n}, w={op.w})",
-                       16 * split.n_high * n)
-    fr = op.first_row
-    out = np.empty((split.n_high, n), dtype=complex)
-    i = np.arange(n)[None, :]
-    rows, block = split.high_indices, 512
-    for j0 in range(0, n, block):
-        j1 = min(j0 + block, n)
-        cols = fr[np.abs(np.arange(j0, j1)[:, None] - i)].T
-        out[:, j0:j1] = np.fft.fft(cols, axis=0)[rows] / np.sqrt(n)
-    return out
+    return _dft_rows(_cross_rows(op, split))
 
 
 def _cos_sin_rows(pos: np.ndarray, n_sin: int) -> np.ndarray:
@@ -129,6 +116,28 @@ def _slepian_rows(x: np.ndarray, split: DftBandSplit) -> np.ndarray:
     U Fbar^* x with U unitary, from one orthonormal ``rfft``."""
     spec = np.fft.rfft(x, axis=0, norm="ortho")
     return _cos_sin_rows(spec[split.h + 1:], split.n_neg)
+
+
+def _cross_rows(op: ProlateOperator, split: DftBandSplit) -> np.ndarray:
+    """Real cosine/sine rows of the cross operator Fbar^* B, n_high x N.
+
+    B's columns are real, so each block of 512 is read off the Toeplitz
+    structure in column order and written by ``_slepian_rows``, one
+    ``rfft``; the rows are U Fbar^* B with U unitary and keep its singular
+    values.  Memory stays at O(N * 512) beside the rows.  The 16 n_high N
+    bytes checked against the dense-byte limit cover the rows and the one
+    working copy each caller makes: an SVD's copy or a deflated residual.
+    """
+    n = op.n
+    _check_dense_bytes(f"cross_operator_dense(n={n}, w={op.w})",
+                       16 * split.n_high * n)
+    # column j of B is sym[n-1-j:2n-1-j]: one strided view serves every block
+    sym = np.concatenate([op.first_row[:0:-1], op.first_row])
+    cols = np.lib.stride_tricks.sliding_window_view(sym, n)[::-1]
+    out = np.empty((split.n_high, n))
+    for j0 in range(0, n, 512):
+        out[:, j0:j0 + 512] = _slepian_rows(cols[j0:j0 + 512].T, split)
+    return out
 
 
 def _dft_rows(cos_sin: np.ndarray) -> np.ndarray:

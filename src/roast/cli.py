@@ -182,10 +182,10 @@ def run_sweep_sinusoid(args: argparse.Namespace) -> int:
     split = build_band_split(n, w)
     dim = split.n_low + r
 
+    dpss = build_dpss(n, w, dim)  # its byte guard refuses before other builds
     subdft = build_subdft(n, w, r)
     roast = build_roast(n, w, r, args.method)
     roast_r = build_roast_randomized(n, w, r, args.seed) if r >= 1 else roast
-    dpss = build_dpss(n, w, dim)
 
     grid = np.linspace(-0.5, 0.5, args.grid_points)
     # the two ROAST bases share one split, so one call forms their kernel

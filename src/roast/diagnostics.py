@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigvalsh
 
-from .basis import (RoastBasis, SubDftBasis, _cos_sin_rows, _real_factor,
-                    _slepian_rows, cross_operator_dense)
+from .basis import (RoastBasis, SubDftBasis, _cross_rows, _real_factor,
+                    _slepian_rows)
 from .prolate import (
     ProlateOperator,
     _check_dense_bytes,
@@ -448,26 +448,17 @@ def largest_angle_cos_direct(a_like, b_like) -> float:
 
 
 def singular_decay_report(n: int, w: float) -> SpectrumReport:
-    """Full singular spectrum of the cross operator with envelope comparison.
+    """Full singular spectrum of the cross operator with envelope comparison,
+    from a real SVD of its cosine/sine rows (``_cross_rows``).
 
-    B is real, so row -k of C = Fbar^* B is the conjugate of row k.  Mixing
-    each such pair by a 2 x 2 unitary leaves sqrt(2) Re and sqrt(2) Im of
-    row k, and the Nyquist row (N even) is real.  The real n_high x N
-    matrix of those rows (``_cos_sin_rows``) is U C with U unitary, so it
-    has C's singular values; it is filled from C's positive-frequency rows,
-    C is dropped, and a real SVD runs in its place.
-
-    The SVD decomposes the factor, not its Gram matrix C C^* = Fbar^* B^2
-    Fbar: the tail singular values fall many orders below the leading one,
-    and their squares sit below round-off relative to G's top eigenvalue,
-    so sqrt(eigvalsh(G)) would return round-off for every value below about
+    The SVD decomposes the factor, not its Gram matrix G = Fbar^* B^2 Fbar:
+    the tail singular values fall many orders below the leading one, and
+    their squares sit below round-off relative to G's top eigenvalue, so
+    sqrt(eigvalsh(G)) would return round-off for every value below about
     1e-8 of the largest.
     """
-    split = build_band_split(n, w)
-    cross = cross_operator_dense(build_prolate(n, w), split)
-    real = _cos_sin_rows(cross[split.n_neg:], split.n_neg)
-    del cross
-    sigma = np.linalg.svd(real, compute_uv=False)
+    rows = _cross_rows(build_prolate(n, w), build_band_split(n, w))
+    sigma = np.linalg.svd(rows, compute_uv=False)
     c_n = log_width_constant(n)
     bound = 15.0 * np.exp(-np.arange(len(sigma)) / c_n)
     violations = np.flatnonzero(sigma > bound + _LEDGER_SLACK).tolist()
@@ -548,7 +539,7 @@ def _capture_errors(x: np.ndarray, q: np.ndarray) -> tuple[float, float, float]:
 
 
 def dpss_capture_report(n: int, w: float, eps: float, basis,
-                        dpss=None, cross: np.ndarray | None = None) -> BoundLedger:
+                        dpss=None) -> BoundLedger:
     """Check how well the basis captures the leading Slepian subspace.
 
     K is the number of eigenvalues >= eps.  The deflation residual
@@ -557,11 +548,11 @@ def dpss_capture_report(n: int, w: float, eps: float, basis,
     residuals, and through sqrt(1 - N eta) the subspace-angle cosine.
 
     All run in real cosine/sine coordinates, whose maps are unitary, through
-    ``_capture_errors``: eta from the real rows M of the cross operator and
-    q, the real factor of V, and the Slepian values from the out-of-band
-    rows of s_k (``_slepian_rows``).  s_k and q are checked orthonormal to
-    1e-8; a V not closed under conjugation has no real factor and raises
-    ``ValueError``.  ``cross`` may pass in Fbar^* B at (n, w).
+    ``_capture_errors``: eta from the real rows of the cross operator
+    (``_cross_rows``) and q, the real factor of V, and the Slepian values
+    from the out-of-band rows of s_k (``_slepian_rows``).  s_k and q are
+    checked orthonormal to 1e-8; a V not closed under conjugation has no
+    real factor and raises ``ValueError``.
 
     For the svd_fb basis at the verify detail point eta reads the Lanczos
     stopping floor of ``build_roast``, while both capture errors sit near
@@ -577,10 +568,8 @@ def dpss_capture_report(n: int, w: float, eps: float, basis,
     s_k = dpss.vectors[:, :k]
     _ensure_orthonormal(s_k, what="Slepian vectors")
     q = _checked_factor(basis)
-    if cross is None:
-        cross = cross_operator_dense(build_prolate(n, w), basis.split)
-    real = _cos_sin_rows(cross[basis.split.n_neg:], basis.split.n_neg)
-    eta = math.sqrt(max(_capture_errors(real, q)[0], 0.0)) / eps
+    rows = _cross_rows(build_prolate(n, w), basis.split)
+    eta = math.sqrt(max(_capture_errors(rows, q)[0], 0.0)) / eps
     capture_sq, per_vector, cos_theta = _capture_errors(
         _slepian_rows(s_k, basis.split), q)
 

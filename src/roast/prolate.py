@@ -375,13 +375,10 @@ class DftBandSplit:
 
 
 def build_band_split(n: int, w: float) -> DftBandSplit:
-    """Split the normalized DFT into in-band and out-of-band column sets."""
+    """Split the normalized DFT into in-band and out-of-band column sets;
+    W < 1/2 keeps the 2 floor(NW) + 1 in-band columns within N."""
     _validate_nw(n, w)
-    split = DftBandSplit(n=int(n), w=float(w))
-    if split.n_low > n:
-        raise ValueError(
-            f"band too wide: 2*floor(n*w)+1 = {split.n_low} exceeds n = {n}")
-    return split
+    return DftBandSplit(n=int(n), w=float(w))
 
 
 @dataclass(frozen=True)

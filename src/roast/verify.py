@@ -91,10 +91,11 @@ def core_grid_checks(n: int, w: float, dpss=None) -> BoundLedger:
 
 
 def capture_suite(n: int, w: float, eps: float, r: int | None = None,
-                  dpss=None, cross=None) -> BoundLedger:
+                  dpss=None) -> BoundLedger:
     """Leading-DPSS capture at accuracy eps, with the angle bound at
     enlarged R.  Passing ``r`` overrides the sized rank (used to exercise
-    the unsatisfied path)."""
+    the unsatisfied path), and ``dpss`` the full solve at (n, w); the cross
+    operator's rows are formed inside ``dpss_capture_report``."""
     ledger = BoundLedger()
     if dpss is None:
         dpss = build_dpss(n, w, n)
@@ -104,7 +105,7 @@ def capture_suite(n: int, w: float, eps: float, r: int | None = None,
     r_used = rank_for_capture(n, eps) if r is None else r
     r_used = min(r_used, split.n_high)
     basis = build_roast(n, w, r_used)
-    report = dpss_capture_report(n, w, eps, basis, dpss=dpss, cross=cross)
+    report = dpss_capture_report(n, w, eps, basis, dpss=dpss)
     by_id = {e.check_id: e for e in report.entries}
     params = {"n": n, "w": w, "eps": eps, "k": k, "r": r_used}
     ledger.add("dpss_capture_spectral_sq_vs_eps",

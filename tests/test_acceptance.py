@@ -112,8 +112,7 @@ def test_criterion_03_singular_decay(caches):
 
 
 def test_criterion_04_dpss_capture(caches):
-    ledger = capture_suite(512, 0.25, 1e-3, dpss=caches.dpss(512, 0.25),
-                           cross=caches.cross(512, 0.25))
+    ledger = capture_suite(512, 0.25, 1e-3, dpss=caches.dpss(512, 0.25))
     wanted = ("dpss_capture_spectral_sq_vs_eps", "dpss_capture_per_vector_vs_eps",
               "dpss_capture_angle_vs_eps")
     conditions = [(e.satisfied, f"{e.check_id}: {e.lhs_value:.3e} vs {e.rhs_bound:.3e}")

@@ -509,6 +509,35 @@ def _empty_roast_basis(n, w):
                       method="svd_fb")
 
 
+class TestCrossOperator:
+    @pytest.mark.parametrize("n,w", [(64, 0.25), (65, 0.25), (256, 0.1),
+                                     (129, 0.4)])
+    def test_matches_the_dense_definition(self, n, w):
+        # Fbar^* B from the DFT columns and the dense prolate matrix, even
+        # and odd N, with and without a Nyquist row
+        op, split = build_prolate(n, w), build_band_split(n, w)
+        want = dft_columns(n, split.high_indices).conj().T @ prolate_dense(op)
+        got = roast.cross_operator_dense(op, split)
+        assert got.shape == want.shape and got.dtype == np.complex128
+        assert np.max(np.abs(got - want)) <= 1e-13
+        rows = roast.basis._cross_rows(op, split)
+        assert rows.dtype == np.float64
+        np.testing.assert_allclose(
+            rows, roast.basis._cos_sin_rows(want[split.n_neg:], split.n_neg),
+            rtol=0, atol=1e-13)
+
+    def test_rows_peak_at_the_rows_plus_four_blocks(self):
+        n, w = 1024, 0.1
+        op, split = build_prolate(n, w), build_band_split(n, w)
+        tracemalloc.start()
+        try:
+            roast.basis._cross_rows(op, split)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * split.n_high * n + 32 * 512 * n
+
+
 class TestDenseByteGuards:
     # every call would need gigabytes; each must refuse before allocating
     @pytest.mark.parametrize("name,call", [

@@ -474,6 +474,15 @@ class TestValidation:
         err = capsys.readouterr().err
         assert re.match(r"error: build_dpss\(n=65536, k=65536\).*MiB limit", err)
 
+    def test_sweep_refuses_the_dpss_before_any_other_build(
+            self, capsys, patch_everywhere):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ROAST basis was built first")
+
+        patch_everywhere(roast.basis.build_roast, refuse)
+        assert main(["sweep-sinusoid", "--n", "65536"]) == 2
+        assert capsys.readouterr().err.startswith("error: build_dpss(n=65536")
+
     def test_oversize_sensing_matrix_refused(self, monkeypatch, capsys):
         # 24 m N bytes is 3 MiB at N=1024, m=128, and the identity's 16 N^2
         # is 4 MiB at N=512: both above a 1 MiB limit

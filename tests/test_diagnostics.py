@@ -24,7 +24,7 @@ from roast import (
     subspace_angle,
 )
 from roast.diagnostics import largest_angle_cos_direct, sinusoid_residual_sq
-from roast.verify import small_instance_checks
+from roast.verify import capture_suite, small_instance_checks
 
 
 class TestResidualSnr:
@@ -424,8 +424,7 @@ class TestCaptureReport:
     def test_sized_basis_meets_eps(self, caches):
         n, w, eps = 512, 0.25, 1e-3
         basis = caches.roast(n, w, rank_for_capture(n, eps))
-        ledger = dpss_capture_report(n, w, eps, basis, dpss=caches.dpss(n, w),
-                                     cross=caches.cross(n, w))
+        ledger = dpss_capture_report(n, w, eps, basis, dpss=caches.dpss(n, w))
         assert ledger.all_satisfied
         by_id = {e.check_id: e for e in ledger.entries}
         assert by_id["dpss_capture_spectral_sq"].lhs_value <= eps
@@ -446,7 +445,7 @@ class TestCaptureReport:
         basis = roast.build_roast_randomized(n, w, 4, 0)
         cross = caches.cross(n, w)
         by_id = {e.check_id: e for e in dpss_capture_report(
-            n, w, eps, basis, dpss=dpss, cross=cross).entries}
+            n, w, eps, basis, dpss=dpss).entries}
 
         dense = basis.dense_basis()
         resid = s_k - dense @ (dense.conj().T @ s_k)
@@ -473,13 +472,25 @@ class TestCaptureReport:
             basis = caches.roast(n, w, rank_for_capture(n, eps))
         else:
             basis = roast.build_roast_randomized(n, w, 4, 0)
-        cross = caches.cross(n, w)
-        split, q = basis.split, roast.basis._real_factor(basis)
-        real = roast.basis._cos_sin_rows(cross[split.n_neg:], split.n_neg)
+        q = roast.basis._real_factor(basis)
+        real = roast.basis._cross_rows(caches.op(n, w), basis.split)
         want = np.linalg.norm(real - q @ (q.T @ real), 2) / eps
-        entry = dpss_capture_report(n, w, eps, basis, dpss=caches.dpss(n, w),
-                                    cross=cross).entries[0]
+        entry = dpss_capture_report(n, w, eps, basis,
+                                    dpss=caches.dpss(n, w)).entries[0]
         assert entry.params["eta"] == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_reports_never_form_the_complex_cross_operator(
+            self, caches, patch_everywhere):
+        # the spectrum and eta read the real rows of _cross_rows alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("complex cross operator formed")
+
+        patch_everywhere(roast.basis.cross_operator_dense, refuse)
+        n, w, dpss = 64, 0.25, caches.dpss(64, 0.25)
+        assert singular_decay_report(n, w).violations == []
+        basis = caches.roast(n, w, 5)
+        assert len(dpss_capture_report(n, w, 1e-2, basis, dpss=dpss).entries) == 3
+        assert len(capture_suite(n, w, 1e-3, dpss=dpss).entries) > 3
 
     def test_refuses_a_v_not_closed_under_conjugation(self, caches, rng):
         n, w = 64, 0.25
