@@ -87,8 +87,12 @@ def cross_operator_dense(op: ProlateOperator, split: DftBandSplit) -> np.ndarray
     """Dense out-of-band cross operator Fbar^* B, complex n_high x N, its
     rows in ``high_indices`` order: the real rows of ``_cross_rows``
     expanded by ``_dft_rows``, so row -k is the conjugate of row k bit for
-    bit.  Refused, with ``_cross_rows``'s message, above the dense-byte limit.
+    bit.  Its peak of 40 n_high N bytes, the real rows, the output and two
+    half-size temporaries of ``_dft_rows``, is checked against the
+    dense-byte limit under ``_cross_rows``'s label.
     """
+    _check_dense_bytes(f"cross_operator_dense(n={op.n}, w={op.w})",
+                       40 * split.n_high * op.n)
     return _dft_rows(_cross_rows(op, split))
 
 

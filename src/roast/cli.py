@@ -160,9 +160,8 @@ def run_verify(args: argparse.Namespace) -> int:
     if args.single_point:
         # one full Slepian solve serves both suites
         dpss = build_dpss(args.n, args.w, args.n)
-        ledger = core_grid_checks(args.n, args.w, dpss=dpss)
-        ledger.extend(capture_suite(args.n, args.w, args.eps, r=args.r,
-                                    dpss=dpss))
+        ledger = core_grid_checks(dpss)
+        ledger.extend(capture_suite(dpss, args.eps, r=args.r))
     else:
         ledger = full_verification(num_seeds=args.num_seeds,
                                    capture_r=args.r)
@@ -390,6 +389,7 @@ _LIMITS = {
     "delta": (lambda v: 0.0 < v < 1.0, "--delta must lie in (0, 1)"),
     "tol": (lambda v: v > 0.0, "--tol must be positive"),
     "num_seeds": (lambda v: v >= 1, "--seeds must be positive"),
+    "seed": (lambda v: v >= 0, "--seed must be nonnegative"),
     "n_list": (lambda v: all(n >= 2 for n in v), "--n-list entries must be at least 2"),
 }
 

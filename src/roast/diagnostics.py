@@ -23,7 +23,6 @@ from .prolate import (
     ProlateOperator,
     _check_dense_bytes,
     build_band_split,
-    build_dpss,
     build_prolate,
     log_width_constant,
     prolate_apply,
@@ -58,6 +57,12 @@ _SNR_EXACT = 1e-15
 
 # +inf sentinel value used when SNR is written to CSV.
 SNR_CSV_CAP = 320.0
+
+# Gram deviation from I an orthonormal basis may show; the nodes on [-W, W] of
+# every in-band residual grid; the derivative scan's central-difference step.
+_ORTHONORMAL_TOL = 1e-8
+_BAND_NODES = 4096
+_FD_STEP = 1e-5
 
 
 def _jsonable(value):
@@ -214,11 +219,19 @@ def _dense_columns(q_like) -> np.ndarray:
     return q
 
 
-def _ensure_orthonormal(q: np.ndarray, tol: float = 1e-8, what: str = "basis") -> None:
+def _ensure_orthonormal(q: np.ndarray, what: str = "basis") -> None:
     gram = q.conj().T @ q
     err = np.max(np.abs(gram - np.eye(q.shape[1])), initial=0.0)
-    if err > tol:
-        raise ValueError(f"{what} is not orthonormal: Gram deviation {err:.3e} > {tol:.0e}")
+    if err > _ORTHONORMAL_TOL:
+        raise ValueError(f"{what} is not orthonormal: Gram deviation {err:.3e} "
+                         f"> {_ORTHONORMAL_TOL:.0e}")
+
+
+def _full_solve(dpss) -> tuple[int, float]:
+    """(N, W) of ``dpss``, refused unless it holds all N Slepian vectors."""
+    if dpss.k < dpss.n:
+        raise ValueError(f"need the full Slepian solve, got {dpss.k} of {dpss.n} vectors")
+    return dpss.n, dpss.w
 
 
 def _checked_basis(q_like, what: str = "basis"):
@@ -377,12 +390,11 @@ def sinusoid_residual_sq(projector, n: int, freqs: np.ndarray) -> np.ndarray:
     return out
 
 
-def integrated_residual_quadrature(op: ProlateOperator, q_like,
-                                   nodes: int = 4096) -> float:
-    """Same quantity by composite trapezoid over the band, residual vectors
-    evaluated pointwise.  Cross-validates the trace path."""
+def integrated_residual_quadrature(op: ProlateOperator, q_like) -> float:
+    """Same quantity by composite trapezoid over ``_BAND_NODES`` in-band nodes,
+    residual vectors evaluated pointwise.  Cross-validates the trace path."""
     q = _checked_basis(q_like)
-    grid = np.linspace(-op.w, op.w, nodes)
+    grid = np.linspace(-op.w, op.w, _BAND_NODES)
     return float(np.trapezoid(sinusoid_residual_sq(q, op.n, grid), grid))
 
 
@@ -467,45 +479,41 @@ def singular_decay_report(n: int, w: float) -> SpectrumReport:
 
 
 def eigenvalue_concentration_report(n: int, w: float, eps: float,
-                                    eigenvalues: np.ndarray | None = None) -> LedgerEntry:
-    """Count of eigenvalues inside [eps, 1-eps] against 2 C_N log(15/eps)."""
+                                    eigenvalues: np.ndarray) -> LedgerEntry:
+    """Count of ``eigenvalues`` inside [eps, 1-eps] against 2 C_N log(15/eps)."""
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps!r}")
-    if eigenvalues is None:
-        eigenvalues = build_dpss(n, w, n).eigenvalues
     count = int(np.sum((eigenvalues >= eps) & (eigenvalues <= 1.0 - eps)))
     bound = 2.0 * log_width_constant(n) * math.log(15.0 / eps)
     return LedgerEntry.check("eigenvalue_concentration", count, bound,
                              n=n, w=w, eps=eps)
 
 
-def sinusoid_derivative_check(op: ProlateOperator, q_like, grid_size: int = 4096,
-                              fd_step: float = 1e-5) -> BoundLedger:
+def sinusoid_derivative_check(op: ProlateOperator, q_like) -> BoundLedger:
     """Scan the in-band residual function and verify its smoothness envelope.
 
-    At each grid frequency the squared residual of the sampled sinusoid is
-    differenced centrally with step ``fd_step``; the absolute derivative must
-    stay below 2 pi N^2, and the pointwise residual ratio must respect the
-    bound implied by the band-integrated residual, the trapezoid rule over
-    the same grid (the trace path cancels to round-off, even 0, when tiny).
-    The grid and both shifted grids go through one ``sinusoid_residual_sq``.
+    At each of the ``_BAND_NODES`` grid frequencies the squared residual of
+    the sampled sinusoid is differenced centrally with step ``_FD_STEP``;
+    the absolute derivative must stay below 2 pi N^2, and the pointwise
+    residual ratio must respect the bound implied by the band-integrated
+    residual, the trapezoid rule over the same grid (the trace path cancels
+    to round-off, even 0, when tiny).  The grid and both shifted grids go
+    through one ``sinusoid_residual_sq``.
     """
     n, w = op.n, op.w
     if w < 1.0 / (4.0 * np.pi * n):
         raise ValueError(f"half-bandwidth {w} below 1/(4 pi N) for n={n}")
-    if fd_step > 1e-3:
-        raise ValueError(f"difference step {fd_step} too coarse to resolve (> 1e-3)")
     q = _checked_basis(q_like)
 
-    grid = np.linspace(-w, w, grid_size)
+    grid = np.linspace(-w, w, _BAND_NODES)
     center, upper, lower = np.split(sinusoid_residual_sq(
-        q, n, np.concatenate([grid, grid + fd_step, grid - fd_step])), 3)
-    deriv = (upper - lower) / (2.0 * fd_step)
+        q, n, np.concatenate([grid, grid + _FD_STEP, grid - _FD_STEP])), 3)
+    deriv = (upper - lower) / (2.0 * _FD_STEP)
 
     ledger = BoundLedger()
     ledger.add("residual_derivative_bound", np.max(np.abs(deriv)),
-               2.0 * np.pi * n**2, n=n, w=w, grid_size=grid_size,
-               fd_step=fd_step)
+               2.0 * np.pi * n**2, n=n, w=w, grid_size=_BAND_NODES,
+               fd_step=_FD_STEP)
 
     integral = float(np.trapezoid(center, grid))
     pointwise_bound = max(2.0 * math.sqrt(np.pi) * math.sqrt(integral),
@@ -538,14 +546,14 @@ def _capture_errors(x: np.ndarray, q: np.ndarray) -> tuple[float, float, float]:
             math.sqrt(max(1.0 - spectral_sq, 0.0)))
 
 
-def dpss_capture_report(n: int, w: float, eps: float, basis,
-                        dpss=None) -> BoundLedger:
+def dpss_capture_report(dpss, eps: float, basis) -> BoundLedger:
     """Check how well the basis captures the leading Slepian subspace.
 
-    K is the number of eigenvalues >= eps.  The deflation residual
-    eta = ||(I - V V^*) Fbar^* B|| / eps bounds the squared spectral capture
-    error of the K-dimensional Slepian projector and the per-vector squared
-    residuals, and through sqrt(1 - N eta) the subspace-angle cosine.
+    ``dpss`` is the full Slepian solve at the (N, W) of ``basis``, else
+    ``ValueError``.  K is the number of its eigenvalues >= eps.  The
+    deflation residual eta = ||(I - V V^*) Fbar^* B|| / eps bounds the squared
+    spectral capture error of the K-dimensional Slepian projector and the
+    per-vector squared residuals, and through sqrt(1 - N eta) the angle cosine.
 
     All run in real cosine/sine coordinates, whose maps are unitary, through
     ``_capture_errors``: eta from the real rows of the cross operator
@@ -560,8 +568,10 @@ def dpss_capture_report(n: int, w: float, eps: float, basis,
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps!r}")
-    if dpss is None:
-        dpss = build_dpss(n, w, n)
+    n, w = _full_solve(dpss)
+    if (basis.n, basis.w) != (n, w):
+        raise ValueError(f"basis at (n={basis.n}, w={basis.w}) does not match "
+                         f"the solve at (n={n}, w={w})")
     k = int(np.sum(dpss.eigenvalues >= eps))
     if k == 0:
         raise ValueError(f"no eigenvalues reach eps={eps}; nothing to capture")

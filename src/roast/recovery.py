@@ -34,6 +34,9 @@ __all__ = [
 # passes to ``analyze`` while it forms (Phi Q)^*.
 _SENSING_BLOCK_BYTES = 2 ** 21
 
+# In-band tones summed into the bandlimited truth of a recovery problem.
+_NUM_TONES = 1000
+
 
 @dataclass
 class CgResult:
@@ -48,13 +51,14 @@ class CgResult:
 
 
 def cgd_solve(apply_normal_op, rhs: np.ndarray, tol: float = 1e-8,
-              max_iter: int | None = None, callback=None) -> CgResult:
+              max_iter: int | None = None) -> CgResult:
     """Conjugate gradient on a Hermitian positive semidefinite action.
 
     Terminates when the residual 2-norm falls below ``tol`` relative to the
     right-hand side, or after ``max_iter`` steps (default 4x the dimension).
     Non-convergence is reported through ``converged`` and the recorded
-    residual history, never silently.  ``callback`` receives each iterate.
+    residual history, never silently.  A run stopped at ``max_iter = k``
+    returns the k-th iterate of the unbounded run.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
@@ -85,8 +89,6 @@ def cgd_solve(apply_normal_op, rhs: np.ndarray, tol: float = 1e-8,
         p = r + betas[-1] * p
         rs = rs_next
         history.append(float(np.sqrt(rs)))
-        if callback is not None:
-            callback(x)
     return CgResult(solution=x, iterations=len(alphas), residual_history=history,
                     converged=bool(np.sqrt(rs) <= tol * rhs_norm),
                     alphas=alphas, betas=betas)
@@ -105,17 +107,16 @@ class RecoveryProblem:
 
 
 def build_recovery_problem(n: int, w: float, m: int, seed: int,
-                           num_tones: int = 1000,
                            identity_sensing: bool = False) -> RecoveryProblem:
-    """Random bandlimited truth observed through an M x N sensing matrix; a
-    call whose 24 M N bytes (16 N^2 for the identity) exceed the dense-byte
-    limit is refused before the matrix is formed."""
+    """Random bandlimited truth of ``_NUM_TONES`` tones observed through an
+    M x N sensing matrix; a call whose 24 M N bytes (16 N^2 for the identity)
+    exceed the dense-byte limit is refused before the matrix is formed."""
     if not 2 * int(np.floor(n * w)) <= m <= n:
         raise ValueError(
             f"measurement count must satisfy 2*floor(NW) <= m <= n, got m={m}")
     _check_dense_bytes(f"build_recovery_problem(n={n}, m={m})",
                        (16 if identity_sensing else 24) * m * n)
-    truth = random_bandlimited(n, w, num_tones, seed).samples
+    truth = random_bandlimited(n, w, _NUM_TONES, seed).samples
     if identity_sensing:
         if m != n:
             raise ValueError("identity sensing requires m == n")
@@ -177,9 +178,9 @@ class RecoveryReport:
 
 def recovery_experiment(n: int, w: float, m: int, basis_choice: str, seed: int,
                         r: int | None = None, tol: float = 1e-8,
-                        num_tones: int = 1000,
                         identity_sensing: bool = False) -> RecoveryReport:
-    """Recover a bandlimited signal from y = Phi x through the chosen subspace.
+    """Recover a bandlimited signal of ``_NUM_TONES`` tones from y = Phi x
+    through the chosen subspace, on ``build_recovery_problem``'s problem.
 
     ``basis_choice`` is a key of ``roast.basis.BASES``; the basis is built
     as ``BASES[basis_choice](n, w, r, seed)``, so every choice has dimension
@@ -200,7 +201,7 @@ def recovery_experiment(n: int, w: float, m: int, basis_choice: str, seed: int,
             f"basis_choice must be one of {sorted(BASES)}, got {basis_choice!r}")
     if r is None:
         r = int(np.floor(3.0 * np.log(n)))
-    problem = build_recovery_problem(n, w, m, seed, num_tones=num_tones,
+    problem = build_recovery_problem(n, w, m, seed,
                                      identity_sensing=identity_sensing)
     basis = BASES[basis_choice](n, w, r, seed)
     dim = basis.dimension

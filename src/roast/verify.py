@@ -2,8 +2,9 @@
 
 Runs every inequality the library is built to satisfy, across a fixed
 (N, W) grid, and collects the results in a ledger.  The CLI ``verify``
-command is a thin wrapper around :func:`full_verification`; the acceptance
-tests call the granular suites directly.
+command is a thin wrapper around :func:`full_verification`, which alone
+solves the DPSS; the acceptance tests call the granular suites directly.
+Suites that read Slepian vectors take the full solve and read N and W from it.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ from .basis import (
 )
 from .diagnostics import (
     BoundLedger,
+    _BAND_NODES,
     _capture_errors,
     _checked_factor,
     _ensure_orthonormal,
+    _full_solve,
     dpss_capture_report,
     eigenvalue_concentration_report,
     integrated_residual,
@@ -58,13 +61,13 @@ __all__ = [
 DEFAULT_GRID = tuple((n, w) for n in (64, 256, 1024) for w in (0.1, 0.25, 0.4))
 _CONCENTRATION_EPS = (1e-2, 1e-4)
 _TAIL_RANKS = (5, 10, 20)
+_NUM_PAIRS = 100
 
 
-def core_grid_checks(n: int, w: float, dpss=None) -> BoundLedger:
+def core_grid_checks(dpss) -> BoundLedger:
     """Trace identity, eigenvalue bisection/concentration, singular decay."""
     ledger = BoundLedger()
-    if dpss is None:
-        dpss = build_dpss(n, w, n)
+    n, w = _full_solve(dpss)
     lam = dpss.eigenvalues
     params = {"n": n, "w": w}
 
@@ -77,7 +80,7 @@ def core_grid_checks(n: int, w: float, dpss=None) -> BoundLedger:
                index=hi, **params)
     for eps in _CONCENTRATION_EPS:
         ledger.entries.append(
-            eigenvalue_concentration_report(n, w, eps, eigenvalues=lam))
+            eigenvalue_concentration_report(n, w, eps, lam))
 
     report = singular_decay_report(n, w)
     ledger.add("singular_decay_violations", float(len(report.violations)), 0.0,
@@ -90,22 +93,20 @@ def core_grid_checks(n: int, w: float, dpss=None) -> BoundLedger:
     return ledger
 
 
-def capture_suite(n: int, w: float, eps: float, r: int | None = None,
-                  dpss=None) -> BoundLedger:
+def capture_suite(dpss, eps: float, r: int | None = None) -> BoundLedger:
     """Leading-DPSS capture at accuracy eps, with the angle bound at
-    enlarged R.  Passing ``r`` overrides the sized rank (used to exercise
-    the unsatisfied path), and ``dpss`` the full solve at (n, w); the cross
-    operator's rows are formed inside ``dpss_capture_report``."""
+    enlarged R, at the (N, W) of the full Slepian solve ``dpss``.  Passing
+    ``r`` overrides the sized rank (used to exercise the unsatisfied path);
+    the cross operator's rows are formed inside ``dpss_capture_report``."""
     ledger = BoundLedger()
-    if dpss is None:
-        dpss = build_dpss(n, w, n)
+    n, w = _full_solve(dpss)
     k = int(np.sum(dpss.eigenvalues >= eps))
     split = build_band_split(n, w)
 
     r_used = rank_for_capture(n, eps) if r is None else r
     r_used = min(r_used, split.n_high)
     basis = build_roast(n, w, r_used)
-    report = dpss_capture_report(n, w, eps, basis, dpss=dpss)
+    report = dpss_capture_report(dpss, eps, basis)
     by_id = {e.check_id: e for e in report.entries}
     params = {"n": n, "w": w, "eps": eps, "k": k, "r": r_used}
     ledger.add("dpss_capture_spectral_sq_vs_eps",
@@ -124,7 +125,7 @@ def capture_suite(n: int, w: float, eps: float, r: int | None = None,
     return ledger
 
 
-def average_suite(n: int, w: float, eps: float, quad_nodes: int = 4096) -> BoundLedger:
+def average_suite(n: int, w: float, eps: float) -> BoundLedger:
     """Band-averaged normalized residual at the rank sized for eps, the
     quadrature value over N, plus the trace/quadrature cross-check.
 
@@ -137,7 +138,7 @@ def average_suite(n: int, w: float, eps: float, quad_nodes: int = 4096) -> Bound
     r = min(rank_for_average(n, eps), build_band_split(n, w).n_high)
     basis = build_roast(n, w, r)
     trace_val = integrated_residual(op, basis)
-    quad_val = integrated_residual_quadrature(op, basis, nodes=quad_nodes)
+    quad_val = integrated_residual_quadrature(op, basis)
     params = {"n": n, "w": w, "eps": eps, "r": r}
     ledger.add("average_residual_normalized", quad_val / n, eps, **params)
     floor = basis.dimension * np.finfo(float).eps * op.trace()
@@ -147,13 +148,13 @@ def average_suite(n: int, w: float, eps: float, quad_nodes: int = 4096) -> Bound
     return ledger
 
 
-def pointwise_suite(n: int, w: float, eps: float, grid_size: int = 4096) -> BoundLedger:
+def pointwise_suite(n: int, w: float, eps: float) -> BoundLedger:
     """Pointwise in-band residual relative to eps, and the derivative bound."""
     ledger = BoundLedger()
     op = build_prolate(n, w)
     r = min(rank_for_pointwise(n, w, eps), build_band_split(n, w).n_high)
     basis = build_roast(n, w, r)
-    deriv_ledger = sinusoid_derivative_check(op, basis, grid_size=grid_size)
+    deriv_ledger = sinusoid_derivative_check(op, basis)
     by_id = {e.check_id: e for e in deriv_ledger.entries}
     ledger.add("pointwise_residual_vs_eps",
                by_id["pointwise_residual_from_average"].lhs_value, eps,
@@ -162,8 +163,7 @@ def pointwise_suite(n: int, w: float, eps: float, grid_size: int = 4096) -> Boun
     return ledger
 
 
-def randomized_suite(n: int, w: float, eps: float, num_seeds: int = 20,
-                     grid_size: int = 4096, dpss=None) -> BoundLedger:
+def randomized_suite(dpss, eps: float, num_seeds: int = 20) -> BoundLedger:
     """Expectation-level guarantees for the sketched construction.
 
     Over ``num_seeds`` seeds, checks the seed means of the capture error and
@@ -178,16 +178,15 @@ def randomized_suite(n: int, w: float, eps: float, num_seeds: int = 20,
     Capture and angle take the real route of ``dpss_capture_report``; the
     angle cosine is sqrt(1 - ||R||_2^2) for the capture residual R.  The
     average-width and pointwise bases of all seeds share one
-    ``sinusoid_residual_sq`` call on the ``grid_size``-point in-band grid,
-    and each seed's average is the trapezoid of its curve over N, which
-    resolves residuals the trace path floors at zero.  ``dpss`` may pass in
-    the full Slepian solve at (n, w).
+    ``sinusoid_residual_sq`` call on the in-band grid of
+    ``integrated_residual_quadrature``, and each seed's average is the
+    trapezoid of its curve over N, which resolves residuals the trace path
+    floors at zero.
     """
     ledger = BoundLedger()
+    n, w = _full_solve(dpss)
     split = build_band_split(n, w)
     op = build_prolate(n, w)
-    if dpss is None:
-        dpss = build_dpss(n, w, n)
     k = int(np.sum(dpss.eigenvalues >= eps))
     s_k = dpss.vectors[:, :k]
     _ensure_orthonormal(s_k, what="Slepian vectors")
@@ -196,7 +195,7 @@ def randomized_suite(n: int, w: float, eps: float, num_seeds: int = 20,
     p_angle = min(sketch_for_capture_angle(n, eps), split.n_high)
     p_avg = min(sketch_for_average(n, eps), split.n_high)
     p_point = min(sketch_for_pointwise(n, w, eps), split.n_high)
-    grid = np.linspace(-w, w, grid_size)
+    grid = np.linspace(-w, w, _BAND_NODES)
 
     widths = sorted({p_cap, p_angle, p_avg, p_point})
     by_seed, caps, cosines = [], [], []
@@ -233,26 +232,26 @@ def randomized_suite(n: int, w: float, eps: float, num_seeds: int = 20,
     # pointwise residual: mean over seeds, then max over the in-band grid
     ledger.add("randomized_pointwise_residual_mean",
                float(np.max(point_curves.mean(axis=0)) / n), eps,
-               grid_size=grid_size, **common(p_point))
+               grid_size=_BAND_NODES, **common(p_point))
     return ledger
 
 
-def small_instance_checks(num_pairs: int = 100) -> BoundLedger:
-    """Direct small-matrix verification of the trace inequality and the
-    equivalence of the two subspace-angle formulations."""
+def small_instance_checks() -> BoundLedger:
+    """Direct small-matrix verification of the trace inequality over
+    ``_NUM_PAIRS`` random pairs and of the two subspace-angle formulations."""
     ledger = BoundLedger()
     rng = np.random.default_rng(0)
     dim = 16
 
     worst = -np.inf
-    for _ in range(num_pairs):
+    for _ in range(_NUM_PAIRS):
         a = rng.standard_normal((8, 12)) + 1j * rng.standard_normal((8, 12))
         b = rng.standard_normal((8, 12)) + 1j * rng.standard_normal((8, 12))
         lhs = abs(np.trace(a @ b.conj().T))
         rhs = float(np.sum(np.linalg.svd(a, compute_uv=False)
                            * np.linalg.svd(b, compute_uv=False)))
         worst = max(worst, lhs - rhs)
-    ledger.add("trace_inequality_margin", worst, 0.0, num_pairs=num_pairs,
+    ledger.add("trace_inequality_margin", worst, 0.0, num_pairs=_NUM_PAIRS,
                shape=[8, 12])
 
     worst_gap = 0.0
@@ -274,13 +273,13 @@ def full_verification(num_seeds: int = 20, capture_r: int | None = None) -> Boun
     """Run the whole suite; the single entry point behind ``roast verify``."""
     ledger = BoundLedger()
     for n, w in DEFAULT_GRID:
-        ledger.extend(core_grid_checks(n, w))
+        ledger.extend(core_grid_checks(build_dpss(n, w, n)))
     # the detail point, where one full Slepian solve serves two suites
     n, w = 512, 0.25
     dpss = build_dpss(n, w, n)
-    ledger.extend(capture_suite(n, w, 1e-3, r=capture_r, dpss=dpss))
+    ledger.extend(capture_suite(dpss, 1e-3, r=capture_r))
     ledger.extend(average_suite(n, w, 1e-3))
     ledger.extend(pointwise_suite(n, w, 1e-1))
-    ledger.extend(randomized_suite(n, w, 1e-2, num_seeds=num_seeds, dpss=dpss))
+    ledger.extend(randomized_suite(dpss, 1e-2, num_seeds=num_seeds))
     ledger.extend(small_instance_checks())
     return ledger

@@ -112,7 +112,7 @@ def test_criterion_03_singular_decay(caches):
 
 
 def test_criterion_04_dpss_capture(caches):
-    ledger = capture_suite(512, 0.25, 1e-3, dpss=caches.dpss(512, 0.25))
+    ledger = capture_suite(caches.dpss(512, 0.25), 1e-3)
     wanted = ("dpss_capture_spectral_sq_vs_eps", "dpss_capture_per_vector_vs_eps",
               "dpss_capture_angle_vs_eps")
     conditions = [(e.satisfied, f"{e.check_id}: {e.lhs_value:.3e} vs {e.rhs_bound:.3e}")
@@ -140,14 +140,14 @@ def test_criterion_05_average_residual(caches):
 
 
 def test_criterion_06_pointwise_residual():
-    ledger = pointwise_suite(512, 0.25, 1e-1, grid_size=4096)
+    ledger = pointwise_suite(512, 0.25, 1e-1)
     conditions = [(e.satisfied, f"{e.check_id}: {e.lhs_value:.3e} vs {e.rhs_bound:.3e}")
                   for e in ledger.entries]
     report("6 (pointwise in-band residual, derivative bound)", conditions)
 
 
-def test_criterion_07_randomized_means():
-    ledger = randomized_suite(512, 0.25, 1e-2, num_seeds=20)
+def test_criterion_07_randomized_means(caches):
+    ledger = randomized_suite(caches.dpss(512, 0.25), 1e-2, num_seeds=20)
     conditions = [(e.satisfied, f"{e.check_id}: {e.lhs_value:.3e} vs {e.rhs_bound:.3e}")
                   for e in ledger.entries]
     assert len(conditions) == 5
@@ -276,7 +276,7 @@ def test_criterion_11_cg_conditioning(caches):
 
 
 def test_criterion_12_small_instance_oracles(rng):
-    ledger = small_instance_checks(num_pairs=100)
+    ledger = small_instance_checks()
     conditions = [(e.satisfied, f"{e.check_id}: {e.lhs_value:.3e} vs {e.rhs_bound:.3e}")
                   for e in ledger.entries]
     report("12 (trace inequality, angle definitions)", conditions)

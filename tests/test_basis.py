@@ -561,6 +561,26 @@ class TestDenseByteGuards:
             tracemalloc.stop()
         assert peak < 2**24
 
+    def test_cross_operator_dense_charges_its_peak(self):
+        # 40 n_high N: at N=14000 the real rows' 16 n_high N (1.57 GB) fit
+        # the limit, the 3.9 GB peak of the complex expansion does not
+        n, w = 14000, 0.25
+        split = roast.build_band_split(n, w)
+        assert 16 * split.n_high * n <= roast.prolate._MAX_DENSE_BYTES
+        with pytest.raises(ValueError, match="cross_operator_dense.*MiB, above the"):
+            roast.cross_operator_dense(roast.build_prolate(n, w), split)
+
+    def test_cross_operator_dense_peak_is_what_it_charges(self):
+        n, w = 1024, 0.1
+        op, split = roast.build_prolate(n, w), roast.build_band_split(n, w)
+        tracemalloc.start()
+        try:
+            roast.cross_operator_dense(op, split)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * split.n_high * n + 2**21
+
     def test_every_guard_reads_the_one_limit(self, monkeypatch):
         # 256 KiB refuses each of these small calls; 2**31 lets them all run
         calls = [lambda: roast.build_dpss(256, 0.25, 256),

@@ -431,6 +431,13 @@ class TestValidation:
         ["bandlimited-snr", "--tones", "0"],
         ["rank-report", "--delta", "2.0"],
         ["verify", "--eps", "0.9"],
+        # a negative --seed reaches default_rng, which refuses it
+        ["build", "--n", "64", "--method", "randomized", "--p", "5",
+         "--seed", "-1", "--out", "unused.bin"],
+        ["recover", "--n", "64", "--m", "40", "--seed", "-1"],
+        ["sweep-sinusoid", "--n", "64", "--r", "4", "--seed", "-1"],
+        ["bandlimited-snr", "--n", "64", "--r-max", "4", "--seed", "-1"],
+        ["scaling-bench", "--n-list", "64", "--seed", "-1"],
     ])
     def test_bad_parameters_exit_2(self, args):
         assert main(args) == 2

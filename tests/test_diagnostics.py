@@ -180,9 +180,9 @@ class TestSinusoidResidualKernel:
                                                 forbid_dense_columns):
         basis = caches.roast(64, 0.25, 5)
         op = caches.op(64, 0.25)
-        assert integrated_residual_quadrature(op, basis, nodes=256) >= 0.0
+        assert integrated_residual_quadrature(op, basis) >= 0.0
         assert integrated_residual(op, basis) >= 0.0
-        assert sinusoid_derivative_check(op, basis, grid_size=64).all_satisfied
+        assert sinusoid_derivative_check(op, basis).all_satisfied
 
     @pytest.mark.parametrize("n", [128, 129])
     def test_subdft_basis_needs_no_dense_columns(self, caches, n,
@@ -197,7 +197,7 @@ class TestSinusoidResidualKernel:
             assert want > 0.0
             assert abs(got - want) <= 1e-12 * want
         # the difference quotient scales the residuals' round-off by
-        # 1 / (2 fd_step) = 5e4: its gap reads 5.6e-12 at N=128
+        # 1 / (2 _FD_STEP) = 5e4: its gap reads 5.6e-12 at N=128
         got, want = (sinusoid_derivative_check(op, q) for q in (basis, dense))
         for a, b in zip(got.entries, want.entries):
             rel = 1e-10 if a.check_id == "residual_derivative_bound" else 1e-12
@@ -351,8 +351,7 @@ class TestSpectrumReport:
 class TestConcentration:
     def test_reference_point(self, caches):
         lam = caches.dpss(1024, 0.25).eigenvalues
-        entry = eigenvalue_concentration_report(1024, 0.25, 1e-2,
-                                                eigenvalues=lam)
+        entry = eigenvalue_concentration_report(1024, 0.25, 1e-2, lam)
         assert abs(log_width_constant(1024) - 9.652) <= 1e-3
         assert entry.rhs_bound == pytest.approx(
             2 * log_width_constant(1024) * math.log(1500.0))
@@ -362,24 +361,24 @@ class TestConcentration:
         lam = caches.dpss(256, 0.25).eigenvalues
         assert np.sum((lam >= 0.4999) & (lam <= 0.5001)) <= 1
 
-    def test_eps_validation(self):
+    def test_eps_validation(self, caches):
         with pytest.raises(ValueError):
-            eigenvalue_concentration_report(64, 0.25, 0.6)
+            eigenvalue_concentration_report(64, 0.25, 0.6,
+                                            caches.dpss(64, 0.25).eigenvalues)
 
 
 class TestDerivativeCheck:
     def test_complete_basis_flat(self, caches):
         op = caches.op(64, 0.25)
         full_dft = roast.dft_columns(64, np.arange(64))
-        ledger = sinusoid_derivative_check(op, full_dft, grid_size=64)
+        ledger = sinusoid_derivative_check(op, full_dft)
         assert ledger.all_satisfied
         by_id = {e.check_id: e for e in ledger.entries}
         assert by_id["pointwise_residual_from_average"].lhs_value <= 1e-12
 
     def test_roast_basis_within_envelope(self, caches):
         op = caches.op(512, 0.25)
-        ledger = sinusoid_derivative_check(op, caches.roast(512, 0.25, 19),
-                                           grid_size=512)
+        ledger = sinusoid_derivative_check(op, caches.roast(512, 0.25, 19))
         assert ledger.all_satisfied
         by_id = {e.check_id: e for e in ledger.entries}
         assert by_id["residual_derivative_bound"].rhs_bound == pytest.approx(
@@ -397,12 +396,6 @@ class TestDerivativeCheck:
         assert entry.params["integral"] == pytest.approx(
             integrated_residual_quadrature(op, basis), rel=1e-12)
 
-    def test_coarse_step_rejected(self, caches):
-        op = caches.op(64, 0.25)
-        with pytest.raises(ValueError, match="coarse"):
-            sinusoid_derivative_check(op, roast.dft_columns(64, np.arange(64)),
-                                      fd_step=1e-2)
-
     def test_too_narrow_band_rejected(self):
         op = build_prolate(8, 0.005)  # below 1/(4 pi N) ~ 0.00995
         with pytest.raises(ValueError, match="1/\\(4 pi N\\)"):
@@ -414,8 +407,7 @@ class TestCaptureReport:
         n, w = 128, 0.25
         split = roast.build_band_split(n, w)
         basis = build_roast(n, w, split.n_high)
-        ledger = dpss_capture_report(n, w, 1e-3, basis,
-                                     dpss=caches.dpss(n, w))
+        ledger = dpss_capture_report(caches.dpss(n, w), 1e-3, basis)
         by_id = {e.check_id: e for e in ledger.entries}
         assert by_id["dpss_capture_spectral_sq"].lhs_value <= 1e-12
         assert by_id["dpss_capture_per_vector"].lhs_value <= 1e-12
@@ -424,7 +416,7 @@ class TestCaptureReport:
     def test_sized_basis_meets_eps(self, caches):
         n, w, eps = 512, 0.25, 1e-3
         basis = caches.roast(n, w, rank_for_capture(n, eps))
-        ledger = dpss_capture_report(n, w, eps, basis, dpss=caches.dpss(n, w))
+        ledger = dpss_capture_report(caches.dpss(n, w), eps, basis)
         assert ledger.all_satisfied
         by_id = {e.check_id: e for e in ledger.entries}
         assert by_id["dpss_capture_spectral_sq"].lhs_value <= eps
@@ -432,7 +424,7 @@ class TestCaptureReport:
 
     def test_eps_validation(self, caches):
         with pytest.raises(ValueError):
-            dpss_capture_report(128, 0.25, 0.7, caches.roast(128, 0.25, 5))
+            dpss_capture_report(caches.dpss(128, 0.25), 0.7, caches.roast(128, 0.25, 5))
 
     @pytest.mark.parametrize("n", [64, 65])
     def test_matches_the_dense_oracle(self, n, caches):
@@ -445,7 +437,7 @@ class TestCaptureReport:
         basis = roast.build_roast_randomized(n, w, 4, 0)
         cross = caches.cross(n, w)
         by_id = {e.check_id: e for e in dpss_capture_report(
-            n, w, eps, basis, dpss=dpss).entries}
+            dpss, eps, basis).entries}
 
         dense = basis.dense_basis()
         resid = s_k - dense @ (dense.conj().T @ s_k)
@@ -475,8 +467,7 @@ class TestCaptureReport:
         q = roast.basis._real_factor(basis)
         real = roast.basis._cross_rows(caches.op(n, w), basis.split)
         want = np.linalg.norm(real - q @ (q.T @ real), 2) / eps
-        entry = dpss_capture_report(n, w, eps, basis,
-                                    dpss=caches.dpss(n, w)).entries[0]
+        entry = dpss_capture_report(caches.dpss(n, w), eps, basis).entries[0]
         assert entry.params["eta"] == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_reports_never_form_the_complex_cross_operator(
@@ -489,8 +480,13 @@ class TestCaptureReport:
         n, w, dpss = 64, 0.25, caches.dpss(64, 0.25)
         assert singular_decay_report(n, w).violations == []
         basis = caches.roast(n, w, 5)
-        assert len(dpss_capture_report(n, w, 1e-2, basis, dpss=dpss).entries) == 3
-        assert len(capture_suite(n, w, 1e-3, dpss=dpss).entries) > 3
+        assert len(dpss_capture_report(dpss, 1e-2, basis).entries) == 3
+        assert len(capture_suite(dpss, 1e-3).entries) > 3
+
+    @pytest.mark.parametrize("n, w", [(64, 0.2), (65, 0.25)])
+    def test_refuses_a_basis_at_another_split(self, n, w, caches):
+        with pytest.raises(ValueError, match="does not match the solve"):
+            dpss_capture_report(caches.dpss(64, 0.25), 1e-2, caches.roast(n, w, 5))
 
     def test_refuses_a_v_not_closed_under_conjugation(self, caches, rng):
         n, w = 64, 0.25
@@ -499,7 +495,7 @@ class TestCaptureReport:
                          + 1j * rng.standard_normal((split.n_high, 3)))[0]
         basis = roast.RoastBasis(split=split, r=3, v=v, method="svd_fb")
         with pytest.raises(ValueError, match="closed under conjugation"):
-            dpss_capture_report(n, w, 1e-2, basis, dpss=caches.dpss(n, w))
+            dpss_capture_report(caches.dpss(n, w), 1e-2, basis)
 
 
 class TestLedger:

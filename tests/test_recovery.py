@@ -36,13 +36,12 @@ class TestCgSolve:
         a = m @ m.T + np.eye(20)
         rhs = rng.standard_normal(20)
         exact = np.linalg.solve(a, rhs)
+        steps = cgd_solve(lambda v: a @ v, rhs, tol=1e-12).iterations
         energies = []
-
-        def track(x):
-            e = x - exact
+        # the run stopped at max_iter = k ends on the k-th iterate
+        for k in range(1, steps + 1):
+            e = cgd_solve(lambda v: a @ v, rhs, tol=1e-12, max_iter=k).solution - exact
             energies.append(float(e @ (a @ e)))
-
-        cgd_solve(lambda v: a @ v, rhs, tol=1e-12, callback=track)
         assert len(energies) >= 2
         assert np.all(np.diff(energies) <= 1e-9 * energies[0])
 
@@ -93,8 +92,9 @@ class TestRecoveryExperiment:
     def test_identity_sensing_reduces_to_projection(self, caches):
         n, w, r, seed = 128, 0.25, 8, 5
         report = recovery_experiment(n, w, n, "roast", seed, r=r,
-                                     identity_sensing=True, num_tones=200)
-        truth = roast.random_bandlimited(n, w, 200, seed).samples
+                                     identity_sensing=True)
+        truth = roast.random_bandlimited(n, w, roast.recovery._NUM_TONES,
+                                         seed).samples
         basis = caches.roast(n, w, r)
         expected = np.linalg.norm(truth - basis.project(truth)) / np.linalg.norm(truth)
         assert report.converged
@@ -120,14 +120,13 @@ class TestRecoveryExperiment:
         assert np.linalg.norm(xhat - truth) / np.linalg.norm(truth) <= 1e-6
 
     def test_recovered_signal_lies_in_subspace(self):
-        report = recovery_experiment(128, 0.25, 96, "roast", seed=2, r=6,
-                                     num_tones=200)
+        report = recovery_experiment(128, 0.25, 96, "roast", seed=2, r=6)
         assert report.converged
         assert report.relative_error <= 1e-2
 
     def test_median_error_at_reference_point(self):
-        errors = [recovery_experiment(512, 0.25, 384, "roast", seed, r=19,
-                                      num_tones=500).relative_error
+        errors = [recovery_experiment(512, 0.25, 384, "roast", seed,
+                                      r=19).relative_error
                   for seed in range(5)]
         assert np.median(errors) <= 1e-2
 
@@ -136,9 +135,9 @@ class TestRecoveryExperiment:
         # CG through the basis's own analyze/synthesize lands on the dense
         # least-squares recovery through the same basis
         n, w, m, r, seed = 128, 0.25, 96, 6, 2
-        report = recovery_experiment(n, w, m, name, seed, r=r, num_tones=200)
+        report = recovery_experiment(n, w, m, name, seed, r=r)
         q = roast.BASES[name](n, w, r, seed).dense_basis()
-        problem = build_recovery_problem(n, w, m, seed, num_tones=200)
+        problem = build_recovery_problem(n, w, m, seed)
         coeffs = np.linalg.lstsq(problem.phi @ q, problem.y, rcond=None)[0]
         oracle = (np.linalg.norm(q @ coeffs - problem.truth)
                   / np.linalg.norm(problem.truth))
@@ -174,7 +173,7 @@ class TestRecoveryExperiment:
         if block_rows is not None:
             monkeypatch.setattr(roast.recovery, "_SENSING_BLOCK_BYTES",
                                 16 * n * block_rows)
-        problem = build_recovery_problem(n, w, m, seed, num_tones=200,
+        problem = build_recovery_problem(n, w, m, seed,
                                          identity_sensing=identity)
         basis = roast.BASES[name](n, w, r, seed)
         got = roast.recovery._compressed_adjoint(problem.phi, basis)

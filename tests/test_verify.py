@@ -4,10 +4,12 @@ import pytest
 import roast.diagnostics
 import roast.verify
 from roast.basis import build_roast_randomized, rank_for_capture
-from roast.diagnostics import integrated_residual, integrated_residual_quadrature
+from roast.diagnostics import (dpss_capture_report, integrated_residual,
+                               integrated_residual_quadrature)
 from roast.verify import (
     DEFAULT_GRID,
     average_suite,
+    capture_suite,
     core_grid_checks,
     pointwise_suite,
     randomized_suite,
@@ -18,13 +20,40 @@ def entry_map(ledger):
     return {e.check_id: e for e in ledger.entries}
 
 
+def _calls_on_a_solve(dpss, basis):
+    """The four calls that read N and W from the Slepian solve they take."""
+    return [lambda: core_grid_checks(dpss), lambda: capture_suite(dpss, 1e-3),
+            lambda: randomized_suite(dpss, 1e-2, num_seeds=2),
+            lambda: dpss_capture_report(dpss, 1e-2, basis)]
+
+
+class TestSolveInput:
+    def test_truncated_solve_refused(self, caches):
+        # the leading 20 of the 64 vectors at N=64, W=0.25 hide the rest of
+        # the spectrum, so no count of eigenvalues >= eps can be read off them
+        calls = _calls_on_a_solve(caches.dpss(64, 0.25, 20), caches.roast(64, 0.25, 5))
+        for call in calls:
+            with pytest.raises(ValueError, match="full Slepian solve"):
+                call()
+
+    def test_given_solve_is_not_solved_again(self, caches, patch_everywhere):
+        calls = _calls_on_a_solve(caches.dpss(64, 0.25), caches.roast(64, 0.25, 5))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("DPSS solved")
+
+        patch_everywhere(roast.prolate.build_dpss, no_solve)
+        for call in calls:
+            assert call().entries
+
+
 class TestSuites:
     def test_default_grid_shape(self):
         assert len(DEFAULT_GRID) == 9
         assert all(0 < w < 0.5 and n >= 64 for n, w in DEFAULT_GRID)
 
     def test_core_checks_pass_at_small_size(self, caches):
-        ledger = core_grid_checks(64, 0.25, dpss=caches.dpss(64, 0.25))
+        ledger = core_grid_checks(caches.dpss(64, 0.25))
         assert ledger.all_satisfied
         ids = {e.check_id for e in ledger.entries}
         assert {"trace_identity", "eigenvalue_bisection_lower",
@@ -33,21 +62,21 @@ class TestSuites:
                 "cross_operator_norm_below_one"} <= ids
 
     def test_average_suite_small(self):
-        ledger = average_suite(64, 0.25, 1e-2, quad_nodes=512)
+        ledger = average_suite(64, 0.25, 1e-2)
         assert ledger.all_satisfied
 
     def test_pointwise_suite_small(self):
-        ledger = pointwise_suite(64, 0.25, 1e-1, grid_size=128)
+        ledger = pointwise_suite(64, 0.25, 1e-1)
         assert ledger.all_satisfied
 
-    def test_randomized_angle_entry_records_both_floors(self):
-        ledger = randomized_suite(64, 0.25, 1e-2, num_seeds=2, grid_size=64)
+    def test_randomized_angle_entry_records_both_floors(self, caches):
+        ledger = randomized_suite(caches.dpss(64, 0.25), 1e-2, num_seeds=2)
         angle = entry_map(ledger)["randomized_angle_mean"]
         assert "strict_floor" in angle.params
         assert angle.params["strict_floor"] >= angle.lhs_value
 
     @staticmethod
-    def _count_sketches_and_qrs(monkeypatch, n):
+    def _count_sketches_and_qrs(monkeypatch, caches, n):
         sketches, qrs = [], []
         sketch, sketch_basis = roast.verify._sketch, roast.verify._sketch_basis
 
@@ -61,25 +90,26 @@ class TestSuites:
 
         monkeypatch.setattr(roast.verify, "_sketch", counting_sketch)
         monkeypatch.setattr(roast.verify, "_sketch_basis", counting_basis)
-        ledger = randomized_suite(n, 0.25, 1e-2, num_seeds=2, grid_size=64)
+        ledger = randomized_suite(caches.dpss(n, 0.25), 1e-2, num_seeds=2)
         return sketches, qrs, {e.params["p"] for e in ledger.entries}
 
-    def test_randomized_suite_builds_once_per_distinct_width(self, monkeypatch):
+    def test_randomized_suite_builds_once_per_distinct_width(self, monkeypatch,
+                                                              caches):
         # at N=64 every sketch-width rule clamps to n_high = 31, so each
         # seed needs one sketch and one pivoted QR
-        sketches, qrs, widths = self._count_sketches_and_qrs(monkeypatch, 64)
+        sketches, qrs, widths = self._count_sketches_and_qrs(monkeypatch, caches, 64)
         assert sketches == qrs == [(31, 0), (31, 1)]
         assert widths == {31}
 
-    def test_narrower_widths_take_prefixes_of_one_sketch(self, monkeypatch):
+    def test_narrower_widths_take_prefixes_of_one_sketch(self, monkeypatch, caches):
         # at the verify detail point the rules give three widths: each seed
         # draws one sketch at the widest and runs one pivoted QR per width
-        sketches, qrs, widths = self._count_sketches_and_qrs(monkeypatch, 512)
+        sketches, qrs, widths = self._count_sketches_and_qrs(monkeypatch, caches, 512)
         assert sketches == [(255, 0), (255, 1)]
         assert qrs == [(p, seed) for seed in (0, 1) for p in (113, 170, 255)]
         assert widths == {113, 170, 255}
 
-    def test_widest_basis_is_the_builder_output(self, monkeypatch):
+    def test_widest_basis_is_the_builder_output(self, monkeypatch, caches):
         # at the verify detail point the widest width, 255, serves the angle
         # and pointwise entries; its basis is build_roast_randomized's
         n, w, widest = 512, 0.25, {}
@@ -92,15 +122,17 @@ class TestSuites:
             return basis
 
         monkeypatch.setattr(roast.verify, "_sketch_basis", keeping_basis)
-        randomized_suite(n, w, 1e-2, num_seeds=2, grid_size=64)
+        randomized_suite(caches.dpss(n, w), 1e-2, num_seeds=2)
         assert sorted(widest) == [0, 1]
         for seed, got in widest.items():
             want = build_roast_randomized(n, w, 255, seed)
             assert (got.r, got.seed, got.method) == (want.r, want.seed, want.method)
             np.testing.assert_array_equal(got.v, want.v)
 
-    def test_randomized_suite_forms_the_dirichlet_ratio_once(self, monkeypatch):
-        # both seeds' pointwise bases go through one kernel call
+    def test_randomized_suite_forms_the_dirichlet_ratio_once(self, monkeypatch,
+                                                              caches):
+        # both seeds' bases go through one kernel call, which forms the
+        # ratio once per block of 2**16 // 31 of the 4096 grid frequencies
         calls = []
         ratio = roast.diagnostics._dirichlet_ratio
 
@@ -109,38 +141,37 @@ class TestSuites:
             return ratio(*args)
 
         monkeypatch.setattr(roast.diagnostics, "_dirichlet_ratio", counting_ratio)
-        randomized_suite(64, 0.25, 1e-2, num_seeds=2, grid_size=64)
-        assert len(calls) == 1
+        randomized_suite(caches.dpss(64, 0.25), 1e-2, num_seeds=2)
+        assert len(calls) == 2
 
-    def test_randomized_average_is_the_mean_quadrature(self):
+    def test_randomized_average_is_the_mean_quadrature(self, caches):
         # the trace path floors its round-off at zero; the quadrature over
         # the suite's own grid resolves the residual of every seed
-        n, w, eps, seeds, nodes = 64, 0.25, 1e-2, 2, 64
-        ledger = randomized_suite(n, w, eps, num_seeds=seeds, grid_size=nodes)
+        n, w, eps, seeds = 64, 0.25, 1e-2, 2
+        ledger = randomized_suite(caches.dpss(n, w), eps, num_seeds=seeds)
         entry = entry_map(ledger)["randomized_average_residual_mean"]
         op = roast.prolate.build_prolate(n, w)
         p = entry.params["p"]
         want = np.mean([integrated_residual_quadrature(
-            op, build_roast_randomized(n, w, p, seed), nodes=nodes) / n
+            op, build_roast_randomized(n, w, p, seed)) / n
             for seed in range(seeds)])
         assert entry.lhs_value > 0.0
         assert entry.lhs_value == pytest.approx(want, rel=1e-12)
 
-    def test_randomized_entries_record_kept_rank(self):
-        ledger = randomized_suite(64, 0.25, 1e-2, num_seeds=2, grid_size=64)
+    def test_randomized_entries_record_kept_rank(self, caches):
+        ledger = randomized_suite(caches.dpss(64, 0.25), 1e-2, num_seeds=2)
         for e in ledger.entries:
             assert 1 <= e.params["r_min"] <= e.params["r_max"] <= e.params["p"]
 
     def test_randomized_suite_takes_a_shared_dpss(self, caches, monkeypatch):
-        dpss = caches.dpss(64, 0.25)
-        want = randomized_suite(64, 0.25, 1e-2, num_seeds=2, grid_size=64)
+        want = randomized_suite(roast.prolate.build_dpss(64, 0.25, 64), 1e-2,
+                                num_seeds=2)
 
         def no_solve(*args, **kwargs):
             raise AssertionError("DPSS solved again")
 
         monkeypatch.setattr(roast.verify, "build_dpss", no_solve)
-        got = randomized_suite(64, 0.25, 1e-2, num_seeds=2, grid_size=64,
-                               dpss=dpss)
+        got = randomized_suite(caches.dpss(64, 0.25), 1e-2, num_seeds=2)
         assert [e.to_dict() for e in got.entries] == [e.to_dict() for e in want.entries]
 
     @pytest.mark.parametrize("n", [64, 65])
@@ -187,12 +218,12 @@ class TestSuites:
         assert 0.0 < want < 1e-15
         assert got == pytest.approx(want, rel=1e-12, abs=0)
 
-    def test_suites_run_without_dense_columns(self, forbid_dense_columns):
+    def test_suites_run_without_dense_columns(self, forbid_dense_columns, caches):
         # the randomized and pointwise suites work through the basis
         # objects, so forbidding the dense DFT columns changes nothing
-        assert randomized_suite(64, 0.25, 1e-2, num_seeds=2,
-                                grid_size=64).all_satisfied
-        assert pointwise_suite(64, 0.25, 1e-1, grid_size=128).all_satisfied
+        assert randomized_suite(caches.dpss(64, 0.25), 1e-2,
+                                num_seeds=2).all_satisfied
+        assert pointwise_suite(64, 0.25, 1e-1).all_satisfied
 
 
 class TestResidualPathAgreement:
