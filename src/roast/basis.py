@@ -691,4 +691,4 @@ def deserialize_basis(data: bytes) -> RoastBasis:
             f"dimension inconsistency: payload holds {len(v_bytes)} bytes, "
             f"header implies {expected}")
     v = np.frombuffer(v_bytes, dtype="<c16").reshape((split.n_high, r), order="F")
-    return RoastBasis(split=split, r=r, v=v.copy(), method=method, seed=seed)
+    return RoastBasis(split=split, r=r, v=v.copy(order="F"), method=method, seed=seed)

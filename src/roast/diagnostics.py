@@ -390,12 +390,34 @@ def sinusoid_residual_sq(projector, n: int, freqs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _band_grid(w: float) -> np.ndarray:
+    """The odd part of ``np.linspace(-w, w, _BAND_NODES)``, within an ulp of
+    2w of it and mirrored bit for bit: f and -f are both nodes."""
+    nodes = np.linspace(-w, w, _BAND_NODES)
+    return (nodes - nodes[::-1]) / 2.0
+
+
+def _even_residual_sq(q, n: int, freqs: np.ndarray) -> np.ndarray:
+    """``sinusoid_residual_sq(q, n, freqs)`` at each distinct |f| once when
+    every basis of ``q`` is a ``RoastBasis`` closed under conjugation: Q Q^*
+    is real, so e_f and e_{-f} = conj e_f leave one residual norm."""
+    bases = q if isinstance(q, (list, tuple)) else [q]
+    try:
+        real = [_real_factor(b) for b in bases if isinstance(b, RoastBasis)]
+    except ValueError:  # some V[-k] != conj V[k]: Q Q^* is complex
+        real = []
+    if len(real) < len(bases):
+        return sinusoid_residual_sq(q, n, freqs)
+    mags, at = np.unique(np.abs(freqs), return_inverse=True)
+    return sinusoid_residual_sq(q, n, mags)[..., at]
+
+
 def integrated_residual_quadrature(op: ProlateOperator, q_like) -> float:
-    """Same quantity by composite trapezoid over ``_BAND_NODES`` in-band nodes,
+    """Same quantity by composite trapezoid over the ``_band_grid`` nodes,
     residual vectors evaluated pointwise.  Cross-validates the trace path."""
     q = _checked_basis(q_like)
-    grid = np.linspace(-op.w, op.w, _BAND_NODES)
-    return float(np.trapezoid(sinusoid_residual_sq(q, op.n, grid), grid))
+    grid = _band_grid(op.w)
+    return float(np.trapezoid(_even_residual_sq(q, op.n, grid), grid))
 
 
 def residual_path_bound(trace_value: float, quad_value: float,
@@ -461,16 +483,38 @@ def largest_angle_cos_direct(a_like, b_like) -> float:
 
 def singular_decay_report(n: int, w: float) -> SpectrumReport:
     """Full singular spectrum of the cross operator with envelope comparison,
-    from a real SVD of its cosine/sine rows (``_cross_rows``).
+    from real SVDs of the parity blocks of its rows (``_cross_rows``).
 
-    The SVD decomposes the factor, not its Gram matrix G = Fbar^* B^2 Fbar:
+    B commutes with the time reversal J, and the row c_k of bin k has
+    c_k J = exp(-2i t_k) conj c_k, t_k = pi k (N-1)/N, so Re exp(i t_k) c_k
+    is even in time and Im exp(i t_k) c_k and the Nyquist row odd.  Turning
+    each (cos, sin) row pair by t_k and the columns to (e_j +- e_{N-1-j}) /
+    sqrt(2) are orthogonal maps that leave blockdiag(n_neg x ceil(N/2),
+    (n_neg + Nyquist) x floor(N/2)): two SVDs at a quarter of the cost.
+
+    The SVDs decompose the factor, not its Gram matrix G = Fbar^* B^2 Fbar:
     the tail singular values fall many orders below the leading one, and
     their squares sit below round-off relative to G's top eigenvalue, so
     sqrt(eigvalsh(G)) would return round-off for every value below about
     1e-8 of the largest.
     """
-    rows = _cross_rows(build_prolate(n, w), build_band_split(n, w))
-    sigma = np.linalg.svd(rows, compute_uv=False)
+    split = build_band_split(n, w)
+    rows = _cross_rows(build_prolate(n, w), split)
+    m, half = split.n_neg, n // 2
+    turn = np.pi * (((split.h + 1 + np.arange(m)) * (n - 1)) % (2 * n)) / n
+    cos, sin = np.cos(turn)[:, None], np.sin(turn)[:, None]
+    # the even columns and both turns stay in place: 16 n_high N bytes peak
+    mirror = rows[:, ::-1][:, :half]
+    minus = (rows[:, :half] - mirror) * math.sqrt(0.5)
+    rows[:, :half] += mirror
+    rows[:, :half] *= math.sqrt(0.5)
+    even, odd = rows[:m, :n - half], minus[m:]
+    even *= cos
+    even -= sin * rows[m:2 * m, :n - half]
+    odd[:m] *= cos
+    odd[:m] += sin * minus[:m]
+    sigma = -np.sort(-np.concatenate(
+        [np.linalg.svd(b, compute_uv=False) for b in (even, odd)]))
     c_n = log_width_constant(n)
     bound = 15.0 * np.exp(-np.arange(len(sigma)) / c_n)
     violations = np.flatnonzero(sigma > bound + _LEDGER_SLACK).tolist()
@@ -497,16 +541,16 @@ def sinusoid_derivative_check(op: ProlateOperator, q_like) -> BoundLedger:
     the absolute derivative must stay below 2 pi N^2, and the pointwise
     residual ratio must respect the bound implied by the band-integrated
     residual, the trapezoid rule over the same grid (the trace path cancels
-    to round-off, even 0, when tiny).  The grid and both shifted grids go
-    through one ``sinusoid_residual_sq``.
+    to round-off, even 0, when tiny).  The ``_band_grid`` nodes and both
+    shifts, closed under negation, go through one ``_even_residual_sq``.
     """
     n, w = op.n, op.w
     if w < 1.0 / (4.0 * np.pi * n):
         raise ValueError(f"half-bandwidth {w} below 1/(4 pi N) for n={n}")
     q = _checked_basis(q_like)
 
-    grid = np.linspace(-w, w, _BAND_NODES)
-    center, upper, lower = np.split(sinusoid_residual_sq(
+    grid = _band_grid(w)
+    center, upper, lower = np.split(_even_residual_sq(
         q, n, np.concatenate([grid, grid + _FD_STEP, grid - _FD_STEP])), 3)
     deriv = (upper - lower) / (2.0 * _FD_STEP)
 

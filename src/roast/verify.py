@@ -29,10 +29,11 @@ from .basis import (
 )
 from .diagnostics import (
     BoundLedger,
-    _BAND_NODES,
+    _band_grid,
     _capture_errors,
     _checked_factor,
     _ensure_orthonormal,
+    _even_residual_sq,
     _full_solve,
     dpss_capture_report,
     eigenvalue_concentration_report,
@@ -42,7 +43,6 @@ from .diagnostics import (
     residual_path_bound,
     singular_decay_report,
     sinusoid_derivative_check,
-    sinusoid_residual_sq,
     subspace_angle,
 )
 from .prolate import build_band_split, build_dpss, build_prolate
@@ -178,10 +178,10 @@ def randomized_suite(dpss, eps: float, num_seeds: int = 20) -> BoundLedger:
     Capture and angle take the real route of ``dpss_capture_report``; the
     angle cosine is sqrt(1 - ||R||_2^2) for the capture residual R.  The
     average-width and pointwise bases of all seeds share one
-    ``sinusoid_residual_sq`` call on the in-band grid of
-    ``integrated_residual_quadrature``, and each seed's average is the
-    trapezoid of its curve over N, which resolves residuals the trace path
-    floors at zero.
+    ``_even_residual_sq`` call on the mirrored in-band grid of
+    ``integrated_residual_quadrature``, which forms each ±f pair once, and
+    each seed's average is the trapezoid of its curve over N, which
+    resolves residuals the trace path floors at zero.
     """
     ledger = BoundLedger()
     n, w = _full_solve(dpss)
@@ -195,7 +195,7 @@ def randomized_suite(dpss, eps: float, num_seeds: int = 20) -> BoundLedger:
     p_angle = min(sketch_for_capture_angle(n, eps), split.n_high)
     p_avg = min(sketch_for_average(n, eps), split.n_high)
     p_point = min(sketch_for_pointwise(n, w, eps), split.n_high)
-    grid = np.linspace(-w, w, _BAND_NODES)
+    grid = _band_grid(w)
 
     widths = sorted({p_cap, p_angle, p_avg, p_point})
     by_seed, caps, cosines = [], [], []
@@ -208,8 +208,8 @@ def randomized_suite(dpss, eps: float, num_seeds: int = 20) -> BoundLedger:
         cosines.append(errors[p_angle][2])
         by_seed.append(bases)
     spectral_sq, per_vec, _ = zip(*caps)
-    curves = sinusoid_residual_sq([b[p] for p in (p_avg, p_point) for b in by_seed],
-                                  n, grid)
+    curves = _even_residual_sq([b[p] for p in (p_avg, p_point) for b in by_seed],
+                               n, grid)
     averages = np.trapezoid(curves[:num_seeds], grid, axis=1) / n
     point_curves = curves[num_seeds:]
 
@@ -232,7 +232,7 @@ def randomized_suite(dpss, eps: float, num_seeds: int = 20) -> BoundLedger:
     # pointwise residual: mean over seeds, then max over the in-band grid
     ledger.add("randomized_pointwise_residual_mean",
                float(np.max(point_curves.mean(axis=0)) / n), eps,
-               grid_size=_BAND_NODES, **common(p_point))
+               grid_size=len(grid), **common(p_point))
     return ledger
 
 

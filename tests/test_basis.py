@@ -606,6 +606,15 @@ class TestSerialization:
         assert restored.method == "svd_fbf"
         assert restored.r == 9 and restored.n == 128 and restored.w == 0.25
 
+    def test_loaded_basis_analyzes_bit_for_bit(self, rng):
+        # the builders store V column-major; a row-major copy of the same
+        # values gives a product with different last bits
+        basis = build_roast_randomized(1024, 0.25, 20, 1234)
+        restored = deserialize_basis(serialize_basis(basis))
+        assert restored.v.flags.f_contiguous
+        x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+        np.testing.assert_array_equal(restored.analyze(x), basis.analyze(x))
+
     def test_round_trip_randomized_keeps_seed(self):
         basis = build_roast_randomized(128, 0.25, 6, seed=77)
         restored = deserialize_basis(serialize_basis(basis))

@@ -24,7 +24,7 @@ from roast import (
     subspace_angle,
 )
 from roast.diagnostics import largest_angle_cos_direct, sinusoid_residual_sq
-from roast.verify import capture_suite, small_instance_checks
+from roast.verify import capture_suite, pointwise_suite, small_instance_checks
 
 
 class TestResidualSnr:
@@ -268,6 +268,79 @@ class TestSinusoidResidualKernel:
             sinusoid_residual_sq(bases, 64, np.zeros(3))
 
 
+class TestMirroredResidual:
+    """``_even_residual_sq`` forms each +-f pair of a real projector once."""
+
+    @pytest.mark.parametrize("w", [0.25, 0.1, 0.4, 0.01, 1 / 3])
+    def test_band_grid_is_mirrored_linspace(self, w):
+        # linspace's own nodes carry the step's rounding times the node
+        # index, up to an ulp of the span 2w; the odd part stays within it
+        grid = roast.diagnostics._band_grid(w)
+        assert np.array_equal(grid, -grid[::-1])
+        nodes = np.linspace(-w, w, roast.diagnostics._BAND_NODES)
+        assert np.max(np.abs(grid - nodes)) <= np.spacing(2 * w)
+        assert grid[0] == -w and grid[-1] == w
+
+    @staticmethod
+    def _derivative_grid(w):
+        grid = roast.diagnostics._band_grid(w)
+        return np.concatenate([grid, grid + 1e-5, grid - 1e-5])
+
+    @pytest.mark.parametrize("n", [512, 513])
+    def test_matches_the_unfolded_kernel(self, n):
+        # f and -f take different Dirichlet ratios: the two rows agree to
+        # the kernel's round-off, about eps n on the residual's norm
+        bases = [build_roast(n, 0.25, 20), build_roast(n, 0.25, 54),
+                 roast.build_roast_randomized(n, 0.25, 40, 0),
+                 roast.build_roast_randomized(n, 0.25, 40, 1)]
+        freqs = self._derivative_grid(0.25)
+        delta = 32 * np.finfo(float).eps * n
+        for q in [*bases, bases]:
+            got = roast.diagnostics._even_residual_sq(q, n, freqs)
+            want = sinusoid_residual_sq(q, n, freqs)
+            assert got.shape == want.shape
+            bound = 2 * delta * np.sqrt(np.maximum(got, want)) + delta ** 2
+            assert np.all(np.abs(got - want) <= bound)
+        assert np.max(want) > 1e-12  # R=20 leaves residuals far above round-off
+
+    def test_other_projectors_take_the_unfolded_kernel(self, rng):
+        n, w = 128, 0.25
+        split = roast.build_band_split(n, w)
+        v = np.linalg.qr(rng.standard_normal((split.n_high, 6))
+                         + 1j * rng.standard_normal((split.n_high, 6)))[0]
+        general = roast.RoastBasis(split=split, r=6, v=v, method="randomized")
+        freqs = self._derivative_grid(w)
+        for q in (general, [build_roast(n, w, 6), general], build_subdft(n, w, 5),
+                  build_roast(n, w, 6).dense_basis()):
+            np.testing.assert_array_equal(
+                roast.diagnostics._even_residual_sq(q, n, freqs),
+                sinusoid_residual_sq(q, n, freqs))
+
+    @staticmethod
+    def _count_frequencies(monkeypatch):
+        widths = []
+        ratio = roast.diagnostics._dirichlet_ratio
+
+        def counted(n, rows, f):
+            widths.append(len(f))
+            return ratio(n, rows, f)
+
+        monkeypatch.setattr(roast.diagnostics, "_dirichlet_ratio", counted)
+        return widths
+
+    def test_quadrature_forms_half_the_grid(self, monkeypatch):
+        widths = self._count_frequencies(monkeypatch)
+        integrated_residual_quadrature(build_prolate(512, 0.25),
+                                       build_roast(512, 0.25, 54))
+        assert sum(widths) == 2048
+
+    def test_pointwise_suite_forms_half_the_derivative_grid(self, monkeypatch):
+        # the grid and its two shifts, 12,288 frequencies, hold 6,144 |f|
+        widths = self._count_frequencies(monkeypatch)
+        assert pointwise_suite(512, 0.25, 1e-1).all_satisfied
+        assert sum(widths) == 6144
+
+
 class TestSubspaceAngle:
     @pytest.mark.parametrize("k", [40, 200])
     def test_roast_basis_matches_dense_angle(self, caches, k):
@@ -331,15 +404,33 @@ class TestSpectrumReport:
             assert report.tail_bound_entry(r).satisfied
 
     @pytest.mark.parametrize("n,w", [(256, 0.25), (257, 0.25), (64, 0.1),
-                                     (129, 0.4)])
+                                     (129, 0.4), (64, 0.01), (65, 0.01)])
     def test_matches_complex_svd_of_the_cross_operator(self, n, w):
-        # the report decomposes a real matrix U C with U unitary
+        # the report decomposes U C P, U unitary on the rows and P
+        # orthogonal on the columns, as two parity blocks; at W=0.01 only
+        # the DC bin is in band, so n_high is N - 1
         sigma = np.linalg.svd(roast.cross_operator_dense(
             build_prolate(n, w), roast.build_band_split(n, w)), compute_uv=False)
         got = roast.singular_decay_report(n, w).singular_values
         assert got.shape == sigma.shape
         np.testing.assert_allclose(got, sigma, rtol=0,
                                    atol=10 * np.finfo(float).eps * sigma[0])
+
+    def test_two_parity_blocks_are_decomposed(self, monkeypatch):
+        # n_neg = 409 positive bins and the Nyquist row over 512 even and
+        # 512 odd columns, in place of one 819 x 1024 SVD
+        shapes = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        report = singular_decay_report(1024, 0.1)
+        assert shapes == [(409, 512), (410, 512)]
+        assert len(report.singular_values) == 819
+        assert np.all(np.diff(report.singular_values) <= 0.0)
 
     def test_bound_curve_matches_formula(self, caches):
         report = caches.spectrum(256, 0.25)

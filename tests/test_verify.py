@@ -132,7 +132,9 @@ class TestSuites:
     def test_randomized_suite_forms_the_dirichlet_ratio_once(self, monkeypatch,
                                                               caches):
         # both seeds' bases go through one kernel call, which forms the
-        # ratio once per block of 2**16 // 31 of the 4096 grid frequencies
+        # ratio once per block of 2**16 // 31 = 2114 frequencies: the 2048
+        # distinct |f| of the mirrored grid fit one block, and a ratio per
+        # basis would make four calls
         calls = []
         ratio = roast.diagnostics._dirichlet_ratio
 
@@ -142,7 +144,7 @@ class TestSuites:
 
         monkeypatch.setattr(roast.diagnostics, "_dirichlet_ratio", counting_ratio)
         randomized_suite(caches.dpss(64, 0.25), 1e-2, num_seeds=2)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_randomized_average_is_the_mean_quadrature(self, caches):
         # the trace path floors its round-off at zero; the quadrature over
