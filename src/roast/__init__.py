@@ -43,7 +43,6 @@ from .diagnostics import (
     eigenvalue_concentration_report,
     integrated_residual,
     integrated_residual_quadrature,
-    residual_paths_agree,
     residual_snr,
     singular_decay_report,
     sinusoid_derivative_check,

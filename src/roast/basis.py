@@ -4,8 +4,9 @@ The central object is the orthonormal basis Q = [F, Fbar @ V]: the in-band
 DFT columns F augmented with R extra directions inside the out-of-band DFT
 span.  Analysis and synthesis run through one FFT plus a skinny matrix
 product, O(N log N + N R).  Also here: the widened-DFT baseline (Sub-DFT),
-a Hermitian low-rank-corrected band projector used as a non-orthogonal
-comparison point, and a binary serialization for built bases.
+the non-orthogonal factor pair (T1, T2) of a Hermitian low-rank-corrected
+band projector (the FST analog) as a comparison point, and a binary
+serialization for built bases.
 
 ``RoastBasis``, ``SubDftBasis`` and ``DpssBasis`` share one protocol: ``n``,
 ``dimension``, ``analyze`` (Q^* x), ``synthesize`` (Q c), ``project``
@@ -43,7 +44,6 @@ from .prolate import (
 __all__ = [
     "RoastBasis",
     "SubDftBasis",
-    "FstAnalog",
     "BASES",
     "build_roast",
     "build_roast_randomized",
@@ -157,20 +157,27 @@ def _dft_rows(cos_sin: np.ndarray) -> np.ndarray:
     return np.concatenate([pos[::-1].conj(), pos, cos_sin[2 * half:]])
 
 
+def _conjugate_closed(basis: "RoastBasis") -> bool:
+    """Whether V[-k] = conj V[k] holds bit for bit, the Nyquist row real:
+    then Q Q^* is real.  Every builder guarantees it; a general complex V
+    breaks it."""
+    v, half = basis.v, basis.split.n_neg
+    pos = v[half:]
+    return (np.array_equal(v[:half], pos[:half][::-1].conj())
+            and not np.any(pos[half:].imag))
+
+
 def _real_factor(basis: "RoastBasis") -> np.ndarray:
     """The real n_high x R factor of ``basis`` in cosine/sine coordinates.
 
     Its columns are orthonormal exactly when those of V are, and Fbar V V^*
     Fbar^* is the real projector E Q Q^T E^T, E the real cosine/sine basis.
-    Raises ``ValueError`` unless V[-k] = conj V[k] holds bit for bit, which
-    every builder guarantees and a general complex V breaks.
+    Raises ``ValueError`` unless ``_conjugate_closed(basis)``.
     """
-    v, half = basis.v, basis.split.n_neg
-    pos = v[half:]
-    if not (np.array_equal(v[:half], pos[:half][::-1].conj())
-            and not np.any(pos[half:].imag)):
+    if not _conjugate_closed(basis):
         raise ValueError("V is not closed under conjugation: no real factor")
-    return _cos_sin_rows(pos, half)
+    half = basis.split.n_neg
+    return _cos_sin_rows(basis.v[half:], half)
 
 
 @dataclass(frozen=True)
@@ -284,10 +291,7 @@ def build_roast(n: int, w: float, r: int, method: str = "svd_fb") -> RoastBasis:
 
     Neither reaches the band-integrated residual of DPSS with the same
     number of vectors, which is optimal over all subspaces of that dimension
-    (Ky Fan).  At N=256, W=0.25, R=16 the band-averaged SNRs,
-    10 log10(trace(B) / residual), are 153.1 dB for DPSS, 150.3 dB for
-    "svd_fbf" and 148.7 dB for "svd_fb"; DPSS with one vector fewer scores
-    143.9 dB.
+    (Ky Fan).
 
     Neither forms Fbar^* B.  For every R < n_high symmetric Lanczos (ARPACK
     ``eigsh``) finds the leading eigenvectors of Fbar^* B^2 Fbar (the left
@@ -451,54 +455,18 @@ def build_subdft(n: int, w: float, r: int) -> SubDftBasis:
                        indices=np.mod(signed, n))
 
 
-@dataclass(frozen=True)
-class FstAnalog:
-    """Hermitian approximation F F^* + L_r to the prolate operator.
+def build_fst_analog(n: int, w: float,
+                     rank_r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Non-orthogonal factors (T1, T2) of F F^* + L_r, the best Hermitian
+    rank-r correction of the band projector toward B: the fast-factorization
+    baseline, applied as T1 @ (T2^* x).
 
-    L_r is the spectrally-truncated rank-r part of B - F F^*, kept as an
-    eigenpair factorization (signed eigenvalues, so the operator stays
-    Hermitian).  Applying it costs O(N log N + N r).  This is the
-    non-orthogonal fast-factorization baseline: the asymmetric split
-    ``factor_pair`` reproduces the operator as T1 @ T2^*.
-    """
-
-    split: DftBandSplit
-    rank_r: int
-    vectors: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.split.n
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        spectrum = np.fft.fft(x, axis=0)
-        masked = np.zeros_like(spectrum)
-        masked[self.split.low_indices] = spectrum[self.split.low_indices]
-        band = np.fft.ifft(masked, axis=0)
-        if self.rank_r == 0:
-            return band
-        coeff = self.vectors.conj().T @ x
-        scaled = coeff * (self.values[:, None] if coeff.ndim == 2 else self.values)
-        return band + self.vectors @ scaled
-
-    def factor_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """Non-orthogonal factors (T1, T2) with T1 @ T2^* equal to apply()."""
-        f_low = dft_columns(self.n, self.split.low_indices)
-        t1 = np.hstack([f_low, self.vectors * self.values[None, :]])
-        t2 = np.hstack([f_low, self.vectors])
-        return t1, t2
-
-
-def build_fst_analog(n: int, w: float, rank_r: int) -> FstAnalog:
-    """Best Hermitian rank-r correction of the band projector toward B.
-
-    The correction comes from a dense eigendecomposition of B - F F^* with
-    the r largest-magnitude eigenpairs retained, so the spectral error is
-    exactly the (r+1)-th magnitude.  B, the complex F F^* and their
-    difference are alive at once, 32 N^2 bytes; above the dense-byte limit
-    the call is refused before any of them is formed.
+    L_r comes from a dense eigendecomposition of B - F F^* with the r
+    largest-magnitude eigenpairs (signed values, so the operator stays
+    Hermitian) retained, so the spectral error is exactly the (r+1)-th
+    magnitude.  T1 = [F, U diag(values)] and T2 = [F, U].  B, the complex
+    F F^* and their difference are alive at once, 32 N^2 bytes; above the
+    dense-byte limit the call is refused before any of them is formed.
     """
     if rank_r < 0:
         raise ValueError(f"rank must be nonnegative, got {rank_r}")
@@ -512,9 +480,9 @@ def build_fst_analog(n: int, w: float, rank_r: int) -> FstAnalog:
     diff = (diff + diff.T) / 2.0
     vals, vecs = np.linalg.eigh(diff)
     order = np.argsort(-np.abs(vals))[:rank_r]
-    return FstAnalog(split=split, rank_r=int(rank_r),
-                     vectors=vecs[:, order].astype(complex),
-                     values=vals[order])
+    vectors = vecs[:, order].astype(complex)
+    return (np.hstack([f_low, vectors * vals[order][None, :]]),
+            np.hstack([f_low, vectors]))
 
 
 # Each builder takes (n, w, r, seed) and returns a basis of dimension

@@ -25,6 +25,11 @@ that); ``sweep-sinusoid`` honours
 ``--method`` and falls back to the deterministic basis at R = 0, because a
 sketch needs P >= 1; ``scaling-bench`` times each builder separately.
 
+A value outside its range exits 2 before the runner starts.  A rank,
+sketch width or ``--m`` that does not fit the band split of its N and
+``--w`` exits 2 from the runner that derives it, before any basis is built
+or signal drawn, and so does a size a dense path refuses.
+
 Each subcommand takes only the flags it reads.  Every output is stamped
 with the command, the version, those flags (unset ones left out) and the
 values the run derives (``dimension``, ``r_used``).
@@ -131,11 +136,29 @@ def _rank_from_length(n: int, factor: float, base_name: str) -> int:
 _RANK_FACTORS = {"sweep-sinusoid": 4.0, "recover": 3.0, "scaling-bench": 3.0}
 
 
-def _rank_used(args: argparse.Namespace) -> int:
-    """The R that sweep-sinusoid or recover runs with: --r, else derived."""
+class _SizeError(ValueError):
+    """A width or count that does not fit the band split; main exits 2."""
+
+
+def _fit(n: int, w: float, flag: str, width: int) -> int:
+    """``width``, refused unless it fits the n_high out-of-band bins of N
+    and --w; ``flag`` names where it came from."""
+    n_high = build_band_split(n, w).n_high
+    if width > n_high:
+        raise _SizeError(f"{flag} = {width} exceeds the {n_high} out-of-band "
+                         f"bins of N = {n} at --w {w}")
+    return width
+
+
+def _rank_used(args: argparse.Namespace) -> tuple[int, str]:
+    """The R that sweep-sinusoid or recover runs with, --r else derived,
+    refused by ``_fit``; and the flag it came from."""
     if args.r is not None:
-        return args.r
-    return _rank_from_length(args.n, _RANK_FACTORS[args.command], args.log_base)
+        flag, r = "--r", args.r
+    else:
+        flag = "the derived r"
+        r = _rank_from_length(args.n, _RANK_FACTORS[args.command], args.log_base)
+    return _fit(args.n, args.w, flag, r), flag
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +166,11 @@ def _rank_used(args: argparse.Namespace) -> int:
 
 def run_build(args: argparse.Namespace) -> int:
     if args.method == "randomized":
-        basis = build_roast_randomized(args.n, args.w, args.p, args.seed)
+        p = _fit(args.n, args.w, "--p", args.p)
+        basis = build_roast_randomized(args.n, args.w, p, args.seed)
     else:
-        basis = build_roast(args.n, args.w, args.r, args.method)
+        r = _fit(args.n, args.w, "--r", args.r)
+        basis = build_roast(args.n, args.w, r, args.method)
     blob = serialize_basis(basis)
     deserialize_basis(blob)  # self-check before anything touches the file
     with open(args.output_path, "wb") as fh:
@@ -177,7 +202,7 @@ def run_verify(args: argparse.Namespace) -> int:
 
 def run_sweep_sinusoid(args: argparse.Namespace) -> int:
     n, w = args.n, args.w
-    r = _rank_used(args)
+    r, _ = _rank_used(args)
     split = build_band_split(n, w)
     dim = split.n_low + r
 
@@ -217,7 +242,8 @@ def _peeled_energies(resid: np.ndarray, cols: np.ndarray,
 
 
 def run_bandlimited_snr(args: argparse.Namespace) -> int:
-    n, w, r_max = args.n, args.w, args.r_max
+    n, w = args.n, args.w
+    r_max = _fit(n, w, "--r-max", args.r_max)
     split = build_band_split(n, w)
     x = random_bandlimited(n, w, args.tones, args.seed).samples
     total = float(np.vdot(x, x).real)
@@ -289,10 +315,10 @@ def _median_seconds(fn) -> float:
 
 def run_scaling_bench(args: argparse.Namespace) -> int:
     rows = []
-    base = args.log_base
-    for n in args.n_list:
-        r = max(_rank_from_length(n, _RANK_FACTORS[args.command], base), 0)
-        w = args.w
+    w = args.w
+    ranks = [_fit(n, w, "the derived r", _rank_from_length(
+        n, _RANK_FACTORS[args.command], args.log_base)) for n in args.n_list]
+    for n, r in zip(args.n_list, ranks):
         split = build_band_split(n, w)
         signal = random_bandlimited(n, w, args.tones, args.seed + n).samples
         probe = signal / np.linalg.norm(signal)
@@ -331,7 +357,13 @@ def run_rank_report(args: argparse.Namespace) -> int:
 
 
 def run_recover(args: argparse.Namespace) -> int:
-    r = _rank_used(args)
+    r, flag = _rank_used(args)
+    lowest = 2 * math.floor(args.n * args.w)
+    if not lowest <= args.m <= args.n:
+        raise _SizeError(f"--m must lie in [{lowest}, {args.n}] "
+                         f"for --n {args.n} --w {args.w}")
+    if args.basis_choice == "roast_randomized" and r < 1:
+        raise _SizeError(f"--basis roast_randomized needs {flag} >= 1")
     report = recovery_experiment(args.n, args.w, args.m,
                                  args.basis_choice, args.seed, r=r,
                                  tol=args.tol)
@@ -453,42 +485,6 @@ def _rejection(args: argparse.Namespace) -> str | None:
             return f"{args.method} build requires --r"
     if args.command == "recover" and args.m is None:
         return "recover requires --m"
-    return _size_rejection(args)
-
-
-def _size_rejection(args: argparse.Namespace) -> str | None:
-    """Why a width or count in ``args`` does not fit the band split of its
-    N and --w, or None.
-
-    Each rank or sketch width a runner will use must lie within the n_high
-    out-of-band bins, and recover's --m within [2 floor(NW), N].
-    """
-    command = args.command
-    if command == "scaling-bench":
-        checks = [(n, "the derived r", _rank_from_length(
-            n, _RANK_FACTORS[command], args.log_base)) for n in args.n_list]
-    elif command == "build":
-        checks = [(args.n, "--p", args.p) if args.method == "randomized"
-                  else (args.n, "--r", args.r)]
-    elif command == "bandlimited-snr":
-        checks = [(args.n, "--r-max", args.r_max)]
-    elif command in _RANK_FACTORS:
-        checks = [(args.n, "--r" if args.r is not None else "the derived r",
-                   _rank_used(args))]
-    else:
-        return None
-    w = args.w
-    for n, flag, width in checks:
-        n_high = build_band_split(n, w).n_high
-        if width > n_high:
-            return (f"{flag} = {width} exceeds the {n_high} out-of-band bins "
-                    f"of N = {n} at --w {w}")
-    if command == "recover":
-        lowest = 2 * math.floor(args.n * w)
-        if not lowest <= args.m <= args.n:
-            return f"--m must lie in [{lowest}, {args.n}] for --n {args.n} --w {w}"
-        if args.basis_choice == "roast_randomized" and width < 1:
-            return f"--basis roast_randomized needs {flag} >= 1"
     return None
 
 
@@ -509,7 +505,8 @@ def main(argv: list | None = None) -> int:
     if rejection is None:
         try:
             return _RUNNERS[args.command](args)
-        except DenseSizeError as exc:  # a size only a dense path can judge
+        # a width the runner derives, or a size only a dense path can judge
+        except (_SizeError, DenseSizeError) as exc:
             rejection = str(exc)
     sys.stderr.write(f"error: {rejection}\n")
     return 2

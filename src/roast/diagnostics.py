@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigvalsh
 
-from .basis import (RoastBasis, SubDftBasis, _cross_rows, _real_factor,
-                    _slepian_rows)
+from .basis import (RoastBasis, SubDftBasis, _conjugate_closed, _cross_rows,
+                    _real_factor, _slepian_rows)
 from .prolate import (
     ProlateOperator,
     _check_dense_bytes,
@@ -30,7 +30,6 @@ from .prolate import (
 
 __all__ = [
     "SpectrumReport",
-    "AngleReport",
     "LedgerEntry",
     "BoundLedger",
     "residual_snr",
@@ -40,7 +39,6 @@ __all__ = [
     "integrated_residual_quadrature",
     "sinusoid_residual_sq",
     "residual_path_bound",
-    "residual_paths_agree",
     "subspace_angle",
     "largest_angle_cos_direct",
     "singular_decay_report",
@@ -160,17 +158,6 @@ class SpectrumReport:
         rhs = 15.0 * math.exp(-(r - 1) / self.c_n) * self.c_n
         return LedgerEntry.check("singular_tail_geometric", self.tail_sum(r), rhs,
                                  n=self.n, w=self.w, r=r)
-
-
-@dataclass(frozen=True)
-class AngleReport:
-    """Principal cosines between two subspaces, descending."""
-
-    principal_cosines: np.ndarray
-
-    @property
-    def largest_angle_cos(self) -> float:
-        return float(self.principal_cosines[-1])
 
 
 def _as_projector(projector):
@@ -342,7 +329,8 @@ def sinusoid_residual_sq(projector, n: int, freqs: np.ndarray) -> np.ndarray:
 
     ``projector`` may also be a non-empty list or tuple of ``RoastBasis``
     objects that share one (n, w): one row per basis, each bit for bit that
-    basis's own call.  Any other list or tuple raises ``ValueError``.
+    basis's own call unless the run mixes bases closed under conjugation
+    with others (see below).  Any other list or tuple raises ``ValueError``.
 
     A ``RoastBasis`` or ``SubDftBasis`` takes the Dirichlet path: with
     d_f[k] = exp(i pi (n-1) x) sin(pi n x) / sin(pi x) / sqrt(n), x = f - k/n,
@@ -355,6 +343,11 @@ def sinusoid_residual_sq(projector, n: int, freqs: np.ndarray) -> np.ndarray:
     ||Q^* e_f||^2 would turn residuals of 1e-20 into round-off of 1e-13.
     Frequencies go in blocks of max(64, 2**16 // rows), each block's ratio
     formed once for every basis and each basis's real map once per call.
+    When every ``RoastBasis`` given is closed under conjugation
+    (``roast.basis._conjugate_closed``), as every builder's is, Q Q^* is
+    real and e_f, e_{-f} = conj e_f leave one residual norm: the kernel runs
+    at each distinct |f| once and the rows are scattered back.  A
+    ``SubDftBasis`` or a general complex V takes every f as given.
 
     Any other ``projector`` is anything ``_as_projector`` accepts; a matrix
     Q is applied densely as Q (Q^* x) to blocks of max(1, 2**21 // n)
@@ -370,13 +363,18 @@ def sinusoid_residual_sq(projector, n: int, freqs: np.ndarray) -> np.ndarray:
         first = projector[0] if sequence else projector
         if first.n != n:
             raise ValueError(f"basis length {first.n} does not match n={n}")
+        freqs = np.asarray(freqs, dtype=float)
+        at = slice(None)
         if isinstance(first, RoastBasis):
             rows = first.split.high_indices
-            vs = [b.v for b in projector] if sequence else [first.v]
+            bases = projector if sequence else [first]
+            vs = [b.v for b in bases]
+            if all(_conjugate_closed(b) for b in bases):
+                freqs, at = np.unique(np.abs(freqs), return_inverse=True)
         else:
             rows = np.setdiff1d(np.arange(n), first.indices)
             vs = [np.zeros((len(rows), 0))]
-        out = _dirichlet_residual_sq(n, rows, vs, np.asarray(freqs, dtype=float))
+        out = _dirichlet_residual_sq(n, rows, vs, freqs)[:, at]
         return out if sequence else out[0]
     project = _as_projector(projector)
     freqs = np.asarray(freqs)
@@ -397,27 +395,12 @@ def _band_grid(w: float) -> np.ndarray:
     return (nodes - nodes[::-1]) / 2.0
 
 
-def _even_residual_sq(q, n: int, freqs: np.ndarray) -> np.ndarray:
-    """``sinusoid_residual_sq(q, n, freqs)`` at each distinct |f| once when
-    every basis of ``q`` is a ``RoastBasis`` closed under conjugation: Q Q^*
-    is real, so e_f and e_{-f} = conj e_f leave one residual norm."""
-    bases = q if isinstance(q, (list, tuple)) else [q]
-    try:
-        real = [_real_factor(b) for b in bases if isinstance(b, RoastBasis)]
-    except ValueError:  # some V[-k] != conj V[k]: Q Q^* is complex
-        real = []
-    if len(real) < len(bases):
-        return sinusoid_residual_sq(q, n, freqs)
-    mags, at = np.unique(np.abs(freqs), return_inverse=True)
-    return sinusoid_residual_sq(q, n, mags)[..., at]
-
-
 def integrated_residual_quadrature(op: ProlateOperator, q_like) -> float:
     """Same quantity by composite trapezoid over the ``_band_grid`` nodes,
     residual vectors evaluated pointwise.  Cross-validates the trace path."""
     q = _checked_basis(q_like)
     grid = _band_grid(op.w)
-    return float(np.trapezoid(_even_residual_sq(q, op.n, grid), grid))
+    return float(np.trapezoid(sinusoid_residual_sq(q, op.n, grid), grid))
 
 
 def residual_path_bound(trace_value: float, quad_value: float,
@@ -430,20 +413,14 @@ def residual_path_bound(trace_value: float, quad_value: float,
     return 1e-4 * max(abs(trace_value), abs(quad_value)) + abs_floor
 
 
-def residual_paths_agree(trace_value: float, quad_value: float) -> bool:
-    """Agreement test for the two residual paths; see ``residual_path_bound``."""
-    return abs(trace_value - quad_value) <= residual_path_bound(
-        trace_value, quad_value)
+def subspace_angle(a_like, b_like) -> np.ndarray:
+    """Cosines of the principal angles between two orthonormal column spans,
+    descending.
 
-
-def subspace_angle(a_like, b_like) -> AngleReport:
-    """Principal angles between two orthonormal column spans.
-
-    The cosines are the singular values of A^* B; the report's
-    ``largest_angle_cos`` (the smallest cosine) measures how far the narrower
-    subspace sticks out of the wider one.  A ``RoastBasis`` or
-    ``SubDftBasis`` on one side enters through its analysis, Q^* A, with no
-    dense columns.
+    The cosines are the singular values of A^* B; the last, the cosine of
+    the largest angle, measures how far the narrower subspace sticks out of
+    the wider one.  A ``RoastBasis`` or ``SubDftBasis`` on one side enters
+    through its analysis, Q^* A, with no dense columns.
     """
     a = _checked_basis(a_like, what="first basis")
     b = _checked_basis(b_like, what="second basis")
@@ -456,7 +433,7 @@ def subspace_angle(a_like, b_like) -> AngleReport:
             a, b = b, a
         cross = b.conj().T @ a
     cosines = np.linalg.svd(cross, compute_uv=False)
-    return AngleReport(principal_cosines=np.sort(cosines)[::-1])
+    return np.sort(cosines)[::-1]
 
 
 def largest_angle_cos_direct(a_like, b_like) -> float:
@@ -542,7 +519,7 @@ def sinusoid_derivative_check(op: ProlateOperator, q_like) -> BoundLedger:
     residual ratio must respect the bound implied by the band-integrated
     residual, the trapezoid rule over the same grid (the trace path cancels
     to round-off, even 0, when tiny).  The ``_band_grid`` nodes and both
-    shifts, closed under negation, go through one ``_even_residual_sq``.
+    shifts, closed under negation, go through one ``sinusoid_residual_sq``.
     """
     n, w = op.n, op.w
     if w < 1.0 / (4.0 * np.pi * n):
@@ -550,7 +527,7 @@ def sinusoid_derivative_check(op: ProlateOperator, q_like) -> BoundLedger:
     q = _checked_basis(q_like)
 
     grid = _band_grid(w)
-    center, upper, lower = np.split(_even_residual_sq(
+    center, upper, lower = np.split(sinusoid_residual_sq(
         q, n, np.concatenate([grid, grid + _FD_STEP, grid - _FD_STEP])), 3)
     deriv = (upper - lower) / (2.0 * _FD_STEP)
 

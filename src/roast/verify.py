@@ -33,7 +33,6 @@ from .diagnostics import (
     _capture_errors,
     _checked_factor,
     _ensure_orthonormal,
-    _even_residual_sq,
     _full_solve,
     dpss_capture_report,
     eigenvalue_concentration_report,
@@ -43,6 +42,7 @@ from .diagnostics import (
     residual_path_bound,
     singular_decay_report,
     sinusoid_derivative_check,
+    sinusoid_residual_sq,
     subspace_angle,
 )
 from .prolate import build_band_split, build_dpss, build_prolate
@@ -178,7 +178,7 @@ def randomized_suite(dpss, eps: float, num_seeds: int = 20) -> BoundLedger:
     Capture and angle take the real route of ``dpss_capture_report``; the
     angle cosine is sqrt(1 - ||R||_2^2) for the capture residual R.  The
     average-width and pointwise bases of all seeds share one
-    ``_even_residual_sq`` call on the mirrored in-band grid of
+    ``sinusoid_residual_sq`` call on the mirrored in-band grid of
     ``integrated_residual_quadrature``, which forms each ±f pair once, and
     each seed's average is the trapezoid of its curve over N, which
     resolves residuals the trace path floors at zero.
@@ -208,8 +208,8 @@ def randomized_suite(dpss, eps: float, num_seeds: int = 20) -> BoundLedger:
         cosines.append(errors[p_angle][2])
         by_seed.append(bases)
     spectral_sq, per_vec, _ = zip(*caps)
-    curves = _even_residual_sq([b[p] for p in (p_avg, p_point) for b in by_seed],
-                               n, grid)
+    curves = sinusoid_residual_sq(
+        [b[p] for p in (p_avg, p_point) for b in by_seed], n, grid)
     averages = np.trapezoid(curves[:num_seeds], grid, axis=1) / n
     point_curves = curves[num_seeds:]
 
@@ -262,7 +262,7 @@ def small_instance_checks() -> BoundLedger:
                          + 1j * rng.standard_normal((dim, p)))[0]
         b = np.linalg.qr(rng.standard_normal((dim, q))
                          + 1j * rng.standard_normal((dim, q)))[0]
-        via_svd = subspace_angle(a, b).largest_angle_cos
+        via_svd = subspace_angle(a, b)[-1]
         via_proj = largest_angle_cos_direct(a, b)
         worst_gap = max(worst_gap, abs(via_svd - via_proj))
     ledger.add("angle_definition_agreement", worst_gap, 1e-10, dim=dim)

@@ -467,7 +467,15 @@ class TestValidation:
          "the derived r = 12 exceeds the 7 out-of-band bins of N = 64"),
     ])
     def test_oversize_values_exit_2(self, args, message, capsys, tmp_path,
-                                    monkeypatch):
+                                    monkeypatch, patch_everywhere):
+        # each refusal comes before any basis is built or signal drawn
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the refusal")
+
+        for start in (roast.build_dpss, roast.build_roast,
+                      roast.build_roast_randomized, roast.build_subdft,
+                      roast.random_bandlimited):
+            patch_everywhere(start, refuse)
         monkeypatch.chdir(tmp_path)
         assert main(args) == 2
         err = capsys.readouterr().err

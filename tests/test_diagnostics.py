@@ -16,14 +16,14 @@ from roast import (
     integrated_residual_quadrature,
     log_width_constant,
     rank_for_capture,
-    residual_paths_agree,
     residual_snr,
     sampled_sinusoid,
     singular_decay_report,
     sinusoid_derivative_check,
     subspace_angle,
 )
-from roast.diagnostics import largest_angle_cos_direct, sinusoid_residual_sq
+from roast.diagnostics import (largest_angle_cos_direct, residual_path_bound,
+                               sinusoid_residual_sq)
 from roast.verify import capture_suite, pointwise_suite, small_instance_checks
 
 
@@ -84,7 +84,7 @@ class TestIntegratedResidual:
             tr = integrated_residual(op, q_like)
             qd = integrated_residual_quadrature(op, q_like)
             assert abs(tr - qd) <= 1e-4 * max(tr, qd)
-            assert residual_paths_agree(tr, qd)
+            assert abs(tr - qd) <= residual_path_bound(tr, qd)
 
     def test_agreement_floor_covers_noise_level_residuals(self, caches):
         # past R ~ 50 the true residual is far below float64 resolution;
@@ -95,7 +95,7 @@ class TestIntegratedResidual:
         tr = integrated_residual(op, basis)
         qd = integrated_residual_quadrature(op, basis)
         assert tr <= 1e-9 and qd <= 1e-9
-        assert residual_paths_agree(tr, qd)
+        assert abs(tr - qd) <= residual_path_bound(tr, qd)
 
     def test_deflated_tail_dominates_trace(self, caches):
         # nuclear-norm chain: the integrated residual never exceeds the sum
@@ -234,11 +234,11 @@ class TestSinusoidResidualKernel:
 
     def test_blocks_of_64_where_the_floor_sets_them(self, monkeypatch):
         # N=4096 has 2047 out-of-band rows: blocks of max(64, 2**16 // 2047)
-        # = 64 frequencies, so 200 frequencies span four blocks.  The
+        # = 64 frequencies, so 200 distinct |f| span four blocks.  The
         # per-frequency residual comes from the FFT projection, not a dense Q.
         n = 4096
         bases = [roast.build_roast_randomized(n, 0.25, p, seed=p) for p in (30, 20)]
-        freqs = np.linspace(-0.5, 0.5, 200)
+        freqs = np.linspace(0.0, 0.5, 200)
         widths = []
         ratio = roast.diagnostics._dirichlet_ratio
 
@@ -269,7 +269,7 @@ class TestSinusoidResidualKernel:
 
 
 class TestMirroredResidual:
-    """``_even_residual_sq`` forms each +-f pair of a real projector once."""
+    """``sinusoid_residual_sq`` forms each +-f pair of a real projector once."""
 
     @pytest.mark.parametrize("w", [0.25, 0.1, 0.4, 0.01, 1 / 3])
     def test_band_grid_is_mirrored_linspace(self, w):
@@ -286,6 +286,15 @@ class TestMirroredResidual:
         grid = roast.diagnostics._band_grid(w)
         return np.concatenate([grid, grid + 1e-5, grid - 1e-5])
 
+    @staticmethod
+    def _unfolded(n, q, freqs):
+        """The Dirichlet kernel at every f as given: a row for a basis, a
+        row per basis for a list."""
+        bases = q if isinstance(q, list) else [q]
+        out = roast.diagnostics._dirichlet_residual_sq(
+            n, bases[0].split.high_indices, [b.v for b in bases], freqs)
+        return out if isinstance(q, list) else out[0]
+
     @pytest.mark.parametrize("n", [512, 513])
     def test_matches_the_unfolded_kernel(self, n):
         # f and -f take different Dirichlet ratios: the two rows agree to
@@ -296,12 +305,30 @@ class TestMirroredResidual:
         freqs = self._derivative_grid(0.25)
         delta = 32 * np.finfo(float).eps * n
         for q in [*bases, bases]:
-            got = roast.diagnostics._even_residual_sq(q, n, freqs)
-            want = sinusoid_residual_sq(q, n, freqs)
+            got = sinusoid_residual_sq(q, n, freqs)
+            want = self._unfolded(n, q, freqs)
             assert got.shape == want.shape
             bound = 2 * delta * np.sqrt(np.maximum(got, want)) + delta ** 2
             assert np.all(np.abs(got - want) <= bound)
         assert np.max(want) > 1e-12  # R=20 leaves residuals far above round-off
+
+    def test_closed_bases_form_each_magnitude_once(self, monkeypatch):
+        n, w = 128, 0.25
+        freqs = self._derivative_grid(w)
+        bases = [build_roast(n, w, 6), roast.build_roast_randomized(n, w, 8, 0)]
+        formed = []
+        ratio = roast.diagnostics._dirichlet_ratio
+
+        def recorded(n, rows, f):
+            formed.append(f)
+            return ratio(n, rows, f)
+
+        monkeypatch.setattr(roast.diagnostics, "_dirichlet_ratio", recorded)
+        for q in (bases[0], bases):
+            formed.clear()
+            sinusoid_residual_sq(q, n, freqs)
+            assert np.array_equal(np.concatenate(formed),
+                                  np.unique(np.abs(freqs)))
 
     def test_other_projectors_take_the_unfolded_kernel(self, rng):
         n, w = 128, 0.25
@@ -310,11 +337,25 @@ class TestMirroredResidual:
                          + 1j * rng.standard_normal((split.n_high, 6)))[0]
         general = roast.RoastBasis(split=split, r=6, v=v, method="randomized")
         freqs = self._derivative_grid(w)
-        for q in (general, [build_roast(n, w, 6), general], build_subdft(n, w, 5),
-                  build_roast(n, w, 6).dense_basis()):
-            np.testing.assert_array_equal(
-                roast.diagnostics._even_residual_sq(q, n, freqs),
-                sinusoid_residual_sq(q, n, freqs))
+        mixed = [build_roast(n, w, 6), general]
+        np.testing.assert_array_equal(sinusoid_residual_sq(general, n, freqs),
+                                      self._unfolded(n, general, freqs))
+        np.testing.assert_array_equal(sinusoid_residual_sq(mixed, n, freqs),
+                                      self._unfolded(n, mixed, freqs))
+        subdft = build_subdft(n, w, 5)
+        rows = np.setdiff1d(np.arange(n), subdft.indices)
+        np.testing.assert_array_equal(
+            sinusoid_residual_sq(subdft, n, freqs),
+            roast.diagnostics._dirichlet_residual_sq(
+                n, rows, [np.zeros((len(rows), 0))], freqs)[0])
+        # the dense path, as a plain callable takes it
+        q = build_roast(n, w, 6).dense_basis()
+        dpss = roast.build_dpss(n, w, split.n_low + 6)
+        np.testing.assert_array_equal(
+            sinusoid_residual_sq(q, n, freqs),
+            sinusoid_residual_sq(lambda x: q @ (q.conj().T @ x), n, freqs))
+        np.testing.assert_array_equal(sinusoid_residual_sq(dpss, n, freqs),
+                                      sinusoid_residual_sq(dpss.project, n, freqs))
 
     @staticmethod
     def _count_frequencies(monkeypatch):
@@ -349,26 +390,24 @@ class TestSubspaceAngle:
         s_k = caches.dpss(256, 0.25).vectors[:, :k]
         via_analyze = subspace_angle(s_k, basis)
         dense = subspace_angle(s_k, basis.dense_basis())
-        np.testing.assert_allclose(via_analyze.principal_cosines,
-                                   dense.principal_cosines, rtol=0, atol=1e-12)
-        assert abs(subspace_angle(basis, s_k).largest_angle_cos
-                   - dense.largest_angle_cos) <= 1e-12
+        np.testing.assert_allclose(via_analyze, dense, rtol=0, atol=1e-12)
+        assert abs(subspace_angle(basis, s_k)[-1] - dense[-1]) <= 1e-12
 
     def test_identical_subspaces(self, rng):
         q = np.linalg.qr(rng.standard_normal((32, 6)))[0]
-        report = subspace_angle(q, q)
-        np.testing.assert_allclose(report.principal_cosines, 1.0, atol=1e-12)
-        assert report.largest_angle_cos >= 1 - 1e-12
+        cos = subspace_angle(q, q)
+        np.testing.assert_allclose(cos, 1.0, atol=1e-12)
+        assert cos[-1] >= 1 - 1e-12
 
     def test_orthogonal_subspaces(self):
         eye = np.eye(16)
-        report = subspace_angle(eye[:, :4], eye[:, 8:12])
-        np.testing.assert_allclose(report.principal_cosines, 0.0, atol=1e-12)
+        cos = subspace_angle(eye[:, :4], eye[:, 8:12])
+        np.testing.assert_allclose(cos, 0.0, atol=1e-12)
 
     def test_cosines_sorted_and_bounded(self, rng):
         a = np.linalg.qr(rng.standard_normal((40, 7)))[0]
         b = np.linalg.qr(rng.standard_normal((40, 12)))[0]
-        cos = subspace_angle(a, b).principal_cosines
+        cos = subspace_angle(a, b)
         assert len(cos) == 7
         assert np.all(np.diff(cos) <= 0)
         assert np.all(cos >= 0) and np.all(cos <= 1 + 1e-12)
@@ -380,7 +419,7 @@ class TestSubspaceAngle:
                              + 1j * rng.standard_normal((16, p)))[0]
             b = np.linalg.qr(rng.standard_normal((16, q))
                              + 1j * rng.standard_normal((16, q)))[0]
-            assert abs(subspace_angle(a, b).largest_angle_cos
+            assert abs(subspace_angle(a, b)[-1]
                        - largest_angle_cos_direct(a, b)) <= 1e-10
 
     def test_rejects_non_orthonormal(self, rng):
@@ -534,7 +573,7 @@ class TestCaptureReport:
         resid = s_k - dense @ (dense.conj().T @ s_k)
         want_sq = np.linalg.svd(resid, compute_uv=False)[0] ** 2
         want_per = np.max(np.einsum("ij,ij->j", resid.conj(), resid).real)
-        want_cos = subspace_angle(s_k, basis).largest_angle_cos
+        want_cos = subspace_angle(s_k, basis)[-1]
         deflated = cross - basis.v @ (basis.v.conj().T @ cross)
         want_eta = np.linalg.norm(deflated, 2) / eps
         assert want_per > 1e-6

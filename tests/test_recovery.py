@@ -251,7 +251,7 @@ class TestConditioningComparison:
     def test_orthonormal_basis_converges_faster(self, seed, caches):
         n, w, m, r = 256, 0.25, 192, 12
         basis = caches.roast(n, w, r)
-        t1, t2 = build_fst_analog(n, w, r).factor_pair()
+        t1, t2 = build_fst_analog(n, w, r)
         assert t2.shape[1] == basis.dimension
         t2_h = t2.conj().T  # one conjugated copy, not one per CG step
 

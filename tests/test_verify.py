@@ -196,7 +196,7 @@ class TestSuites:
             resid = s_k - dense @ (dense.conj().T @ s_k)
             want_sq = np.linalg.svd(resid, compute_uv=False)[0] ** 2
             want_per = np.max(np.einsum("ij,ij->j", resid.conj(), resid).real)
-            want_cos = roast.diagnostics.subspace_angle(s_k, basis).largest_angle_cos
+            want_cos = roast.diagnostics.subspace_angle(s_k, basis)[-1]
             assert want_per > 1e-6
             assert spectral_sq == pytest.approx(want_sq, rel=1e-12, abs=0)
             assert per_vector == pytest.approx(want_per, rel=1e-12, abs=0)
