@@ -3,10 +3,22 @@
 The central object is the orthonormal basis Q = [F, Fbar @ V]: the in-band
 DFT columns F augmented with R extra directions inside the out-of-band DFT
 span.  Analysis and synthesis run through one FFT plus a skinny matrix
-product, O(N log N + N R).  Also here: the widened-DFT baseline (Sub-DFT),
-the non-orthogonal factor pair (T1, T2) of a Hermitian low-rank-corrected
-band projector (the FST analog) as a comparison point, and a binary
-serialization for built bases.
+product, O(N log N + N R).
+
+Every V is closed under conjugation: V[-k] = conj V[k] bit for bit and the
+Nyquist row is real, so Q Q^* is real.  A ``RoastBasis`` therefore stores
+half of V, as one real n_high x R array: the real parts of V's m =
+``n_neg`` positive-bin rows, then their imaginary parts, then the real
+Nyquist row.  The out-of-band product of analysis and synthesis is one real
+GEMM on that array, taken in row blocks of ``_ROW_CHUNK`` because OpenBLAS
+runs tall skinny products faster in pieces: at N = 65536, R = 33, with a
+two-column right-hand side and one thread of a Xeon core, the 32,767-row
+product took 1.00 ms whole and 0.43-0.55 ms in 4,096-row blocks, and its
+synthesis counterpart 1.90 against 0.53-0.61 ms.
+
+Also here: the widened-DFT baseline (Sub-DFT), the non-orthogonal factor
+pair (T1, T2) of a Hermitian low-rank-corrected band projector (the FST
+analog) as a comparison point, and a binary serialization for built bases.
 
 ``RoastBasis``, ``SubDftBasis`` and ``DpssBasis`` share one protocol: ``n``,
 ``dimension``, ``analyze`` (Q^* x), ``synthesize`` (Q c), ``project``
@@ -74,6 +86,9 @@ _METHODS = (*_ROAST_METHODS, "randomized")
 # Columns of a rank-deficient sketch whose triangular-factor diagonal falls
 # below this fraction of the leading diagonal are dropped.
 _RANK_TOL = 1e-12
+
+# Rows of the stored half of V per real product in analysis and synthesis.
+_ROW_CHUNK = 4096
 
 
 def dft_columns(n: int, wrapped_indices: np.ndarray) -> np.ndarray:
@@ -157,46 +172,47 @@ def _dft_rows(cos_sin: np.ndarray) -> np.ndarray:
     return np.concatenate([pos[::-1].conj(), pos, cos_sin[2 * half:]])
 
 
-def _conjugate_closed(basis: "RoastBasis") -> bool:
-    """Whether V[-k] = conj V[k] holds bit for bit, the Nyquist row real:
-    then Q Q^* is real.  Every builder guarantees it; a general complex V
-    breaks it."""
-    v, half = basis.v, basis.split.n_neg
-    pos = v[half:]
-    return (np.array_equal(v[:half], pos[:half][::-1].conj())
-            and not np.any(pos[half:].imag))
+def _rescaled(rows: np.ndarray, scale: float, order: str) -> np.ndarray:
+    """A copy in ``order`` of real rows laid out as ``_cos_sin_rows`` writes
+    them: the cosine and sine rows times ``scale``, the Nyquist row as is."""
+    pairs = 2 * (rows.shape[0] // 2)
+    out = np.empty(rows.shape, order=order)
+    np.multiply(rows[:pairs], scale, out=out[:pairs])
+    out[pairs:] = rows[pairs:]
+    return out
 
 
 def _real_factor(basis: "RoastBasis") -> np.ndarray:
-    """The real n_high x R factor of ``basis`` in cosine/sine coordinates.
+    """The real n_high x R factor of ``basis`` in cosine/sine coordinates,
+    sqrt(2) times the stored cosine and sine rows.
 
     Its columns are orthonormal exactly when those of V are, and Fbar V V^*
-    Fbar^* is the real projector E Q Q^T E^T, E the real cosine/sine basis.
-    Raises ``ValueError`` unless ``_conjugate_closed(basis)``.
+    Fbar^* is the real projector E q q^T E^T, E the real cosine/sine basis.
     """
-    if not _conjugate_closed(basis):
-        raise ValueError("V is not closed under conjugation: no real factor")
-    half = basis.split.n_neg
-    return _cos_sin_rows(basis.v[half:], half)
+    return _rescaled(basis.v_half, math.sqrt(2.0), "C")
 
 
 @dataclass(frozen=True)
 class RoastBasis:
     """Orthonormal basis [F, Fbar @ V] with FFT-fast analysis and synthesis.
 
-    ``v`` has shape (n_high, r) with orthonormal columns; the implied full
-    basis has 2*floor(NW)+1+R columns.  ``method`` records how V was built
+    V has shape (n_high, r) with orthonormal columns; the implied full basis
+    has 2*floor(NW)+1+R columns.  ``method`` records how V was built
     ("svd_fb", "svd_fbf", or "randomized"), ``seed`` the sketch seed when
-    randomized.  Immutable; analysis and synthesis read V in place.  Every
-    builder makes V from a real factor in cosine/sine coordinates
+    randomized.  Immutable.
+
+    Every builder makes V from a real factor in cosine/sine coordinates
     (``_dft_rows``), so V[-k] = conj V[k] holds bit for bit and Q Q^* is
-    real; ``_real_factor`` reads the factor back.  V stays complex because
-    the apply path takes complex input.
+    real.  Only half of V is stored: ``v_half`` is real n_high x R, the real
+    parts of V's m = ``split.n_neg`` positive-bin rows, then their imaginary
+    parts, then the real Nyquist row when N is even.  It takes 8 n_high R
+    bytes, half of V's; ``v`` rebuilds V from it, and analysis and synthesis
+    read it in place.
     """
 
     split: DftBandSplit
     r: int
-    v: np.ndarray = field(repr=False)
+    v_half: np.ndarray = field(repr=False)
     method: str
     seed: int | None = None
 
@@ -212,6 +228,20 @@ class RoastBasis:
     def dimension(self) -> int:
         return self.split.n_low + self.r
 
+    @property
+    def v(self) -> np.ndarray:
+        """V, complex and column-major, rebuilt in one allocation: the
+        positive rows from ``v_half``, the negative rows their conjugates in
+        reverse order, bit for bit the V the builder formed."""
+        half, m = self.v_half, self.split.n_neg
+        v = np.empty(half.shape, dtype=complex, order="F")
+        pos = v[m:2 * m]
+        pos.real = half[:m]
+        pos.imag = half[m:2 * m]
+        v[2 * m:] = half[2 * m:]
+        np.conjugate(pos[::-1], out=v[:m])
+        return v
+
     def analyze(self, x: np.ndarray) -> np.ndarray:
         return apply_analysis(self, x)
 
@@ -219,7 +249,14 @@ class RoastBasis:
         return apply_synthesis(self, coeffs)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return apply_synthesis(self, apply_analysis(self, x))
+        """Q Q^* x: the out-of-band bins of the spectrum are replaced in
+        place by V V^* of them, with no coefficient vector formed."""
+        n = self.n
+        spectrum = _column_fft(_leading(x, n, "samples"), norm="ortho")
+        block = spectrum.reshape(n, -1)
+        _write_high_bins(self, _high_coefficients(self, block), block)
+        return np.multiply(np.fft.ifft(spectrum, axis=0, out=spectrum),
+                           np.sqrt(n), out=spectrum)
 
     def dense_basis(self) -> np.ndarray:
         """Explicit N x (n_low + R) matrix; the oracle for the fast paths.
@@ -312,7 +349,8 @@ def build_roast(n: int, w: float, r: int, method: str = "svd_fb") -> RoastBasis:
     else:
         real = _out_of_band_eigenvectors(build_prolate(n, w), split, r,
                                          2 if method == "svd_fb" else 1)
-    return RoastBasis(split=split, r=int(r), v=_dft_rows(real), method=method)
+    return RoastBasis(split=split, r=int(r),
+                      v_half=_rescaled(real, math.sqrt(0.5), "F"), method=method)
 
 
 def build_roast_randomized(n: int, w: float, p: int, seed: int) -> RoastBasis:
@@ -342,14 +380,25 @@ def _sketch(op: ProlateOperator, split: DftBandSplit, p: int, seed: int) -> np.n
 
 def _sketch_basis(split: DftBandSplit, sketch: np.ndarray, seed: int) -> RoastBasis:
     """The randomized basis from the pivoted QR of a real ``sketch``; the row
-    map is unitary, so the pivots are those of the complex sketch.  The kept
-    factor, signed as the DPSS vectors are, becomes V through ``_dft_rows``."""
-    q, rmat, _ = sla.qr(sketch, mode="economic", pivoting=True)
+    map is unitary, so the pivots are those of the complex sketch.
+
+    The QR is taken in raw form and ``dorgqr`` forms only the kept columns
+    of Q from their reflectors, with the workspace it asks for, as the
+    economic QR forms all of them: a full-rank sketch gets the economic Q
+    bit for bit.  The kept factor, signed as the DPSS vectors are, is stored
+    as ``_dft_rows`` would expand it.
+    """
+    (qr, tau), rmat, _ = sla.qr(sketch, mode="raw", pivoting=True)
     diag = np.abs(np.diag(rmat))
     keep = int(np.sum(diag > _RANK_TOL * diag[0])) if diag.size else 0
-    real = q[:, :keep]
+    lwork = int(sla.lapack.dorgqr(qr[:, :keep], tau[:keep], lwork=-1)[1][0])
+    real, _, info = sla.lapack.dorgqr(qr[:, :keep], tau[:keep], lwork=lwork,
+                                      overwrite_a=True)
+    if info != 0:
+        raise RuntimeError(f"dorgqr failed with info={info}")
     _fix_signs(real)
-    return RoastBasis(split=split, r=keep, v=_dft_rows(real),
+    return RoastBasis(split=split, r=keep,
+                      v_half=_rescaled(real, math.sqrt(0.5), "F"),
                       method="randomized", seed=int(seed))
 
 
@@ -362,46 +411,115 @@ def _column_fft(x: np.ndarray, norm: str | None = None) -> np.ndarray:
     return np.fft.fft(buf, axis=0, norm=norm, out=buf)
 
 
+def _bin_pairs(split: DftBandSplit, spectrum: np.ndarray) -> tuple:
+    """Views of an N x c ``spectrum``: the m = ``n_neg`` positive
+    out-of-band bins ascending, the negative bins -k in the same order, and
+    the Nyquist bin (no row for odd N)."""
+    n, h, m = split.n, split.h, split.n_neg
+    return (spectrum[h + 1:h + 1 + m], spectrum[n - h - 1:n // 2:-1],
+            spectrum[h + 1 + m:n // 2 + 1])
+
+
+def _high_coefficients(basis: RoastBasis, spectrum: np.ndarray) -> np.ndarray:
+    """V^* s over the out-of-band bins s of an N x c ``spectrum``, as the real
+    R x 2c array [Re | Im].
+
+    With V[k] = a + ib at a positive bin k, conj V[k] s_k + V[k] s_{-k} =
+    a (s_k + s_{-k}) + i b (s_{-k} - s_k), and the Nyquist row is real.  So
+    one real column-major right-hand side Y, n_high x 2c, holds the real
+    parts of these sums and then their imaginary parts, in the row order of
+    ``v_half``, and the coefficients are v_half^T Y, summed over row blocks
+    of ``_ROW_CHUNK``.
+    """
+    m, cols = basis.split.n_neg, spectrum.shape[1]
+    pos, neg, nyquist = _bin_pairs(basis.split, spectrum)
+    y = np.empty((basis.split.n_high, 2 * cols), order="F")
+    re, im = y[:, :cols], y[:, cols:]
+    np.add(pos.real, neg.real, out=re[:m])
+    np.add(pos.imag, neg.imag, out=im[:m])
+    np.subtract(pos.imag, neg.imag, out=re[m:2 * m])
+    np.subtract(neg.real, pos.real, out=im[m:2 * m])
+    re[2 * m:] = nyquist.real
+    im[2 * m:] = nyquist.imag
+    half = basis.v_half
+    z = half[:_ROW_CHUNK].T @ y[:_ROW_CHUNK]
+    for i0 in range(_ROW_CHUNK, len(y), _ROW_CHUNK):
+        z += half[i0:i0 + _ROW_CHUNK].T @ y[i0:i0 + _ROW_CHUNK]
+    return z
+
+
+def _write_high_bins(basis: RoastBasis, z: np.ndarray,
+                     spectrum: np.ndarray) -> None:
+    """Write V c into the out-of-band bins of an N x c ``spectrum``, c given
+    as the real R x 2c array ``z`` = [Re | Im].
+
+    P = v_half z is formed in row blocks of ``_ROW_CHUNK``; its rows hold
+    a.c and b.c for V[k] = a + ib at each positive bin k.  Then V[k] c =
+    (a.Re c - b.Im c) + i (a.Im c + b.Re c), and bin -k gets conj(V[k]) c =
+    (a.Re c + b.Im c) + i (a.Im c - b.Re c).
+    """
+    m, cols, half = basis.split.n_neg, spectrum.shape[1], basis.v_half
+    p = np.empty((basis.split.n_high, 2 * cols), order="F")
+    for i0 in range(0, len(p), _ROW_CHUNK):
+        np.matmul(half[i0:i0 + _ROW_CHUNK], z, out=p[i0:i0 + _ROW_CHUNK])
+    pr, pi = p[:, :cols], p[:, cols:]
+    pos, neg, nyquist = _bin_pairs(basis.split, spectrum)
+    np.subtract(pr[:m], pi[m:2 * m], out=pos.real)
+    np.add(pi[:m], pr[m:2 * m], out=pos.imag)
+    np.add(pr[:m], pi[m:2 * m], out=neg.real)
+    np.subtract(pi[:m], pr[m:2 * m], out=neg.imag)
+    nyquist.real = pr[2 * m:]
+    nyquist.imag = pi[2 * m:]
+
+
 def apply_analysis(basis: RoastBasis, x: np.ndarray) -> np.ndarray:
     """Coefficients Q^* x in O(N log N + N R); accepts a vector or columns.
 
     One orthonormal FFT (``_column_fft``), then slices of the spectrum (see
-    ``DftBandSplit``): the in-band coefficients are two slices, and V^H s is
-    conj(V_neg^T conj(s_neg) + V_pos^T conj(s_pos)), which conjugates the
-    n_high x cols signal slices instead of copying V.  Block coefficients
-    come back column-major, the layout synthesis fills.
+    ``DftBandSplit``): the in-band coefficients are two slices, and V^* s
+    over the out-of-band bins is one real product with ``v_half``, the
+    stored half of the conjugation-closed V, taken in row blocks that
+    OpenBLAS runs about twice as fast as one tall product (module docstring;
+    ``_high_coefficients``).  Block coefficients come back column-major,
+    the layout synthesis fills.
     """
     n = basis.n
     x = _leading(x, n, "samples")
-    h, n_neg = basis.split.h, basis.split.n_neg
-    spectrum = _column_fft(x, norm="ortho")
-    v = basis.v
-    high = (v[:n_neg].T @ spectrum[n // 2 + 1:n - h].conj()
-            + v[n_neg:].T @ spectrum[h + 1:n // 2 + 1].conj())
-    out = np.empty((basis.dimension,) + x.shape[1:], dtype=complex, order="F")
-    return np.concatenate([spectrum[n - h:], spectrum[:h + 1], high.conj()],
-                          axis=0, out=out)
+    h, n_low = basis.split.h, basis.split.n_low
+    spectrum = _column_fft(x, norm="ortho").reshape(n, -1)
+    z = _high_coefficients(basis, spectrum)
+    cols = spectrum.shape[1]
+    out = np.empty((basis.dimension, cols), dtype=complex, order="F")
+    out[:h] = spectrum[n - h:]
+    out[h:n_low] = spectrum[:h + 1]
+    out[n_low:].real = z[:, :cols]
+    out[n_low:].imag = z[:, cols:]
+    return out.reshape((basis.dimension,) + x.shape[1:])
 
 
 def apply_synthesis(basis: RoastBasis, coeffs: np.ndarray) -> np.ndarray:
     """Reconstruct Q @ coeffs; exact inverse of analysis on coefficient space.
 
     A column-major spectrum is filled slice by slice (see ``DftBandSplit``):
-    the in-band coefficients by two assignments, the out-of-band bins by
-    one product with each half of V written in place.  The inverse FFT runs
-    in place and is scaled by sqrt(N) afterwards, not taken with
-    ``norm="ortho"``: the two round differently, and the trace-path
+    the in-band coefficients by two assignments, the out-of-band bins by one
+    real product with ``v_half`` in row blocks, as analysis takes it
+    (``_write_high_bins``), the negative bins the conjugate of V's rows.  The
+    inverse FFT runs in place and is scaled by sqrt(N) afterwards, not taken
+    with ``norm="ortho"``: the two round differently, and the trace-path
     ``integrated_residual`` in the verify ledger would read the difference.
     """
-    n, n_low = basis.n, basis.split.n_low
-    coeffs = _leading(coeffs, n_low + basis.r, "coefficients")
-    h, n_neg = basis.split.h, basis.split.n_neg
+    n, n_low, r = basis.n, basis.split.n_low, basis.r
+    coeffs = _leading(coeffs, n_low + r, "coefficients")
+    h = basis.split.h
     spectrum = np.empty((n,) + coeffs.shape[1:], dtype=complex, order="F")
-    spectrum[n - h:] = coeffs[:h]
-    spectrum[:h + 1] = coeffs[h:n_low]
-    c_high = coeffs[n_low:]
-    np.matmul(basis.v[:n_neg], c_high, out=spectrum[n // 2 + 1:n - h])
-    np.matmul(basis.v[n_neg:], c_high, out=spectrum[h + 1:n // 2 + 1])
+    block, c = spectrum.reshape(n, -1), coeffs.reshape(n_low + r, -1)
+    block[n - h:] = c[:h]
+    block[:h + 1] = c[h:n_low]
+    cols = block.shape[1]
+    z = np.empty((r, 2 * cols), order="F")
+    z[:, :cols] = c[n_low:].real
+    z[:, cols:] = c[n_low:].imag
+    _write_high_bins(basis, z, block)
     return np.multiply(np.fft.ifft(spectrum, axis=0, out=spectrum), np.sqrt(n),
                        out=spectrum)
 
@@ -562,11 +680,11 @@ def fst_rank_bound(n: int, delta: float) -> int:
 # serialization
 #
 # Layout: magic "ROAST\0", format version u16 LE, u32 LE header length, UTF-8
-# JSON header {n, w, r, method, seed?} with sorted keys, V as column-major
-# complex128 (interleaved re/im, little-endian), CRC32 (u32 LE) of every
-# preceding byte.  The same basis always encodes to the same bytes; the
-# reader ignores unknown header keys, such as the creation time that older
-# writers stamped.
+# JSON header {n, w, r, method, seed?} with sorted keys, the whole of V
+# (negative rows included) as column-major complex128 (interleaved re/im,
+# little-endian), CRC32 (u32 LE) of every preceding byte.  The same basis
+# always encodes to the same bytes; the reader ignores unknown header keys,
+# such as the creation time that older writers stamped.
 
 _MAGIC = b"ROAST\x00"
 _FORMAT_VERSION = 1
@@ -591,7 +709,7 @@ def serialize_basis(basis: RoastBasis) -> bytes:
     if basis.seed is not None:
         header["seed"] = basis.seed
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    v_bytes = np.asfortranarray(basis.v.astype("<c16", copy=False)).tobytes(order="F")
+    v_bytes = basis.v.astype("<c16", copy=False).tobytes(order="F")
     payload = (_MAGIC + struct.pack("<H", _FORMAT_VERSION)
                + struct.pack("<I", len(header_bytes)) + header_bytes + v_bytes)
     return payload + struct.pack("<I", zlib.crc32(payload))
@@ -604,7 +722,10 @@ def _is_int(value) -> bool:
 def deserialize_basis(data: bytes) -> RoastBasis:
     """Decode a serialized basis, validating structure, checksum, and shape.
 
-    Headers with a signal length above 2**24 are refused.
+    Headers with a signal length above 2**24 are refused.  The stored half
+    of V is read off its positive rows, and a stream whose V differs from
+    what ``v`` rebuilds from them is refused: its V is not closed under
+    conjugation, which no builder writes and ``RoastBasis`` cannot hold.
     """
     fixed = len(_MAGIC) + 2 + 4
     if len(data) < fixed + 4:
@@ -659,4 +780,14 @@ def deserialize_basis(data: bytes) -> RoastBasis:
             f"dimension inconsistency: payload holds {len(v_bytes)} bytes, "
             f"header implies {expected}")
     v = np.frombuffer(v_bytes, dtype="<c16").reshape((split.n_high, r), order="F")
-    return RoastBasis(split=split, r=r, v=v.copy(order="F"), method=method, seed=seed)
+    m = split.n_neg
+    half = np.empty(v.shape, order="F")
+    half[:m] = v[m:2 * m].real
+    half[m:2 * m] = v[m:2 * m].imag
+    half[2 * m:] = v[2 * m:].real
+    basis = RoastBasis(split=split, r=r, v_half=half, method=method, seed=seed)
+    if not np.array_equal(basis.v, v):
+        raise BasisFormatError("V is not closed under conjugation: a negative "
+                               "row is not the conjugate of its positive row, "
+                               "or the Nyquist row is not real")
+    return basis

@@ -11,7 +11,9 @@ rank-report      skinny-matrix widths versus length for the fast methods
 recover          one CG recovery experiment through a chosen subspace
 
 In ``scaling-bench`` the ``snr`` column is the SNR of one draw of
-``--tones`` random tones, at signal seed ``seed + n``, under each basis.  The
+``--tones`` random tones, at signal seed ``seed + n``, under each basis, and
+``fft_seconds`` times ``np.fft.fft`` of the same probe as ``apply_seconds``
+times an analysis, so each row reads analysis against the FFT.  The
 ``dpss`` row keeps ``n_low + r`` Slepian vectors (n_low = 2 floor(NW) + 1),
 the dimension of the ``roast`` (svd_fb) row, and is written only up to
 N = 4096; the other rows are written at every N.
@@ -62,10 +64,10 @@ from .basis import (
     fst_rank_bound,
     serialize_basis,
 )
-from .diagnostics import (SNR_CSV_CAP, residual_snr, sinusoid_residual_sq,
-                          snr_from_energies)
-from .prolate import (DenseSizeError, build_band_split, build_dpss,
-                      log_width_constant, random_bandlimited)
+from .diagnostics import (SNR_CSV_CAP, _band_grid, residual_snr,
+                          sinusoid_residual_sq, snr_from_energies)
+from .prolate import (DenseSizeError, _real_product, build_band_split,
+                      build_dpss, log_width_constant, random_bandlimited)
 from .recovery import recovery_experiment
 from .verify import capture_suite, core_grid_checks, full_verification
 
@@ -211,7 +213,8 @@ def run_sweep_sinusoid(args: argparse.Namespace) -> int:
     roast = build_roast(n, w, r, args.method)
     roast_r = build_roast_randomized(n, w, r, args.seed) if r >= 1 else roast
 
-    grid = np.linspace(-0.5, 0.5, args.grid_points)
+    # mirrored bit for bit, so the +-f fold of the ROAST kernel halves it
+    grid = _band_grid(0.5, args.grid_points)
     # the two ROAST bases share one split, so one call forms their kernel
     snr_cols = [snr_from_energies(n, resid_sq) for resid_sq in (
         sinusoid_residual_sq(subdft, n, grid), sinusoid_residual_sq(dpss, n, grid),
@@ -266,10 +269,10 @@ def run_bandlimited_snr(args: argparse.Namespace) -> int:
         sub_resid[rr] = np.vdot(sub_vec, sub_vec).real
 
     s = build_dpss(n, w, split.n_low + r_max).vectors
-    coeff = s.T @ x
+    coeff = _real_product(s.T, x)
     low = split.n_low
-    dpss_resid = _peeled_energies(x - s[:, :low] @ coeff[:low], s[:, low:],
-                                  coeff[low:])
+    dpss_resid = _peeled_energies(x - _real_product(s[:, :low], coeff[:low]),
+                                  s[:, low:], coeff[low:])
 
     rand_resid = np.empty(r_max + 1)
     rand_resid[0] = roast_resid[0]
@@ -322,6 +325,7 @@ def run_scaling_bench(args: argparse.Namespace) -> int:
         split = build_band_split(n, w)
         signal = random_bandlimited(n, w, args.tones, args.seed + n).samples
         probe = signal / np.linalg.norm(signal)
+        fft_seconds = _median_seconds(lambda: np.fft.fft(probe))
 
         builders = [("subdft", lambda: build_subdft(n, w, r))]
         if n <= _DPSS_ROW_LIMIT:
@@ -338,8 +342,9 @@ def run_scaling_bench(args: argparse.Namespace) -> int:
             apply_seconds = _median_seconds(lambda: analyze(probe))
             snr = _cap_snr(residual_snr(built, signal))
             rows.append([int(n), int(r), name, float(precompute),
-                         float(apply_seconds), snr])
-    columns = ["n", "r", "method", "precompute_seconds", "apply_seconds", "snr"]
+                         float(apply_seconds), fft_seconds, snr])
+    columns = ["n", "r", "method", "precompute_seconds", "apply_seconds",
+               "fft_seconds", "snr"]
     _emit(args, render_output(args, columns, rows))
     return 0
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigvalsh
 
-from .basis import (RoastBasis, SubDftBasis, _conjugate_closed, _cross_rows,
-                    _real_factor, _slepian_rows)
+from .basis import (RoastBasis, SubDftBasis, _cross_rows, _real_factor,
+                    _slepian_rows)
 from .prolate import (
     ProlateOperator,
     _check_dense_bytes,
@@ -329,8 +329,7 @@ def sinusoid_residual_sq(projector, n: int, freqs: np.ndarray) -> np.ndarray:
 
     ``projector`` may also be a non-empty list or tuple of ``RoastBasis``
     objects that share one (n, w): one row per basis, each bit for bit that
-    basis's own call unless the run mixes bases closed under conjugation
-    with others (see below).  Any other list or tuple raises ``ValueError``.
+    basis's own call.  Any other list or tuple raises ``ValueError``.
 
     A ``RoastBasis`` or ``SubDftBasis`` takes the Dirichlet path: with
     d_f[k] = exp(i pi (n-1) x) sin(pi n x) / sin(pi x) / sqrt(n), x = f - k/n,
@@ -343,11 +342,10 @@ def sinusoid_residual_sq(projector, n: int, freqs: np.ndarray) -> np.ndarray:
     ||Q^* e_f||^2 would turn residuals of 1e-20 into round-off of 1e-13.
     Frequencies go in blocks of max(64, 2**16 // rows), each block's ratio
     formed once for every basis and each basis's real map once per call.
-    When every ``RoastBasis`` given is closed under conjugation
-    (``roast.basis._conjugate_closed``), as every builder's is, Q Q^* is
-    real and e_f, e_{-f} = conj e_f leave one residual norm: the kernel runs
-    at each distinct |f| once and the rows are scattered back.  A
-    ``SubDftBasis`` or a general complex V takes every f as given.
+    Every ``RoastBasis`` is closed under conjugation, so Q Q^* is real and
+    e_f, e_{-f} = conj e_f leave one residual norm: the kernel runs at each
+    distinct |f| once and the rows are scattered back.  A ``SubDftBasis``
+    takes every f as given.
 
     Any other ``projector`` is anything ``_as_projector`` accepts; a matrix
     Q is applied densely as Q (Q^* x) to blocks of max(1, 2**21 // n)
@@ -369,8 +367,7 @@ def sinusoid_residual_sq(projector, n: int, freqs: np.ndarray) -> np.ndarray:
             rows = first.split.high_indices
             bases = projector if sequence else [first]
             vs = [b.v for b in bases]
-            if all(_conjugate_closed(b) for b in bases):
-                freqs, at = np.unique(np.abs(freqs), return_inverse=True)
+            freqs, at = np.unique(np.abs(freqs), return_inverse=True)
         else:
             rows = np.setdiff1d(np.arange(n), first.indices)
             vs = [np.zeros((len(rows), 0))]
@@ -388,10 +385,10 @@ def sinusoid_residual_sq(projector, n: int, freqs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_grid(w: float) -> np.ndarray:
-    """The odd part of ``np.linspace(-w, w, _BAND_NODES)``, within an ulp of
-    2w of it and mirrored bit for bit: f and -f are both nodes."""
-    nodes = np.linspace(-w, w, _BAND_NODES)
+def _band_grid(w: float, count: int) -> np.ndarray:
+    """The odd part of ``np.linspace(-w, w, count)``, within an ulp of 2w of
+    it and mirrored bit for bit: f and -f are both nodes."""
+    nodes = np.linspace(-w, w, count)
     return (nodes - nodes[::-1]) / 2.0
 
 
@@ -399,7 +396,7 @@ def integrated_residual_quadrature(op: ProlateOperator, q_like) -> float:
     """Same quantity by composite trapezoid over the ``_band_grid`` nodes,
     residual vectors evaluated pointwise.  Cross-validates the trace path."""
     q = _checked_basis(q_like)
-    grid = _band_grid(op.w)
+    grid = _band_grid(op.w, _BAND_NODES)
     return float(np.trapezoid(sinusoid_residual_sq(q, op.n, grid), grid))
 
 
@@ -526,7 +523,7 @@ def sinusoid_derivative_check(op: ProlateOperator, q_like) -> BoundLedger:
         raise ValueError(f"half-bandwidth {w} below 1/(4 pi N) for n={n}")
     q = _checked_basis(q_like)
 
-    grid = _band_grid(w)
+    grid = _band_grid(w, _BAND_NODES)
     center, upper, lower = np.split(sinusoid_residual_sq(
         q, n, np.concatenate([grid, grid + _FD_STEP, grid - _FD_STEP])), 3)
     deriv = (upper - lower) / (2.0 * _FD_STEP)
@@ -580,8 +577,7 @@ def dpss_capture_report(dpss, eps: float, basis) -> BoundLedger:
     ``_capture_errors``: eta from the real rows of the cross operator
     (``_cross_rows``) and q, the real factor of V, and the Slepian values
     from the out-of-band rows of s_k (``_slepian_rows``).  s_k and q are
-    checked orthonormal to 1e-8; a V not closed under conjugation has no
-    real factor and raises ``ValueError``.
+    checked orthonormal to 1e-8.
 
     For the svd_fb basis at the verify detail point eta reads the Lanczos
     stopping floor of ``build_roast``, while both capture errors sit near

@@ -94,6 +94,18 @@ def _column_major(x: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
+def _real_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a real matrix ``a``.  A complex ``b`` is taken by its real
+    and imaginary parts, so no complex copy of ``a`` is formed: 32 MiB for
+    N = 2048 Slepian vectors of which k = 1024 are kept."""
+    if not np.iscomplexobj(b):
+        return a @ b
+    out = np.empty(a.shape[:1] + b.shape[1:], dtype=complex)
+    out.real = a @ b.real
+    out.imag = a @ b.imag
+    return out
+
+
 def _embed_size(n: int) -> int:
     """Next power of two >= 2N-1, the circulant embedding length."""
     m = 1
@@ -218,10 +230,10 @@ class DpssBasis:
         return self.vectors
 
     def analyze(self, x: np.ndarray) -> np.ndarray:
-        return self.vectors.T @ _leading(x, self.n, "samples")
+        return _real_product(self.vectors.T, _leading(x, self.n, "samples"))
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.vectors @ _leading(coeffs, self.k, "coefficients")
+        return _real_product(self.vectors, _leading(coeffs, self.k, "coefficients"))
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the span of the retained vectors."""
@@ -237,6 +249,24 @@ def _half_eigenvectors(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndar
             f"tridiagonal eigensolver failed at half size {len(diag)}: {exc}"
         ) from exc
     return u[:, len(diag) - count:][:, ::-1]
+
+
+def _permute_columns(a: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``a`` with a[:, j] replaced by a[:, order[j]] for every j, in place:
+    each cycle of the permutation moves one column at a time, so no second
+    N x k array is formed."""
+    done = np.zeros(len(order), dtype=bool)
+    for start in np.flatnonzero(order != np.arange(len(order))):
+        if done[start]:
+            continue
+        held, j = a[:, start].copy(), start
+        while order[j] != start:
+            a[:, j] = a[:, order[j]]
+            done[j] = True
+            j = order[j]
+        a[:, j] = held
+        done[j] = True
+    return a
 
 
 def _fix_signs(vecs: np.ndarray) -> None:
@@ -272,7 +302,8 @@ def build_dpss(n: int, w: float, k: int) -> DpssBasis:
     leading block of the circulant embedding, so by Parseval v^T B v =
     sum_j c_j |V_j|^2 / M for the M-point spectrum V of the padded v and the
     real circulant spectrum c.  Columns go in blocks of ``_RAYLEIGH_BLOCK``;
-    the values are clamped into (0, 1) and stably sorted.
+    the values are clamped into (0, 1) and stably sorted, and the columns
+    follow them in place (``_permute_columns``).
     """
     _validate_nw(n, w)
     if not 1 <= k <= n:
@@ -321,9 +352,8 @@ def build_dpss(n: int, w: float, k: int) -> DpssBasis:
         lam[j0:j0 + _RAYLEIGH_BLOCK] = weight @ power
     lam = np.clip(lam, _EIG_CLAMP, 1.0 - _EIG_CLAMP)
     order = np.argsort(-lam, kind="stable")
-    # permuting the rows of the C-ordered transpose keeps columns contiguous
     return DpssBasis(n=int(n), w=float(w), k=int(k),
-                     vectors=vecs.T[order].T, eigenvalues=lam[order])
+                     vectors=_permute_columns(vecs, order), eigenvalues=lam[order])
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .basis import (
     sketch_for_pointwise,
 )
 from .diagnostics import (
+    _BAND_NODES,
     BoundLedger,
     _band_grid,
     _capture_errors,
@@ -195,7 +196,7 @@ def randomized_suite(dpss, eps: float, num_seeds: int = 20) -> BoundLedger:
     p_angle = min(sketch_for_capture_angle(n, eps), split.n_high)
     p_avg = min(sketch_for_average(n, eps), split.n_high)
     p_point = min(sketch_for_pointwise(n, w, eps), split.n_high)
-    grid = _band_grid(w)
+    grid = _band_grid(w, _BAND_NODES)
 
     widths = sorted({p_cap, p_angle, p_avg, p_point})
     by_seed, caps, cosines = [], [], []

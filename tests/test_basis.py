@@ -6,6 +6,7 @@ import zlib
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,8 +126,10 @@ class TestBuildRoast:
         # compressed operator in those coordinates is real_rows(C) E
         compressed = cross @ real_rows(dft_columns(n, split.high_indices).conj().T).T
         vecs = np.linalg.eigh((compressed + compressed.T) / 2.0)[1]
-        oracle = RoastBasis(split=split, r=r, v=dft_rows(vecs[:, ::-1][:, :r]),
-                            method="svd_fbf")
+        top = vecs[:, ::-1][:, :r]
+        oracle = RoastBasis(split=split, r=r, method="svd_fbf",
+                            v_half=np.concatenate([top[:2 * half] / np.sqrt(2.0),
+                                                   top[2 * half:]]))
 
         def snr_db(b):
             return 10.0 * np.log10(op.trace() / integrated_residual_quadrature(op, b))
@@ -200,13 +203,35 @@ class TestBuildRoast:
             q = basis.dense_basis()
             assert np.max(np.abs((q @ q.conj().T).imag)) <= 1e-12
 
-    def test_real_factor_refuses_a_general_complex_v(self, rng):
-        split = build_band_split(512, 0.25)
-        v = np.linalg.qr(rng.standard_normal((split.n_high, 30))
-                         + 1j * rng.standard_normal((split.n_high, 30)))[0]
-        basis = RoastBasis(split=split, r=30, v=v, method="randomized")
-        with pytest.raises(ValueError, match="conjugation"):
-            roast.basis._real_factor(basis)
+    @pytest.mark.parametrize("n", [1024, 1025])
+    @pytest.mark.parametrize("method", ["svd_fb", "svd_fbf", "randomized"])
+    def test_half_of_v_is_stored(self, n, method):
+        # the builder's real factor, formed here by the builder's own steps,
+        # expands to V by _dft_rows bit for bit; the basis stores 8 n_high R
+        # bytes, and the stream holds the V that the parent layout wrote
+        w, r = 0.25, 25
+        split = build_band_split(n, w)
+        op = build_prolate(n, w)
+        if method == "randomized":
+            basis = build_roast_randomized(n, w, r, seed=3)
+            q = sla.qr(roast.basis._sketch(op, split, r, 3), mode="economic",
+                       pivoting=True)[0]
+            roast.prolate._fix_signs(q)
+            header = {"method": method, "n": n, "r": r, "seed": 3, "w": w}
+        else:
+            basis = build_roast(n, w, r, method)
+            q = roast.basis._out_of_band_eigenvectors(
+                op, split, r, 2 if method == "svd_fb" else 1)
+            header = {"method": method, "n": n, "r": r, "w": w}
+        want = roast.basis._dft_rows(q)
+        assert basis.r == r
+        assert basis.v_half.dtype == np.float64
+        assert basis.v_half.nbytes == 8 * split.n_high * r
+        np.testing.assert_array_equal(basis.v, want)
+        blob = serialize_basis(basis)
+        assert blob == stream(json.dumps(header, sort_keys=True).encode(),
+                              np.asfortranarray(want).tobytes(order="F"))
+        np.testing.assert_array_equal(deserialize_basis(blob).v, want)
 
     @pytest.mark.parametrize("method", ["svd_fb", "svd_fbf"])
     def test_same_bytes_from_two_builds(self, method):
@@ -283,22 +308,25 @@ class TestApplyPaths:
         assert np.linalg.norm(s0 - basis.project(s0)) ** 2 <= eps
 
 
-def _fortran_v_basis():
-    built = build_roast(300, 0.25, 7)
-    return RoastBasis(split=built.split, r=built.r, v=np.asfortranarray(built.v),
-                      method=built.method)
+def _row_major_half_basis():
+    built = build_roast_randomized(301, 0.25, 7, seed=2)
+    return RoastBasis(split=built.split, r=built.r,
+                      v_half=np.ascontiguousarray(built.v_half),
+                      method=built.method, seed=built.seed)
 
 
-# The apply paths read the spectrum and V by slices; these cases cover both
-# parities of N (a Nyquist bin or not), no negative out-of-band bins
-# (N=64, W=0.49: the Nyquist bin is the only one), R = 0, and a V stored
-# column-major.
+# The apply paths read the spectrum and the stored half of V by slices;
+# these cases cover both parities of N (a Nyquist bin or not), no negative
+# out-of-band bins (N=64, W=0.49: the Nyquist bin is the only one), R = 0,
+# a basis read back from its stream, whose V is column-major, and a stored
+# half held row-major.
 SLICE_CASES = {
     "even_n": lambda: build_roast(300, 0.25, 7),
     "odd_n": lambda: build_roast_randomized(301, 0.25, 7, seed=2),
     "nyquist_only": lambda: build_roast(64, 0.49, 1),
     "r_zero": lambda: build_roast(128, 0.25, 0),
-    "fortran_v": _fortran_v_basis,
+    "fortran_v": lambda: deserialize_basis(serialize_basis(build_roast(300, 0.25, 7))),
+    "row_major_half": _row_major_half_basis,
 }
 
 
@@ -311,7 +339,53 @@ class TestSlicedApply:
     def test_layout_cases_are_what_they_claim(self):
         assert build_band_split(64, 0.49).n_high == 1
         assert SLICE_CASES["r_zero"]().r == 0
-        assert SLICE_CASES["fortran_v"]().v.flags.f_contiguous
+        loaded = SLICE_CASES["fortran_v"]()
+        assert loaded.v.flags.f_contiguous and loaded.v_half.flags.f_contiguous
+        assert not SLICE_CASES["row_major_half"]().v_half.flags.f_contiguous
+        assert max(b().split.n_high for b in SLICE_CASES.values()) \
+            < roast.basis._ROW_CHUNK
+
+    @pytest.mark.parametrize("n", [300, 301])
+    def test_row_blocks_match_dense(self, n, rng, monkeypatch):
+        # blocks of 16 rows split n_high = 149 or 150 into ten, the last
+        # one short, as _ROW_CHUNK splits every n_high above 4,096
+        monkeypatch.setattr(roast.basis, "_ROW_CHUNK", 16)
+        basis = build_roast_randomized(n, 0.25, 9, seed=4)
+        q = basis.dense_basis()
+        for cols in [(), (3,)]:
+            for real in (False, True):
+                x = rng.standard_normal((n, *cols))
+                c = rng.standard_normal((basis.dimension, *cols))
+                if not real:
+                    x = x + 1j * rng.standard_normal(x.shape)
+                    c = c + 1j * rng.standard_normal(c.shape)
+                assert np.max(np.abs(basis.analyze(x) - q.conj().T @ x)) <= 1e-12
+                assert np.max(np.abs(basis.synthesize(c) - q @ c)) <= 1e-12
+                assert np.max(np.abs(basis.project(x)
+                                     - q @ (q.conj().T @ x))) <= 1e-12
+
+    def test_above_one_row_block_matches_the_dft_of_v(self, rng):
+        # n_high = 8,191 spans two row blocks; the reference takes V^* of
+        # the out-of-band spectrum and V times the coefficients by complex
+        # products on the expanded V, with no dense DFT columns
+        n = 16384
+        basis = build_roast_randomized(n, 0.25, 29, seed=5)
+        split, v = basis.split, basis.v
+        assert split.n_high > roast.basis._ROW_CHUNK
+        x = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        s = np.fft.fft(x, axis=0, norm="ortho")
+        want = np.concatenate([s[split.low_indices],
+                               v.conj().T @ s[split.high_indices]])
+        for got, ref in ((basis.analyze(x), want),
+                         (basis.analyze(x[:, 0]), want[:, 0])):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        spectrum = np.zeros((n, 2), dtype=complex)
+        spectrum[split.low_indices] = want[:split.n_low]
+        spectrum[split.high_indices] = v @ want[split.n_low:]
+        y = np.fft.ifft(spectrum, axis=0, norm="ortho")
+        for got, ref in ((basis.synthesize(want), y), (basis.project(x), y),
+                         (basis.project(x[:, 1]), y[:, 1])):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("cols", [(), (3,)])
     @pytest.mark.parametrize("real", [False, True])
@@ -366,15 +440,18 @@ class TestBlockLayouts:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     def test_vector_analysis_is_one_fft_and_two_products(self, rng):
-        # a single vector takes the direct FFT, bit for bit the formula of
-        # apply_analysis's docstring
+        # a single vector takes the direct FFT, then one real product of the
+        # stored half of V with the folded spectrum, bit for bit the formula
+        # of _high_coefficients's docstring: the bin pairs (k, -k) give
+        # s_k + s_-k for the cosine rows and i (s_-k - s_k) for the sine rows
         basis = LAYOUT_BASES["roast"]()
-        n, h, n_neg, v = basis.n, basis.split.h, basis.split.n_neg, basis.v
+        n, h, m = basis.n, basis.split.h, basis.split.n_neg
         x = random_probe(n, rng)
         s = np.fft.fft(x, norm="ortho")
-        high = (v[:n_neg].T @ s[n // 2 + 1:n - h].conj()
-                + v[n_neg:].T @ s[h + 1:n // 2 + 1].conj())
-        want = np.concatenate([s[n - h:], s[:h + 1], high.conj()])
+        pos, neg = s[h + 1:h + 1 + m], s[n - h - 1:n // 2:-1]
+        folded = np.concatenate([pos + neg, 1j * (neg - pos), s[h + 1 + m:n // 2 + 1]])
+        z = basis.v_half.T @ np.column_stack([folded.real, folded.imag])
+        want = np.concatenate([s[n - h:], s[:h + 1], z[:, 0] + 1j * z[:, 1]])
         np.testing.assert_array_equal(basis.analyze(x), want)
 
 
@@ -504,7 +581,7 @@ class TestFstAnalog:
 
 def _empty_roast_basis(n, w):
     split = build_band_split(n, w)
-    return RoastBasis(split=split, r=0, v=np.zeros((split.n_high, 0), complex),
+    return RoastBasis(split=split, r=0, v_half=np.zeros((split.n_high, 0)),
                       method="svd_fb")
 
 
@@ -613,6 +690,28 @@ class TestSerialization:
         assert restored.v.flags.f_contiguous
         x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
         np.testing.assert_array_equal(restored.analyze(x), basis.analyze(x))
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_refuses_a_v_not_closed_under_conjugation(self, n, rng):
+        # a stream with a valid checksum whose V breaks V[-k] = conj V[k],
+        # or whose Nyquist row (even N only) is not real, cannot become a
+        # RoastBasis
+        v = build_roast_randomized(n, 0.25, 3, seed=1).v
+        header = json.dumps({"method": "randomized", "n": n, "r": 3,
+                             "seed": 1, "w": 0.25}, sort_keys=True).encode()
+        assert isinstance(deserialize_basis(stream(
+            header, v.tobytes(order="F"))), RoastBasis)
+        general = np.linalg.qr(v + 1e-3 * (rng.standard_normal(v.shape)
+                                           + 1j * rng.standard_normal(v.shape)))[0]
+        broken = [general, v.copy()]
+        broken[1][0, 0] += 1e-15
+        if n % 2 == 0:
+            broken.append(v.copy())
+            broken[2][-1, 0] += 1e-15j
+        for bad in broken:
+            payload = np.asfortranarray(bad).tobytes(order="F")
+            with pytest.raises(BasisFormatError, match="closed under conjugation"):
+                deserialize_basis(stream(header, payload))
 
     def test_round_trip_randomized_keeps_seed(self):
         basis = build_roast_randomized(128, 0.25, 6, seed=77)

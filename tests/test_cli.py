@@ -72,6 +72,29 @@ class TestSweepSinusoid:
         assert len(rows) == 64
         assert meta["r_used"] == "6"
 
+    def test_grid_is_mirrored(self, tmp_path, monkeypatch):
+        # the odd part of linspace over [-1/2, 1/2]: f and -f are both nodes
+        # bit for bit, so the ROAST kernel forms 1,024 of the 2,048 nodes
+        formed = []
+        ratio = roast.diagnostics._dirichlet_ratio
+
+        def recorded(n, rows, f):
+            formed.append((len(rows), len(f)))
+            return ratio(n, rows, f)
+
+        monkeypatch.setattr(roast.diagnostics, "_dirichlet_ratio", recorded)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-sinusoid", "--n", "128", "--r", "4",
+                     "--out", str(out)]) == 0
+        _, columns, rows = read_csv(out)
+        freqs = np.array(column(rows, columns, "f"))
+        np.testing.assert_array_equal(freqs, -freqs[::-1])
+        assert np.max(np.abs(freqs - np.linspace(-0.5, 0.5, 2048))) <= np.spacing(1.0)
+        # the SubDftBasis (59 rows outside its 69 bins) takes all 2,048, the
+        # two ROAST bases (63 out-of-band rows) 1,024 together
+        assert sum(f for rows, f in formed if rows == 59) == 2048
+        assert sum(f for rows, f in formed if rows == 63) == 1024
+
     def test_far_out_of_band_capture_is_negligible(self, tmp_path):
         out = tmp_path / "sweep.csv"
         main(["sweep-sinusoid", "--n", "256", "--w", "0.25", "--r", "10",
@@ -146,7 +169,15 @@ class TestBandlimitedSnr:
     def test_columns_are_residual_snrs(self, tmp_path):
         # every column is the SNR of the residual vector under its basis, so
         # past the 157-dB floor of total minus captured energy the curves
-        # keep rising; ROAST at R holds the first R columns of the r_max build
+        # keep rising; ROAST at R holds the first R columns of the r_max build.
+        # Each value, the CLI's and residual_snr's, is checked against an
+        # extended-precision residual of the same float64 basis data, formed
+        # with DFT columns accurate in np.longdouble.  On rho = ||r|| / ||x||
+        # = 10**(-snr/20) the float64 paths may differ from it by their own
+        # round-off, sqrt(n) eps: about eps ||x|| / sqrt(n) per residual
+        # sample, added in quadrature over n samples and the few stages of
+        # an FFT or a product (measured here: at most 0.1 eps).  At R=30 the
+        # DPSS value, 261.6 dB, sits near the floor, so this is 0.5 dB there.
         n, w, r_max, seed = 512, 0.25, 30, 1234
         out = tmp_path / "bl.csv"
         assert main(["bandlimited-snr", "--n", str(n), "--r-max", str(r_max),
@@ -155,19 +186,41 @@ class TestBandlimitedSnr:
         x = roast.random_bandlimited(n, w, int(meta["tones"]), seed).samples
         split = roast.build_band_split(n, w)
         full = roast.build_roast(n, w, r_max)
+        tol = np.sqrt(n) * np.finfo(float).eps
+
+        def dft(indices):
+            turns = ((np.arange(n)[:, None] * indices[None, :]) % n) / np.longdouble(n)
+            return (np.exp(2j * np.pi * np.longdouble(1) * turns)
+                    / np.sqrt(np.longdouble(n)))
+
+        def exact_rho(basis):
+            if isinstance(basis, roast.basis.SubDftBasis):
+                q = dft(basis.indices)
+            elif isinstance(basis, roast.prolate.DpssBasis):
+                q = basis.vectors.astype(np.clongdouble)
+            else:
+                v = basis.v.astype(np.clongdouble)
+                q = np.hstack([dft(split.low_indices), dft(split.high_indices) @ v])
+            xl = x.astype(np.clongdouble)
+            resid = xl - q @ (q.conj().T @ xl)
+            return float(np.sqrt(np.sum(np.abs(resid) ** 2) / np.sum(np.abs(xl) ** 2)))
+
         for r in (0, 10, 19, 30):
             bases = {
                 "snr_subdft": roast.build_subdft(n, w, r),
                 "snr_dpss": roast.build_dpss(n, w, split.n_low + r),
-                "snr_roast": roast.RoastBasis(split=split, r=r, v=full.v[:, :r],
+                "snr_roast": roast.RoastBasis(split=split, r=r,
+                                              v_half=full.v_half[:, :r],
                                               method="svd_fb"),
             }
             if r:
                 bases["snr_roast_randomized"] = roast.build_roast_randomized(
                     n, w, r, seed)
             for name, basis in bases.items():
-                got = column(rows, columns, name)[r]
-                assert got == pytest.approx(roast.residual_snr(basis, x), abs=1e-3)
+                want = exact_rho(basis)
+                for got in (column(rows, columns, name)[r],
+                            roast.residual_snr(basis, x)):
+                    assert abs(10.0 ** (-got / 20.0) - want) <= tol, (name, r)
         roast_curve = column(rows, columns, "snr_roast")
         assert roast_curve[30] - roast_curve[19] > 30.0
         assert max(roast_curve) < SNR_CSV_CAP
@@ -188,10 +241,13 @@ class TestScalingBench:
                      "--out", str(out)]) == 0
         meta, columns, rows = read_csv(out)
         assert columns == ["n", "r", "method", "precompute_seconds",
-                           "apply_seconds", "snr"]
+                           "apply_seconds", "fft_seconds", "snr"]
         methods = column(rows, columns, "method", str)
         assert set(methods) == {"subdft", "dpss", "roast", "roast_r"}
         assert all(v > 0 for v in column(rows, columns, "apply_seconds"))
+        # one FFT timing per N, shared by that N's rows
+        ns, fft = column(rows, columns, "n", int), column(rows, columns, "fft_seconds")
+        assert all(t > 0 and t == fft[ns.index(n)] for n, t in zip(ns, fft))
         assert all(v >= 0 for v in column(rows, columns, "precompute_seconds"))
         w, seed = float(meta["w"]), int(meta["seed"])
         tones = int(meta["tones"])

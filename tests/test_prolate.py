@@ -119,6 +119,38 @@ class TestProlateOperator:
 
 
 class TestDpss:
+    @pytest.mark.parametrize("k", [1, 2, 7, 64])
+    def test_columns_permuted_in_place(self, k, rng):
+        # every cycle structure of a random permutation, against a copy
+        # taken by fancy indexing
+        a = np.asfortranarray(rng.standard_normal((5, k)))
+        order = rng.permutation(k)
+        want = a[:, order]
+        got = roast.prolate._permute_columns(a, order)
+        assert got is a
+        np.testing.assert_array_equal(got, want)
+
+    def test_complex_input_forms_no_complex_copy(self, rng):
+        # analysis and synthesis take a complex vector or block by its real
+        # and imaginary parts: the complex cast of the 2048 x 1024 vectors
+        # alone would be 32 MiB
+        dpss = roast.prolate.build_dpss(2048, 0.25, 1024)
+        s = dpss.vectors
+        for cols in [(), (3,)]:
+            x, c = (rng.standard_normal((rows, *cols))
+                    + 1j * rng.standard_normal((rows, *cols)) for rows in (2048, 1024))
+            tracemalloc.start()
+            try:
+                got_a, got_s = dpss.analyze(x), dpss.synthesize(c)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+            np.testing.assert_allclose(got_a, s.T.astype(complex) @ x,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got_s, s.astype(complex) @ c,
+                                       rtol=0, atol=1e-12)
+
     def test_eigen_relation(self, caches):
         op = caches.op(256, 0.25)
         basis = caches.dpss(256, 0.25)
