@@ -5,16 +5,14 @@ DFT columns F augmented with R extra directions inside the out-of-band DFT
 span.  Analysis and synthesis run through one FFT plus a skinny matrix
 product, O(N log N + N R).
 
-Every V is closed under conjugation: V[-k] = conj V[k] bit for bit and the
-Nyquist row is real, so Q Q^* is real.  A ``RoastBasis`` therefore stores
-half of V, as one real n_high x R array: the real parts of V's m =
-``n_neg`` positive-bin rows, then their imaginary parts, then the real
-Nyquist row.  The out-of-band product of analysis and synthesis is one real
-GEMM on that array, taken in row blocks of ``_ROW_CHUNK`` because OpenBLAS
-runs tall skinny products faster in pieces: at N = 65536, R = 33, with a
-two-column right-hand side and one thread of a Xeon core, the 32,767-row
-product took 1.00 ms whole and 0.43-0.55 ms in 4,096-row blocks, and its
-synthesis counterpart 1.90 against 0.53-0.61 ms.
+Every V is closed under conjugation, V[-k] = conj V[k] and a real Nyquist
+row, so Q Q^* is real and V is fixed by one real orthonormal n_high x R
+factor q in cosine/sine coordinates: sqrt(2) Re of V's m = ``n_neg``
+positive-bin rows, then sqrt(2) Im of them, then the Nyquist row
+(``_cos_sin_rows``).  Every builder computes q, and a ``RoastBasis`` stores
+it as built.  The out-of-band product of analysis and synthesis is one real
+GEMM on q, taken in row blocks of ``_ROW_CHUNK`` because OpenBLAS runs tall
+skinny products faster in pieces.
 
 Also here: the widened-DFT baseline (Sub-DFT), the non-orthogonal factor
 pair (T1, T2) of a Hermitian low-rank-corrected band projector (the FST
@@ -87,7 +85,7 @@ _METHODS = (*_ROAST_METHODS, "randomized")
 # below this fraction of the leading diagonal are dropped.
 _RANK_TOL = 1e-12
 
-# Rows of the stored half of V per real product in analysis and synthesis.
+# Rows of the stored factor q per real product in analysis and synthesis.
 _ROW_CHUNK = 4096
 
 
@@ -102,12 +100,11 @@ def cross_operator_dense(op: ProlateOperator, split: DftBandSplit) -> np.ndarray
     """Dense out-of-band cross operator Fbar^* B, complex n_high x N, its
     rows in ``high_indices`` order: the real rows of ``_cross_rows``
     expanded by ``_dft_rows``, so row -k is the conjugate of row k bit for
-    bit.  Its peak of 40 n_high N bytes, the real rows, the output and two
-    half-size temporaries of ``_dft_rows``, is checked against the
-    dense-byte limit under ``_cross_rows``'s label.
+    bit.  Its peak of 24 n_high N bytes, the real rows and the output, is
+    checked against the dense-byte limit under ``_cross_rows``'s label.
     """
     _check_dense_bytes(f"cross_operator_dense(n={op.n}, w={op.w})",
-                       40 * split.n_high * op.n)
+                       24 * split.n_high * op.n)
     return _dft_rows(_cross_rows(op, split))
 
 
@@ -159,37 +156,32 @@ def _cross_rows(op: ProlateOperator, split: DftBandSplit) -> np.ndarray:
     return out
 
 
+def _write_positive_rows(cos_sin: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the positive-bin DFT rows, ascending, of real
+    cosine/sine rows laid out as ``_cos_sin_rows`` writes them, then the
+    Nyquist row: (cos + i sin) / sqrt(2) and the real Nyquist value, the
+    inverse of ``_cos_sin_rows``."""
+    m = cos_sin.shape[0] // 2
+    np.multiply(cos_sin[:m], math.sqrt(0.5), out=out[:m].real)
+    np.multiply(cos_sin[m:2 * m], math.sqrt(0.5), out=out[:m].imag)
+    out[m:] = cos_sin[2 * m:]
+
+
 def _dft_rows(cos_sin: np.ndarray) -> np.ndarray:
     """Out-of-band DFT rows, in ``high_indices`` order, of real cosine/sine
-    rows laid out as ``_cos_sin_rows`` writes them.
+    rows laid out as ``_cos_sin_rows`` writes them, complex and
+    column-major in one allocation.
 
-    The positive bins get (cos + i sin) / sqrt(2) and the Nyquist row its
-    real value; the negative bins get the conjugates of the positive ones in
-    reverse order, so the result satisfies V[-k] = conj V[k] bit for bit.
+    The positive bins and the Nyquist row come from
+    ``_write_positive_rows``; the negative bins get the conjugates of the
+    positive ones in reverse order, so the result satisfies V[-k] = conj
+    V[k] bit for bit.
     """
-    half = cos_sin.shape[0] // 2
-    pos = (cos_sin[:half] + 1j * cos_sin[half:2 * half]) * math.sqrt(0.5)
-    return np.concatenate([pos[::-1].conj(), pos, cos_sin[2 * half:]])
-
-
-def _rescaled(rows: np.ndarray, scale: float, order: str) -> np.ndarray:
-    """A copy in ``order`` of real rows laid out as ``_cos_sin_rows`` writes
-    them: the cosine and sine rows times ``scale``, the Nyquist row as is."""
-    pairs = 2 * (rows.shape[0] // 2)
-    out = np.empty(rows.shape, order=order)
-    np.multiply(rows[:pairs], scale, out=out[:pairs])
-    out[pairs:] = rows[pairs:]
+    m = cos_sin.shape[0] // 2
+    out = np.empty(cos_sin.shape, dtype=complex, order="F")
+    _write_positive_rows(cos_sin, out[m:])
+    np.conjugate(out[m:2 * m][::-1], out=out[:m])
     return out
-
-
-def _real_factor(basis: "RoastBasis") -> np.ndarray:
-    """The real n_high x R factor of ``basis`` in cosine/sine coordinates,
-    sqrt(2) times the stored cosine and sine rows.
-
-    Its columns are orthonormal exactly when those of V are, and Fbar V V^*
-    Fbar^* is the real projector E q q^T E^T, E the real cosine/sine basis.
-    """
-    return _rescaled(basis.v_half, math.sqrt(2.0), "C")
 
 
 @dataclass(frozen=True)
@@ -201,18 +193,16 @@ class RoastBasis:
     ("svd_fb", "svd_fbf", or "randomized"), ``seed`` the sketch seed when
     randomized.  Immutable.
 
-    Every builder makes V from a real factor in cosine/sine coordinates
-    (``_dft_rows``), so V[-k] = conj V[k] holds bit for bit and Q Q^* is
-    real.  Only half of V is stored: ``v_half`` is real n_high x R, the real
-    parts of V's m = ``split.n_neg`` positive-bin rows, then their imaginary
-    parts, then the real Nyquist row when N is even.  It takes 8 n_high R
-    bytes, half of V's; ``v`` rebuilds V from it, and analysis and synthesis
-    read it in place.
+    V is stored as its real orthonormal factor ``q``, n_high x R in the
+    cosine/sine coordinates of ``_cos_sin_rows``: the builder's factor bit
+    for bit, float64 and column-major, 8 n_high R bytes.  ``v`` expands it
+    by ``_dft_rows``, so V[-k] = conj V[k] holds bit for bit and Q Q^* is
+    real; analysis and synthesis read q in place.
     """
 
     split: DftBandSplit
     r: int
-    v_half: np.ndarray = field(repr=False)
+    q: np.ndarray = field(repr=False)
     method: str
     seed: int | None = None
 
@@ -230,17 +220,8 @@ class RoastBasis:
 
     @property
     def v(self) -> np.ndarray:
-        """V, complex and column-major, rebuilt in one allocation: the
-        positive rows from ``v_half``, the negative rows their conjugates in
-        reverse order, bit for bit the V the builder formed."""
-        half, m = self.v_half, self.split.n_neg
-        v = np.empty(half.shape, dtype=complex, order="F")
-        pos = v[m:2 * m]
-        pos.real = half[:m]
-        pos.imag = half[m:2 * m]
-        v[2 * m:] = half[2 * m:]
-        np.conjugate(pos[::-1], out=v[:m])
-        return v
+        """V, complex and column-major: ``_dft_rows`` of q."""
+        return _dft_rows(self.q)
 
     def analyze(self, x: np.ndarray) -> np.ndarray:
         return apply_analysis(self, x)
@@ -252,7 +233,7 @@ class RoastBasis:
         """Q Q^* x: the out-of-band bins of the spectrum are replaced in
         place by V V^* of them, with no coefficient vector formed."""
         n = self.n
-        spectrum = _column_fft(_leading(x, n, "samples"), norm="ortho")
+        spectrum = _column_fft(_leading(x, n, "samples"))
         block = spectrum.reshape(n, -1)
         _write_high_bins(self, _high_coefficients(self, block), block)
         return np.multiply(np.fft.ifft(spectrum, axis=0, out=spectrum),
@@ -288,13 +269,13 @@ def _out_of_band_eigenvectors(op: ProlateOperator, split: DftBandSplit,
     decomposes G applied to the identity.  Both return orthonormal vectors;
     no re-orthogonalization follows.
     """
-    n, n_high, h, n_neg = op.n, split.n_high, split.h, split.n_neg
+    n, n_high, h = op.n, split.n_high, split.h
     shift = 1.0 if power == 1 else math.sqrt(np.finfo(float).eps)
 
     def matvec(a):
         a = a.reshape(n_high, -1)
         half = np.zeros((n // 2 + 1, a.shape[1]), dtype=complex)
-        half[h + 1:] = _dft_rows(a)[n_neg:]
+        _write_positive_rows(a, half[h + 1:])
         y = np.fft.irfft(half, n=n, axis=0, norm="ortho")
         for _ in range(power):
             y = prolate_apply(op, y)
@@ -345,12 +326,11 @@ def build_roast(n: int, w: float, r: int, method: str = "svd_fb") -> RoastBasis:
         raise ValueError(
             f"r must satisfy 0 <= r <= {split.n_high} for n={n}, w={w}, got {r}")
     if r == 0:
-        real = np.zeros((split.n_high, 0))
+        q = np.zeros((split.n_high, 0))
     else:
-        real = _out_of_band_eigenvectors(build_prolate(n, w), split, r,
-                                         2 if method == "svd_fb" else 1)
-    return RoastBasis(split=split, r=int(r),
-                      v_half=_rescaled(real, math.sqrt(0.5), "F"), method=method)
+        q = _out_of_band_eigenvectors(build_prolate(n, w), split, r,
+                                      2 if method == "svd_fb" else 1)
+    return RoastBasis(split=split, r=int(r), q=q, method=method)
 
 
 def build_roast_randomized(n: int, w: float, p: int, seed: int) -> RoastBasis:
@@ -386,7 +366,7 @@ def _sketch_basis(split: DftBandSplit, sketch: np.ndarray, seed: int) -> RoastBa
     of Q from their reflectors, with the workspace it asks for, as the
     economic QR forms all of them: a full-rank sketch gets the economic Q
     bit for bit.  The kept factor, signed as the DPSS vectors are, is stored
-    as ``_dft_rows`` would expand it.
+    as a compact column-major copy, so the basis keeps no QR workspace alive.
     """
     (qr, tau), rmat, _ = sla.qr(sketch, mode="raw", pivoting=True)
     diag = np.abs(np.diag(rmat))
@@ -397,18 +377,18 @@ def _sketch_basis(split: DftBandSplit, sketch: np.ndarray, seed: int) -> RoastBa
     if info != 0:
         raise RuntimeError(f"dorgqr failed with info={info}")
     _fix_signs(real)
-    return RoastBasis(split=split, r=keep,
-                      v_half=_rescaled(real, math.sqrt(0.5), "F"),
+    return RoastBasis(split=split, r=keep, q=real.copy(order="F"),
                       method="randomized", seed=int(seed))
 
 
-def _column_fft(x: np.ndarray, norm: str | None = None) -> np.ndarray:
-    """FFT down axis 0; a block whose columns are not contiguous, which numpy's
-    FFT reads at about half speed, is transformed in a ``_column_major`` copy."""
+def _column_fft(x: np.ndarray) -> np.ndarray:
+    """Orthonormal FFT down axis 0; a block whose columns are not contiguous,
+    which numpy's FFT reads at about half speed, is transformed in a
+    ``_column_major`` copy."""
     if x.ndim == 1 or x.flags.f_contiguous:
-        return np.fft.fft(x, axis=0, norm=norm)
+        return np.fft.fft(x, axis=0, norm="ortho")
     buf = _column_major(x, complex)
-    return np.fft.fft(buf, axis=0, norm=norm, out=buf)
+    return np.fft.fft(buf, axis=0, norm="ortho", out=buf)
 
 
 def _bin_pairs(split: DftBandSplit, spectrum: np.ndarray) -> tuple:
@@ -424,12 +404,14 @@ def _high_coefficients(basis: RoastBasis, spectrum: np.ndarray) -> np.ndarray:
     """V^* s over the out-of-band bins s of an N x c ``spectrum``, as the real
     R x 2c array [Re | Im].
 
-    With V[k] = a + ib at a positive bin k, conj V[k] s_k + V[k] s_{-k} =
-    a (s_k + s_{-k}) + i b (s_{-k} - s_k), and the Nyquist row is real.  So
-    one real column-major right-hand side Y, n_high x 2c, holds the real
-    parts of these sums and then their imaginary parts, in the row order of
-    ``v_half``, and the coefficients are v_half^T Y, summed over row blocks
-    of ``_ROW_CHUNK``.
+    With V[k] = (a + ib) / sqrt(2) at a positive bin k, a and b the cosine
+    and sine rows of q, conj V[k] s_k + V[k] s_{-k} = (a (s_k + s_{-k}) + i
+    b (s_{-k} - s_k)) / sqrt(2), and the Nyquist row is q's.  So one real
+    column-major right-hand side Y, n_high x 2c, holds the real parts of
+    these sums and then their imaginary parts, in q's row order.  The
+    cosine and sine rows' share of q^T Y is summed over row blocks of
+    ``_ROW_CHUNK`` and scaled by sqrt(1/2); the Nyquist row's share is added
+    unscaled, so no scaling touches that row.
     """
     m, cols = basis.split.n_neg, spectrum.shape[1]
     pos, neg, nyquist = _bin_pairs(basis.split, spectrum)
@@ -441,10 +423,13 @@ def _high_coefficients(basis: RoastBasis, spectrum: np.ndarray) -> np.ndarray:
     np.subtract(neg.real, pos.real, out=im[m:2 * m])
     re[2 * m:] = nyquist.real
     im[2 * m:] = nyquist.imag
-    half = basis.v_half
-    z = half[:_ROW_CHUNK].T @ y[:_ROW_CHUNK]
-    for i0 in range(_ROW_CHUNK, len(y), _ROW_CHUNK):
-        z += half[i0:i0 + _ROW_CHUNK].T @ y[i0:i0 + _ROW_CHUNK]
+    q, pairs = basis.q, 2 * m
+    qp, yp = q[:pairs], y[:pairs]
+    z = qp[:_ROW_CHUNK].T @ yp[:_ROW_CHUNK]
+    for i0 in range(_ROW_CHUNK, pairs, _ROW_CHUNK):
+        z += qp[i0:i0 + _ROW_CHUNK].T @ yp[i0:i0 + _ROW_CHUNK]
+    z *= math.sqrt(0.5)
+    z += q[pairs:].T @ y[pairs:]
     return z
 
 
@@ -453,15 +438,20 @@ def _write_high_bins(basis: RoastBasis, z: np.ndarray,
     """Write V c into the out-of-band bins of an N x c ``spectrum``, c given
     as the real R x 2c array ``z`` = [Re | Im].
 
-    P = v_half z is formed in row blocks of ``_ROW_CHUNK``; its rows hold
+    P = q z is formed with the cosine and sine rows of q on a copy of z
+    scaled by sqrt(1/2), in row blocks of ``_ROW_CHUNK``, and with the
+    Nyquist row on z itself, so no scaling touches that row.  P then holds
     a.c and b.c for V[k] = a + ib at each positive bin k.  Then V[k] c =
     (a.Re c - b.Im c) + i (a.Im c + b.Re c), and bin -k gets conj(V[k]) c =
     (a.Re c + b.Im c) + i (a.Im c - b.Re c).
     """
-    m, cols, half = basis.split.n_neg, spectrum.shape[1], basis.v_half
+    m, cols, q = basis.split.n_neg, spectrum.shape[1], basis.q
+    pairs, scaled = 2 * m, z * math.sqrt(0.5)
     p = np.empty((basis.split.n_high, 2 * cols), order="F")
-    for i0 in range(0, len(p), _ROW_CHUNK):
-        np.matmul(half[i0:i0 + _ROW_CHUNK], z, out=p[i0:i0 + _ROW_CHUNK])
+    qp, pp = q[:pairs], p[:pairs]
+    for i0 in range(0, pairs, _ROW_CHUNK):
+        np.matmul(qp[i0:i0 + _ROW_CHUNK], scaled, out=pp[i0:i0 + _ROW_CHUNK])
+    np.matmul(q[pairs:], z, out=p[pairs:])
     pr, pi = p[:, :cols], p[:, cols:]
     pos, neg, nyquist = _bin_pairs(basis.split, spectrum)
     np.subtract(pr[:m], pi[m:2 * m], out=pos.real)
@@ -477,16 +467,15 @@ def apply_analysis(basis: RoastBasis, x: np.ndarray) -> np.ndarray:
 
     One orthonormal FFT (``_column_fft``), then slices of the spectrum (see
     ``DftBandSplit``): the in-band coefficients are two slices, and V^* s
-    over the out-of-band bins is one real product with ``v_half``, the
-    stored half of the conjugation-closed V, taken in row blocks that
-    OpenBLAS runs about twice as fast as one tall product (module docstring;
-    ``_high_coefficients``).  Block coefficients come back column-major,
-    the layout synthesis fills.
+    over the out-of-band bins is one real product with the stored factor q,
+    taken in row blocks that OpenBLAS runs about twice as fast as one tall
+    product (``_high_coefficients``).  Block coefficients come back
+    column-major, the layout synthesis fills.
     """
     n = basis.n
     x = _leading(x, n, "samples")
     h, n_low = basis.split.h, basis.split.n_low
-    spectrum = _column_fft(x, norm="ortho").reshape(n, -1)
+    spectrum = _column_fft(x).reshape(n, -1)
     z = _high_coefficients(basis, spectrum)
     cols = spectrum.shape[1]
     out = np.empty((basis.dimension, cols), dtype=complex, order="F")
@@ -502,11 +491,12 @@ def apply_synthesis(basis: RoastBasis, coeffs: np.ndarray) -> np.ndarray:
 
     A column-major spectrum is filled slice by slice (see ``DftBandSplit``):
     the in-band coefficients by two assignments, the out-of-band bins by one
-    real product with ``v_half`` in row blocks, as analysis takes it
-    (``_write_high_bins``), the negative bins the conjugate of V's rows.  The
-    inverse FFT runs in place and is scaled by sqrt(N) afterwards, not taken
-    with ``norm="ortho"``: the two round differently, and the trace-path
-    ``integrated_residual`` in the verify ledger would read the difference.
+    real product with the stored factor q in row blocks, as analysis takes
+    it (``_write_high_bins``), the negative bins the conjugate of V's rows.
+    The inverse FFT runs in place and is scaled by sqrt(N) afterwards, not
+    taken with ``norm="ortho"``: the two round differently, and the
+    trace-path ``integrated_residual`` in the verify ledger would read the
+    difference.
     """
     n, n_low, r = basis.n, basis.split.n_low, basis.r
     coeffs = _leading(coeffs, n_low + r, "coefficients")
@@ -547,7 +537,7 @@ class SubDftBasis:
 
     def analyze(self, x: np.ndarray) -> np.ndarray:
         x = _leading(x, self.n, "samples")
-        return _column_fft(x)[self.indices] / np.sqrt(self.n)
+        return _column_fft(x)[self.indices]
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         coeffs = _leading(coeffs, self.dimension, "coefficients")
@@ -680,14 +670,15 @@ def fst_rank_bound(n: int, delta: float) -> int:
 # serialization
 #
 # Layout: magic "ROAST\0", format version u16 LE, u32 LE header length, UTF-8
-# JSON header {n, w, r, method, seed?} with sorted keys, the whole of V
-# (negative rows included) as column-major complex128 (interleaved re/im,
-# little-endian), CRC32 (u32 LE) of every preceding byte.  The same basis
-# always encodes to the same bytes; the reader ignores unknown header keys,
-# such as the creation time that older writers stamped.
+# JSON header {n, w, r, method, seed?} with sorted keys, the real factor q
+# (n_high x R) as column-major little-endian float64, 8 n_high R bytes, CRC32
+# (u32 LE) of every preceding byte.  Version 1 held the complex V, twice the
+# bytes, and is refused: q cannot be recovered from V bit for bit.  The same
+# basis always encodes to the same bytes; the reader ignores unknown header
+# keys, such as the creation time that older writers stamped.
 
 _MAGIC = b"ROAST\x00"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 # A consistent header of a few bytes with r = 0 describes a basis of any
 # length, and each analysis or synthesis of it allocates 16 N bytes or more;
 # 2**24 samples cap one such vector at 256 MiB.
@@ -699,7 +690,8 @@ class BasisFormatError(ValueError):
 
 
 def serialize_basis(basis: RoastBasis) -> bytes:
-    """Encode a built basis; the round trip restores V bit-exactly."""
+    """Encode a built basis; the round trip restores q, and so V, bit for
+    bit."""
     header = {
         "n": basis.n,
         "w": basis.w,
@@ -709,9 +701,9 @@ def serialize_basis(basis: RoastBasis) -> bytes:
     if basis.seed is not None:
         header["seed"] = basis.seed
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    v_bytes = basis.v.astype("<c16", copy=False).tobytes(order="F")
+    q_bytes = basis.q.astype("<f8", copy=False).tobytes(order="F")
     payload = (_MAGIC + struct.pack("<H", _FORMAT_VERSION)
-               + struct.pack("<I", len(header_bytes)) + header_bytes + v_bytes)
+               + struct.pack("<I", len(header_bytes)) + header_bytes + q_bytes)
     return payload + struct.pack("<I", zlib.crc32(payload))
 
 
@@ -722,10 +714,8 @@ def _is_int(value) -> bool:
 def deserialize_basis(data: bytes) -> RoastBasis:
     """Decode a serialized basis, validating structure, checksum, and shape.
 
-    Headers with a signal length above 2**24 are refused.  The stored half
-    of V is read off its positive rows, and a stream whose V differs from
-    what ``v`` rebuilds from them is refused: its V is not closed under
-    conjugation, which no builder writes and ``RoastBasis`` cannot hold.
+    Headers with a signal length above 2**24 are refused.  The returned
+    basis holds q as a read-only column-major view of the payload bytes.
     """
     fixed = len(_MAGIC) + 2 + 4
     if len(data) < fixed + 4:
@@ -773,21 +763,11 @@ def deserialize_basis(data: bytes) -> RoastBasis:
     if not _is_int(r) or not 0 <= r <= split.n_high:
         raise BasisFormatError(f"inconsistent column count r={r!r} for n={n}, w={w}")
 
-    v_bytes = data[header_end:-4]
-    expected = split.n_high * r * 16
-    if len(v_bytes) != expected:
+    q_bytes = data[header_end:-4]
+    expected = split.n_high * r * 8
+    if len(q_bytes) != expected:
         raise BasisFormatError(
-            f"dimension inconsistency: payload holds {len(v_bytes)} bytes, "
+            f"dimension inconsistency: payload holds {len(q_bytes)} bytes, "
             f"header implies {expected}")
-    v = np.frombuffer(v_bytes, dtype="<c16").reshape((split.n_high, r), order="F")
-    m = split.n_neg
-    half = np.empty(v.shape, order="F")
-    half[:m] = v[m:2 * m].real
-    half[m:2 * m] = v[m:2 * m].imag
-    half[2 * m:] = v[2 * m:].real
-    basis = RoastBasis(split=split, r=r, v_half=half, method=method, seed=seed)
-    if not np.array_equal(basis.v, v):
-        raise BasisFormatError("V is not closed under conjugation: a negative "
-                               "row is not the conjugate of its positive row, "
-                               "or the Nyquist row is not real")
-    return basis
+    q = np.frombuffer(q_bytes, dtype="<f8").reshape((split.n_high, r), order="F")
+    return RoastBasis(split=split, r=r, q=q, method=method, seed=seed)

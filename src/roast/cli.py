@@ -23,7 +23,8 @@ Three commands list their bases by hand rather than through
 the columns of one ``build_roast(r_max)`` off one at a time, and reports
 the running minimum over R of the nested families (ROAST, DPSS, Sub-DFT),
 so their curves are monotone in R (acceptance criterion 09 relies on
-that); ``sweep-sinusoid`` honours
+that); its randomized bases at R = 1 .. r_max take column prefixes of one
+sketch drawn at r_max; ``sweep-sinusoid`` honours
 ``--method`` and falls back to the deterministic basis at R = 0, because a
 sketch needs P >= 1; ``scaling-bench`` times each builder separately.
 
@@ -57,6 +58,8 @@ from .basis import (
     _METHODS,
     _ROAST_METHODS,
     BASES,
+    _sketch,
+    _sketch_basis,
     build_roast,
     build_roast_randomized,
     build_subdft,
@@ -67,7 +70,8 @@ from .basis import (
 from .diagnostics import (SNR_CSV_CAP, _band_grid, residual_snr,
                           sinusoid_residual_sq, snr_from_energies)
 from .prolate import (DenseSizeError, _real_product, build_band_split,
-                      build_dpss, log_width_constant, random_bandlimited)
+                      build_dpss, build_prolate, log_width_constant,
+                      random_bandlimited)
 from .recovery import recovery_experiment
 from .verify import capture_suite, core_grid_checks, full_verification
 
@@ -274,10 +278,14 @@ def run_bandlimited_snr(args: argparse.Namespace) -> int:
     dpss_resid = _peeled_energies(x - _real_product(s[:, :low], coeff[:low]),
                                   s[:, low:], coeff[low:])
 
+    # one sketch at r_max, as randomized_suite draws it; R takes a column
+    # prefix through its own pivoted QR, so R = r_max is
+    # build_roast_randomized's basis bit for bit
+    sketch = _sketch(build_prolate(n, w), split, r_max, args.seed)
     rand_resid = np.empty(r_max + 1)
     rand_resid[0] = roast_resid[0]
     for rr in range(1, r_max + 1):
-        vr = build_roast_randomized(n, w, rr, args.seed).v
+        vr = _sketch_basis(split, sketch[:, :rr], args.seed).v
         rand_vec = high - vr @ (vr.conj().T @ high)
         rand_resid[rr] = np.vdot(rand_vec, rand_vec).real
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigvalsh
 
-from .basis import (RoastBasis, SubDftBasis, _cross_rows, _real_factor,
-                    _slepian_rows)
+from .basis import RoastBasis, SubDftBasis, _cross_rows, _slepian_rows
 from .prolate import (
     ProlateOperator,
     _check_dense_bytes,
@@ -224,14 +223,14 @@ def _full_solve(dpss) -> tuple[int, float]:
 def _checked_basis(q_like, what: str = "basis"):
     """``q_like`` with orthonormal columns, in the form the kernels take.
 
-    A ``RoastBasis`` is returned as is and checked on V alone: Q^* Q is
-    blockdiag(I, V^* V) by construction.  A ``SubDftBasis`` is returned as
+    A ``RoastBasis`` is returned as is and checked on its real factor q
+    alone: Q^* Q is blockdiag(I, V^* V) by construction, and V^* V = q^T q.  A ``SubDftBasis`` is returned as
     is too: its unitary DFT columns are exactly orthonormal when its indices
     are distinct and lie in [0, N), which is what is checked.  Anything else
     becomes its dense columns, checked in full.
     """
     if isinstance(q_like, RoastBasis):
-        _ensure_orthonormal(q_like.v, what=what)
+        _ensure_orthonormal(q_like.q, what=what)
         return q_like
     if isinstance(q_like, SubDftBasis):
         idx = q_like.indices
@@ -541,14 +540,6 @@ def sinusoid_derivative_check(op: ProlateOperator, q_like) -> BoundLedger:
     return ledger
 
 
-def _checked_factor(basis, what: str = "basis") -> np.ndarray:
-    """The real factor q of a ``RoastBasis`` (``roast.basis._real_factor``),
-    checked orthonormal to 1e-8 as ``subspace_angle`` checks V."""
-    q = _real_factor(basis)
-    _ensure_orthonormal(q, what=what)
-    return q
-
-
 def _capture_errors(x: np.ndarray, q: np.ndarray) -> tuple[float, float, float]:
     """||R||_2^2, the largest squared column norm of R, and sqrt(1 - ||R||_2^2)
     for R = X - q q^T X.  For the out-of-band rows ``x`` of orthonormal s_k
@@ -575,7 +566,7 @@ def dpss_capture_report(dpss, eps: float, basis) -> BoundLedger:
 
     All run in real cosine/sine coordinates, whose maps are unitary, through
     ``_capture_errors``: eta from the real rows of the cross operator
-    (``_cross_rows``) and q, the real factor of V, and the Slepian values
+    (``_cross_rows``) and the basis's real factor q, and the Slepian values
     from the out-of-band rows of s_k (``_slepian_rows``).  s_k and q are
     checked orthonormal to 1e-8.
 
@@ -594,7 +585,7 @@ def dpss_capture_report(dpss, eps: float, basis) -> BoundLedger:
         raise ValueError(f"no eigenvalues reach eps={eps}; nothing to capture")
     s_k = dpss.vectors[:, :k]
     _ensure_orthonormal(s_k, what="Slepian vectors")
-    q = _checked_factor(basis)
+    q = _checked_basis(basis).q
     rows = _cross_rows(build_prolate(n, w), basis.split)
     eta = math.sqrt(max(_capture_errors(rows, q)[0], 0.0)) / eps
     capture_sq, per_vector, cos_theta = _capture_errors(

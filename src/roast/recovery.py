@@ -106,31 +106,24 @@ class RecoveryProblem:
     truth: np.ndarray = field(repr=False)
 
 
-def build_recovery_problem(n: int, w: float, m: int, seed: int,
-                           identity_sensing: bool = False) -> RecoveryProblem:
+def build_recovery_problem(n: int, w: float, m: int, seed: int) -> RecoveryProblem:
     """Random bandlimited truth of ``_NUM_TONES`` tones observed through an
-    M x N sensing matrix; a call whose 24 M N bytes (16 N^2 for the identity)
-    exceed the dense-byte limit is refused before the matrix is formed."""
+    M x N sensing matrix; a call whose 24 M N bytes exceed the dense-byte
+    limit is refused before the matrix is formed."""
     if not 2 * int(np.floor(n * w)) <= m <= n:
         raise ValueError(
             f"measurement count must satisfy 2*floor(NW) <= m <= n, got m={m}")
-    _check_dense_bytes(f"build_recovery_problem(n={n}, m={m})",
-                       (16 if identity_sensing else 24) * m * n)
+    _check_dense_bytes(f"build_recovery_problem(n={n}, m={m})", 24 * m * n)
     truth = random_bandlimited(n, w, _NUM_TONES, seed).samples
-    if identity_sensing:
-        if m != n:
-            raise ValueError("identity sensing requires m == n")
-        phi = np.eye(n, dtype=complex)
-    else:
-        # (g_re + 1j g_im) / sqrt(2m), bit for bit: complex division by a
-        # real scalar multiplies both parts by its reciprocal
-        rng = np.random.default_rng(seed + 0x5EED)
-        scale = 1.0 / np.sqrt(2.0 * m)
-        phi = np.empty((m, n), dtype=complex)
-        draw = rng.standard_normal((m, n))
-        np.multiply(draw, scale, out=phi.real)
-        rng.standard_normal(out=draw)
-        np.multiply(draw, scale, out=phi.imag)
+    # (g_re + 1j g_im) / sqrt(2m), bit for bit: complex division by a real
+    # scalar multiplies both parts by its reciprocal
+    rng = np.random.default_rng(seed + 0x5EED)
+    scale = 1.0 / np.sqrt(2.0 * m)
+    phi = np.empty((m, n), dtype=complex)
+    draw = rng.standard_normal((m, n))
+    np.multiply(draw, scale, out=phi.real)
+    rng.standard_normal(out=draw)
+    np.multiply(draw, scale, out=phi.imag)
     return RecoveryProblem(n=int(n), m=int(m), w=float(w), phi=phi,
                            y=phi @ truth, truth=truth)
 
@@ -177,8 +170,7 @@ class RecoveryReport:
 
 
 def recovery_experiment(n: int, w: float, m: int, basis_choice: str, seed: int,
-                        r: int | None = None, tol: float = 1e-8,
-                        identity_sensing: bool = False) -> RecoveryReport:
+                        r: int | None = None, tol: float = 1e-8) -> RecoveryReport:
     """Recover a bandlimited signal of ``_NUM_TONES`` tones from y = Phi x
     through the chosen subspace, on ``build_recovery_problem``'s problem.
 
@@ -201,8 +193,7 @@ def recovery_experiment(n: int, w: float, m: int, basis_choice: str, seed: int,
             f"basis_choice must be one of {sorted(BASES)}, got {basis_choice!r}")
     if r is None:
         r = int(np.floor(3.0 * np.log(n)))
-    problem = build_recovery_problem(n, w, m, seed,
-                                     identity_sensing=identity_sensing)
+    problem = build_recovery_problem(n, w, m, seed)
     basis = BASES[basis_choice](n, w, r, seed)
     dim = basis.dimension
     a_h = _compressed_adjoint(problem.phi, basis)
@@ -219,5 +210,4 @@ def recovery_experiment(n: int, w: float, m: int, basis_choice: str, seed: int,
                           condition_estimate=condition_estimate(result),
                           converged=result.converged,
                           params={"n": n, "w": w, "m": m, "r": r, "seed": seed,
-                                  "tol": tol, "dimension": dim,
-                                  "identity_sensing": identity_sensing})
+                                  "tol": tol, "dimension": dim})

@@ -32,7 +32,7 @@ from .diagnostics import (
     BoundLedger,
     _band_grid,
     _capture_errors,
-    _checked_factor,
+    _checked_basis,
     _ensure_orthonormal,
     _full_solve,
     dpss_capture_report,
@@ -120,7 +120,7 @@ def capture_suite(dpss, eps: float, r: int | None = None) -> BoundLedger:
                   split.n_high)
     basis_angle = build_roast(n, w, r_angle) if r_angle != r_used else basis
     cos_theta = _capture_errors(_slepian_rows(dpss.vectors[:, :k], split),
-                                _checked_factor(basis_angle))[2]
+                                _checked_basis(basis_angle).q)[2]
     ledger.add("dpss_capture_angle_vs_eps", math.sqrt(1.0 - eps), cos_theta,
                n=n, w=w, eps=eps, k=k, r=r_angle)
     return ledger
@@ -203,7 +203,8 @@ def randomized_suite(dpss, eps: float, num_seeds: int = 20) -> BoundLedger:
     for seed in range(num_seeds):
         sketch = _sketch(op, split, widths[-1], seed)
         bases = {p: _sketch_basis(split, sketch[:, :p], seed) for p in widths}
-        errors = {p: _capture_errors(x, _checked_factor(bases[p], what="sketch factor"))
+        errors = {p: _capture_errors(
+                      x, _checked_basis(bases[p], what="sketch factor").q)
                   for p in {p_cap, p_angle}}
         caps.append(errors[p_cap])
         cosines.append(errors[p_angle][2])

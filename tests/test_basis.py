@@ -38,10 +38,13 @@ def random_probe(n, rng):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def stream(header, payload=b""):
-    """A version-1 basis stream of raw header bytes and payload, valid CRC."""
-    body = (b"ROAST\x00" + struct.pack("<H", 1) + struct.pack("<I", len(header))
-            + header + payload)
+def stream(header, payload=b"", version=None):
+    """A basis stream of raw header bytes and payload, valid CRC, in the
+    reader's format version unless ``version`` names another."""
+    if version is None:
+        version = roast.basis._FORMAT_VERSION
+    body = (b"ROAST\x00" + struct.pack("<H", version)
+            + struct.pack("<I", len(header)) + header + payload)
     return body + struct.pack("<I", zlib.crc32(body))
 
 
@@ -127,9 +130,7 @@ class TestBuildRoast:
         compressed = cross @ real_rows(dft_columns(n, split.high_indices).conj().T).T
         vecs = np.linalg.eigh((compressed + compressed.T) / 2.0)[1]
         top = vecs[:, ::-1][:, :r]
-        oracle = RoastBasis(split=split, r=r, method="svd_fbf",
-                            v_half=np.concatenate([top[:2 * half] / np.sqrt(2.0),
-                                                   top[2 * half:]]))
+        oracle = RoastBasis(split=split, r=r, method="svd_fbf", q=top)
 
         def snr_db(b):
             return 10.0 * np.log10(op.trace() / integrated_residual_quadrature(op, b))
@@ -196,9 +197,7 @@ class TestBuildRoast:
         pos = basis.v[half:]
         assert np.array_equal(basis.v[:half], pos[:half][::-1].conj())
         assert not np.any(pos[half:].imag)
-        real = roast.basis._real_factor(basis)
-        assert real.dtype == np.float64
-        assert np.max(np.abs(real.T @ real - np.eye(basis.r))) <= 1e-12
+        assert np.max(np.abs(basis.q.T @ basis.q - np.eye(basis.r))) <= 1e-12
         if n == 1024:
             q = basis.dense_basis()
             assert np.max(np.abs((q @ q.conj().T).imag)) <= 1e-12
@@ -206,9 +205,9 @@ class TestBuildRoast:
     @pytest.mark.parametrize("n", [1024, 1025])
     @pytest.mark.parametrize("method", ["svd_fb", "svd_fbf", "randomized"])
     def test_half_of_v_is_stored(self, n, method):
-        # the builder's real factor, formed here by the builder's own steps,
-        # expands to V by _dft_rows bit for bit; the basis stores 8 n_high R
-        # bytes, and the stream holds the V that the parent layout wrote
+        # the basis stores the builder's real factor, formed here by the
+        # builder's own steps, bit for bit in 8 n_high R bytes; it expands
+        # to V by _dft_rows, and the stream holds it after the header
         w, r = 0.25, 25
         split = build_band_split(n, w)
         op = build_prolate(n, w)
@@ -223,15 +222,44 @@ class TestBuildRoast:
             q = roast.basis._out_of_band_eigenvectors(
                 op, split, r, 2 if method == "svd_fb" else 1)
             header = {"method": method, "n": n, "r": r, "w": w}
-        want = roast.basis._dft_rows(q)
         assert basis.r == r
-        assert basis.v_half.dtype == np.float64
-        assert basis.v_half.nbytes == 8 * split.n_high * r
-        np.testing.assert_array_equal(basis.v, want)
+        assert basis.q.dtype == np.float64
+        assert basis.q.nbytes == 8 * split.n_high * r
+        np.testing.assert_array_equal(basis.q, q)
+        np.testing.assert_array_equal(basis.v, roast.basis._dft_rows(q))
         blob = serialize_basis(basis)
         assert blob == stream(json.dumps(header, sort_keys=True).encode(),
-                              np.asfortranarray(want).tobytes(order="F"))
-        np.testing.assert_array_equal(deserialize_basis(blob).v, want)
+                              np.asfortranarray(q).tobytes(order="F"))
+        np.testing.assert_array_equal(deserialize_basis(blob).q, q)
+
+    @pytest.mark.parametrize("n", [1024, 1025])
+    @pytest.mark.parametrize("method, width", [
+        ("svd_fb", 0), ("svd_fb", 4), ("svd_fb", None),
+        ("svd_fbf", 0), ("svd_fbf", 4), ("svd_fbf", None),
+        ("randomized", 1), ("randomized", 4), ("randomized", None),
+    ])
+    def test_stored_factor(self, n, method, width):
+        # R (or the sketch width P) at 0 or 1, 4 and n_high (None): q is
+        # compact, column-major and orthonormal, and V is its expansion bit
+        # for bit: positive rows (cos + i sin) sqrt(1/2), the Nyquist row
+        # q's, the negative rows the reversed conjugates
+        split = build_band_split(n, 0.25)
+        width = split.n_high if width is None else width
+        if method == "randomized":
+            basis = build_roast_randomized(n, 0.25, width, seed=2)
+        else:
+            basis = build_roast(n, 0.25, width, method)
+        q, v, m = basis.q, basis.v, split.n_neg
+        assert q.dtype == np.float64 and q.flags.f_contiguous
+        assert q.nbytes == 8 * split.n_high * basis.r
+        assert q.base is None or q.base.nbytes == q.nbytes
+        assert np.max(np.abs(q.T @ q - np.eye(basis.r)), initial=0.0) <= 1e-12
+        pos = v[m:2 * m]
+        np.testing.assert_array_equal(pos.real, q[:m] * np.sqrt(0.5))
+        np.testing.assert_array_equal(pos.imag, q[m:2 * m] * np.sqrt(0.5))
+        np.testing.assert_array_equal(v[2 * m:].real, q[2 * m:])
+        assert not np.any(v[2 * m:].imag)
+        np.testing.assert_array_equal(v[:m], pos[::-1].conj())
 
     @pytest.mark.parametrize("method", ["svd_fb", "svd_fbf"])
     def test_same_bytes_from_two_builds(self, method):
@@ -311,15 +339,15 @@ class TestApplyPaths:
 def _row_major_half_basis():
     built = build_roast_randomized(301, 0.25, 7, seed=2)
     return RoastBasis(split=built.split, r=built.r,
-                      v_half=np.ascontiguousarray(built.v_half),
+                      q=np.ascontiguousarray(built.q),
                       method=built.method, seed=built.seed)
 
 
-# The apply paths read the spectrum and the stored half of V by slices;
+# The apply paths read the spectrum and the stored factor q by slices;
 # these cases cover both parities of N (a Nyquist bin or not), no negative
 # out-of-band bins (N=64, W=0.49: the Nyquist bin is the only one), R = 0,
-# a basis read back from its stream, whose V is column-major, and a stored
-# half held row-major.
+# a basis read back from its stream, whose q is a column-major view of the
+# payload, and a q held row-major.
 SLICE_CASES = {
     "even_n": lambda: build_roast(300, 0.25, 7),
     "odd_n": lambda: build_roast_randomized(301, 0.25, 7, seed=2),
@@ -340,8 +368,8 @@ class TestSlicedApply:
         assert build_band_split(64, 0.49).n_high == 1
         assert SLICE_CASES["r_zero"]().r == 0
         loaded = SLICE_CASES["fortran_v"]()
-        assert loaded.v.flags.f_contiguous and loaded.v_half.flags.f_contiguous
-        assert not SLICE_CASES["row_major_half"]().v_half.flags.f_contiguous
+        assert loaded.v.flags.f_contiguous and loaded.q.flags.f_contiguous
+        assert not SLICE_CASES["row_major_half"]().q.flags.f_contiguous
         assert max(b().split.n_high for b in SLICE_CASES.values()) \
             < roast.basis._ROW_CHUNK
 
@@ -440,17 +468,20 @@ class TestBlockLayouts:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     def test_vector_analysis_is_one_fft_and_two_products(self, rng):
-        # a single vector takes the direct FFT, then one real product of the
-        # stored half of V with the folded spectrum, bit for bit the formula
-        # of _high_coefficients's docstring: the bin pairs (k, -k) give
-        # s_k + s_-k for the cosine rows and i (s_-k - s_k) for the sine rows
+        # a single vector takes the direct FFT, then real products of q with
+        # the folded spectrum, bit for bit the formula of
+        # _high_coefficients's docstring: the bin pairs (k, -k) give
+        # s_k + s_-k for the cosine rows and i (s_-k - s_k) for the sine
+        # rows, their share scaled by sqrt(1/2), the Nyquist row's not
         basis = LAYOUT_BASES["roast"]()
         n, h, m = basis.n, basis.split.h, basis.split.n_neg
         x = random_probe(n, rng)
         s = np.fft.fft(x, norm="ortho")
         pos, neg = s[h + 1:h + 1 + m], s[n - h - 1:n // 2:-1]
         folded = np.concatenate([pos + neg, 1j * (neg - pos), s[h + 1 + m:n // 2 + 1]])
-        z = basis.v_half.T @ np.column_stack([folded.real, folded.imag])
+        y = np.column_stack([folded.real, folded.imag])
+        q = basis.q
+        z = (q[:2 * m].T @ y[:2 * m]) * np.sqrt(0.5) + q[2 * m:].T @ y[2 * m:]
         want = np.concatenate([s[n - h:], s[:h + 1], z[:, 0] + 1j * z[:, 1]])
         np.testing.assert_array_equal(basis.analyze(x), want)
 
@@ -581,7 +612,7 @@ class TestFstAnalog:
 
 def _empty_roast_basis(n, w):
     split = build_band_split(n, w)
-    return RoastBasis(split=split, r=0, v_half=np.zeros((split.n_high, 0)),
+    return RoastBasis(split=split, r=0, q=np.zeros((split.n_high, 0)),
                       method="svd_fb")
 
 
@@ -638,8 +669,8 @@ class TestDenseByteGuards:
         assert peak < 2**24
 
     def test_cross_operator_dense_charges_its_peak(self):
-        # 40 n_high N: at N=14000 the real rows' 16 n_high N (1.57 GB) fit
-        # the limit, the 3.9 GB peak of the complex expansion does not
+        # 24 n_high N: at N=14000 the real rows' 16 n_high N (1.57 GB) fit
+        # the limit, the 2.35 GB peak of the complex expansion does not
         n, w = 14000, 0.25
         split = roast.build_band_split(n, w)
         assert 16 * split.n_high * n <= roast.prolate._MAX_DENSE_BYTES
@@ -655,7 +686,7 @@ class TestDenseByteGuards:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * split.n_high * n + 2**21
+        assert peak <= 24 * split.n_high * n + 2**21
 
     def test_every_guard_reads_the_one_limit(self, monkeypatch):
         # 256 KiB refuses each of these small calls; 2**31 lets them all run
@@ -691,27 +722,33 @@ class TestSerialization:
         x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
         np.testing.assert_array_equal(restored.analyze(x), basis.analyze(x))
 
-    @pytest.mark.parametrize("n", [64, 65])
-    def test_refuses_a_v_not_closed_under_conjugation(self, n, rng):
-        # a stream with a valid checksum whose V breaks V[-k] = conj V[k],
-        # or whose Nyquist row (even N only) is not real, cannot become a
-        # RoastBasis
-        v = build_roast_randomized(n, 0.25, 3, seed=1).v
-        header = json.dumps({"method": "randomized", "n": n, "r": 3,
-                             "seed": 1, "w": 0.25}, sort_keys=True).encode()
-        assert isinstance(deserialize_basis(stream(
-            header, v.tobytes(order="F"))), RoastBasis)
-        general = np.linalg.qr(v + 1e-3 * (rng.standard_normal(v.shape)
-                                           + 1j * rng.standard_normal(v.shape)))[0]
-        broken = [general, v.copy()]
-        broken[1][0, 0] += 1e-15
-        if n % 2 == 0:
-            broken.append(v.copy())
-            broken[2][-1, 0] += 1e-15j
-        for bad in broken:
-            payload = np.asfortranarray(bad).tobytes(order="F")
-            with pytest.raises(BasisFormatError, match="closed under conjugation"):
-                deserialize_basis(stream(header, payload))
+    @pytest.mark.parametrize("n", [1024, 1025])
+    @pytest.mark.parametrize("method", ["svd_fb", "randomized"])
+    def test_format_2_holds_q(self, n, method):
+        # header, then q as column-major little-endian float64: 8 n_high R
+        # payload bytes, half of the complex V, and q and V come back bit
+        # for bit
+        if method == "randomized":
+            basis = build_roast_randomized(n, 0.25, 20, seed=8)
+        else:
+            basis = build_roast(n, 0.25, 20, method)
+        blob = serialize_basis(basis)
+        header_len = struct.unpack_from("<I", blob, 8)[0]
+        assert struct.unpack_from("<H", blob, 6)[0] == 2
+        assert len(blob) == 12 + header_len + 8 * basis.split.n_high * basis.r + 4
+        restored = deserialize_basis(blob)
+        np.testing.assert_array_equal(restored.q, basis.q)
+        np.testing.assert_array_equal(restored.v, basis.v)
+
+    def test_refuses_format_1(self):
+        # a version-1 stream, the complex V after the header, with a valid
+        # checksum
+        basis = build_roast(64, 0.25, 3)
+        header = json.dumps({"method": "svd_fb", "n": 64, "r": 3, "w": 0.25},
+                            sort_keys=True).encode()
+        blob = stream(header, basis.v.tobytes(order="F"), version=1)
+        with pytest.raises(BasisFormatError, match="version 1, expected 2"):
+            deserialize_basis(blob)
 
     def test_round_trip_randomized_keeps_seed(self):
         basis = build_roast_randomized(128, 0.25, 6, seed=77)

@@ -186,6 +186,7 @@ class TestBandlimitedSnr:
         x = roast.random_bandlimited(n, w, int(meta["tones"]), seed).samples
         split = roast.build_band_split(n, w)
         full = roast.build_roast(n, w, r_max)
+        sketch = roast.basis._sketch(roast.build_prolate(n, w), split, r_max, seed)
         tol = np.sqrt(n) * np.finfo(float).eps
 
         def dft(indices):
@@ -210,12 +211,12 @@ class TestBandlimitedSnr:
                 "snr_subdft": roast.build_subdft(n, w, r),
                 "snr_dpss": roast.build_dpss(n, w, split.n_low + r),
                 "snr_roast": roast.RoastBasis(split=split, r=r,
-                                              v_half=full.v_half[:, :r],
+                                              q=full.q[:, :r],
                                               method="svd_fb"),
             }
             if r:
-                bases["snr_roast_randomized"] = roast.build_roast_randomized(
-                    n, w, r, seed)
+                bases["snr_roast_randomized"] = roast.basis._sketch_basis(
+                    split, sketch[:, :r], seed)
             for name, basis in bases.items():
                 want = exact_rho(basis)
                 for got in (column(rows, columns, name)[r],
@@ -224,6 +225,24 @@ class TestBandlimitedSnr:
         roast_curve = column(rows, columns, "snr_roast")
         assert roast_curve[30] - roast_curve[19] > 30.0
         assert max(roast_curve) < SNR_CSV_CAP
+
+    def test_one_sketch_at_r_max(self, tmp_path, monkeypatch):
+        # every randomized basis is a column prefix of one sketch, and the
+        # one at R = r_max is build_roast_randomized's bit for bit
+        n, w, r_max, seed = 256, 0.25, 12, 5
+        built = []
+
+        def record(split, sketch, sketch_seed):
+            built.append(roast.basis._sketch_basis(split, sketch, sketch_seed))
+            return built[-1]
+
+        monkeypatch.setattr(roast.cli, "_sketch_basis", record)
+        assert main(["bandlimited-snr", "--n", str(n), "--r-max", str(r_max),
+                     "--seed", str(seed), "--out", str(tmp_path / "bl.csv")]) == 0
+        assert [b.r for b in built] == list(range(1, r_max + 1))
+        want = roast.build_roast_randomized(n, w, r_max, seed)
+        np.testing.assert_array_equal(built[-1].q, want.q)
+        np.testing.assert_array_equal(built[-1].v, want.v)
 
     def test_determinism(self, tmp_path):
         args = ["bandlimited-snr", "--n", "128", "--tones", "200",
@@ -555,14 +574,10 @@ class TestValidation:
         assert capsys.readouterr().err.startswith("error: build_dpss(n=65536")
 
     def test_oversize_sensing_matrix_refused(self, monkeypatch, capsys):
-        # 24 m N bytes is 3 MiB at N=1024, m=128, and the identity's 16 N^2
-        # is 4 MiB at N=512: both above a 1 MiB limit
+        # 24 m N bytes is 3 MiB at N=1024, m=128: above a 1 MiB limit
         monkeypatch.setattr(roast.prolate, "_MAX_DENSE_BYTES", 2**20)
         with pytest.raises(roast.DenseSizeError, match=r"m=128\) needs about 3 MiB"):
             roast.build_recovery_problem(1024, 0.05, 128, seed=0)
-        with pytest.raises(roast.DenseSizeError, match="needs about 4 MiB"):
-            roast.build_recovery_problem(512, 0.05, 512, seed=0,
-                                         identity_sensing=True)
         assert main(["recover", "--n", "1024", "--w", "0.05", "--m", "128"]) == 2
         assert re.match(r"error: build_recovery_problem\(n=1024, m=128\)",
                         capsys.readouterr().err)

@@ -580,7 +580,7 @@ class TestCaptureReport:
             basis = caches.roast(n, w, rank_for_capture(n, eps))
         else:
             basis = roast.build_roast_randomized(n, w, 4, 0)
-        q = roast.basis._real_factor(basis)
+        q = basis.q
         real = roast.basis._cross_rows(caches.op(n, w), basis.split)
         want = np.linalg.norm(real - q @ (q.T @ real), 2) / eps
         entry = dpss_capture_report(caches.dpss(n, w), eps, basis).entries[0]

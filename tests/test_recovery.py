@@ -82,24 +82,8 @@ class TestRecoveryProblem:
         phi = build_recovery_problem(n, 0.25, m, seed).phi
         assert np.array_equal(phi, (g_re + 1j * g_im) / np.sqrt(2.0 * m))
 
-    def test_identity_sensing_shape(self):
-        problem = build_recovery_problem(64, 0.25, 64, seed=1,
-                                         identity_sensing=True)
-        np.testing.assert_array_equal(problem.phi, np.eye(64))
-
 
 class TestRecoveryExperiment:
-    def test_identity_sensing_reduces_to_projection(self, caches):
-        n, w, r, seed = 128, 0.25, 8, 5
-        report = recovery_experiment(n, w, n, "roast", seed, r=r,
-                                     identity_sensing=True)
-        truth = roast.random_bandlimited(n, w, roast.recovery._NUM_TONES,
-                                         seed).samples
-        basis = caches.roast(n, w, r)
-        expected = np.linalg.norm(truth - basis.project(truth)) / np.linalg.norm(truth)
-        assert report.converged
-        assert abs(report.relative_error - expected) <= 1e-8
-
     def test_band_signal_recovered_exactly(self, rng):
         # truth inside the retained DFT band is representable by every basis
         # that contains those columns, so recovery is exact at the CG tol
@@ -173,11 +157,11 @@ class TestRecoveryExperiment:
         if block_rows is not None:
             monkeypatch.setattr(roast.recovery, "_SENSING_BLOCK_BYTES",
                                 16 * n * block_rows)
-        problem = build_recovery_problem(n, w, m, seed,
-                                         identity_sensing=identity)
+        phi = (np.eye(n, dtype=complex) if identity
+               else build_recovery_problem(n, w, m, seed).phi)
         basis = roast.BASES[name](n, w, r, seed)
-        got = roast.recovery._compressed_adjoint(problem.phi, basis)
-        want = (problem.phi @ basis.dense_basis()).conj().T
+        got = roast.recovery._compressed_adjoint(phi, basis)
+        want = (phi @ basis.dense_basis()).conj().T
         assert got.shape == (basis.dimension, m)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 

@@ -10,17 +10,13 @@ import pathlib
 import roast
 
 SETTABLE = [
-    ("basis", "_column_fft", "norm"),
     ("basis", "build_roast", "method"),
     ("cli", "main", "argv"),
     ("diagnostics", "_checked_basis", "what"),
-    ("diagnostics", "_checked_factor", "what"),
     ("diagnostics", "_ensure_orthonormal", "what"),
     ("diagnostics", "residual_path_bound", "abs_floor"),
-    ("recovery", "build_recovery_problem", "identity_sensing"),
     ("recovery", "cgd_solve", "max_iter"),
     ("recovery", "cgd_solve", "tol"),
-    ("recovery", "recovery_experiment", "identity_sensing"),
     ("recovery", "recovery_experiment", "r"),
     ("recovery", "recovery_experiment", "tol"),
     ("verify", "capture_suite", "r"),

@@ -189,7 +189,7 @@ class TestSuites:
         x = roast.verify._slepian_rows(s_k, split)
         for seed in range(3):
             basis = build_roast_randomized(n, w, 4, seed)
-            q = roast.basis._real_factor(basis)
+            q = basis.q
             spectral_sq, per_vector, cos_theta = roast.verify._capture_errors(x, q)
 
             dense = basis.dense_basis()
@@ -214,7 +214,7 @@ class TestSuites:
         x = roast.verify._slepian_rows(s_k, roast.prolate.build_band_split(n, w))
         basis = (caches.roast(n, w, rank_for_capture(n, eps)) if p is None
                  else build_roast_randomized(n, w, p, 0))
-        q = roast.basis._real_factor(basis)
+        q = basis.q
         want = np.linalg.svd(x - q @ (q.T @ x), compute_uv=False)[0] ** 2
         got = roast.verify._capture_errors(x, q)[0]
         assert 0.0 < want < 1e-15
