@@ -88,6 +88,9 @@ _RANK_TOL = 1e-12
 # Rows of the stored factor q per real product in analysis and synthesis.
 _ROW_CHUNK = 4096
 
+# Lanczos vectors beyond R in the Krylov space of the matrix-free builds.
+_KRYLOV_OVERSAMPLE = 8
+
 
 def dft_columns(n: int, wrapped_indices: np.ndarray) -> np.ndarray:
     """Normalized DFT columns exp(j*2*pi*k*m/N)/sqrt(N) for wrapped indices k."""
@@ -265,7 +268,14 @@ def _out_of_band_eigenvectors(op: ProlateOperator, split: DftBandSplit,
     test is relative to the Ritz value, so without the shift it stalls once
     r passes the numerical rank.  Its tolerance sits a few hundred eps above
     the round-off of one product, which the Ritz values past the numerical
-    rank cannot get under.  ARPACK cannot take r = n_high, so there ``eigh``
+    rank cannot get under.  The Krylov space holds min(n_high, r +
+    ``_KRYLOV_OVERSAMPLE``) vectors, not ARPACK's default max(2r + 1, 20),
+    because ARPACK fills the whole space before its first convergence test.
+    G's eigenvalues fall off geometrically past the band edge, so a few
+    vectors past the r wanted ones, the oversampling of a randomized range
+    finder (Halko, Martinsson and Tropp, arXiv:0909.4061, sec. 4.2), bring
+    the top r Ritz pairs to the tolerance in that first fill or after a
+    short restart.  ARPACK cannot take r = n_high, so there ``eigh``
     decomposes G applied to the identity.  Both return orthonormal vectors;
     no re-orthogonalization follows.
     """
@@ -288,6 +298,7 @@ def _out_of_band_eigenvectors(op: ProlateOperator, split: DftBandSplit,
                                 dtype=float)
         try:
             vals, ritz = spla.eigsh(g, k=r, which="LA", v0=np.ones(n_high),
+                                    ncv=min(n_high, r + _KRYLOV_OVERSAMPLE),
                                     tol=1e-13)
         except spla.ArpackError as exc:
             raise RuntimeError(
@@ -314,7 +325,10 @@ def build_roast(n: int, w: float, r: int, method: str = "svd_fb") -> RoastBasis:
     Neither forms Fbar^* B.  For every R < n_high symmetric Lanczos (ARPACK
     ``eigsh``) finds the leading eigenvectors of Fbar^* B^2 Fbar (the left
     singular vectors of Fbar^* B) or of Fbar^* B Fbar, through O(N log N)
-    products, in O(N R) memory; at R = n_high ``eigh`` decomposes the same
+    products, in O(N R) memory.  Its Krylov space holds R + 8 vectors, at
+    most n_high: the operator's eigenvalues decay geometrically past the
+    band edge, so eight vectors beyond the R wanted ones let all R converge
+    in about R + 9 products.  At R = n_high ``eigh`` decomposes the same
     operator applied to the identity.  Past the numerical rank Lanczos stops
     at its tolerance: ||(I - V V^*) Fbar^* B||_2 floors near 1e-11, against
     a leading singular value near 0.43.  Raises RuntimeError if Lanczos fails.

@@ -293,13 +293,15 @@ def _dirichlet_ratio(n: int, rows: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return s
 
 
-def _dirichlet_residual_sq(n: int, rows: np.ndarray, vs: list,
+def _dirichlet_residual_sq(n: int, rows: np.ndarray, vs,
                            freqs: np.ndarray) -> np.ndarray:
     """||(I - V V^*) d_f||^2 over ``rows`` of d_f = F^* e_f, the Dirichlet
-    kernel, one row of the result for each V in ``vs``; every V holds
-    orthonormal columns on those rows, possibly none.  Frequencies go in
-    blocks of max(64, 2**16 // rows), set by the row count alone, so each
-    V's row is the same bit for bit whatever else is in ``vs``."""
+    kernel, one row of the result for each V in the iterable ``vs``; every V
+    holds orthonormal columns on those rows, possibly none.  Each V is read
+    once, to form its real map, so a generator lets each V be freed as the
+    next map is formed.  Frequencies go in blocks of max(64, 2**16 // rows),
+    set by the row count alone, so each V's row is the same bit for bit
+    whatever else is in ``vs``."""
     # d_f[k] = exp(i pi (n-1) x) sin(pi n x) / sin(pi x) / sqrt(n), x = f - k/n.
     # The phase is a unit scalar in f times the row phase
     # D[k] = exp(-i pi (n-1) k / n); folding D into W = D^* V = A + iB leaves
@@ -308,7 +310,7 @@ def _dirichlet_residual_sq(n: int, rows: np.ndarray, vs: list,
     # reduced mod 2n so the row phase stays accurate at large n.
     phase = np.exp(1j * np.pi * (((n - 1) * rows) % (2 * n)) / n)
     maps = [np.hstack([wv.real, wv.imag]) for wv in (phase[:, None] * v for v in vs)]
-    out = np.empty((len(vs), len(freqs)))
+    out = np.empty((len(maps), len(freqs)))
     block = max(64, 2 ** 16 // max(len(rows), 1))
     for i0 in range(0, len(freqs), block):
         s = _dirichlet_ratio(n, rows, freqs[i0:i0 + block])
@@ -365,7 +367,7 @@ def sinusoid_residual_sq(projector, n: int, freqs: np.ndarray) -> np.ndarray:
         if isinstance(first, RoastBasis):
             rows = first.split.high_indices
             bases = projector if sequence else [first]
-            vs = [b.v for b in bases]
+            vs = (b.v for b in bases)
             freqs, at = np.unique(np.abs(freqs), return_inverse=True)
         else:
             rows = np.setdiff1d(np.arange(n), first.indices)

@@ -39,7 +39,10 @@ _EIG_CLAMP = 2.0 ** -53
 _MAX_DENSE_BYTES = 2 ** 31
 
 # Columns per real FFT when build_dpss takes its Rayleigh quotients.
-_RAYLEIGH_BLOCK = 256
+_RAYLEIGH_BLOCK = 64
+
+# Rows per block while _fix_signs looks for each column's first entry.
+_SIGN_ROWS = 64
 
 # Bytes of one column group's spectrum when prolate_apply regroups a block
 # whose columns are not contiguous.
@@ -271,8 +274,20 @@ def _permute_columns(a: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 def _fix_signs(vecs: np.ndarray) -> None:
     """Flip real columns in place so each one's first entry of magnitude
-    above 1e-12 is positive."""
-    first = vecs[(np.abs(vecs) > 1e-12).argmax(axis=0), np.arange(vecs.shape[1])]
+    above 1e-12 is positive; a column with none is signed by its first
+    entry.  Rows are scanned in blocks of ``_SIGN_ROWS``, each over the
+    columns still searching, so no array of the full size is formed."""
+    first = vecs[0].copy()
+    open_cols = np.arange(vecs.shape[1])
+    for i0 in range(0, vecs.shape[0], _SIGN_ROWS):
+        if not open_cols.size:
+            break
+        block = vecs[i0:i0 + _SIGN_ROWS, open_cols]
+        above = np.abs(block) > 1e-12
+        found = above.any(axis=0)
+        first[open_cols[found]] = block[above[:, found].argmax(axis=0),
+                                        np.flatnonzero(found)]
+        open_cols = open_cols[~found]
     vecs *= np.where(first < 0.0, -1.0, 1.0)
 
 
@@ -296,7 +311,9 @@ def build_dpss(n: int, w: float, k: int) -> DpssBasis:
     descending order the j-th eigenvector has parity (-1)^j: the columns
     interleave the top ceil(k/2) even and floor(k/2) odd vectors.  A call
     whose estimate 8 (N k + 2 ceil(N/2)^2) bytes exceeds
-    ``_MAX_DENSE_BYTES`` is refused before anything is allocated.
+    ``_MAX_DENSE_BYTES`` is refused before anything is allocated.  No
+    N x k temporary comes on top: each half is scaled straight into its
+    columns and mirrored from them, and ``_fix_signs`` scans row blocks.
 
     Each eigenvalue is a Rayleigh quotient from one real FFT: B is the
     leading block of the circulant embedding, so by Parseval v^T B v =
@@ -323,20 +340,23 @@ def build_dpss(n: int, w: float, k: int) -> DpssBasis:
         for sign, cols, count in ((1.0, even, k_even), (-1.0, odd, k_odd)):
             d = diag[:h].copy()
             d[-1] += sign * off[h - 1]
-            u = _half_eigenvectors(d, off[:h - 1], count) / root2
-            cols[:h] = u
-            cols[h:] = sign * u[::-1]
+            np.divide(_half_eigenvectors(d, off[:h - 1], count), root2,
+                      out=cols[:h])
+            np.multiply(cols[h - 1::-1], sign, out=cols[h:])
     else:
         e = off.copy()
         e[-1] *= root2
         u = _half_eigenvectors(diag, e, k_even)
-        even[:h] = u[:h] / root2
+        np.divide(u[:h], root2, out=even[:h])
         even[h] = u[h]
-        even[h + 1:] = even[h - 1::-1]
-        u = _half_eigenvectors(diag[:h], off[:h - 1], k_odd) / root2
-        odd[:h] = u
+        del u  # the whole half-size eigenvector matrix, before the odd solve
+        # a ufunc copies through a small buffer; assignment between two
+        # views of vecs would copy the whole source first
+        np.positive(even[h - 1::-1], out=even[h + 1:])
+        np.divide(_half_eigenvectors(diag[:h], off[:h - 1], k_odd), root2,
+                  out=odd[:h])
         odd[h] = 0.0
-        odd[h + 1:] = -u[::-1]
+        np.negative(odd[h - 1::-1], out=odd[h + 1:])
 
     _fix_signs(vecs)
 

@@ -151,6 +151,34 @@ class TestDpss:
             np.testing.assert_allclose(got_s, s.astype(complex) @ c,
                                        rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n, k", [(1024, 1024), (2048, 1024), (4096, 64)])
+    def test_peak_within_the_dense_byte_estimate(self, n, k):
+        # the guard charges 8 (N k + 2 ceil(N/2)^2) bytes: the vectors, one
+        # half-size eigenvector matrix and its LAPACK workspace.  The slack
+        # of 128 N bytes covers the length-N diagonals, their copies and
+        # the integer workspace; no N x k temporary may come on top
+        estimate = 8 * (n * k + 2 * ((n + 1) // 2) ** 2)
+        tracemalloc.start()
+        try:
+            build_dpss(n, 0.25, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate + 128 * n
+
+    def test_signs_found_past_the_first_row_block(self, rng):
+        # columns whose first entry above 1e-12 lies in a later block of
+        # rows, and one with none, which its first entry signs
+        rows = 3 * roast.prolate._SIGN_ROWS + 5
+        a = rng.standard_normal((rows, 6)) * 1e-13
+        for j, i in enumerate([0, 70, 150, rows - 1, 64]):
+            a[i, j] = (-1.0) ** j
+        a[0, 5] = -1e-13
+        want = a * np.where(a[(np.abs(a) > 1e-12).argmax(axis=0), range(6)] < 0.0,
+                            -1.0, 1.0)
+        roast.prolate._fix_signs(a)
+        np.testing.assert_array_equal(a, want)
+
     def test_eigen_relation(self, caches):
         op = caches.op(256, 0.25)
         basis = caches.dpss(256, 0.25)
