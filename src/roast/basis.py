@@ -91,12 +91,51 @@ _ROW_CHUNK = 4096
 # Lanczos vectors beyond R in the Krylov space of the matrix-free builds.
 _KRYLOV_OVERSAMPLE = 8
 
+# Bytes of the two complex temporaries of one row block of DFT entries in
+# dft_columns and RoastBasis.dense_basis.
+_DFT_BLOCK_BYTES = 2 ** 20
+
 
 def dft_columns(n: int, wrapped_indices: np.ndarray) -> np.ndarray:
-    """Normalized DFT columns exp(j*2*pi*k*m/N)/sqrt(N) for wrapped indices k."""
-    m = np.arange(n)[:, None]
-    k = np.asarray(wrapped_indices)[None, :]
-    return np.exp(2j * np.pi * m * k / n) / np.sqrt(n)
+    """Normalized DFT columns exp(j*2*pi*k*m/N)/sqrt(N) for wrapped indices k.
+
+    The N x K output is written a row block at a time by ``_write_dft``; a
+    call whose 16 N K bytes plus ``_DFT_BLOCK_BYTES`` exceed the dense-byte
+    limit is refused first.
+    """
+    k = np.asarray(wrapped_indices)
+    _check_dense_bytes(f"dft_columns(n={n}, k={k.size})",
+                       16 * n * k.size + _DFT_BLOCK_BYTES)
+    out = np.empty((n, k.size), dtype=complex)
+    _write_dft(n, k, out, None)
+    return out
+
+
+def _write_dft(n: int, k: np.ndarray, out: np.ndarray,
+               v: np.ndarray | None) -> None:
+    """Write into the N-row ``out`` the normalized DFT columns of the wrapped
+    indices ``k``, or their product with ``v`` unless it is None.
+
+    Rows go in blocks whose two complex temporaries, the entries and one
+    step of their expression, hold about ``_DFT_BLOCK_BYTES``.  Each entry
+    is the same elementwise expression whatever the block, so the columns
+    match the one-shot N x K evaluation bit for bit, and so does the
+    product with ``v``: every block has at least two rows, since numpy
+    takes a one-row product as a matrix-vector product, whose last bits
+    differ from the matrix product's.
+    """
+    rows = max(2, _DFT_BLOCK_BYTES // (32 * max(k.size, 1)))
+    i0 = 0
+    for i1 in [*range(rows, n - 1, rows), n]:
+        m = np.arange(i0, i1)[:, None]
+        entries = np.exp(2j * np.pi * m * k[None, :] / n)
+        if v is None:
+            np.divide(entries, np.sqrt(n), out=out[i0:i1])
+        else:
+            entries /= np.sqrt(n)
+            out[i0:i1] = entries @ v
+        del entries  # before the next block's are formed
+        i0 = i1
 
 
 def cross_operator_dense(op: ProlateOperator, split: DftBandSplit) -> np.ndarray:
@@ -243,17 +282,22 @@ class RoastBasis:
                            np.sqrt(n), out=spectrum)
 
     def dense_basis(self) -> np.ndarray:
-        """Explicit N x (n_low + R) matrix; the oracle for the fast paths.
+        """Explicit N x (n_low + R) matrix [F, Fbar V]; the oracle for the
+        fast paths.
 
-        It forms all N DFT columns on the way, so a call whose 16 N (N +
-        n_low + R) bytes exceed the dense-byte limit is refused first.
+        ``_write_dft`` writes F, and Fbar V one row block of Fbar at a
+        time, into the one output.  A call whose 16 N (n_low + R) bytes,
+        plus V's 16 n_high R and ``_DFT_BLOCK_BYTES``, exceed the
+        dense-byte limit is refused first.
         """
-        n = self.n
+        n, split = self.n, self.split
         _check_dense_bytes(f"dense_basis(n={n}, r={self.r})",
-                           16 * n * (n + self.dimension))
-        f_low = dft_columns(n, self.split.low_indices)
-        f_high = dft_columns(n, self.split.high_indices)
-        return np.hstack([f_low, f_high @ self.v])
+                           16 * (n * self.dimension + split.n_high * self.r)
+                           + _DFT_BLOCK_BYTES)
+        out = np.empty((n, self.dimension), dtype=complex)
+        _write_dft(n, split.low_indices, out[:, :split.n_low], None)
+        _write_dft(n, split.high_indices, out[:, split.n_low:], self.v)
+        return out
 
 
 def _out_of_band_eigenvectors(op: ProlateOperator, split: DftBandSplit,
@@ -586,25 +630,37 @@ def build_fst_analog(n: int, w: float,
     L_r comes from a dense eigendecomposition of B - F F^* with the r
     largest-magnitude eigenpairs (signed values, so the operator stays
     Hermitian) retained, so the spectral error is exactly the (r+1)-th
-    magnitude.  T1 = [F, U diag(values)] and T2 = [F, U].  B, the complex
-    F F^* and their difference are alive at once, 32 N^2 bytes; above the
-    dense-byte limit the call is refused before any of them is formed.
+    magnitude.  T1 = [F, U diag(values)] and T2 = [F, U].
+
+    F is written into T2's leading columns, and B - F F^* is formed in
+    place in real arithmetic: Re(F F^*) = X X^T for the real view X = [Re
+    f_0, Im f_0, ...] of F, a product numpy takes by ``syrk`` and mirrors,
+    so the difference is symmetric bit for bit, as B is.  The peak, T2
+    beside B and one more real N x N array (X X^T, then U), or T1 beside
+    T2, is at most 32 N max(N, d) bytes for d = n_low + r columns; above
+    the dense-byte limit the call is refused before any of them is formed.
     """
     if rank_r < 0:
         raise ValueError(f"rank must be nonnegative, got {rank_r}")
     split = build_band_split(n, w)
     if rank_r > n:
         raise ValueError(f"rank {rank_r} exceeds n={n}")
-    _check_dense_bytes(f"build_fst_analog(n={n})", 32 * n * n)
-    op = build_prolate(n, w)
-    f_low = dft_columns(n, split.low_indices)
-    diff = prolate_dense(op) - (f_low @ f_low.conj().T).real
-    diff = (diff + diff.T) / 2.0
+    n_low = split.n_low
+    _check_dense_bytes(f"build_fst_analog(n={n})",
+                       32 * n * max(n, n_low + rank_r))
+    t2 = np.empty((n, n_low + rank_r), dtype=complex)
+    _write_dft(n, split.low_indices, t2[:, :n_low], None)
+    re_im = t2[:, :n_low].view(float)
+    diff = prolate_dense(build_prolate(n, w))
+    diff -= re_im @ re_im.T
     vals, vecs = np.linalg.eigh(diff)
+    del diff
     order = np.argsort(-np.abs(vals))[:rank_r]
-    vectors = vecs[:, order].astype(complex)
-    return (np.hstack([f_low, vectors * vals[order][None, :]]),
-            np.hstack([f_low, vectors]))
+    t2[:, n_low:] = vecs[:, order]
+    del vecs
+    t1 = t2.copy()
+    t1[:, n_low:] *= vals[order]
+    return t1, t2
 
 
 # Each builder takes (n, w, r, seed) and returns a basis of dimension

@@ -440,9 +440,10 @@ def largest_angle_cos_direct(a_like, b_like) -> float:
     Independent computational path (dense N x N projector) for
     cross-checking ``subspace_angle``: the infimum of ||P_wide a|| over unit
     vectors a in the narrower span equals the smallest singular value of
-    P_wide @ A_narrow.  The projector and its product take 16 N (N + k)
-    bytes for k narrow columns; above the dense-byte limit the call is
-    refused before either is formed.
+    P_wide @ A_narrow.  The projector beside the conjugated copy of the k
+    wide columns it is formed from, then beside its product with the
+    narrow ones, takes at most 16 N (N + k) bytes; above the dense-byte
+    limit the call is refused before any of them is formed.
     """
     a = _dense_columns(a_like)
     b = _dense_columns(b_like)
@@ -450,7 +451,7 @@ def largest_angle_cos_direct(a_like, b_like) -> float:
         a, b = b, a
     n = b.shape[0]
     _check_dense_bytes(f"largest_angle_cos_direct(n={n})",
-                       16 * n * (n + a.shape[1]))
+                       16 * n * (n + b.shape[1]))
     proj = b @ b.conj().T
     sigma = np.linalg.svd(proj @ a, compute_uv=False)
     return float(sigma[-1])

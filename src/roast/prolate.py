@@ -38,7 +38,7 @@ _EIG_CLAMP = 2.0 ** -53
 # projectors, the FST analog) refuses a call whose estimated bytes exceed this.
 _MAX_DENSE_BYTES = 2 ** 31
 
-# Columns per real FFT when build_dpss takes its Rayleigh quotients.
+# Most columns per real FFT when build_dpss takes its Rayleigh quotients.
 _RAYLEIGH_BLOCK = 64
 
 # Rows per block while _fix_signs looks for each column's first entry.
@@ -203,7 +203,9 @@ def prolate_apply(op: ProlateOperator, x: np.ndarray) -> np.ndarray:
 
 
 def prolate_dense(op: ProlateOperator) -> np.ndarray:
-    """Dense realization, used as the oracle for the fast apply path."""
+    """Dense realization, used as the oracle for the fast apply path; a call
+    whose 8 N^2 bytes exceed the dense-byte limit is refused first."""
+    _check_dense_bytes(f"prolate_dense(n={op.n})", 8 * op.n * op.n)
     return sla.toeplitz(op.first_row)
 
 
@@ -275,20 +277,34 @@ def _permute_columns(a: np.ndarray, order: np.ndarray) -> np.ndarray:
 def _fix_signs(vecs: np.ndarray) -> None:
     """Flip real columns in place so each one's first entry of magnitude
     above 1e-12 is positive; a column with none is signed by its first
-    entry.  Rows are scanned in blocks of ``_SIGN_ROWS``, each over the
-    columns still searching, so no array of the full size is formed."""
+    entry.  Rows are scanned in blocks of ``_SIGN_ROWS``, and of at most an
+    eighth of the rows, each over the columns still searching, so the
+    block's copies stay near a quarter of the array's bytes.  The columns
+    to flip are negated one at a time: a broadcast product would take
+    numpy's iterator buffer, up to 64 KiB, more than the whole array at
+    small N."""
     first = vecs[0].copy()
     open_cols = np.arange(vecs.shape[1])
-    for i0 in range(0, vecs.shape[0], _SIGN_ROWS):
+    rows = min(_SIGN_ROWS, max(1, vecs.shape[0] // 8))
+    for i0 in range(0, vecs.shape[0], rows):
         if not open_cols.size:
             break
-        block = vecs[i0:i0 + _SIGN_ROWS, open_cols]
+        block = vecs[i0:i0 + rows, open_cols]
         above = np.abs(block) > 1e-12
         found = above.any(axis=0)
         first[open_cols[found]] = block[above[:, found].argmax(axis=0),
                                         np.flatnonzero(found)]
         open_cols = open_cols[~found]
-    vecs *= np.where(first < 0.0, -1.0, 1.0)
+    for j in np.flatnonzero(first < 0.0):
+        np.negative(vecs[:, j], out=vecs[:, j])
+
+
+def _power_spectrum(spec: np.ndarray) -> np.ndarray:
+    """Re^2 + Im^2 of a complex spectrum, both parts squared in place, so
+    the real result is the one array formed beside it."""
+    np.square(spec.real, out=spec.real)
+    np.square(spec.imag, out=spec.imag)
+    return spec.real + spec.imag
 
 
 def build_dpss(n: int, w: float, k: int) -> DpssBasis:
@@ -318,9 +334,11 @@ def build_dpss(n: int, w: float, k: int) -> DpssBasis:
     Each eigenvalue is a Rayleigh quotient from one real FFT: B is the
     leading block of the circulant embedding, so by Parseval v^T B v =
     sum_j c_j |V_j|^2 / M for the M-point spectrum V of the padded v and the
-    real circulant spectrum c.  Columns go in blocks of ``_RAYLEIGH_BLOCK``;
-    the values are clamped into (0, 1) and stably sorted, and the columns
-    follow them in place (``_permute_columns``).
+    real circulant spectrum c.  Columns go in blocks of ``_RAYLEIGH_BLOCK``,
+    or of fewer where M exceeds 2N and that many would not fit in the
+    bytes of the half-size solve; the values are clamped into (0, 1) and
+    stably sorted, and the columns follow them in place
+    (``_permute_columns``).
     """
     _validate_nw(n, w)
     if not 1 <= k <= n:
@@ -336,25 +354,26 @@ def build_dpss(n: int, w: float, k: int) -> DpssBasis:
     vecs = np.empty((n, k), order="F")
     even, odd = vecs[:, 0::2], vecs[:, 1::2]
     root2 = math.sqrt(2.0)
+    # each half is copied in, and freed, before it is scaled in place: a
+    # ufunc on these strided views takes iterator buffers of up to 64 KiB,
+    # which must not come on top of the half-size eigenvectors.  Mirroring
+    # goes through a ufunc too; assignment between two views of vecs would
+    # copy the whole source first
     if n % 2 == 0:
         for sign, cols, count in ((1.0, even, k_even), (-1.0, odd, k_odd)):
             d = diag[:h].copy()
             d[-1] += sign * off[h - 1]
-            np.divide(_half_eigenvectors(d, off[:h - 1], count), root2,
-                      out=cols[:h])
+            cols[:h] = _half_eigenvectors(d, off[:h - 1], count)
+            cols[:h] /= root2
             np.multiply(cols[h - 1::-1], sign, out=cols[h:])
     else:
         e = off.copy()
         e[-1] *= root2
-        u = _half_eigenvectors(diag, e, k_even)
-        np.divide(u[:h], root2, out=even[:h])
-        even[h] = u[h]
-        del u  # the whole half-size eigenvector matrix, before the odd solve
-        # a ufunc copies through a small buffer; assignment between two
-        # views of vecs would copy the whole source first
+        even[:h + 1] = _half_eigenvectors(diag, e, k_even)
+        even[:h] /= root2
         np.positive(even[h - 1::-1], out=even[h + 1:])
-        np.divide(_half_eigenvectors(diag[:h], off[:h - 1], k_odd), root2,
-                  out=odd[:h])
+        odd[:h] = _half_eigenvectors(diag[:h], off[:h - 1], k_odd)
+        odd[:h] /= root2
         odd[h] = 0.0
         np.negative(odd[h - 1::-1], out=odd[h + 1:])
 
@@ -362,14 +381,20 @@ def build_dpss(n: int, w: float, k: int) -> DpssBasis:
 
     op = build_prolate(n, w)
     size = op.embed_size
-    weight = op.circulant_spectrum[:size // 2 + 1].real * (2.0 / size)
+    half = size // 2 + 1
+    weight = op.circulant_spectrum[:half].real * (2.0 / size)
     weight[[0, -1]] /= 2.0
+    # a column's spectrum and power take 24 * half bytes, and the iterator
+    # buffers of squaring the spectrum's strided parts at most 8 * half
+    # more; a block fits in the 16 ceil(N/2)^2 bytes the half-size solve
+    # held, except where size is 2N (N a power of two): there it keeps
+    # _RAYLEIGH_BLOCK columns, and so its values' last bits
+    cols = _RAYLEIGH_BLOCK if size == 2 * n else min(
+        _RAYLEIGH_BLOCK, max(1, 16 * ((n + 1) // 2) ** 2 // (32 * half)))
     lam = np.empty(k)
-    for j0 in range(0, k, _RAYLEIGH_BLOCK):
-        spec = np.fft.rfft(vecs[:, j0:j0 + _RAYLEIGH_BLOCK], n=size, axis=0)
-        power = spec.real ** 2
-        power += spec.imag ** 2
-        lam[j0:j0 + _RAYLEIGH_BLOCK] = weight @ power
+    for j0 in range(0, k, cols):
+        lam[j0:j0 + cols] = weight @ _power_spectrum(
+            np.fft.rfft(vecs[:, j0:j0 + cols], n=size, axis=0))
     lam = np.clip(lam, _EIG_CLAMP, 1.0 - _EIG_CLAMP)
     order = np.argsort(-lam, kind="stable")
     return DpssBasis(n=int(n), w=float(w), k=int(k),

@@ -30,8 +30,9 @@ __all__ = [
     "condition_estimate",
 ]
 
-# Bytes of one block of conjugated sensing rows that recovery_experiment
-# passes to ``analyze`` while it forms (Phi Q)^*.
+# Bytes of one block of complex sensing rows (``_sensing_rows``): the
+# conjugated rows that recovery_experiment passes to ``analyze`` while it
+# forms (Phi Q)^*, and the rows build_recovery_problem draws at a time.
 _SENSING_BLOCK_BYTES = 2 ** 21
 
 # In-band tones summed into the bandlimited truth of a recovery problem.
@@ -108,22 +109,32 @@ class RecoveryProblem:
 
 def build_recovery_problem(n: int, w: float, m: int, seed: int) -> RecoveryProblem:
     """Random bandlimited truth of ``_NUM_TONES`` tones observed through an
-    M x N sensing matrix; a call whose 24 M N bytes exceed the dense-byte
-    limit is refused before the matrix is formed."""
+    M x N sensing matrix; a call whose 16 M N bytes, plus the 8 N bytes
+    per row of its draw buffer, exceed the dense-byte limit is refused
+    before the matrix is formed.
+
+    Phi = (G_re + 1j G_im) / sqrt(2M) for standard normal M x N draws G_re,
+    then G_im, from one generator, bit for bit: complex division by a real
+    scalar multiplies both parts by its reciprocal.  The generator fills
+    values in order, so drawing each part ``_sensing_rows`` rows at a time
+    through one real buffer gives the same Phi as drawing it whole.
+    """
     if not 2 * int(np.floor(n * w)) <= m <= n:
         raise ValueError(
             f"measurement count must satisfy 2*floor(NW) <= m <= n, got m={m}")
-    _check_dense_bytes(f"build_recovery_problem(n={n}, m={m})", 24 * m * n)
+    rows = min(_sensing_rows(n), m)
+    _check_dense_bytes(f"build_recovery_problem(n={n}, m={m})",
+                       16 * m * n + 8 * rows * n)
     truth = random_bandlimited(n, w, _NUM_TONES, seed).samples
-    # (g_re + 1j g_im) / sqrt(2m), bit for bit: complex division by a real
-    # scalar multiplies both parts by its reciprocal
     rng = np.random.default_rng(seed + 0x5EED)
     scale = 1.0 / np.sqrt(2.0 * m)
     phi = np.empty((m, n), dtype=complex)
-    draw = rng.standard_normal((m, n))
-    np.multiply(draw, scale, out=phi.real)
-    rng.standard_normal(out=draw)
-    np.multiply(draw, scale, out=phi.imag)
+    draw = np.empty((rows, n))
+    for part in (phi.real, phi.imag):
+        for i0 in range(0, m, rows):
+            block = draw[:m - i0]
+            rng.standard_normal(out=block)
+            np.multiply(block, scale, out=part[i0:i0 + rows])
     return RecoveryProblem(n=int(n), m=int(m), w=float(w), phi=phi,
                            y=phi @ truth, truth=truth)
 
@@ -148,11 +159,17 @@ def condition_estimate(result: CgResult) -> float:
     return float(ritz[-1] / ritz[0])
 
 
+def _sensing_rows(n: int) -> int:
+    """Rows of a length-``n`` complex sensing block: ``_SENSING_BLOCK_BYTES``
+    worth, at least one."""
+    return max(1, _SENSING_BLOCK_BYTES // (16 * n))
+
+
 def _compressed_adjoint(phi: np.ndarray, basis) -> np.ndarray:
     """(Phi Q)^* = Q^* Phi^*, dim x m, by ``basis.analyze`` of the conjugated
-    transpose of ``_SENSING_BLOCK_BYTES`` worth of Phi's rows at a time."""
+    transpose of ``_sensing_rows`` of Phi's rows at a time."""
     m, n = phi.shape
-    rows = max(1, _SENSING_BLOCK_BYTES // (16 * n))
+    rows = _sensing_rows(n)
     a_h = np.empty((basis.dimension, m), dtype=complex)
     for i0 in range(0, m, rows):
         a_h[:, i0:i0 + rows] = basis.analyze(phi[i0:i0 + rows].conj().T)

@@ -3,6 +3,7 @@ import struct
 import time
 import tracemalloc
 import zlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -654,6 +655,32 @@ def _empty_roast_basis(n, w):
                       method="svd_fb")
 
 
+class TestDenseBasis:
+    @pytest.mark.parametrize("n", [64, 65, 1024, 1025])
+    @pytest.mark.parametrize("block_rows", [None, 3])
+    def test_row_blocks_match_the_one_shot_columns(self, n, block_rows,
+                                                   monkeypatch):
+        # against the N x K evaluation in one piece: at N = 1025 the 512
+        # out-of-band columns go in 64-row blocks and the one row left over
+        # joins the block before it; a budget of three rows of out-of-band
+        # entries leaves blocks of two to four rows
+        w = 0.25
+        basis = build_roast_randomized(n, w, 20, 7)
+        split = basis.split
+        if block_rows is not None:
+            monkeypatch.setattr(roast.basis, "_DFT_BLOCK_BYTES",
+                                32 * split.n_high * block_rows)
+
+        def one_shot(k):
+            m = np.arange(n)[:, None]
+            return np.exp(2j * np.pi * m * k[None, :] / n) / np.sqrt(n)
+
+        f_low, f_high = one_shot(split.low_indices), one_shot(split.high_indices)
+        assert np.array_equal(dft_columns(n, split.high_indices), f_high)
+        assert np.array_equal(basis.dense_basis(),
+                              np.hstack([f_low, f_high @ basis.v]))
+
+
 class TestCrossOperator:
     @pytest.mark.parametrize("n,w", [(64, 0.25), (65, 0.25), (256, 0.1),
                                      (129, 0.4)])
@@ -683,18 +710,62 @@ class TestCrossOperator:
         assert peak <= 8 * split.n_high * n + 32 * 512 * n
 
 
+def _orthonormal_columns(n, k):
+    rng = np.random.default_rng(k)
+    return np.linalg.qr(rng.standard_normal((n, k))
+                        + 1j * rng.standard_normal((n, k)))[0]
+
+
+# (1025, 0.25) has n_low = 513 and n_high = 512; each case's charge is
+# the estimate its guard passes to _check_dense_bytes first
+_GUARDED_PATHS = [
+    ("dense_basis",  # the output, V and the 1 MiB row block
+     lambda n, w: build_roast_randomized(n, w, 20, 7).dense_basis,
+     16 * (1025 * 533 + 512 * 20) + 2**20),
+    ("dft_columns",
+     lambda n, w: partial(dft_columns, n, build_band_split(n, w).high_indices),
+     16 * 1025 * 512 + 2**20),
+    ("build_recovery_problem",  # Phi and a 127-row real draw buffer
+     lambda n, w: partial(roast.build_recovery_problem, n, w, 768, 7),
+     16 * 768 * 1025 + 8 * 127 * 1025),
+    ("_cross_rows",
+     lambda n, w: partial(roast.basis._cross_rows, build_prolate(n, w),
+                          build_band_split(n, w)),
+     16 * 512 * 1025),
+    ("cross_operator_dense",
+     lambda n, w: partial(roast.cross_operator_dense, build_prolate(n, w),
+                          build_band_split(n, w)),
+     24 * 512 * 1025),
+    ("build_dpss", lambda n, w: partial(roast.build_dpss, n, w, 700),
+     8 * (1025 * 700 + 2 * 513**2)),
+    ("build_fst_analog", lambda n, w: partial(build_fst_analog, n, w, 20),
+     32 * 1025**2),
+    ("largest_angle_cos_direct",
+     lambda n, w: partial(roast.diagnostics.largest_angle_cos_direct,
+                          *(_orthonormal_columns(n, k) for k in (30, 40))),
+     16 * 1025 * (1025 + 40)),
+    ("prolate_dense", lambda n, w: partial(prolate_dense, build_prolate(n, w)),
+     8 * 1025**2),
+]
+
+
 class TestDenseByteGuards:
     # every call would need gigabytes; each must refuse before allocating
     @pytest.mark.parametrize("name,call", [
         ("cross_operator_dense",  # 16 n_high N = 3.4 GB
          lambda: roast.singular_decay_report(16384, 0.1)),
-        ("dense_basis",  # 16 N (N + dimension) = 6.4 GB
+        ("dense_basis",  # 16 N dimension = 2,147,745,792 B, plus the
+         # 1 MiB row block: just above the 2,147,483,648 B limit
          lambda: _empty_roast_basis(16384, 0.25).dense_basis()),
-        ("largest_angle_cos_direct",  # 16 N (N + 1) = 4.3 GB
+        ("largest_angle_cos_direct",  # 16 N (N + 2) = 4.3 GB
          lambda: roast.diagnostics.largest_angle_cos_direct(
              np.eye(16384, 1), np.eye(16384, 2))),
         ("build_fst_analog",  # 32 N^2 = 8.6 GB
          lambda: build_fst_analog(16384, 0.25, 4)),
+        ("dft_columns",  # 16 N K = 4.3 GB
+         lambda: dft_columns(16384, np.arange(16384))),
+        ("prolate_dense",  # 8 N^2 = 2,147,745,800 B, just above the limit
+         lambda: prolate_dense(build_prolate(16385, 0.25))),
     ])
     def test_refused_before_allocating(self, name, call):
         tracemalloc.start()
@@ -733,7 +804,9 @@ class TestDenseByteGuards:
                  lambda: _empty_roast_basis(256, 0.25).dense_basis(),
                  lambda: roast.diagnostics.largest_angle_cos_direct(
                      np.eye(256, 1), np.eye(256, 2)),
-                 lambda: build_fst_analog(256, 0.25, 4)]
+                 lambda: build_fst_analog(256, 0.25, 4),
+                 lambda: dft_columns(256, np.arange(256)),
+                 lambda: prolate_dense(build_prolate(256, 0.25))]
         assert roast.prolate._MAX_DENSE_BYTES == 2**31
         for call in calls:
             call()
@@ -741,6 +814,37 @@ class TestDenseByteGuards:
         for call in calls:
             with pytest.raises(ValueError, match="MiB limit"):
                 call()
+
+    @pytest.mark.parametrize("name, setup, charge",
+                             [pytest.param(*c, id=c[0]) for c in _GUARDED_PATHS])
+    def test_peak_within_the_charge(self, name, setup, charge, monkeypatch):
+        # every guarded dense path at N = 1025, odd, with its inputs built
+        # before tracing: the peak stays within the bytes its guard charges
+        # plus 128 KiB for index arrays, length-N vectors, numpy's iterator
+        # buffers and the caches a first call fills.  The cross operator's
+        # charge covers its rows, not the four 512-column rfft blocks its
+        # loop holds beside them, 32 * 512 N bytes
+        n, w = 1025, 0.25
+        call = setup(n, w)
+        charges = []
+        check = roast.prolate._check_dense_bytes
+
+        def record(what, estimate):
+            charges.append(estimate)
+            check(what, estimate)
+
+        for module in (roast.prolate, roast.basis, roast.diagnostics,
+                       roast.recovery):
+            monkeypatch.setattr(module, "_check_dense_bytes", record)
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert charges[:1] == [charge]
+        slack = 2**17 + (32 * 512 * n if "cross" in name else 0)
+        assert peak <= charge + slack
 
 
 class TestSerialization:

@@ -574,7 +574,8 @@ class TestValidation:
         assert capsys.readouterr().err.startswith("error: build_dpss(n=65536")
 
     def test_oversize_sensing_matrix_refused(self, monkeypatch, capsys):
-        # 24 m N bytes is 3 MiB at N=1024, m=128: above a 1 MiB limit
+        # 16 m N bytes of Phi and 1 MiB of draw buffer, 128 rows of 8 N
+        # bytes, make 3 MiB at N=1024, m=128: above a 1 MiB limit
         monkeypatch.setattr(roast.prolate, "_MAX_DENSE_BYTES", 2**20)
         with pytest.raises(roast.DenseSizeError, match=r"m=128\) needs about 3 MiB"):
             roast.build_recovery_problem(1024, 0.05, 128, seed=0)

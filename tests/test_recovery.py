@@ -82,6 +82,28 @@ class TestRecoveryProblem:
         phi = build_recovery_problem(n, 0.25, m, seed).phi
         assert np.array_equal(phi, (g_re + 1j * g_im) / np.sqrt(2.0 * m))
 
+    @pytest.mark.parametrize("n, m, block_rows", [
+        (1024, 700, None),  # 128-row blocks, 60 rows in the last
+        (128, 96, 7),       # m not a multiple of the block
+        (128, 96, 1),
+    ])
+    def test_blocked_draw_matches_the_one_shot_draw(self, n, m, block_rows,
+                                                    monkeypatch):
+        # Phi drawn whole, as an M x N real draw for each part beside it,
+        # and y from it
+        seed = 7
+        if block_rows is not None:
+            monkeypatch.setattr(roast.recovery, "_SENSING_BLOCK_BYTES",
+                                16 * n * block_rows)
+        rng = np.random.default_rng(seed + 0x5EED)
+        scale = 1.0 / np.sqrt(2.0 * m)
+        phi = np.empty((m, n), dtype=complex)
+        phi.real = rng.standard_normal((m, n)) * scale
+        phi.imag = rng.standard_normal((m, n)) * scale
+        problem = build_recovery_problem(n, 0.25, m, seed)
+        assert np.array_equal(problem.phi, phi)
+        assert np.array_equal(problem.y, phi @ problem.truth)
+
 
 class TestRecoveryExperiment:
     def test_band_signal_recovered_exactly(self, rng):
