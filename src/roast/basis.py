@@ -179,12 +179,13 @@ def _slepian_rows(x: np.ndarray, split: DftBandSplit) -> np.ndarray:
 def _cross_rows(op: ProlateOperator, split: DftBandSplit) -> np.ndarray:
     """Real cosine/sine rows of the cross operator Fbar^* B, n_high x N.
 
-    B's columns are real, so each block of 512 is read off the Toeplitz
+    B's columns are real, so each block of them is read off the Toeplitz
     structure in column order and written by ``_slepian_rows``, one
     ``rfft``; the rows are U Fbar^* B with U unitary and keep its singular
-    values.  Memory stays at O(N * 512) beside the rows.  The 16 n_high N
-    bytes checked against the dense-byte limit cover the rows and the one
-    working copy each caller makes: an SVD's copy or a deflated residual.
+    values.  The 16 n_high N bytes checked against the dense-byte limit
+    cover the rows and the one working copy each caller makes, an SVD's
+    copy or a deflated residual; blocks of at most n_high / 4 columns, 32 N
+    bytes a column, fit in that copy's bytes before the caller makes it.
     """
     n = op.n
     _check_dense_bytes(f"cross_operator_dense(n={n}, w={op.w})",
@@ -193,8 +194,9 @@ def _cross_rows(op: ProlateOperator, split: DftBandSplit) -> np.ndarray:
     sym = np.concatenate([op.first_row[:0:-1], op.first_row])
     cols = np.lib.stride_tricks.sliding_window_view(sym, n)[::-1]
     out = np.empty((split.n_high, n))
-    for j0 in range(0, n, 512):
-        out[:, j0:j0 + 512] = _slepian_rows(cols[j0:j0 + 512].T, split)
+    step = min(512, max(1, split.n_high // 4))
+    for j0 in range(0, n, step):
+        out[:, j0:j0 + step] = _slepian_rows(cols[j0:j0 + step].T, split)
     return out
 
 
@@ -215,14 +217,15 @@ def _dft_rows(cos_sin: np.ndarray) -> np.ndarray:
     column-major in one allocation.
 
     The positive bins and the Nyquist row come from
-    ``_write_positive_rows``; the negative bins get the conjugates of the
-    positive ones in reverse order, so the result satisfies V[-k] = conj
-    V[k] bit for bit.
+    ``_write_positive_rows``; the negative bins, in reverse order, take the
+    same products from ``cos_sin`` with the sine rows' sign flipped, so
+    V[-k] = conj V[k] holds bit for bit and no iterator buffers are needed.
     """
     m = cos_sin.shape[0] // 2
     out = np.empty(cos_sin.shape, dtype=complex, order="F")
     _write_positive_rows(cos_sin, out[m:])
-    np.conjugate(out[m:2 * m][::-1], out=out[:m])
+    np.multiply(cos_sin[:m][::-1], math.sqrt(0.5), out=out[:m].real)
+    np.multiply(cos_sin[m:2 * m][::-1], -math.sqrt(0.5), out=out[:m].imag)
     return out
 
 
@@ -366,16 +369,12 @@ def build_roast(n: int, w: float, r: int, method: str = "svd_fb") -> RoastBasis:
     number of vectors, which is optimal over all subspaces of that dimension
     (Ky Fan).
 
-    Neither forms Fbar^* B.  For every R < n_high symmetric Lanczos (ARPACK
-    ``eigsh``) finds the leading eigenvectors of Fbar^* B^2 Fbar (the left
-    singular vectors of Fbar^* B) or of Fbar^* B Fbar, through O(N log N)
-    products, in O(N R) memory.  Its Krylov space holds R + 8 vectors, at
-    most n_high: the operator's eigenvalues decay geometrically past the
-    band edge, so eight vectors beyond the R wanted ones let all R converge
-    in about R + 9 products.  At R = n_high ``eigh`` decomposes the same
-    operator applied to the identity.  Past the numerical rank Lanczos stops
-    at its tolerance: ||(I - V V^*) Fbar^* B||_2 floors near 1e-11, against
-    a leading singular value near 0.43.  Raises RuntimeError if Lanczos fails.
+    Neither forms Fbar^* B: ``_out_of_band_eigenvectors`` finds the leading
+    eigenvectors of Fbar^* B^2 Fbar (the left singular vectors of Fbar^* B)
+    or of Fbar^* B Fbar by symmetric Lanczos on O(N log N) products, in
+    O(N R) memory.  Past the numerical rank Lanczos stops at its tolerance:
+    ||(I - V V^*) Fbar^* B||_2 floors near 1e-11, against a leading singular
+    value near 0.43.  Raises RuntimeError if Lanczos fails.
     """
     if method not in _ROAST_METHODS:
         raise ValueError(f"method must be 'svd_fb' or 'svd_fbf', got {method!r}")
@@ -458,22 +457,19 @@ def _bin_pairs(split: DftBandSplit, spectrum: np.ndarray) -> tuple:
             spectrum[h + 1 + m:n // 2 + 1])
 
 
-def _high_coefficients(basis: RoastBasis, spectrum: np.ndarray) -> np.ndarray:
-    """V^* s over the out-of-band bins s of an N x c ``spectrum``, as the real
-    R x 2c array [Re | Im].
+def _fold(pos: np.ndarray, neg: np.ndarray, nyquist: np.ndarray) -> np.ndarray:
+    """The +-k fold of complex rows s, c columns each, at the positive bins k
+    (``pos``), the bins -k in the same order (``neg``) and the Nyquist bin:
+    the real column-major n_high x 2c array Y = [Re | Im] of s_k + s_{-k},
+    i (s_{-k} - s_k) and s_Nyquist, in q's row order.
 
-    With V[k] = (a + ib) / sqrt(2) at a positive bin k, a and b the cosine
-    and sine rows of q, conj V[k] s_k + V[k] s_{-k} = (a (s_k + s_{-k}) + i
-    b (s_{-k} - s_k)) / sqrt(2), and the Nyquist row is q's.  So one real
-    column-major right-hand side Y, n_high x 2c, holds the real parts of
-    these sums and then their imaginary parts, in q's row order.  The
-    cosine and sine rows' share of q^T Y is summed over row blocks of
-    ``_ROW_CHUNK`` and scaled by sqrt(1/2); the Nyquist row's share is added
-    unscaled, so no scaling touches that row.
+    With V[k] = (a + ib) / sqrt(2), a and b the cosine and sine rows of q,
+    conj V[k] s_k + V[k] s_{-k} = (a (s_k + s_{-k}) + i b (s_{-k} - s_k)) /
+    sqrt(2).  So Y, its pairs scaled by sqrt(1/2), is U s for the unitary U
+    with U V = q, and V^* s = (U V)^* U s is q^T of it.
     """
-    m, cols = basis.split.n_neg, spectrum.shape[1]
-    pos, neg, nyquist = _bin_pairs(basis.split, spectrum)
-    y = np.empty((basis.split.n_high, 2 * cols), order="F")
+    m, cols = pos.shape
+    y = np.empty((2 * m + nyquist.shape[0], 2 * cols), order="F")
     re, im = y[:, :cols], y[:, cols:]
     np.add(pos.real, neg.real, out=re[:m])
     np.add(pos.imag, neg.imag, out=im[:m])
@@ -481,7 +477,17 @@ def _high_coefficients(basis: RoastBasis, spectrum: np.ndarray) -> np.ndarray:
     np.subtract(neg.real, pos.real, out=im[m:2 * m])
     re[2 * m:] = nyquist.real
     im[2 * m:] = nyquist.imag
-    q, pairs = basis.q, 2 * m
+    return y
+
+
+def _high_coefficients(basis: RoastBasis, spectrum: np.ndarray) -> np.ndarray:
+    """V^* s over the out-of-band bins s of an N x c ``spectrum``, as the real
+    R x 2c array [Re | Im]: for Y the bins' ``_fold``, the pairs' share of
+    q^T Y is summed over row blocks of ``_ROW_CHUNK`` and scaled by
+    sqrt(1/2), and the Nyquist row's share added unscaled.
+    """
+    y = _fold(*_bin_pairs(basis.split, spectrum))
+    q, pairs = basis.q, 2 * basis.split.n_neg
     qp, yp = q[:pairs], y[:pairs]
     z = qp[:_ROW_CHUNK].T @ yp[:_ROW_CHUNK]
     for i0 in range(_ROW_CHUNK, pairs, _ROW_CHUNK):
@@ -525,10 +531,9 @@ def apply_analysis(basis: RoastBasis, x: np.ndarray) -> np.ndarray:
 
     One orthonormal FFT (``_column_fft``), then slices of the spectrum (see
     ``DftBandSplit``): the in-band coefficients are two slices, and V^* s
-    over the out-of-band bins is one real product with the stored factor q,
-    taken in row blocks that OpenBLAS runs about twice as fast as one tall
-    product (``_high_coefficients``).  Block coefficients come back
-    column-major, the layout synthesis fills.
+    over the out-of-band bins is q^T of their ``_fold``, in row blocks that
+    OpenBLAS runs about twice as fast as one tall product
+    (``_high_coefficients``).  Block coefficients come back column-major.
     """
     n = basis.n
     x = _leading(x, n, "samples")

@@ -60,6 +60,7 @@ from .basis import (
     BASES,
     _sketch,
     _sketch_basis,
+    _slepian_rows,
     build_roast,
     build_roast_randomized,
     build_subdft,
@@ -233,17 +234,18 @@ def run_sweep_sinusoid(args: argparse.Namespace) -> int:
 
 def _peeled_energies(resid: np.ndarray, cols: np.ndarray,
                      coeffs: np.ndarray) -> np.ndarray:
-    """||resid - sum_{j<R} cols_j coeffs_j||^2 for R = 0 .. len(coeffs).
+    """||resid - sum_{j<R} cols_j coeffs_j||^2 for R = 0 .. len(coeffs), for
+    a vector or columns ``resid`` and a row of ``coeffs`` per column j.
 
-    The columns are subtracted from the residual vector one at a time and
-    each energy is the norm of that vector, so it keeps its accuracy far
+    The columns are subtracted from the residual one at a time and each
+    energy is the norm of that residual, so it keeps its accuracy far
     below the round-off of total minus captured energy.
     """
-    resid = np.array(resid, dtype=complex)
+    resid = np.array(resid)
     out = np.empty(len(coeffs) + 1)
     out[0] = np.vdot(resid, resid).real
     for j, c in enumerate(coeffs):
-        resid -= cols[:, j] * c
+        resid -= np.multiply.outer(cols[:, j], c)
         out[j + 1] = np.vdot(resid, resid).real
     return out
 
@@ -255,21 +257,20 @@ def run_bandlimited_snr(args: argparse.Namespace) -> int:
     x = random_bandlimited(n, w, args.tones, args.seed).samples
     total = float(np.vdot(x, x).real)
     # every basis but DPSS holds the in-band DFT columns, so its residual
-    # lives on the out-of-band bins alone
-    high = np.fft.fft(x)[split.high_indices] / np.sqrt(n)
+    # lives on the out-of-band bins alone: for ROAST, their coordinates
+    # U Fbar^* x in q's rows, from x's real and imaginary parts
+    folded = _slepian_rows(np.column_stack([x.real, x.imag]), split)
 
-    v = build_roast(n, w, r_max, args.method).v
-    roast_resid = _peeled_energies(high, v, v.conj().T @ high)
+    q = build_roast(n, w, r_max, args.method).q
+    roast_resid = _peeled_energies(folded, q, q.T @ folded)
 
     # each widened-DFT basis zeroes the bins it holds, so its energy is a
     # direct sum over the out-of-band bins outside build_subdft's set
-    row_of = np.full(n, -1)
-    row_of[split.high_indices] = np.arange(split.n_high)
+    spectrum = np.fft.fft(x) / np.sqrt(n)
     sub_resid = np.empty(r_max + 1)
-    sub_vec = high.copy()
     for rr in range(r_max + 1):
-        rows = row_of[build_subdft(n, w, rr).indices]
-        sub_vec[rows[rows >= 0]] = 0.0
+        spectrum[build_subdft(n, w, rr).indices] = 0.0
+        sub_vec = spectrum[split.high_indices]
         sub_resid[rr] = np.vdot(sub_vec, sub_vec).real
 
     s = build_dpss(n, w, split.n_low + r_max).vectors
@@ -285,9 +286,9 @@ def run_bandlimited_snr(args: argparse.Namespace) -> int:
     rand_resid = np.empty(r_max + 1)
     rand_resid[0] = roast_resid[0]
     for rr in range(1, r_max + 1):
-        vr = _sketch_basis(split, sketch[:, :rr], args.seed).v
-        rand_vec = high - vr @ (vr.conj().T @ high)
-        rand_resid[rr] = np.vdot(rand_vec, rand_vec).real
+        qr = _sketch_basis(split, sketch[:, :rr], args.seed).q
+        rand_vec = folded - qr @ (qr.T @ folded)
+        rand_resid[rr] = np.vdot(rand_vec, rand_vec)
 
     # the nested families cannot lose energy as R grows; the running
     # minimum keeps their curves monotone through round-off

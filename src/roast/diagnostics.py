@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigvalsh
 
-from .basis import RoastBasis, SubDftBasis, _cross_rows, _slepian_rows
+from .basis import (RoastBasis, SubDftBasis, _bin_pairs, _cross_rows, _fold,
+                    _slepian_rows)
 from .prolate import (
     ProlateOperator,
     _check_dense_bytes,
@@ -293,34 +294,37 @@ def _dirichlet_ratio(n: int, rows: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return s
 
 
-def _dirichlet_residual_sq(n: int, rows: np.ndarray, vs,
-                           freqs: np.ndarray) -> np.ndarray:
-    """||(I - V V^*) d_f||^2 over ``rows`` of d_f = F^* e_f, the Dirichlet
-    kernel, one row of the result for each V in the iterable ``vs``; every V
-    holds orthonormal columns on those rows, possibly none.  Each V is read
-    once, to form its real map, so a generator lets each V be freed as the
-    next map is formed.  Frequencies go in blocks of max(64, 2**16 // rows),
-    set by the row count alone, so each V's row is the same bit for bit
-    whatever else is in ``vs``."""
-    # d_f[k] = exp(i pi (n-1) x) sin(pi n x) / sin(pi x) / sqrt(n), x = f - k/n.
-    # The phase is a unit scalar in f times the row phase
-    # D[k] = exp(-i pi (n-1) k / n); folding D into W = D^* V = A + iB leaves
-    # the real Dirichlet ratio s to project.  With M = [A, B] and c = M^T s,
-    # Re W W^* s = M c and Im W W^* s = M [-c_B; c_A].  The exponent is
-    # reduced mod 2n so the row phase stays accurate at large n.
-    phase = np.exp(1j * np.pi * (((n - 1) * rows) % (2 * n)) / n)
-    maps = [np.hstack([wv.real, wv.imag]) for wv in (phase[:, None] * v for v in vs)]
-    out = np.empty((len(maps), len(freqs)))
+def _dirichlet_blocks(n: int, rows: np.ndarray, freqs: np.ndarray):
+    """(slice, ``_dirichlet_ratio`` over ``rows``) for each block of
+    max(64, 2**16 // rows) ``freqs``, a size the row count alone sets."""
     block = max(64, 2 ** 16 // max(len(rows), 1))
     for i0 in range(0, len(freqs), block):
-        s = _dirichlet_ratio(n, rows, freqs[i0:i0 + block])
-        for b, m in enumerate(maps):
-            c = m.T @ s
-            r = c.shape[0] // 2
-            re = s - m @ c
-            im = m @ np.concatenate([-c[r:], c[:r]])
-            out[b, i0:i0 + block] = (np.einsum("ij,ij->j", re, re)
-                                     + np.einsum("ij,ij->j", im, im))
+        yield slice(i0, i0 + block), _dirichlet_ratio(n, rows, freqs[i0:i0 + block])
+
+
+def _dirichlet_residual_sq(split, qs: list, freqs: np.ndarray) -> np.ndarray:
+    """||(I - V V^*) d_f||^2 over the out-of-band rows of the Dirichlet
+    kernel d_f = F^* e_f, a row for each stored factor q in ``qs`` (possibly
+    of no columns) of a basis on ``split``.
+
+    d_f[k] is a unit scalar in f times rho_k s_k for the real
+    ``_dirichlet_ratio`` s and the row phase rho_k = exp(-i pi (n-1) k / n),
+    its exponent reduced mod 2n to stay accurate at large n.  With the rows
+    in ``_fold``'s order and sqrt(1/2) on rho's pairs, Y = ``_fold``(rho s)
+    is U rho s for the unitary U with U V = q, and each residual is
+    ||Y - q (q^T Y)||^2: two real products per factor and block.
+    """
+    n, m = split.n, split.n_neg
+    rows = np.concatenate(_bin_pairs(split, np.arange(n)))
+    rho = np.exp(-1j * np.pi * (((n - 1) * rows) % (2 * n)) / n)
+    rho[:2 * m] *= math.sqrt(0.5)
+    out = np.empty((len(qs), len(freqs)))
+    for at, s in _dirichlet_blocks(n, rows, freqs):
+        y = _fold(*np.split(rho[:, None] * s, [m, 2 * m]))
+        res = np.empty_like(y)  # fresh or mixed-layout temporaries cost a product
+        for b, q in enumerate(qs):
+            np.subtract(y, np.matmul(q, q.T @ y, out=res), out=res)
+            out[b, at] = np.einsum("ij,ij->j", res, res).reshape(2, -1).sum(axis=0)
     return out
 
 
@@ -334,19 +338,17 @@ def sinusoid_residual_sq(projector, n: int, freqs: np.ndarray) -> np.ndarray:
 
     A ``RoastBasis`` or ``SubDftBasis`` takes the Dirichlet path: with
     d_f[k] = exp(i pi (n-1) x) sin(pi n x) / sin(pi x) / sqrt(n), x = f - k/n,
-    the unitary DFT of e_f, the residual is ||(I - V V^*) d_f|| over the
-    n_high out-of-band rows, or over the bins outside a ``SubDftBasis``'s
-    index set with no V.  Both sine arguments are reduced mod 1, so the
-    ratio takes its limit n where sin(pi x) vanishes and is exactly zero
-    where n x is an integer: a held sinusoid on the DFT grid leaves a zero
-    residual.  The residual vector is formed before its norm; n -
-    ||Q^* e_f||^2 would turn residuals of 1e-20 into round-off of 1e-13.
-    Frequencies go in blocks of max(64, 2**16 // rows), each block's ratio
-    formed once for every basis and each basis's real map once per call.
-    Every ``RoastBasis`` is closed under conjugation, so Q Q^* is real and
-    e_f, e_{-f} = conj e_f leave one residual norm: the kernel runs at each
-    distinct |f| once and the rows are scattered back.  A ``SubDftBasis``
-    takes every f as given.
+    the unitary DFT of e_f, the residual is ||(I - V V^*) d_f||^2 over the
+    n_high out-of-band rows through each stored factor q
+    (``_dirichlet_residual_sq``), or the sum of d_f's squares over the bins
+    outside a ``SubDftBasis``'s index set.  Both sine arguments are reduced
+    mod 1, so the ratio takes its limit n where sin(pi x) vanishes and is
+    exactly zero where n x is an integer: a held sinusoid on the DFT grid
+    leaves a zero residual.  The residual vector is formed before its norm;
+    n - ||Q^* e_f||^2 would turn residuals of 1e-20 into round-off of 1e-13.
+    Each block of frequencies forms its ratio once for every basis.  Every
+    ``RoastBasis`` is closed under conjugation, so e_f and e_{-f} = conj e_f
+    leave one residual norm: the kernel runs at each distinct |f| once.
 
     Any other ``projector`` is anything ``_as_projector`` accepts; a matrix
     Q is applied densely as Q (Q^* x) to blocks of max(1, 2**21 // n)
@@ -358,25 +360,21 @@ def sinusoid_residual_sq(projector, n: int, freqs: np.ndarray) -> np.ndarray:
                      or len({(b.n, b.w) for b in projector}) != 1):
         raise ValueError("a sequence of projectors must be a non-empty run of "
                          "RoastBasis objects that share one (n, w)")
-    if sequence or isinstance(projector, (RoastBasis, SubDftBasis)):
-        first = projector[0] if sequence else projector
-        if first.n != n:
-            raise ValueError(f"basis length {first.n} does not match n={n}")
-        freqs = np.asarray(freqs, dtype=float)
-        at = slice(None)
-        if isinstance(first, RoastBasis):
-            rows = first.split.high_indices
-            bases = projector if sequence else [first]
-            vs = (b.v for b in bases)
-            freqs, at = np.unique(np.abs(freqs), return_inverse=True)
-        else:
-            rows = np.setdiff1d(np.arange(n), first.indices)
-            vs = [np.zeros((len(rows), 0))]
-        out = _dirichlet_residual_sq(n, rows, vs, freqs)[:, at]
-        return out if sequence else out[0]
-    project = _as_projector(projector)
-    freqs = np.asarray(freqs)
+    freqs = np.asarray(freqs, dtype=float)
     out = np.empty(len(freqs))
+    if sequence or isinstance(projector, (RoastBasis, SubDftBasis)):
+        bases = projector if sequence else [projector]
+        if bases[0].n != n:
+            raise ValueError(f"basis length {bases[0].n} does not match n={n}")
+        if isinstance(projector, SubDftBasis):
+            rows = np.setdiff1d(np.arange(n), projector.indices)
+            for at, s in _dirichlet_blocks(n, rows, freqs):
+                out[at] = np.einsum("ij,ij->j", s, s)
+            return out
+        mags, at = np.unique(np.abs(freqs), return_inverse=True)
+        out = _dirichlet_residual_sq(bases[0].split, [b.q for b in bases], mags)
+        return out[:, at] if sequence else out[0, at]
+    project = _as_projector(projector)
     m = np.arange(n)[:, None]
     chunk = max(1, 2 * 1024 * 1024 // n)
     for i0 in range(0, len(freqs), chunk):

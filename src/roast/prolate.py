@@ -335,10 +335,9 @@ def build_dpss(n: int, w: float, k: int) -> DpssBasis:
     leading block of the circulant embedding, so by Parseval v^T B v =
     sum_j c_j |V_j|^2 / M for the M-point spectrum V of the padded v and the
     real circulant spectrum c.  Columns go in blocks of ``_RAYLEIGH_BLOCK``,
-    or of fewer where M exceeds 2N and that many would not fit in the
-    bytes of the half-size solve; the values are clamped into (0, 1) and
-    stably sorted, and the columns follow them in place
-    (``_permute_columns``).
+    or of fewer where that many would not fit in the bytes of the half-size
+    solve; the values are clamped into (0, 1) and stably sorted, and the
+    columns follow them in place (``_permute_columns``).
     """
     _validate_nw(n, w)
     if not 1 <= k <= n:
@@ -380,21 +379,17 @@ def build_dpss(n: int, w: float, k: int) -> DpssBasis:
     _fix_signs(vecs)
 
     op = build_prolate(n, w)
-    size = op.embed_size
-    half = size // 2 + 1
-    weight = op.circulant_spectrum[:half].real * (2.0 / size)
+    half = op.embed_size // 2 + 1
+    weight = op.circulant_spectrum[:half].real * (2.0 / op.embed_size)
     weight[[0, -1]] /= 2.0
     # a column's spectrum and power take 24 * half bytes, and the iterator
     # buffers of squaring the spectrum's strided parts at most 8 * half
-    # more; a block fits in the 16 ceil(N/2)^2 bytes the half-size solve
-    # held, except where size is 2N (N a power of two): there it keeps
-    # _RAYLEIGH_BLOCK columns, and so its values' last bits
-    cols = _RAYLEIGH_BLOCK if size == 2 * n else min(
-        _RAYLEIGH_BLOCK, max(1, 16 * ((n + 1) // 2) ** 2 // (32 * half)))
+    # more; a block fits in the 16 ceil(N/2)^2 bytes the half-size solve held
+    cols = min(_RAYLEIGH_BLOCK, max(1, 16 * ((n + 1) // 2) ** 2 // (32 * half)))
     lam = np.empty(k)
     for j0 in range(0, k, cols):
         lam[j0:j0 + cols] = weight @ _power_spectrum(
-            np.fft.rfft(vecs[:, j0:j0 + cols], n=size, axis=0))
+            np.fft.rfft(vecs[:, j0:j0 + cols], n=op.embed_size, axis=0))
     lam = np.clip(lam, _EIG_CLAMP, 1.0 - _EIG_CLAMP)
     order = np.argsort(-lam, kind="stable")
     return DpssBasis(n=int(n), w=float(w), k=int(k),

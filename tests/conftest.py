@@ -54,10 +54,9 @@ def rng():
     return np.random.default_rng(0xC0FFEE)
 
 
-@pytest.fixture
-def patch_everywhere(monkeypatch):
+def _patcher(monkeypatch):
     """``patch(original, replacement)`` swaps every reference to
-    ``original`` in the loaded ``roast`` modules for the test."""
+    ``original`` in the loaded ``roast`` modules through ``monkeypatch``."""
     def patch(original, replacement):
         for name, module in list(sys.modules.items()):
             if name == "roast" or name.startswith("roast."):
@@ -67,10 +66,29 @@ def patch_everywhere(monkeypatch):
     return patch
 
 
+def _raising(message):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(message)
+    return forbidden
+
+
+@pytest.fixture
+def patch_everywhere(monkeypatch):
+    """``_patcher`` for the test."""
+    return _patcher(monkeypatch)
+
+
 @pytest.fixture
 def forbid_dense_columns(patch_everywhere):
     """Make every reference to ``roast.basis.dft_columns`` raise."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("dense DFT columns formed")
+    patch_everywhere(roast.basis.dft_columns, _raising("dense DFT columns formed"))
 
-    patch_everywhere(roast.basis.dft_columns, forbidden)
+
+@pytest.fixture(scope="class")
+def forbid_complex_v():
+    """Make every reference to ``roast.basis._dft_rows``, which expands a
+    stored factor q into its complex V, raise for the tests of one class,
+    so that one expensive run can serve several of them."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _patcher(monkeypatch)(roast.basis._dft_rows, _raising("complex V formed"))
+        yield

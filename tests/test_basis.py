@@ -699,15 +699,20 @@ class TestCrossOperator:
             rtol=0, atol=1e-13)
 
     def test_rows_peak_at_the_rows_plus_four_blocks(self):
-        n, w = 1024, 0.1
-        op, split = build_prolate(n, w), build_band_split(n, w)
-        tracemalloc.start()
-        try:
-            roast.basis._cross_rows(op, split)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * split.n_high * n + 32 * 512 * n
+        # four blocks of N-point spectra and rows beside the rows, each of at
+        # most n_high / 4 columns, fit in the 16 n_high N bytes the guard
+        # charges; at W = 0.45, n_high = 103 and 512-column blocks would not
+        n = 1024
+        for w in (0.1, 0.45):
+            op, split = build_prolate(n, w), build_band_split(n, w)
+            tracemalloc.start()
+            try:
+                roast.basis._cross_rows(op, split)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * split.n_high * n + 32 * (split.n_high // 4) * n
+            assert peak <= 16 * split.n_high * n
 
 
 def _orthonormal_columns(n, k):
@@ -728,11 +733,12 @@ _GUARDED_PATHS = [
     ("build_recovery_problem",  # Phi and a 127-row real draw buffer
      lambda n, w: partial(roast.build_recovery_problem, n, w, 768, 7),
      16 * 768 * 1025 + 8 * 127 * 1025),
-    ("_cross_rows",
+    ("_cross_rows",  # the rows and a caller's copy, whose bytes the rfft
+     # blocks take while the rows are formed
      lambda n, w: partial(roast.basis._cross_rows, build_prolate(n, w),
                           build_band_split(n, w)),
      16 * 512 * 1025),
-    ("cross_operator_dense",
+    ("cross_operator_dense",  # the real rows and their complex expansion
      lambda n, w: partial(roast.cross_operator_dense, build_prolate(n, w),
                           build_band_split(n, w)),
      24 * 512 * 1025),
@@ -821,9 +827,7 @@ class TestDenseByteGuards:
         # every guarded dense path at N = 1025, odd, with its inputs built
         # before tracing: the peak stays within the bytes its guard charges
         # plus 128 KiB for index arrays, length-N vectors, numpy's iterator
-        # buffers and the caches a first call fills.  The cross operator's
-        # charge covers its rows, not the four 512-column rfft blocks its
-        # loop holds beside them, 32 * 512 N bytes
+        # buffers and the caches a first call fills
         n, w = 1025, 0.25
         call = setup(n, w)
         charges = []
@@ -843,8 +847,7 @@ class TestDenseByteGuards:
         finally:
             tracemalloc.stop()
         assert charges[:1] == [charge]
-        slack = 2**17 + (32 * 512 * n if "cross" in name else 0)
-        assert peak <= charge + slack
+        assert peak <= charge + 2**17
 
 
 class TestSerialization:

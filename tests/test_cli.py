@@ -253,6 +253,21 @@ class TestBandlimitedSnr:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestNoComplexV:
+    """The two SNR commands read each ROAST basis through its stored
+    factor q: expanding it into the complex V raises here."""
+
+    def test_sweep_sinusoid(self, forbid_complex_v, tmp_path):
+        assert main(["sweep-sinusoid", "--n", "128", "--r", "4", "--grid", "32",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+
+    @pytest.mark.parametrize("method", _ROAST_METHODS)
+    def test_bandlimited_snr(self, method, forbid_complex_v, tmp_path):
+        assert main(["bandlimited-snr", "--n", "128", "--tones", "200",
+                     "--r-max", "6", "--method", method,
+                     "--out", str(tmp_path / "b.csv")]) == 0
+
+
 class TestScalingBench:
     def test_small_run(self, tmp_path, caches):
         out = tmp_path / "bench.csv"

@@ -286,7 +286,7 @@ class TestMirroredResidual:
         row per basis for a list."""
         bases = q if isinstance(q, list) else [q]
         out = roast.diagnostics._dirichlet_residual_sq(
-            n, bases[0].split.high_indices, [b.v for b in bases], freqs)
+            bases[0].split, [b.q for b in bases], freqs)
         return out if isinstance(q, list) else out[0]
 
     @pytest.mark.parametrize("n", [512, 513])
@@ -329,11 +329,11 @@ class TestMirroredResidual:
         split = roast.build_band_split(n, w)
         freqs = self._derivative_grid(w)
         subdft = build_subdft(n, w, 5)
+        # the sum of the Dirichlet ratio's squares over the bins it leaves out
         rows = np.setdiff1d(np.arange(n), subdft.indices)
-        np.testing.assert_array_equal(
-            sinusoid_residual_sq(subdft, n, freqs),
-            roast.diagnostics._dirichlet_residual_sq(
-                n, rows, [np.zeros((len(rows), 0))], freqs)[0])
+        ratio = roast.diagnostics._dirichlet_ratio(n, rows, freqs)
+        np.testing.assert_array_equal(sinusoid_residual_sq(subdft, n, freqs),
+                                      np.einsum("ij,ij->j", ratio, ratio))
         # the dense path, as a plain callable takes it
         q = build_roast(n, w, 6).dense_basis()
         dpss = roast.build_dpss(n, w, split.n_low + 6)

@@ -152,16 +152,17 @@ class TestDpss:
                                        rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n, k", [(1024, 1024), (2048, 1024), (4096, 64),
-                                      (1025, 700), (333, 333), (65, 65)])
+                                      (1025, 700), (333, 333), (65, 65),
+                                      (64, 64), (256, 256)])
     def test_peak_within_the_dense_byte_estimate(self, n, k):
         # the guard charges 8 (N k + 2 ceil(N/2)^2) bytes: the vectors, one
         # half-size eigenvector matrix and its LAPACK workspace.  The slack
         # of 128 N bytes covers the length-N diagonals, their copies and
         # the integer workspace; no N x k temporary may come on top.  At
-        # odd and small N the circulant embedding is near 4N long, so the
-        # Rayleigh blocks must narrow to stay within the estimate.  A first
-        # call fills scipy's and numpy's caches, whose bytes are not the
-        # solve's
+        # small N, and at odd N where the circulant embedding is near 4N
+        # long, the Rayleigh blocks must narrow to stay within the estimate.
+        # A first call fills scipy's and numpy's caches, whose bytes are not
+        # the solve's
         estimate = 8 * (n * k + 2 * ((n + 1) // 2) ** 2)
         build_dpss(n, 0.25, k)
         tracemalloc.start()

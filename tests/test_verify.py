@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from roast.verify import (
     average_suite,
     capture_suite,
     core_grid_checks,
+    full_verification,
     pointwise_suite,
     randomized_suite,
 )
@@ -243,3 +247,97 @@ class TestResidualPathAgreement:
         monkeypatch.setattr(roast.verify, "integrated_residual", shifted)
         entry = entry_map(average_suite(512, 0.25, 1e-3))["residual_path_agreement"]
         assert not entry.satisfied
+
+
+# ``roast verify --out`` at its defaults, with one BLAS thread: the ledger
+# values' last bits depend on the thread count, and the root conftest pins
+# one thread for the tests
+_REFERENCE = pathlib.Path(__file__).parent / "data" / "verify_ledger.json"
+
+
+def _moved(old, new):
+    """Whether a ledger field moved past its class.
+
+    Ids, param names, integer params and ``satisfied`` are the ledger's
+    shape and verdicts, which carry no round-off: they match exactly, type
+    included.  A float at or above 1e-8 sits above the round-off floor; a
+    refactor that reorders a sum moves it by about 1e-13 relative (one
+    against two BLAS threads moved such values by at most 8.6e-14), so it
+    matches to 1e-9 relative.  A float below 1e-8 is at the floor, or
+    computed from values there, and moves by large relative amounts when
+    any product reorders; it matches to 1e-12 absolute, the slack every
+    ledger inequality grants its left side.
+    """
+    if type(old) is not float or type(new) is not float:
+        return type(old) is not type(new) or old != new
+    if old == new:
+        return False
+    if abs(old) >= 1e-8:
+        return not abs(new - old) <= 1e-9 * abs(old)
+    return not abs(new - old) <= 1e-12
+
+
+def _ledger_moves(old_entries, new_entries):
+    """One "old -> new" line for each ledger field of ``new_entries`` that
+    moved past its class against ``old_entries`` (dicts as the ledger JSON
+    holds them): the list a change that moves the ledger records."""
+    moves = []
+    if len(old_entries) != len(new_entries):
+        moves.append(f"entries: {len(old_entries)} -> {len(new_entries)}")
+    for i, (old, new) in enumerate(zip(old_entries, new_entries)):
+        where = f"#{i} {old['check_id']} {old['params']}"
+        if (old["check_id"], sorted(old["params"])) != (
+                new["check_id"], sorted(new["params"])):
+            moves.append(f"{where}: -> {new['check_id']} {new['params']}")
+            continue
+        fields = [(key, old[key], new[key])
+                  for key in ("satisfied", "lhs_value", "rhs_bound")]
+        fields += [(f"params.{key}", value, new["params"][key])
+                   for key, value in old["params"].items()]
+        moves += [f"{where} {key}: {a!r} -> {b!r}"
+                  for key, a, b in fields if _moved(a, b)]
+    return moves
+
+
+class TestReferenceLedger:
+    """``full_verification()`` against the committed reference ledger.  One
+    run, with every expansion of a stored factor q into its complex V
+    raising, serves both the comparison and the check that no kernel of
+    the ledger forms V."""
+
+    @pytest.fixture(scope="class")
+    def ledger(self, forbid_complex_v):
+        return json.loads(full_verification().to_json())
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return json.loads(_REFERENCE.read_text())
+
+    def test_runs_without_complex_v(self, ledger):
+        assert len(ledger["entries"]) == 107 and ledger["all_satisfied"]
+
+    def test_matches_the_reference(self, ledger, reference):
+        moves = _ledger_moves(reference["entries"], ledger["entries"])
+        assert not moves, "ledger moved, old -> new:\n" + "\n".join(moves)
+
+    def test_comparator_catches_each_class(self, reference):
+        entries = reference["entries"]
+        assert _ledger_moves(entries, entries) == []
+        small = next(i for i, e in enumerate(entries)
+                     if 0.0 < e["lhs_value"] < 1e-8)
+        large = next(i for i, e in enumerate(entries) if e["rhs_bound"] >= 1.0)
+        cases = [
+            ([], 1),  # a dropped entry
+            ([(large, "rhs_bound", lambda v: v * (1 + 1e-10))], 0),
+            ([(large, "rhs_bound", lambda v: v * (1 + 1e-8))], 1),
+            ([(small, "lhs_value", lambda v: v + 5e-13)], 0),
+            ([(small, "lhs_value", lambda v: v + 5e-12)], 1),
+            ([(large, "satisfied", lambda v: not v)], 1),
+            ([(0, "check_id", lambda v: v + "_renamed")], 1),
+            ([(0, "params", lambda v: {**v, "n": float(v["n"])})], 1),
+        ]
+        for edits, count in cases:
+            new = [dict(e) for e in entries] if edits else entries[:-1]
+            for i, key, edit in edits:
+                new[i][key] = edit(new[i][key])
+            assert len(_ledger_moves(entries, new)) == count, edits
