@@ -18,7 +18,6 @@ from .prolate import (
     prolate_apply,
     prolate_dense,
     random_bandlimited,
-    sampled_sinusoid,
 )
 from .basis import (
     BASES,

@@ -143,7 +143,7 @@ def cross_operator_dense(op: ProlateOperator, split: DftBandSplit) -> np.ndarray
     rows in ``high_indices`` order: the real rows of ``_cross_rows``
     expanded by ``_dft_rows``, so row -k is the conjugate of row k bit for
     bit.  Its peak of 24 n_high N bytes, the real rows and the output, is
-    checked against the dense-byte limit under ``_cross_rows``'s label.
+    checked against the dense-byte limit first.
     """
     _check_dense_bytes(f"cross_operator_dense(n={op.n}, w={op.w})",
                        24 * split.n_high * op.n)
@@ -188,8 +188,7 @@ def _cross_rows(op: ProlateOperator, split: DftBandSplit) -> np.ndarray:
     bytes a column, fit in that copy's bytes before the caller makes it.
     """
     n = op.n
-    _check_dense_bytes(f"cross_operator_dense(n={n}, w={op.w})",
-                       16 * split.n_high * n)
+    _check_dense_bytes(f"_cross_rows(n={n}, w={op.w})", 16 * split.n_high * n)
     # column j of B is sym[n-1-j:2n-1-j]: one strided view serves every block
     sym = np.concatenate([op.first_row[:0:-1], op.first_row])
     cols = np.lib.stride_tricks.sliding_window_view(sym, n)[::-1]
@@ -420,10 +419,12 @@ def _sketch_basis(split: DftBandSplit, sketch: np.ndarray, seed: int) -> RoastBa
     map is unitary, so the pivots are those of the complex sketch.
 
     The QR is taken in raw form and ``dorgqr`` forms only the kept columns
-    of Q from their reflectors, with the workspace it asks for, as the
-    economic QR forms all of them: a full-rank sketch gets the economic Q
-    bit for bit.  The kept factor, signed as the DPSS vectors are, is stored
-    as a compact column-major copy, so the basis keeps no QR workspace alive.
+    of Q from their reflectors, with the workspace it asks for, where the
+    economic QR would form all P of them, most of them dropped at the
+    rank-deficient widths ``randomized_suite`` takes; a full-rank sketch
+    gets the economic Q bit for bit.  The kept factor, signed as the DPSS
+    vectors are, is stored as a compact column-major copy, so the basis
+    keeps no QR workspace alive.
     """
     (qr, tau), rmat, _ = sla.qr(sketch, mode="raw", pivoting=True)
     diag = np.abs(np.diag(rmat))

@@ -166,8 +166,6 @@ def _as_projector(projector):
     if isinstance(projector, np.ndarray):
         q = projector
         return lambda x: q @ (q.conj().T @ x)
-    if callable(projector):
-        return projector
     raise TypeError(f"cannot interpret {type(projector).__name__} as a projector")
 
 
@@ -219,6 +217,18 @@ def _full_solve(dpss) -> tuple[int, float]:
     if dpss.k < dpss.n:
         raise ValueError(f"need the full Slepian solve, got {dpss.k} of {dpss.n} vectors")
     return dpss.n, dpss.w
+
+
+def _leading_slepian_rows(dpss, eps: float, split) -> tuple[int, np.ndarray]:
+    """(k, ``_slepian_rows`` of s_k) for the k Slepian vectors s_k of the
+    full solve ``dpss`` whose eigenvalues reach ``eps``, on ``split``; s_k
+    is checked orthonormal to 1e-8, and k = 0 is refused."""
+    k = int(np.sum(dpss.eigenvalues >= eps))
+    if k == 0:
+        raise ValueError(f"no eigenvalues reach eps={eps}; nothing to capture")
+    s_k = dpss.vectors[:, :k]
+    _ensure_orthonormal(s_k, what="Slepian vectors")
+    return k, _slepian_rows(s_k, split)
 
 
 def _checked_basis(q_like, what: str = "basis"):
@@ -350,8 +360,8 @@ def sinusoid_residual_sq(projector, n: int, freqs: np.ndarray) -> np.ndarray:
     ``RoastBasis`` is closed under conjugation, so e_f and e_{-f} = conj e_f
     leave one residual norm: the kernel runs at each distinct |f| once.
 
-    Any other ``projector`` is anything ``_as_projector`` accepts; a matrix
-    Q is applied densely as Q (Q^* x) to blocks of max(1, 2**21 // n)
+    Any other ``projector``, an object with ``project`` or a matrix Q
+    applied densely as Q (Q^* x), takes blocks of max(1, 2**21 // n)
     sinusoids.
     """
     sequence = isinstance(projector, (list, tuple))
@@ -568,8 +578,8 @@ def dpss_capture_report(dpss, eps: float, basis) -> BoundLedger:
     All run in real cosine/sine coordinates, whose maps are unitary, through
     ``_capture_errors``: eta from the real rows of the cross operator
     (``_cross_rows``) and the basis's real factor q, and the Slepian values
-    from the out-of-band rows of s_k (``_slepian_rows``).  s_k and q are
-    checked orthonormal to 1e-8.
+    from the out-of-band rows of s_k (``_leading_slepian_rows``).  s_k and
+    q are checked orthonormal to 1e-8.
 
     For the svd_fb basis at the verify detail point eta reads the Lanczos
     stopping floor of ``build_roast``, while both capture errors sit near
@@ -581,16 +591,11 @@ def dpss_capture_report(dpss, eps: float, basis) -> BoundLedger:
     if (basis.n, basis.w) != (n, w):
         raise ValueError(f"basis at (n={basis.n}, w={basis.w}) does not match "
                          f"the solve at (n={n}, w={w})")
-    k = int(np.sum(dpss.eigenvalues >= eps))
-    if k == 0:
-        raise ValueError(f"no eigenvalues reach eps={eps}; nothing to capture")
-    s_k = dpss.vectors[:, :k]
-    _ensure_orthonormal(s_k, what="Slepian vectors")
+    k, x = _leading_slepian_rows(dpss, eps, basis.split)
     q = _checked_basis(basis).q
     rows = _cross_rows(build_prolate(n, w), basis.split)
     eta = math.sqrt(max(_capture_errors(rows, q)[0], 0.0)) / eps
-    capture_sq, per_vector, cos_theta = _capture_errors(
-        _slepian_rows(s_k, basis.split), q)
+    capture_sq, per_vector, cos_theta = _capture_errors(x, q)
 
     ledger = BoundLedger()
     params = {"n": n, "w": w, "eps": eps, "k": k, "r": basis.r,

@@ -1,9 +1,10 @@
-"""Prolate (sinc-kernel) operator, DPSS basis, DFT band split, and test signals.
+"""Prolate (sinc-kernel) operator, DPSS basis, DFT band split, and test signal.
 
 Everything downstream builds on the objects here: the implicit symmetric
 Toeplitz operator with an FFT-fast matvec, the leading Slepian vectors
 obtained from the commuting tridiagonal eigenproblem, the split of the DFT
-into in-band and out-of-band columns, and deterministic signal generators.
+into in-band and out-of-band columns, and the one signal generator,
+``random_bandlimited``, a seeded sum of random in-band tones.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "prolate_dense",
     "build_dpss",
     "build_band_split",
-    "sampled_sinusoid",
     "random_bandlimited",
     "log_width_constant",
 ]
@@ -213,12 +213,14 @@ def prolate_dense(op: ProlateOperator) -> np.ndarray:
 class DpssBasis:
     """Leading ``k`` Slepian vectors (columns) with concentration eigenvalues.
 
-    Columns are orthonormal, ordered by eigenvalue descending, and follow the
-    sign convention that the first entry of magnitude above 1e-12 is
-    positive.  ``vectors`` is Fortran-ordered, so each column is contiguous.
-    Inside the clusters whose eigenvalues round to 1 or to 0 the column order
-    is deterministic but follows round-off, so it carries no meaning; the
-    span at every separated cut does.
+    Columns are orthonormal, in the exact descending order of the commuting
+    tridiagonal's eigenvectors, so column j has parity (-1)^j under time
+    reversal, and follow the sign convention that the first entry of
+    magnitude above 1e-12 is positive.  ``vectors`` is Fortran-ordered, so
+    each column is contiguous.  ``eigenvalues`` holds the columns' Rayleigh
+    quotients sorted descending; a column's own quotient differs from its
+    listed value only inside the clusters at 0 and 1, and there by at most
+    about 1.5e-15.
     """
 
     n: int
@@ -254,24 +256,6 @@ def _half_eigenvectors(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndar
             f"tridiagonal eigensolver failed at half size {len(diag)}: {exc}"
         ) from exc
     return u[:, len(diag) - count:][:, ::-1]
-
-
-def _permute_columns(a: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """``a`` with a[:, j] replaced by a[:, order[j]] for every j, in place:
-    each cycle of the permutation moves one column at a time, so no second
-    N x k array is formed."""
-    done = np.zeros(len(order), dtype=bool)
-    for start in np.flatnonzero(order != np.arange(len(order))):
-        if done[start]:
-            continue
-        held, j = a[:, start].copy(), start
-        while order[j] != start:
-            a[:, j] = a[:, order[j]]
-            done[j] = True
-            j = order[j]
-        a[:, j] = held
-        done[j] = True
-    return a
 
 
 def _fix_signs(vecs: np.ndarray) -> None:
@@ -336,8 +320,8 @@ def build_dpss(n: int, w: float, k: int) -> DpssBasis:
     sum_j c_j |V_j|^2 / M for the M-point spectrum V of the padded v and the
     real circulant spectrum c.  Columns go in blocks of ``_RAYLEIGH_BLOCK``,
     or of fewer where that many would not fit in the bytes of the half-size
-    solve; the values are clamped into (0, 1) and stably sorted, and the
-    columns follow them in place (``_permute_columns``).
+    solve; the values are clamped into (0, 1) and sorted descending, while
+    the columns keep the solver's exact order (see ``DpssBasis``).
     """
     _validate_nw(n, w)
     if not 1 <= k <= n:
@@ -390,10 +374,8 @@ def build_dpss(n: int, w: float, k: int) -> DpssBasis:
     for j0 in range(0, k, cols):
         lam[j0:j0 + cols] = weight @ _power_spectrum(
             np.fft.rfft(vecs[:, j0:j0 + cols], n=op.embed_size, axis=0))
-    lam = np.clip(lam, _EIG_CLAMP, 1.0 - _EIG_CLAMP)
-    order = np.argsort(-lam, kind="stable")
-    return DpssBasis(n=int(n), w=float(w), k=int(k),
-                     vectors=_permute_columns(vecs, order), eigenvalues=lam[order])
+    lam = -np.sort(-np.clip(lam, _EIG_CLAMP, 1.0 - _EIG_CLAMP))
+    return DpssBasis(n=int(n), w=float(w), k=int(k), vectors=vecs, eigenvalues=lam)
 
 
 @dataclass(frozen=True)
@@ -438,11 +420,6 @@ class DftBandSplit:
         n, h = self.n, self.h
         return np.r_[n // 2 + 1:n - h, h + 1:n // 2 + 1]
 
-    def signed_frequencies(self, indices: np.ndarray) -> np.ndarray:
-        """Signed integer frequencies for wrapped DFT indices."""
-        idx = np.asarray(indices)
-        return np.where(idx <= self.n // 2, idx, idx - self.n)
-
 
 def build_band_split(n: int, w: float) -> DftBandSplit:
     """Split the normalized DFT into in-band and out-of-band column sets;
@@ -453,23 +430,10 @@ def build_band_split(n: int, w: float) -> DftBandSplit:
 
 @dataclass(frozen=True)
 class SignalEnsemble:
-    """A length-N test signal plus the recipe that produced it."""
+    """A length-N test signal."""
 
     n: int
-    kind: str
     samples: np.ndarray
-    params: dict
-
-
-def sampled_sinusoid(n: int, f: float) -> SignalEnsemble:
-    """Complex exponential exp(j*2*pi*f*m), m = 0..N-1, squared norm N."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"signal length must be a positive integer, got {n!r}")
-    if not -0.5 <= f <= 0.5:
-        raise ValueError(f"frequency must lie in [-1/2, 1/2], got {f!r}")
-    samples = np.exp(2j * np.pi * f * np.arange(n))
-    return SignalEnsemble(n=int(n), kind="pure_sinusoid", samples=samples,
-                          params={"f": float(f)})
 
 
 def random_bandlimited(n: int, w: float, num_tones: int, seed: int) -> SignalEnsemble:
@@ -506,7 +470,4 @@ def random_bandlimited(n: int, w: float, num_tones: int, seed: int) -> SignalEns
         outer = np.exp(1j * np.outer(outer_m, omega))
         outer *= coeffs[j0:j0 + chunk]
         samples += outer @ np.exp(1j * np.outer(omega, inner_m))
-    return SignalEnsemble(n=int(n), kind="random_bandlimited",
-                          samples=samples.reshape(-1)[:n],
-                          params={"w": float(w), "num_tones": int(num_tones),
-                                  "seed": int(seed)})
+    return SignalEnsemble(n=int(n), samples=samples.reshape(-1)[:n])

@@ -15,7 +15,6 @@ import numpy as np
 
 from .basis import (
     _sketch,
-    _slepian_rows,
     _sketch_basis,
     build_roast,
     rank_for_average,
@@ -33,8 +32,8 @@ from .diagnostics import (
     _band_grid,
     _capture_errors,
     _checked_basis,
-    _ensure_orthonormal,
     _full_solve,
+    _leading_slepian_rows,
     dpss_capture_report,
     eigenvalue_concentration_report,
     integrated_residual,
@@ -101,8 +100,8 @@ def capture_suite(dpss, eps: float, r: int | None = None) -> BoundLedger:
     the cross operator's rows are formed inside ``dpss_capture_report``."""
     ledger = BoundLedger()
     n, w = _full_solve(dpss)
-    k = int(np.sum(dpss.eigenvalues >= eps))
     split = build_band_split(n, w)
+    k, x = _leading_slepian_rows(dpss, eps, split)
 
     r_used = rank_for_capture(n, eps) if r is None else r
     r_used = min(r_used, split.n_high)
@@ -119,8 +118,7 @@ def capture_suite(dpss, eps: float, r: int | None = None) -> BoundLedger:
     r_angle = min(rank_for_capture_angle(n, eps) if r is None else r,
                   split.n_high)
     basis_angle = build_roast(n, w, r_angle) if r_angle != r_used else basis
-    cos_theta = _capture_errors(_slepian_rows(dpss.vectors[:, :k], split),
-                                _checked_basis(basis_angle).q)[2]
+    cos_theta = _capture_errors(x, _checked_basis(basis_angle).q)[2]
     ledger.add("dpss_capture_angle_vs_eps", math.sqrt(1.0 - eps), cos_theta,
                n=n, w=w, eps=eps, k=k, r=r_angle)
     return ledger
@@ -164,7 +162,7 @@ def pointwise_suite(n: int, w: float, eps: float) -> BoundLedger:
     return ledger
 
 
-def randomized_suite(dpss, eps: float, num_seeds: int = 20) -> BoundLedger:
+def randomized_suite(dpss, eps: float, num_seeds: int) -> BoundLedger:
     """Expectation-level guarantees for the sketched construction.
 
     Over ``num_seeds`` seeds, checks the seed means of the capture error and
@@ -188,10 +186,7 @@ def randomized_suite(dpss, eps: float, num_seeds: int = 20) -> BoundLedger:
     n, w = _full_solve(dpss)
     split = build_band_split(n, w)
     op = build_prolate(n, w)
-    k = int(np.sum(dpss.eigenvalues >= eps))
-    s_k = dpss.vectors[:, :k]
-    _ensure_orthonormal(s_k, what="Slepian vectors")
-    x = _slepian_rows(s_k, split)
+    k, x = _leading_slepian_rows(dpss, eps, split)
     p_cap = min(sketch_for_capture(n, eps), split.n_high)
     p_angle = min(sketch_for_capture_angle(n, eps), split.n_high)
     p_avg = min(sketch_for_average(n, eps), split.n_high)

@@ -30,7 +30,6 @@ from roast import (
     log_width_constant,
     prolate_dense,
     rank_for_capture,
-    sampled_sinusoid,
     serialize_basis,
 )
 
@@ -319,7 +318,7 @@ class TestApplyPaths:
             assert np.max(np.abs(apply_analysis(basis, x) - q.conj().T @ x)) <= 1e-10
 
     def test_analysis_of_dc(self, basis):
-        coeffs = apply_analysis(basis, sampled_sinusoid(512, 0.0).samples)
+        coeffs = apply_analysis(basis, np.ones(512, dtype=complex))
         low = coeffs[:basis.split.n_low]
         dc_slot = np.flatnonzero(basis.split.low_indices == 0)[0]
         assert abs(low[dc_slot] - np.sqrt(512)) <= 1e-9
@@ -605,7 +604,7 @@ class TestSubDft:
 
     def test_on_grid_sinusoid_captured(self):
         sub = build_subdft(1024, 0.25, 27)
-        x = sampled_sinusoid(1024, 100.0 / 1024.0).samples
+        x = np.exp(2j * np.pi * (100.0 / 1024.0) * np.arange(1024))
         assert np.linalg.norm(x - sub.project(x)) <= 1e-12 * np.linalg.norm(x)
 
     def test_band_overflow(self):
@@ -758,7 +757,10 @@ _GUARDED_PATHS = [
 class TestDenseByteGuards:
     # every call would need gigabytes; each must refuse before allocating
     @pytest.mark.parametrize("name,call", [
-        ("cross_operator_dense",  # 16 n_high N = 3.4 GB
+        ("cross_operator_dense",  # 24 n_high N = 5.2 GB
+         lambda: roast.cross_operator_dense(build_prolate(16384, 0.1),
+                                            build_band_split(16384, 0.1))),
+        ("_cross_rows",  # 16 n_high N = 3.4 GB
          lambda: roast.singular_decay_report(16384, 0.1)),
         ("dense_basis",  # 16 N dimension = 2,147,745,792 B, plus the
          # 1 MiB row block: just above the 2,147,483,648 B limit
@@ -782,6 +784,13 @@ class TestDenseByteGuards:
         finally:
             tracemalloc.stop()
         assert peak < 2**24
+
+    def test_refusal_names_the_refusing_function(self):
+        # singular_decay_report forms the real rows, never the complex
+        # cross operator, so its refusal must not name the latter
+        with pytest.raises(ValueError, match=r"^_cross_rows\(n=20000") as info:
+            roast.singular_decay_report(20000, 0.25)
+        assert "cross_operator_dense" not in str(info.value)
 
     def test_cross_operator_dense_charges_its_peak(self):
         # 24 n_high N: at N=14000 the real rows' 16 n_high N (1.57 GB) fit

@@ -17,7 +17,6 @@ from roast import (
     log_width_constant,
     rank_for_capture,
     residual_snr,
-    sampled_sinusoid,
     singular_decay_report,
     sinusoid_derivative_check,
     subspace_angle,
@@ -30,12 +29,12 @@ from roast.verify import capture_suite, pointwise_suite, small_instance_checks
 class TestResidualSnr:
     def test_signal_in_range_is_infinite(self):
         sub = build_subdft(64, 0.25, 0)
-        x = sampled_sinusoid(64, 0.0).samples  # the DC column, held exactly
+        x = np.ones(64, dtype=complex)  # the DC column, held exactly
         assert residual_snr(sub, x) == math.inf
 
     def test_orthogonal_signal_is_zero_db(self):
         sub = build_subdft(8, 0.05, 0)  # retains only the DC column
-        x = sampled_sinusoid(8, 0.5).samples  # alternating +-1, sums to zero
+        x = (-1.0) ** np.arange(8)  # alternating +-1, sums to zero
         assert abs(residual_snr(sub, x)) <= 1e-12
 
     def test_zero_signal_rejected(self):
@@ -45,18 +44,20 @@ class TestResidualSnr:
 
     def test_matches_dense_oracle(self):
         sub = build_subdft(1024, 0.25, 27)
-        x = sampled_sinusoid(1024, 0.1).samples
+        x = np.exp(2j * np.pi * 0.1 * np.arange(1024))
         q = sub.dense_basis()
         resid = np.linalg.norm(x - q @ (q.conj().T @ x))
         expected = 20 * np.log10(np.linalg.norm(x) / resid)
         assert abs(residual_snr(sub, x) - expected) <= 1e-9
 
-    def test_accepts_plain_matrix_and_callable(self, rng):
+    def test_accepts_plain_matrix_refuses_callable(self, rng):
         q = np.linalg.qr(rng.standard_normal((32, 5)))[0]
         x = rng.standard_normal(32)
-        via_matrix = residual_snr(q, x)
-        via_callable = residual_snr(lambda v: q @ (q.T @ v), x)
-        assert abs(via_matrix - via_callable) <= 1e-12
+        want = 20.0 * np.log10(np.linalg.norm(x)
+                               / np.linalg.norm(x - q @ (q.T @ x)))
+        assert abs(residual_snr(q, x) - want) <= 1e-12
+        with pytest.raises(TypeError):
+            residual_snr(lambda v: q @ (q.T @ v), x)
 
 
 class TestIntegratedResidual:
@@ -128,7 +129,7 @@ class TestSinusoidResidualKernel:
         got = sinusoid_residual_sq(q if dense else basis, n, freqs)
         assert got.shape == (2000,)
         for i in (0, 1, 1000, *range(1900, 1912), 1998, 1999):
-            e = sampled_sinusoid(n, freqs[i]).samples
+            e = np.exp(2j * np.pi * freqs[i] * np.arange(n))
             resid = e - q @ (q.conj().T @ e)
             assert abs(got[i] - np.vdot(resid, resid).real) <= 1e-8
 
@@ -246,7 +247,7 @@ class TestSinusoidResidualKernel:
         for row, basis in zip(got, bases):
             assert np.array_equal(row, sinusoid_residual_sq(basis, n, freqs))
         for i in (0, 63, 64, 127, 128, 191, 192, 199):
-            e = sampled_sinusoid(n, freqs[i]).samples
+            e = np.exp(2j * np.pi * freqs[i] * np.arange(n))
             resid = e - bases[0].project(e)
             assert abs(got[0, i] - np.vdot(resid, resid).real) <= 1e-8
 
@@ -334,14 +335,16 @@ class TestMirroredResidual:
         ratio = roast.diagnostics._dirichlet_ratio(n, rows, freqs)
         np.testing.assert_array_equal(sinusoid_residual_sq(subdft, n, freqs),
                                       np.einsum("ij,ij->j", ratio, ratio))
-        # the dense path, as a plain callable takes it
+        # the dense path: a matrix Q, or a basis's own projection
         q = build_roast(n, w, 6).dense_basis()
         dpss = roast.build_dpss(n, w, split.n_low + 6)
-        np.testing.assert_array_equal(
-            sinusoid_residual_sq(q, n, freqs),
-            sinusoid_residual_sq(lambda x: q @ (q.conj().T @ x), n, freqs))
-        np.testing.assert_array_equal(sinusoid_residual_sq(dpss, n, freqs),
-                                      sinusoid_residual_sq(dpss.project, n, freqs))
+        e = np.exp(2j * np.pi * np.arange(n)[:, None] * freqs[None, :])
+        for projector, project in [(q, lambda x: q @ (q.conj().T @ x)),
+                                   (dpss, dpss.project)]:
+            resid = e - project(e)
+            np.testing.assert_array_equal(
+                sinusoid_residual_sq(projector, n, freqs),
+                np.einsum("ij,ij->j", resid.conj(), resid).real)
 
     @staticmethod
     def _count_frequencies(monkeypatch):

@@ -17,7 +17,6 @@ from roast import (
     prolate_apply,
     prolate_dense,
     random_bandlimited,
-    sampled_sinusoid,
 )
 
 INV_PI = 0.3183098861837907  # 1/pi
@@ -119,16 +118,14 @@ class TestProlateOperator:
 
 
 class TestDpss:
-    @pytest.mark.parametrize("k", [1, 2, 7, 64])
-    def test_columns_permuted_in_place(self, k, rng):
-        # every cycle structure of a random permutation, against a copy
-        # taken by fancy indexing
-        a = np.asfortranarray(rng.standard_normal((5, k)))
-        order = rng.permutation(k)
-        want = a[:, order]
-        got = roast.prolate._permute_columns(a, order)
-        assert got is a
-        np.testing.assert_array_equal(got, want)
+    @pytest.mark.parametrize("n, w, k", [(512, 0.25, 512), (2048, 0.25, 1024),
+                                         (1025, 0.25, 700), (333, 0.05, 333)])
+    def test_column_j_has_parity_minus_one_to_the_j(self, n, w, k):
+        # the columns keep the commuting tridiagonal's order, in which the
+        # j-th eigenvector is even or odd under time reversal as j is, bit
+        # for bit, also inside the clusters at 0 and 1
+        v = build_dpss(n, w, k).vectors
+        assert np.array_equal(v[::-1], v * (-1.0) ** np.arange(k))
 
     def test_complex_input_forms_no_complex_copy(self, rng):
         # analysis and synthesis take a complex vector or block by its real
@@ -234,13 +231,12 @@ class TestDpss:
             assert first > 0
 
     def test_partial_vectors_belong_to_full_family(self, caches):
-        # near-degenerate eigenvalues at the 0/1 clusters make top-k
-        # membership tie-dependent, but each computed vector must be one of
-        # the full family's columns
+        # the columns keep the solver's order, so a partial solve is the
+        # full solve's leading columns bit for bit, even inside the cluster
+        # at 1 where the eigenvalues tie to round-off
         full = caches.dpss(256, 0.25)
         part = build_dpss(256, 0.25, 16)
-        overlap = np.abs(part.vectors.T @ full.vectors)
-        assert np.all(overlap.max(axis=1) >= 1 - 1e-8)
+        np.testing.assert_array_equal(part.vectors, full.vectors[:, :16])
 
     def test_partial_span_matches_at_transition_boundary(self, caches):
         # k chosen inside the transition band, where eigenvalues are well
@@ -275,8 +271,8 @@ class TestBandSplit:
 
     def test_orderings(self):
         split = build_band_split(16, 0.2)
-        assert np.all(np.diff(split.signed_frequencies(split.low_indices)) > 0)
-        assert np.all(np.diff(split.signed_frequencies(split.high_indices)) > 0)
+        for idx in (split.low_indices, split.high_indices):
+            assert np.all(np.diff(np.where(idx <= 8, idx, idx - 16)) > 0)
 
     @pytest.mark.parametrize("parity", [0, 1])
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -316,24 +312,6 @@ class TestBandSplit:
 
 
 class TestSignals:
-    def test_dc_is_all_ones(self):
-        sig = sampled_sinusoid(16, 0.0)
-        np.testing.assert_array_equal(sig.samples, np.ones(16))
-
-    @pytest.mark.parametrize("f", [-0.5, -0.123, 0.0, 0.25, 0.5])
-    def test_squared_norm(self, f):
-        sig = sampled_sinusoid(64, f)
-        assert abs(np.vdot(sig.samples, sig.samples).real - 64.0) <= 1e-10
-
-    def test_eighth_band_entries(self):
-        sig = sampled_sinusoid(8, 1.0 / 8.0)
-        expected = np.exp(1j * np.pi * np.arange(8) / 4.0)
-        np.testing.assert_allclose(sig.samples, expected, atol=1e-15)
-
-    def test_frequency_out_of_range(self):
-        with pytest.raises(ValueError):
-            sampled_sinusoid(8, 0.51)
-
     def test_bandlimited_deterministic(self):
         a = random_bandlimited(128, 0.25, 50, seed=42)
         b = random_bandlimited(128, 0.25, 50, seed=42)

@@ -22,7 +22,6 @@ SETTABLE = [
     ("verify", "capture_suite", "r"),
     ("verify", "full_verification", "capture_r"),
     ("verify", "full_verification", "num_seeds"),
-    ("verify", "randomized_suite", "num_seeds"),
 ]
 
 

@@ -188,9 +188,9 @@ class TestSuites:
         # leaves residuals far above round-off
         w, eps = 0.25, 1e-2
         dpss = caches.dpss(n, w)
-        s_k = dpss.vectors[:, :int(np.sum(dpss.eigenvalues >= eps))]
-        split = roast.prolate.build_band_split(n, w)
-        x = roast.verify._slepian_rows(s_k, split)
+        k, x = roast.verify._leading_slepian_rows(
+            dpss, eps, roast.prolate.build_band_split(n, w))
+        s_k = dpss.vectors[:, :k]
         for seed in range(3):
             basis = build_roast_randomized(n, w, 4, seed)
             q = basis.q
@@ -213,9 +213,8 @@ class TestSuites:
         # capture suite's svd_fb basis and a randomized basis at p_cap;
         # both residuals sit near 1e-20
         n, w = 512, 0.25
-        dpss = caches.dpss(n, w)
-        s_k = dpss.vectors[:, :int(np.sum(dpss.eigenvalues >= eps))]
-        x = roast.verify._slepian_rows(s_k, roast.prolate.build_band_split(n, w))
+        _, x = roast.verify._leading_slepian_rows(
+            caches.dpss(n, w), eps, roast.prolate.build_band_split(n, w))
         basis = (caches.roast(n, w, rank_for_capture(n, eps)) if p is None
                  else build_roast_randomized(n, w, p, 0))
         q = basis.q
