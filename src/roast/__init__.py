@@ -16,7 +16,6 @@ from .prolate import (
     build_prolate,
     log_width_constant,
     prolate_apply,
-    prolate_dense,
     random_bandlimited,
 )
 from .basis import (
@@ -25,7 +24,6 @@ from .basis import (
     RoastBasis,
     apply_analysis,
     apply_synthesis,
-    build_fst_analog,
     build_roast,
     build_roast_randomized,
     build_subdft,

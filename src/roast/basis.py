@@ -14,9 +14,8 @@ it as built.  The out-of-band product of analysis and synthesis is one real
 GEMM on q, taken in row blocks of ``_ROW_CHUNK`` because OpenBLAS runs tall
 skinny products faster in pieces.
 
-Also here: the widened-DFT baseline (Sub-DFT), the non-orthogonal factor
-pair (T1, T2) of a Hermitian low-rank-corrected band projector (the FST
-analog) as a comparison point, and a binary serialization for built bases.
+Also here: the widened-DFT baseline (Sub-DFT), the sizing rules, and a
+binary serialization for built bases.
 
 ``RoastBasis``, ``SubDftBasis`` and ``DpssBasis`` share one protocol: ``n``,
 ``dimension``, ``analyze`` (Q^* x), ``synthesize`` (Q c), ``project``
@@ -48,7 +47,6 @@ from .prolate import (
     build_prolate,
     log_width_constant,
     prolate_apply,
-    prolate_dense,
 )
 
 __all__ = [
@@ -60,7 +58,6 @@ __all__ = [
     "apply_analysis",
     "apply_synthesis",
     "build_subdft",
-    "build_fst_analog",
     "serialize_basis",
     "deserialize_basis",
     "BasisFormatError",
@@ -232,10 +229,10 @@ def _dft_rows(cos_sin: np.ndarray) -> np.ndarray:
 class RoastBasis:
     """Orthonormal basis [F, Fbar @ V] with FFT-fast analysis and synthesis.
 
-    V has shape (n_high, r) with orthonormal columns; the implied full basis
-    has 2*floor(NW)+1+R columns.  ``method`` records how V was built
-    ("svd_fb", "svd_fbf", or "randomized"), ``seed`` the sketch seed when
-    randomized.  Immutable.
+    V has shape (n_high, R) with orthonormal columns, R = ``r`` the column
+    count of q; the implied full basis has 2*floor(NW)+1+R columns.
+    ``method`` records how V was built ("svd_fb", "svd_fbf", or
+    "randomized"), ``seed`` the sketch seed when randomized.  Immutable.
 
     V is stored as its real orthonormal factor ``q``, n_high x R in the
     cosine/sine coordinates of ``_cos_sin_rows``: the builder's factor bit
@@ -245,7 +242,6 @@ class RoastBasis:
     """
 
     split: DftBandSplit
-    r: int
     q: np.ndarray = field(repr=False)
     method: str
     seed: int | None = None
@@ -253,6 +249,10 @@ class RoastBasis:
     @property
     def n(self) -> int:
         return self.split.n
+
+    @property
+    def r(self) -> int:
+        return self.q.shape[1]
 
     @property
     def w(self) -> float:
@@ -322,8 +322,12 @@ def _out_of_band_eigenvectors(op: ProlateOperator, split: DftBandSplit,
     finder (Halko, Martinsson and Tropp, arXiv:0909.4061, sec. 4.2), bring
     the top r Ritz pairs to the tolerance in that first fill or after a
     short restart.  ARPACK cannot take r = n_high, so there ``eigh``
-    decomposes G applied to the identity.  Both return orthonormal vectors;
-    no re-orthogonalization follows.
+    decomposes G applied to the identity; that product holds the identity,
+    the positive-bin spectrum, B's input and output beside one column
+    group's copy, and the two M-row transforms of the circulant embedding,
+    so a call whose 8 n_high (n_high + 4N + 2M) bytes exceed the dense-byte
+    limit is refused first.  Both return orthonormal vectors; no
+    re-orthogonalization follows.
     """
     n, n_high, h = op.n, split.n_high, split.h
     shift = 1.0 if power == 1 else math.sqrt(np.finfo(float).eps)
@@ -338,6 +342,8 @@ def _out_of_band_eigenvectors(op: ProlateOperator, split: DftBandSplit,
         return _slepian_rows(y, split) + shift * a
 
     if r == n_high:
+        _check_dense_bytes(f"build_roast(n={n}, w={split.w}, r={r})",
+                           8 * n_high * (n_high + 4 * n + 2 * op.embed_size))
         vals, ritz = np.linalg.eigh(matvec(np.eye(n_high)))
     else:
         g = spla.LinearOperator((n_high, n_high), matvec=matvec, matmat=matvec,
@@ -373,7 +379,9 @@ def build_roast(n: int, w: float, r: int, method: str = "svd_fb") -> RoastBasis:
     or of Fbar^* B Fbar by symmetric Lanczos on O(N log N) products, in
     O(N R) memory.  Past the numerical rank Lanczos stops at its tolerance:
     ||(I - V V^*) Fbar^* B||_2 floors near 1e-11, against a leading singular
-    value near 0.43.  Raises RuntimeError if Lanczos fails.
+    value near 0.43.  Raises RuntimeError if Lanczos fails; at R = n_high,
+    where a dense ``eigh`` replaces Lanczos, a size above the dense-byte
+    limit is refused first.
     """
     if method not in _ROAST_METHODS:
         raise ValueError(f"method must be 'svd_fb' or 'svd_fbf', got {method!r}")
@@ -386,7 +394,7 @@ def build_roast(n: int, w: float, r: int, method: str = "svd_fb") -> RoastBasis:
     else:
         q = _out_of_band_eigenvectors(build_prolate(n, w), split, r,
                                       2 if method == "svd_fb" else 1)
-    return RoastBasis(split=split, r=int(r), q=q, method=method)
+    return RoastBasis(split=split, q=q, method=method)
 
 
 def build_roast_randomized(n: int, w: float, p: int, seed: int) -> RoastBasis:
@@ -435,8 +443,8 @@ def _sketch_basis(split: DftBandSplit, sketch: np.ndarray, seed: int) -> RoastBa
     if info != 0:
         raise RuntimeError(f"dorgqr failed with info={info}")
     _fix_signs(real)
-    return RoastBasis(split=split, r=keep, q=real.copy(order="F"),
-                      method="randomized", seed=int(seed))
+    return RoastBasis(split=split, q=real.copy(order="F"), method="randomized",
+                      seed=int(seed))
 
 
 def _column_fft(x: np.ndarray) -> np.ndarray:
@@ -588,8 +596,6 @@ class SubDftBasis:
     """
 
     n: int
-    w: float
-    r: int
     indices: np.ndarray
 
     @property
@@ -623,50 +629,7 @@ def build_subdft(n: int, w: float, r: int) -> SubDftBasis:
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
     signed = np.arange(-(split.h + r // 2), split.h + (r + 1) // 2 + 1)
-    return SubDftBasis(n=int(n), w=float(w), r=int(r),
-                       indices=np.mod(signed, n))
-
-
-def build_fst_analog(n: int, w: float,
-                     rank_r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Non-orthogonal factors (T1, T2) of F F^* + L_r, the best Hermitian
-    rank-r correction of the band projector toward B: the fast-factorization
-    baseline, applied as T1 @ (T2^* x).
-
-    L_r comes from a dense eigendecomposition of B - F F^* with the r
-    largest-magnitude eigenpairs (signed values, so the operator stays
-    Hermitian) retained, so the spectral error is exactly the (r+1)-th
-    magnitude.  T1 = [F, U diag(values)] and T2 = [F, U].
-
-    F is written into T2's leading columns, and B - F F^* is formed in
-    place in real arithmetic: Re(F F^*) = X X^T for the real view X = [Re
-    f_0, Im f_0, ...] of F, a product numpy takes by ``syrk`` and mirrors,
-    so the difference is symmetric bit for bit, as B is.  The peak, T2
-    beside B and one more real N x N array (X X^T, then U), or T1 beside
-    T2, is at most 32 N max(N, d) bytes for d = n_low + r columns; above
-    the dense-byte limit the call is refused before any of them is formed.
-    """
-    if rank_r < 0:
-        raise ValueError(f"rank must be nonnegative, got {rank_r}")
-    split = build_band_split(n, w)
-    if rank_r > n:
-        raise ValueError(f"rank {rank_r} exceeds n={n}")
-    n_low = split.n_low
-    _check_dense_bytes(f"build_fst_analog(n={n})",
-                       32 * n * max(n, n_low + rank_r))
-    t2 = np.empty((n, n_low + rank_r), dtype=complex)
-    _write_dft(n, split.low_indices, t2[:, :n_low], None)
-    re_im = t2[:, :n_low].view(float)
-    diff = prolate_dense(build_prolate(n, w))
-    diff -= re_im @ re_im.T
-    vals, vecs = np.linalg.eigh(diff)
-    del diff
-    order = np.argsort(-np.abs(vals))[:rank_r]
-    t2[:, n_low:] = vecs[:, order]
-    del vecs
-    t1 = t2.copy()
-    t1[:, n_low:] *= vals[order]
-    return t1, t2
+    return SubDftBasis(n=int(n), indices=np.mod(signed, n))
 
 
 # Each builder takes (n, w, r, seed) and returns a basis of dimension
@@ -846,4 +809,4 @@ def deserialize_basis(data: bytes) -> RoastBasis:
             f"dimension inconsistency: payload holds {len(q_bytes)} bytes, "
             f"header implies {expected}")
     q = np.frombuffer(q_bytes, dtype="<f8").reshape((split.n_high, r), order="F")
-    return RoastBasis(split=split, r=r, q=q, method=method, seed=seed)
+    return RoastBasis(split=split, q=q, method=method, seed=seed)

@@ -28,10 +28,12 @@ sketch drawn at r_max; ``sweep-sinusoid`` honours
 ``--method`` and falls back to the deterministic basis at R = 0, because a
 sketch needs P >= 1; ``scaling-bench`` times each builder separately.
 
-A value outside its range exits 2 before the runner starts.  A rank,
-sketch width or ``--m`` that does not fit the band split of its N and
-``--w`` exits 2 from the runner that derives it, before any basis is built
-or signal drawn, and so does a size a dense path refuses.
+``--r`` is the count of extra directions, or for ``build --method
+randomized`` the sketch width.  A value outside its range exits 2 before
+the runner starts.  A rank, sketch width or ``--m`` that does not fit the
+band split of its N and ``--w`` exits 2 from the runner that derives it,
+before any basis is built or signal drawn, and so does a size a dense path
+refuses.
 
 Each subcommand takes only the flags it reads.  Every output is stamped
 with the command, the version, those flags (unset ones left out) and the
@@ -172,11 +174,10 @@ def _rank_used(args: argparse.Namespace) -> tuple[int, str]:
 # commands
 
 def run_build(args: argparse.Namespace) -> int:
+    r = _fit(args.n, args.w, "--r", args.r)
     if args.method == "randomized":
-        p = _fit(args.n, args.w, "--p", args.p)
-        basis = build_roast_randomized(args.n, args.w, p, args.seed)
+        basis = build_roast_randomized(args.n, args.w, r, args.seed)
     else:
-        r = _fit(args.n, args.w, "--r", args.r)
         basis = build_roast(args.n, args.w, r, args.method)
     blob = serialize_basis(basis)
     deserialize_basis(blob)  # self-check before anything touches the file
@@ -193,10 +194,9 @@ def run_verify(args: argparse.Namespace) -> int:
         # one full Slepian solve serves both suites
         dpss = build_dpss(args.n, args.w, args.n)
         ledger = core_grid_checks(dpss)
-        ledger.extend(capture_suite(dpss, args.eps, r=args.r))
+        ledger.extend(capture_suite(dpss, args.eps))
     else:
-        ledger = full_verification(num_seeds=args.num_seeds,
-                                   capture_r=args.r)
+        ledger = full_verification(num_seeds=args.num_seeds)
     text = ledger.to_json(**{k: _fmt(v) for k, v in _stamp(args)}) + "\n"
     _emit(args, text)
     if args.output_path:
@@ -398,7 +398,6 @@ _FLAGS = {
     "--n": dict(type=int, default=1024),
     "--w": dict(type=float, default=0.25),
     "--r": dict(type=int),
-    "--p": dict(type=int),
     "--method": dict(choices=_ROAST_METHODS, default="svd_fb"),
     "--seed": dict(type=int, default=1234),
     "--eps": dict(type=float, default=1e-3,
@@ -427,7 +426,6 @@ _LIMITS = {
     "n": (lambda v: v >= 2, "--n must be at least 2"),
     "w": (lambda v: 0.0 < v < 0.5, "--w must lie strictly inside (0, 1/2)"),
     "r": (lambda v: v >= 0, "--r must be nonnegative"),
-    "p": (lambda v: v >= 1, "--p must be positive"),
     "eps": (lambda v: 0.0 < v < 0.5, "--eps must lie in (0, 1/2)"),
     "grid_points": (lambda v: v >= 16, "--grid must be at least 16"),
     "tones": (lambda v: v >= 1, "--tones must be positive"),
@@ -443,15 +441,15 @@ _LIMITS = {
 # pair narrows or widens that flag's declaration for the one subcommand.
 _COMMANDS = {
     "build": ("build a basis and serialize it",
-              ("--n", "--w", "--r", "--p",
+              ("--n", "--w", "--r",
                ("--method", dict(choices=_METHODS,
-                                 help="randomized sketches --p columns, the "
-                                      "others take --r extra directions")),
+                                 help="randomized takes --r as its sketch "
+                                      "width, the others as the count of "
+                                      "extra directions")),
                "--seed", "--out")),
     "verify": ("run the bound suite and emit a JSON ledger; --n, --w and "
                "--eps apply only with --single-point, --seeds only without it",
-               ("--n", "--w", "--r", "--eps", "--seeds", "--single-point",
-                "--out")),
+               ("--n", "--w", "--eps", "--seeds", "--single-point", "--out")),
     "sweep-sinusoid": ("SNR versus frequency",
                        ("--n", "--w", "--r", "--method", "--seed", "--log-base",
                         "--grid", "--format", "--out")),
@@ -493,10 +491,10 @@ def _rejection(args: argparse.Namespace) -> str | None:
     if args.command == "build":
         if args.output_path is None:
             return "build requires --out"
-        if args.method == "randomized" and args.p is None:
-            return "randomized build requires --p"
-        if args.method != "randomized" and args.r is None:
+        if args.r is None:
             return f"{args.method} build requires --r"
+        if args.method == "randomized" and args.r == 0:
+            return "randomized build needs a sketch width --r >= 1"
     if args.command == "recover" and args.m is None:
         return "recover requires --m"
     return None

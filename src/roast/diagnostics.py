@@ -147,7 +147,6 @@ class SpectrumReport:
     w: float
     singular_values: np.ndarray
     c_n: float
-    bound_curve: np.ndarray
     violations: list
 
     def tail_sum(self, r: int) -> float:
@@ -170,24 +169,21 @@ def _as_projector(projector):
 
 
 def residual_snr(projector, x: np.ndarray) -> float:
-    """SNR = 20 log10(||x|| / ||x - xhat||) in dB for the projection xhat.
-
-    Residuals below 1e-15 of the signal norm report +inf (capped at
-    ``SNR_CSV_CAP`` when written to CSV).  A zero signal is rejected.
-    """
+    """SNR in dB of the projection xhat of x, by ``snr_from_energies`` from
+    the squared norms of x and x - xhat.  A zero signal is rejected."""
     x = np.asarray(x)
-    xnorm = np.linalg.norm(x)
-    if xnorm == 0.0:
+    signal = float(np.vdot(x, x).real)
+    if signal == 0.0:
         raise ValueError("SNR is undefined for the zero signal")
-    resid = np.linalg.norm(x - _as_projector(projector)(x))
-    if resid < _SNR_EXACT * xnorm:
-        return math.inf
-    return float(20.0 * np.log10(xnorm / resid))
+    resid = x - _as_projector(projector)(x)
+    return float(snr_from_energies(signal, [np.vdot(resid, resid).real])[0])
 
 
 def snr_from_energies(signal: float, residual) -> np.ndarray:
-    """``residual_snr``, elementwise, from the squared norms of the signal
-    and of each residual: 10 log10(signal / residual) dB, or +inf."""
+    """SNR = 10 log10(signal / residual) dB, elementwise, from the squared
+    norms of the signal and of each residual.  Residuals below 1e-15 of the
+    signal norm report +inf (capped at ``SNR_CSV_CAP`` when written to
+    CSV)."""
     residual = np.asarray(residual, dtype=float)
     with np.errstate(divide="ignore"):
         snr = 10.0 * np.log10(signal / residual)
@@ -204,7 +200,7 @@ def _dense_columns(q_like) -> np.ndarray:
     return q
 
 
-def _ensure_orthonormal(q: np.ndarray, what: str = "basis") -> None:
+def _ensure_orthonormal(q: np.ndarray, what: str) -> None:
     gram = q.conj().T @ q
     err = np.max(np.abs(gram - np.eye(q.shape[1])), initial=0.0)
     if err > _ORTHONORMAL_TOL:
@@ -261,12 +257,23 @@ def integrated_residual(op: ProlateOperator, q_like) -> float:
     Computed without quadrature as trace(B) - sum_i q_i^* B q_i through the
     fast prolate matvec, the sum taken pairwise over every entry.  A
     ``RoastBasis`` or ``SubDftBasis`` supplies its columns by synthesis, one
-    inverse FFT, with no dense DFT columns.  For residuals below round-off
-    the trace difference can land epsilon-negative; it is floored at zero.
+    inverse FFT, with no dense DFT columns.  Its peak is the larger of the
+    synthesis of the identity, at most 16 d (2N + 5d/2) bytes for d =
+    ``dimension``, and the N x d columns beside their M-row spectrum in the
+    circulant embedding and their product with their conjugate, 16 d (2N +
+    M); 384 KiB more cover the 128 KiB buffer of the real view's sum and a
+    separate conjugate below numpy's 256 KiB threshold for reusing
+    temporaries.  A call above the dense-byte limit is refused first.  For
+    residuals below round-off the trace difference can land
+    epsilon-negative; it is floored at zero.
     """
     q = _checked_basis(q_like)
     if isinstance(q, (RoastBasis, SubDftBasis)):
-        q = q.synthesize(np.eye(q.dimension))
+        d = q.dimension
+        _check_dense_bytes(f"integrated_residual(n={op.n}, dimension={d})",
+                           16 * d * (2 * op.n + max(op.embed_size, 5 * d // 2))
+                           + 3 * 2**17)
+        q = q.synthesize(np.eye(d))
     if q.shape[0] != op.n:
         raise ValueError(f"basis rows {q.shape[0]} do not match operator size {op.n}")
     captured = np.sum((q.conj() * prolate_apply(op, q)).real)
@@ -410,7 +417,7 @@ def integrated_residual_quadrature(op: ProlateOperator, q_like) -> float:
 
 
 def residual_path_bound(trace_value: float, quad_value: float,
-                        abs_floor: float = 1e-9) -> float:
+                        abs_floor: float) -> float:
     """Largest gap the two residual paths may show and still agree.
 
     Relative to the larger value, with an absolute floor for residuals that
@@ -503,7 +510,7 @@ def singular_decay_report(n: int, w: float) -> SpectrumReport:
     bound = 15.0 * np.exp(-np.arange(len(sigma)) / c_n)
     violations = np.flatnonzero(sigma > bound + _LEDGER_SLACK).tolist()
     return SpectrumReport(n=int(n), w=float(w), singular_values=sigma,
-                          c_n=c_n, bound_curve=bound, violations=violations)
+                          c_n=c_n, violations=violations)
 
 
 def eigenvalue_concentration_report(n: int, w: float, eps: float,

@@ -23,7 +23,6 @@ __all__ = [
     "SignalEnsemble",
     "build_prolate",
     "prolate_apply",
-    "prolate_dense",
     "build_dpss",
     "build_band_split",
     "random_bandlimited",
@@ -35,7 +34,7 @@ __all__ = [
 _EIG_CLAMP = 2.0 ** -53
 
 # Every dense path (the DPSS solve, the cross operator, dense bases and
-# projectors, the FST analog) refuses a call whose estimated bytes exceed this.
+# projectors) refuses a call whose estimated bytes exceed this.
 _MAX_DENSE_BYTES = 2 ** 31
 
 # Most columns per real FFT when build_dpss takes its Rayleigh quotients.
@@ -202,16 +201,10 @@ def prolate_apply(op: ProlateOperator, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def prolate_dense(op: ProlateOperator) -> np.ndarray:
-    """Dense realization, used as the oracle for the fast apply path; a call
-    whose 8 N^2 bytes exceed the dense-byte limit is refused first."""
-    _check_dense_bytes(f"prolate_dense(n={op.n})", 8 * op.n * op.n)
-    return sla.toeplitz(op.first_row)
-
-
 @dataclass(frozen=True)
 class DpssBasis:
-    """Leading ``k`` Slepian vectors (columns) with concentration eigenvalues.
+    """Leading ``k`` Slepian vectors (columns) with concentration eigenvalues;
+    ``n`` and ``k`` are the shape of ``vectors``.
 
     Columns are orthonormal, in the exact descending order of the commuting
     tridiagonal's eigenvectors, so column j has parity (-1)^j under time
@@ -223,11 +216,17 @@ class DpssBasis:
     about 1.5e-15.
     """
 
-    n: int
     w: float
-    k: int
     vectors: np.ndarray
     eigenvalues: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.vectors.shape[0]
+
+    @property
+    def k(self) -> int:
+        return self.vectors.shape[1]
 
     @property
     def dimension(self) -> int:
@@ -375,7 +374,7 @@ def build_dpss(n: int, w: float, k: int) -> DpssBasis:
         lam[j0:j0 + cols] = weight @ _power_spectrum(
             np.fft.rfft(vecs[:, j0:j0 + cols], n=op.embed_size, axis=0))
     lam = -np.sort(-np.clip(lam, _EIG_CLAMP, 1.0 - _EIG_CLAMP))
-    return DpssBasis(n=int(n), w=float(w), k=int(k), vectors=vecs, eigenvalues=lam)
+    return DpssBasis(w=float(w), vectors=vecs, eigenvalues=lam)
 
 
 @dataclass(frozen=True)
@@ -432,7 +431,6 @@ def build_band_split(n: int, w: float) -> DftBandSplit:
 class SignalEnsemble:
     """A length-N test signal."""
 
-    n: int
     samples: np.ndarray
 
 
@@ -470,4 +468,4 @@ def random_bandlimited(n: int, w: float, num_tones: int, seed: int) -> SignalEns
         outer = np.exp(1j * np.outer(outer_m, omega))
         outer *= coeffs[j0:j0 + chunk]
         samples += outer @ np.exp(1j * np.outer(omega, inner_m))
-    return SignalEnsemble(n=int(n), samples=samples.reshape(-1)[:n])
+    return SignalEnsemble(samples=samples.reshape(-1)[:n])

@@ -99,9 +99,6 @@ def cgd_solve(apply_normal_op, rhs: np.ndarray, tol: float = 1e-8,
 class RecoveryProblem:
     """Observed y = Phi @ truth with a seeded dense Gaussian sensing matrix."""
 
-    n: int
-    m: int
-    w: float
     phi: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
     truth: np.ndarray = field(repr=False)
@@ -135,8 +132,7 @@ def build_recovery_problem(n: int, w: float, m: int, seed: int) -> RecoveryProbl
             block = draw[:m - i0]
             rng.standard_normal(out=block)
             np.multiply(block, scale, out=part[i0:i0 + rows])
-    return RecoveryProblem(n=int(n), m=int(m), w=float(w), phi=phi,
-                           y=phi @ truth, truth=truth)
+    return RecoveryProblem(phi=phi, y=phi @ truth, truth=truth)
 
 
 def condition_estimate(result: CgResult) -> float:
@@ -183,7 +179,6 @@ class RecoveryReport:
     iterations: int
     condition_estimate: float
     converged: bool
-    params: dict = field(default_factory=dict)
 
 
 def recovery_experiment(n: int, w: float, m: int, basis_choice: str, seed: int,
@@ -212,19 +207,16 @@ def recovery_experiment(n: int, w: float, m: int, basis_choice: str, seed: int,
         r = int(np.floor(3.0 * np.log(n)))
     problem = build_recovery_problem(n, w, m, seed)
     basis = BASES[basis_choice](n, w, r, seed)
-    dim = basis.dimension
     a_h = _compressed_adjoint(problem.phi, basis)
 
     def normal_op(a):
         return a_h @ (a_h.T @ a.conj()).conj()
 
-    result = cgd_solve(normal_op, a_h @ problem.y, tol=tol, max_iter=4 * dim)
+    result = cgd_solve(normal_op, a_h @ problem.y, tol=tol)
     xhat = basis.synthesize(result.solution)
     rel_err = float(np.linalg.norm(xhat - problem.truth)
                     / np.linalg.norm(problem.truth))
     return RecoveryReport(basis_choice=basis_choice, relative_error=rel_err,
                           iterations=result.iterations,
                           condition_estimate=condition_estimate(result),
-                          converged=result.converged,
-                          params={"n": n, "w": w, "m": m, "r": r, "seed": seed,
-                                  "tol": tol, "dimension": dim})
+                          converged=result.converged)

@@ -93,18 +93,16 @@ def core_grid_checks(dpss) -> BoundLedger:
     return ledger
 
 
-def capture_suite(dpss, eps: float, r: int | None = None) -> BoundLedger:
+def capture_suite(dpss, eps: float) -> BoundLedger:
     """Leading-DPSS capture at accuracy eps, with the angle bound at
-    enlarged R, at the (N, W) of the full Slepian solve ``dpss``.  Passing
-    ``r`` overrides the sized rank (used to exercise the unsatisfied path);
-    the cross operator's rows are formed inside ``dpss_capture_report``."""
+    enlarged R, at the (N, W) of the full Slepian solve ``dpss``; the cross
+    operator's rows are formed inside ``dpss_capture_report``."""
     ledger = BoundLedger()
     n, w = _full_solve(dpss)
     split = build_band_split(n, w)
     k, x = _leading_slepian_rows(dpss, eps, split)
 
-    r_used = rank_for_capture(n, eps) if r is None else r
-    r_used = min(r_used, split.n_high)
+    r_used = min(rank_for_capture(n, eps), split.n_high)
     basis = build_roast(n, w, r_used)
     report = dpss_capture_report(dpss, eps, basis)
     by_id = {e.check_id: e for e in report.entries}
@@ -115,8 +113,7 @@ def capture_suite(dpss, eps: float, r: int | None = None) -> BoundLedger:
                by_id["dpss_capture_per_vector"].lhs_value, eps, **params)
     ledger.extend(report)
 
-    r_angle = min(rank_for_capture_angle(n, eps) if r is None else r,
-                  split.n_high)
+    r_angle = min(rank_for_capture_angle(n, eps), split.n_high)
     basis_angle = build_roast(n, w, r_angle) if r_angle != r_used else basis
     cos_theta = _capture_errors(x, _checked_basis(basis_angle).q)[2]
     ledger.add("dpss_capture_angle_vs_eps", math.sqrt(1.0 - eps), cos_theta,
@@ -266,7 +263,7 @@ def small_instance_checks() -> BoundLedger:
     return ledger
 
 
-def full_verification(num_seeds: int = 20, capture_r: int | None = None) -> BoundLedger:
+def full_verification(num_seeds: int = 20) -> BoundLedger:
     """Run the whole suite; the single entry point behind ``roast verify``."""
     ledger = BoundLedger()
     for n, w in DEFAULT_GRID:
@@ -274,7 +271,7 @@ def full_verification(num_seeds: int = 20, capture_r: int | None = None) -> Boun
     # the detail point, where one full Slepian solve serves two suites
     n, w = 512, 0.25
     dpss = build_dpss(n, w, n)
-    ledger.extend(capture_suite(dpss, 1e-3, r=capture_r))
+    ledger.extend(capture_suite(dpss, 1e-3))
     ledger.extend(average_suite(n, w, 1e-3))
     ledger.extend(pointwise_suite(n, w, 1e-1))
     ledger.extend(randomized_suite(dpss, 1e-2, num_seeds=num_seeds))

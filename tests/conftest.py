@@ -21,7 +21,7 @@ class SessionCaches:
         full = self._get(("dpss", n, w), lambda: roast.build_dpss(n, w, n))
         if k is None:
             return full
-        return dataclasses.replace(full, k=k, vectors=full.vectors[:, :k],
+        return dataclasses.replace(full, vectors=full.vectors[:, :k],
                                    eigenvalues=full.eigenvalues[:k])
 
     def spectrum(self, n, w):

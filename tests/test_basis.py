@@ -11,14 +11,15 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracles
 import roast
+from dense_oracles import build_fst_analog, prolate_dense
 from roast import (
     BasisFormatError,
     RoastBasis,
     apply_analysis,
     apply_synthesis,
     build_band_split,
-    build_fst_analog,
     build_prolate,
     build_roast,
     build_roast_randomized,
@@ -28,7 +29,6 @@ from roast import (
     integrated_residual,
     integrated_residual_quadrature,
     log_width_constant,
-    prolate_dense,
     rank_for_capture,
     serialize_basis,
 )
@@ -146,8 +146,8 @@ class TestBuildRoast:
         compressed = cross @ real_rows(dft_columns(n, split.high_indices).conj().T).T
         vecs = np.linalg.eigh((compressed + compressed.T) / 2.0)[1]
         top = vecs[:, ::-1][:, :lead]
-        oracle = RoastBasis(split=split, r=lead, method="svd_fbf", q=top)
-        leading = RoastBasis(split=split, r=lead, method="svd_fbf", q=fbf.q[:, :lead])
+        oracle = RoastBasis(split=split, method="svd_fbf", q=top)
+        leading = RoastBasis(split=split, method="svd_fbf", q=fbf.q[:, :lead])
 
         def snr_db(b):
             return 10.0 * np.log10(op.trace() / integrated_residual_quadrature(op, b))
@@ -376,8 +376,7 @@ class TestApplyPaths:
 
 def _row_major_half_basis():
     built = build_roast_randomized(301, 0.25, 7, seed=2)
-    return RoastBasis(split=built.split, r=built.r,
-                      q=np.ascontiguousarray(built.q),
+    return RoastBasis(split=built.split, q=np.ascontiguousarray(built.q),
                       method=built.method, seed=built.seed)
 
 
@@ -650,7 +649,7 @@ class TestFstAnalog:
 
 def _empty_roast_basis(n, w):
     split = build_band_split(n, w)
-    return RoastBasis(split=split, r=0, q=np.zeros((split.n_high, 0)),
+    return RoastBasis(split=split, q=np.zeros((split.n_high, 0)),
                       method="svd_fb")
 
 
@@ -751,6 +750,17 @@ _GUARDED_PATHS = [
      16 * 1025 * (1025 + 40)),
     ("prolate_dense", lambda n, w: partial(prolate_dense, build_prolate(n, w)),
      8 * 1025**2),
+    # G applied to the identity at R = n_high: the identity, four N x n_high
+    # arrays and the two transforms of the 4096-row circulant embedding
+    ("build_roast", lambda n, w: partial(build_roast, n, w, 512),
+     8 * 512 * (512 + 4 * 1025 + 2 * 4096)),
+    # the synthesized columns, their 4096-row embedded spectrum and their
+    # product with their conjugate, and 384 KiB for the sum's buffer and a
+    # conjugate numpy would not reuse below 256 KiB
+    ("integrated_residual",
+     lambda n, w: partial(integrated_residual, build_prolate(n, w),
+                          build_roast_randomized(n, w, 20, 7)),
+     16 * 533 * (2 * 1025 + 4096) + 3 * 2**17),
 ]
 
 
@@ -774,6 +784,11 @@ class TestDenseByteGuards:
          lambda: dft_columns(16384, np.arange(16384))),
         ("prolate_dense",  # 8 N^2 = 2,147,745,800 B, just above the limit
          lambda: prolate_dense(build_prolate(16385, 0.25))),
+        ("build_roast",  # 8 n_high (n_high + 4 N + 2 M) = 9.1 GB at R = n_high
+         lambda: build_roast(16384, 0.25, 8191)),
+        ("integrated_residual",  # 16 dimension (2 N + M) = 8.6 GB
+         lambda: integrated_residual(build_prolate(16384, 0.25),
+                                     _empty_roast_basis(16384, 0.25))),
     ])
     def test_refused_before_allocating(self, name, call):
         tracemalloc.start()
@@ -821,7 +836,10 @@ class TestDenseByteGuards:
                      np.eye(256, 1), np.eye(256, 2)),
                  lambda: build_fst_analog(256, 0.25, 4),
                  lambda: dft_columns(256, np.arange(256)),
-                 lambda: prolate_dense(build_prolate(256, 0.25))]
+                 lambda: prolate_dense(build_prolate(256, 0.25)),
+                 lambda: build_roast(256, 0.25, 127),
+                 lambda: integrated_residual(build_prolate(256, 0.25),
+                                             _empty_roast_basis(256, 0.25))]
         assert roast.prolate._MAX_DENSE_BYTES == 2**31
         for call in calls:
             call()
@@ -847,7 +865,7 @@ class TestDenseByteGuards:
             check(what, estimate)
 
         for module in (roast.prolate, roast.basis, roast.diagnostics,
-                       roast.recovery):
+                       roast.recovery, dense_oracles):
             monkeypatch.setattr(module, "_check_dense_bytes", record)
         tracemalloc.start()
         try:

@@ -210,8 +210,7 @@ class TestBandlimitedSnr:
             bases = {
                 "snr_subdft": roast.build_subdft(n, w, r),
                 "snr_dpss": roast.build_dpss(n, w, split.n_low + r),
-                "snr_roast": roast.RoastBasis(split=split, r=r,
-                                              q=full.q[:, :r],
+                "snr_roast": roast.RoastBasis(split=split, q=full.q[:, :r],
                                               method="svd_fb"),
             }
             if r:
@@ -400,8 +399,8 @@ class TestChoices:
 
     def test_each_subcommand_takes_only_its_flags(self):
         want = {
-            "build": {"n", "w", "r", "p", "method", "seed", "out"},
-            "verify": {"n", "w", "r", "eps", "seeds", "single-point", "out"},
+            "build": {"n", "w", "r", "method", "seed", "out"},
+            "verify": {"n", "w", "eps", "seeds", "single-point", "out"},
             "sweep-sinusoid": {"n", "w", "r", "method", "seed", "log-base",
                                "grid", "format", "out"},
             "bandlimited-snr": {"n", "w", "r-max", "method", "seed", "tones",
@@ -416,7 +415,7 @@ class TestChoices:
                       if opt != "--help" and opt != "-h"}
                for name, sub in self.subcommands().items()}
         assert got == want
-        assert sum(len(flags) for flags in got.values()) == 53
+        assert sum(len(flags) for flags in got.values()) == 51
 
     @pytest.mark.parametrize("args", [
         ["rank-report", "--w", "0.25"],
@@ -458,10 +457,12 @@ class TestVerifyCommand:
                      "--out", str(tmp_path / "ledger.json")]) == 0
         assert calls == [(64, 0.25, 64)]
 
-    def test_undersized_rank_reported_not_crashed(self, tmp_path):
+    def test_undersized_rank_reported_not_crashed(self, tmp_path,
+                                                  patch_everywhere):
+        patch_everywhere(roast.verify.rank_for_capture, lambda n, eps: 1)
         out = tmp_path / "ledger.json"
         code = main(["verify", "--single-point", "--n", "64", "--w", "0.25",
-                     "--r", "1", "--eps", "1e-3", "--out", str(out)])
+                     "--eps", "1e-3", "--out", str(out)])
         assert code == 1
         ledger = BoundLedger.from_json(out.read_text())
         assert not ledger.all_satisfied
@@ -505,7 +506,7 @@ class TestBuildCommand:
     def test_build_randomized(self, tmp_path):
         out = tmp_path / "basis.roast"
         assert main(["build", "--n", "128", "--w", "0.25", "--method",
-                     "randomized", "--p", "5", "--seed", "21",
+                     "randomized", "--r", "5", "--seed", "21",
                      "--out", str(out)]) == 0
         restored = roast.deserialize_basis(out.read_bytes())
         assert restored.seed == 21 and restored.r == 5
@@ -522,7 +523,7 @@ class TestValidation:
         ["rank-report", "--delta", "2.0"],
         ["verify", "--eps", "0.9"],
         # a negative --seed reaches default_rng, which refuses it
-        ["build", "--n", "64", "--method", "randomized", "--p", "5",
+        ["build", "--n", "64", "--method", "randomized", "--r", "5",
          "--seed", "-1", "--out", "unused.bin"],
         ["recover", "--n", "64", "--m", "40", "--seed", "-1"],
         ["sweep-sinusoid", "--n", "64", "--r", "4", "--seed", "-1"],
@@ -543,8 +544,8 @@ class TestValidation:
          "--r = 100 exceeds the 31"),
         (["build", "--n", "64", "--r", "100", "--out", "unused.bin"],
          "--r = 100 exceeds the 31"),
-        (["build", "--n", "64", "--method", "randomized", "--p", "100",
-          "--out", "unused.bin"], "--p = 100 exceeds the 31"),
+        (["build", "--n", "64", "--method", "randomized", "--r", "100",
+          "--out", "unused.bin"], "--r = 100 exceeds the 31"),
         (["recover", "--n", "64", "--r", "0", "--m", "40",
           "--basis", "roast_randomized"], "roast_randomized needs --r >= 1"),
         # n_high = 7 at --w 0.45: the derived floor(4 ln 64) = 16 and
@@ -555,6 +556,10 @@ class TestValidation:
          "the derived r = 12 exceeds the 7"),
         (["scaling-bench", "--n-list", "1024,64", "--w", "0.45"],
          "the derived r = 12 exceeds the 7 out-of-band bins of N = 64"),
+        (["build", "--n", "64", "--method", "randomized", "--r", "0",
+          "--out", "unused.bin"], "randomized build needs a sketch width --r >= 1"),
+        (["build", "--n", "64", "--method", "randomized", "--out", "unused.bin"],
+         "randomized build requires --r"),
     ])
     def test_oversize_values_exit_2(self, args, message, capsys, tmp_path,
                                     monkeypatch, patch_everywhere):
@@ -603,7 +608,7 @@ class TestValidation:
         ["bandlimited-snr", "--n", "64", "--r-max", "31", "--tones", "50"],
         ["recover", "--n", "64", "--r", "31", "--m", "64"],
         ["build", "--n", "64", "--r", "31"],
-        ["build", "--n", "64", "--method", "randomized", "--p", "31"],
+        ["build", "--n", "64", "--method", "randomized", "--r", "31"],
     ])
     def test_widths_up_to_n_high_run(self, args, tmp_path):
         out = tmp_path / "out"

@@ -31,7 +31,7 @@ DATA = pathlib.Path(__file__).parent / "data" / "cli"
 CASES = {
     "build_svd_fb.bin": ["build", "--n", "256", "--w", "0.25", "--r", "12"],
     "build_randomized.bin": ["build", "--n", "256", "--w", "0.25",
-                             "--method", "randomized", "--p", "20", "--seed", "7"],
+                             "--method", "randomized", "--r", "20", "--seed", "7"],
     "sweep_sinusoid.csv": ["sweep-sinusoid", "--n", "256", "--w", "0.25",
                            "--grid", "257"],
     "bandlimited_snr.csv": ["bandlimited-snr", "--n", "256", "--w", "0.25"],

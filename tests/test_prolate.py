@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roast.prolate
+from dense_oracles import prolate_dense
 from roast import (
     build_band_split,
     build_dpss,
@@ -15,7 +16,6 @@ from roast import (
     dft_columns,
     log_width_constant,
     prolate_apply,
-    prolate_dense,
     random_bandlimited,
 )
 

@@ -1,8 +1,10 @@
 """Properties every registered basis shares, over random small (N, W, R).
 
-Each entry of ``roast.BASES`` builds a basis with ``n``, ``dimension``,
-``analyze``, ``synthesize``, ``project`` and ``dense_basis``; the fast
-paths must agree with the explicit matrix Q that ``dense_basis`` returns.
+Each entry of ``roast.BASES``, and the svd_fbf ROAST basis, builds a basis
+with ``n``, ``dimension``, ``analyze``, ``synthesize``, ``project`` and
+``dense_basis``; the fast paths must agree with the explicit matrix Q that
+``dense_basis`` returns.  A ROAST basis's R is the column count of its
+stored factor q, and its serialized bytes restore it bit for bit.
 """
 
 import math
@@ -12,9 +14,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from roast import BASES
+from roast import (BASES, RoastBasis, build_roast, deserialize_basis,
+                   serialize_basis)
 
 TOL = 1e-10
+
+BUILDERS = {**BASES,
+            "roast_svd_fbf": lambda n, w, r, seed: build_roast(n, w, r, "svd_fbf")}
 
 
 @st.composite
@@ -36,12 +42,12 @@ def gap(a, b):
     return float(np.max(np.abs(a - b)))
 
 
-@pytest.mark.parametrize("name", sorted(BASES))
+@pytest.mark.parametrize("name", sorted(BUILDERS))
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(instance=instances())
 def test_basis_protocol(name, instance):
     n, w, r, seed = instance
-    basis = BASES[name](n, w, r, seed)
+    basis = BUILDERS[name](n, w, r, seed)
     q = basis.dense_basis()
     assert basis.n == n
     assert q.shape == (n, basis.dimension)
@@ -60,14 +66,20 @@ def test_basis_protocol(name, instance):
     for size in (1, basis.dimension + 1):
         with pytest.raises(ValueError):
             basis.synthesize(np.ones(size))
+    if isinstance(basis, RoastBasis):
+        assert basis.r == basis.q.shape[1]
+        assert basis.r == r or (basis.method == "randomized" and 1 <= basis.r < r)
+        restored = deserialize_basis(serialize_basis(basis))
+        x = probe(rng, n, 3)
+        assert np.array_equal(restored.analyze(x), basis.analyze(x))
 
 
-@pytest.mark.parametrize("name", sorted(BASES))
+@pytest.mark.parametrize("name", sorted(BUILDERS))
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(instance=instances())
 def test_wrong_input_shapes_are_refused(name, instance):
     n, w, r, seed = instance
-    basis = BASES[name](n, w, r, seed)
+    basis = BUILDERS[name](n, w, r, seed)
     for size in (n - 1, n + 1):
         with pytest.raises(ValueError):
             basis.analyze(np.ones(size))

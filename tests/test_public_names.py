@@ -28,11 +28,7 @@ def test_every_name_in_all_resolves(name):
 
 
 # Exported with no caller in the package or the benchmark, on purpose.
-UNCALLED_EXPORTS = {
-    # the non-orthogonal fast-factorization baseline that acceptance
-    # criterion 11 compares CG conditioning against
-    "build_fst_analog",
-}
+UNCALLED_EXPORTS = set()
 
 
 def _package_imports():

@@ -13,14 +13,10 @@ SETTABLE = [
     ("basis", "build_roast", "method"),
     ("cli", "main", "argv"),
     ("diagnostics", "_checked_basis", "what"),
-    ("diagnostics", "_ensure_orthonormal", "what"),
-    ("diagnostics", "residual_path_bound", "abs_floor"),
     ("recovery", "cgd_solve", "max_iter"),
     ("recovery", "cgd_solve", "tol"),
     ("recovery", "recovery_experiment", "r"),
     ("recovery", "recovery_experiment", "tol"),
-    ("verify", "capture_suite", "r"),
-    ("verify", "full_verification", "capture_r"),
     ("verify", "full_verification", "num_seeds"),
 ]
 

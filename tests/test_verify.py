@@ -1,15 +1,32 @@
-import json
-import pathlib
+"""The verify suites, and ``roast verify`` against its committed reference.
 
-import numpy as np
-import pytest
+``tests/data/verify_ledger.json`` is ``roast verify --out`` at its defaults
+with one BLAS thread.  A change that moves the ledger on purpose rewrites it
+with
 
-import roast.diagnostics
-import roast.verify
-from roast.basis import build_roast_randomized, rank_for_capture
-from roast.diagnostics import (dpss_capture_report, integrated_residual,
+    PYTHONPATH=src python tests/test_verify.py
+
+and lists every moved entry in CHANGES.md.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import json  # noqa: E402
+import pathlib  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+import roast.diagnostics  # noqa: E402
+import roast.verify  # noqa: E402
+from roast.basis import build_roast_randomized, rank_for_capture  # noqa: E402
+from roast.cli import main  # noqa: E402
+from roast.diagnostics import (dpss_capture_report, integrated_residual,  # noqa: E402
                                integrated_residual_quadrature)
-from roast.verify import (
+from roast.verify import (  # noqa: E402
     DEFAULT_GRID,
     average_suite,
     capture_suite,
@@ -340,3 +357,10 @@ class TestReferenceLedger:
             for i, key, edit in edits:
                 new[i][key] = edit(new[i][key])
             assert len(_ledger_moves(entries, new)) == count, edits
+
+
+if __name__ == "__main__":
+    _REFERENCE.parent.mkdir(parents=True, exist_ok=True)
+    code = main(["verify", "--out", str(_REFERENCE)])
+    print(f"wrote {_REFERENCE}")
+    raise SystemExit(code)
