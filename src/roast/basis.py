@@ -2,25 +2,15 @@
 
 The central object is the orthonormal basis Q = [F, Fbar @ V]: the in-band
 DFT columns F augmented with R extra directions inside the out-of-band DFT
-span.  Analysis and synthesis run through one FFT plus a skinny matrix
-product, O(N log N + N R).
-
-Every V is closed under conjugation, V[-k] = conj V[k] and a real Nyquist
-row, so Q Q^* is real and V is fixed by one real orthonormal n_high x R
-factor q in cosine/sine coordinates: sqrt(2) Re of V's m = ``n_neg``
-positive-bin rows, then sqrt(2) Im of them, then the Nyquist row
-(``_cos_sin_rows``).  Every builder computes q, and a ``RoastBasis`` stores
-it as built.  The out-of-band product of analysis and synthesis is one real
-GEMM on q, taken in row blocks of ``_ROW_CHUNK`` because OpenBLAS runs tall
-skinny products faster in pieces.
+span.  Analysis and synthesis cost one FFT plus a skinny real product,
+O(N log N + N R).  Every V is closed under conjugation, V[-k] = conj V[k],
+so Q Q^* is real and V is fixed by a real orthonormal n_high x R factor q
+in the coordinates of ``_cos_sin_rows``; a ``RoastBasis`` stores q.
 
 Also here: the widened-DFT baseline (Sub-DFT), the sizing rules, and a
-binary serialization for built bases.
-
-``RoastBasis``, ``SubDftBasis`` and ``DpssBasis`` share one protocol: ``n``,
-``dimension``, ``analyze`` (Q^* x), ``synthesize`` (Q c), ``project``
-(Q Q^* x) and ``dense_basis`` (Q).  ``BASES`` maps each comparison basis
-name to a builder of that protocol at a common dimension.
+binary serialization.  ``RoastBasis``, ``SubDftBasis`` and ``DpssBasis``
+share one protocol: ``n``, ``dimension``, ``analyze`` (Q^* x),
+``synthesize`` (Q c), ``project`` (Q Q^* x) and ``dense_basis`` (Q).
 """
 
 from __future__ import annotations
@@ -36,6 +26,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .prolate import (
+    _GROUP_BYTES,
     DftBandSplit,
     ProlateOperator,
     _check_dense_bytes,
@@ -82,7 +73,8 @@ _METHODS = (*_ROAST_METHODS, "randomized")
 # below this fraction of the leading diagonal are dropped.
 _RANK_TOL = 1e-12
 
-# Rows of the stored factor q per real product in analysis and synthesis.
+# Rows of the stored factor q per real product in analysis and synthesis:
+# OpenBLAS runs tall skinny products faster in pieces.
 _ROW_CHUNK = 4096
 
 # Lanczos vectors beyond R in the Krylov space of the matrix-free builds.
@@ -94,12 +86,9 @@ _DFT_BLOCK_BYTES = 2 ** 20
 
 
 def dft_columns(n: int, wrapped_indices: np.ndarray) -> np.ndarray:
-    """Normalized DFT columns exp(j*2*pi*k*m/N)/sqrt(N) for wrapped indices k.
-
-    The N x K output is written a row block at a time by ``_write_dft``; a
-    call whose 16 N K bytes plus ``_DFT_BLOCK_BYTES`` exceed the dense-byte
-    limit is refused first.
-    """
+    """N x K normalized DFT columns exp(j*2*pi*k*m/N)/sqrt(N) for wrapped
+    indices k, written by ``_write_dft``.  Refused first when 16 N K bytes
+    plus ``_DFT_BLOCK_BYTES`` exceed the dense-byte limit."""
     k = np.asarray(wrapped_indices)
     _check_dense_bytes(f"dft_columns(n={n}, k={k.size})",
                        16 * n * k.size + _DFT_BLOCK_BYTES)
@@ -111,15 +100,11 @@ def dft_columns(n: int, wrapped_indices: np.ndarray) -> np.ndarray:
 def _write_dft(n: int, k: np.ndarray, out: np.ndarray,
                v: np.ndarray | None) -> None:
     """Write into the N-row ``out`` the normalized DFT columns of the wrapped
-    indices ``k``, or their product with ``v`` unless it is None.
+    indices ``k``, or their product with ``v`` unless it is None, in row
+    blocks whose two complex temporaries hold about ``_DFT_BLOCK_BYTES``.
 
-    Rows go in blocks whose two complex temporaries, the entries and one
-    step of their expression, hold about ``_DFT_BLOCK_BYTES``.  Each entry
-    is the same elementwise expression whatever the block, so the columns
-    match the one-shot N x K evaluation bit for bit, and so does the
-    product with ``v``: every block has at least two rows, since numpy
-    takes a one-row product as a matrix-vector product, whose last bits
-    differ from the matrix product's.
+    Each block has at least two rows: numpy takes a one-row product as a
+    matrix-vector product, whose last bits differ from the matrix product's.
     """
     rows = max(2, _DFT_BLOCK_BYTES // (32 * max(k.size, 1)))
     i0 = 0
@@ -136,27 +121,25 @@ def _write_dft(n: int, k: np.ndarray, out: np.ndarray,
 
 
 def cross_operator_dense(op: ProlateOperator, split: DftBandSplit) -> np.ndarray:
-    """Dense out-of-band cross operator Fbar^* B, complex n_high x N, its
-    rows in ``high_indices`` order: the real rows of ``_cross_rows``
-    expanded by ``_dft_rows``, so row -k is the conjugate of row k bit for
-    bit.  Its peak of 24 n_high N bytes, the real rows and the output, is
-    checked against the dense-byte limit first.
-    """
+    """Dense out-of-band cross operator Fbar^* B, complex n_high x N in
+    ``high_indices`` row order: ``_dft_rows`` of ``_cross_rows``.  Refused
+    first when its peak, 24 n_high N bytes for the real rows and the
+    output, exceeds the dense-byte limit."""
     _check_dense_bytes(f"cross_operator_dense(n={op.n}, w={op.w})",
                        24 * split.n_high * op.n)
     return _dft_rows(_cross_rows(op, split))
 
 
 def _cos_sin_rows(pos: np.ndarray, n_sin: int) -> np.ndarray:
-    """Real cosine/sine rows of positive-frequency DFT rows.
+    """Real cosine/sine rows of positive-frequency DFT rows: the layout of
+    the stored factor q.
 
     ``pos`` holds the rows of ascending positive bins.  Its first ``n_sin``
     rows give sqrt(2) Re, then the same rows give sqrt(2) Im, and any row
-    past them (the Nyquist bin) gives its real part.  Rows taken from a
-    matrix whose row at bin -k is the conjugate of the row at bin k, such as
-    F^* x for real x, become U times that matrix with U unitary: the
-    coordinates of the real orthonormal basis sqrt(2) Re f_k, -sqrt(2) Im f_k
-    of the same span.  Only the positive rows are read.
+    past them (the Nyquist bin) gives its real part.  Rows of a matrix whose
+    row at bin -k is the conjugate of the row at bin k, such as F^* x for
+    real x, become U times that matrix with U unitary: the coordinates of
+    the real orthonormal basis sqrt(2) Re f_k, -sqrt(2) Im f_k of the span.
     """
     out = np.empty((n_sin + pos.shape[0],) + pos.shape[1:])
     np.multiply(pos[:n_sin].real, math.sqrt(2.0), out=out[:n_sin])
@@ -166,23 +149,19 @@ def _cos_sin_rows(pos: np.ndarray, n_sin: int) -> np.ndarray:
 
 
 def _slepian_rows(x: np.ndarray, split: DftBandSplit) -> np.ndarray:
-    """The out-of-band DFT rows of real columns ``x``, such as Slepian
-    vectors or B Omega, in the cosine/sine coordinates of ``_cos_sin_rows``:
-    U Fbar^* x with U unitary, from one orthonormal ``rfft``."""
+    """U Fbar^* x (``_cos_sin_rows``) for real columns ``x``, from one
+    orthonormal ``rfft``."""
     spec = np.fft.rfft(x, axis=0, norm="ortho")
     return _cos_sin_rows(spec[split.h + 1:], split.n_neg)
 
 
 def _cross_rows(op: ProlateOperator, split: DftBandSplit) -> np.ndarray:
-    """Real cosine/sine rows of the cross operator Fbar^* B, n_high x N.
+    """U Fbar^* B (``_slepian_rows`` of B's columns), real n_high x N, with
+    the singular values of Fbar^* B.
 
-    B's columns are real, so each block of them is read off the Toeplitz
-    structure in column order and written by ``_slepian_rows``, one
-    ``rfft``; the rows are U Fbar^* B with U unitary and keep its singular
-    values.  The 16 n_high N bytes checked against the dense-byte limit
-    cover the rows and the one working copy each caller makes, an SVD's
-    copy or a deflated residual; blocks of at most n_high / 4 columns, 32 N
-    bytes a column, fit in that copy's bytes before the caller makes it.
+    Refused first when 16 n_high N bytes exceed the dense-byte limit: the
+    rows and the one working copy each caller makes.  Blocks of at most
+    n_high / 4 columns, 32 N bytes a column, fit in that copy's bytes.
     """
     n = op.n
     _check_dense_bytes(f"_cross_rows(n={n}, w={op.w})", 16 * split.n_high * n)
@@ -197,9 +176,7 @@ def _cross_rows(op: ProlateOperator, split: DftBandSplit) -> np.ndarray:
 
 
 def _write_positive_rows(cos_sin: np.ndarray, out: np.ndarray) -> None:
-    """Write into ``out`` the positive-bin DFT rows, ascending, of real
-    cosine/sine rows laid out as ``_cos_sin_rows`` writes them, then the
-    Nyquist row: (cos + i sin) / sqrt(2) and the real Nyquist value, the
+    """Write into ``out`` the positive-bin rows, then the Nyquist row: the
     inverse of ``_cos_sin_rows``."""
     m = cos_sin.shape[0] // 2
     np.multiply(cos_sin[:m], math.sqrt(0.5), out=out[:m].real)
@@ -208,15 +185,10 @@ def _write_positive_rows(cos_sin: np.ndarray, out: np.ndarray) -> None:
 
 
 def _dft_rows(cos_sin: np.ndarray) -> np.ndarray:
-    """Out-of-band DFT rows, in ``high_indices`` order, of real cosine/sine
-    rows laid out as ``_cos_sin_rows`` writes them, complex and
-    column-major in one allocation.
-
-    The positive bins and the Nyquist row come from
-    ``_write_positive_rows``; the negative bins, in reverse order, take the
-    same products from ``cos_sin`` with the sine rows' sign flipped, so
-    V[-k] = conj V[k] holds bit for bit and no iterator buffers are needed.
-    """
+    """Complex column-major out-of-band rows, in ``high_indices`` order, of
+    rows in the ``_cos_sin_rows`` layout.  The negative bins take the
+    positive bins' products with the sine sign flipped, so row -k is the
+    conjugate of row k bit for bit."""
     m = cos_sin.shape[0] // 2
     out = np.empty(cos_sin.shape, dtype=complex, order="F")
     _write_positive_rows(cos_sin, out[m:])
@@ -229,16 +201,10 @@ def _dft_rows(cos_sin: np.ndarray) -> np.ndarray:
 class RoastBasis:
     """Orthonormal basis [F, Fbar @ V] with FFT-fast analysis and synthesis.
 
-    V has shape (n_high, R) with orthonormal columns, R = ``r`` the column
-    count of q; the implied full basis has 2*floor(NW)+1+R columns.
-    ``method`` records how V was built ("svd_fb", "svd_fbf", or
-    "randomized"), ``seed`` the sketch seed when randomized.  Immutable.
-
-    V is stored as its real orthonormal factor ``q``, n_high x R in the
-    cosine/sine coordinates of ``_cos_sin_rows``: the builder's factor bit
-    for bit, float64 and column-major, 8 n_high R bytes.  ``v`` expands it
-    by ``_dft_rows``, so V[-k] = conj V[k] holds bit for bit and Q Q^* is
-    real; analysis and synthesis read q in place.
+    V (n_high x R) is stored as its real factor ``q``, the builder's array,
+    float64 and column-major; R = ``r`` and the basis has 2*floor(NW)+1+R
+    columns.  ``method`` records the builder ("svd_fb", "svd_fbf" or
+    "randomized"), ``seed`` the sketch seed when randomized.
     """
 
     split: DftBandSplit
@@ -264,7 +230,7 @@ class RoastBasis:
 
     @property
     def v(self) -> np.ndarray:
-        """V, complex and column-major: ``_dft_rows`` of q."""
+        """V: ``_dft_rows`` of q."""
         return _dft_rows(self.q)
 
     def analyze(self, x: np.ndarray) -> np.ndarray:
@@ -274,24 +240,19 @@ class RoastBasis:
         return apply_synthesis(self, coeffs)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Q Q^* x: the out-of-band bins of the spectrum are replaced in
-        place by V V^* of them, with no coefficient vector formed."""
+        """Q Q^* x: the out-of-band bins are replaced in place by V V^* of
+        them."""
         n = self.n
         spectrum = _column_fft(_leading(x, n, "samples"))
         block = spectrum.reshape(n, -1)
         _write_high_bins(self, _high_coefficients(self, block), block)
-        return np.multiply(np.fft.ifft(spectrum, axis=0, out=spectrum),
-                           np.sqrt(n), out=spectrum)
+        return _column_ifft(spectrum)
 
     def dense_basis(self) -> np.ndarray:
-        """Explicit N x (n_low + R) matrix [F, Fbar V]; the oracle for the
-        fast paths.
-
-        ``_write_dft`` writes F, and Fbar V one row block of Fbar at a
-        time, into the one output.  A call whose 16 N (n_low + R) bytes,
-        plus V's 16 n_high R and ``_DFT_BLOCK_BYTES``, exceed the
-        dense-byte limit is refused first.
-        """
+        """Explicit N x (n_low + R) matrix [F, Fbar V], written by
+        ``_write_dft``; the oracle for the fast paths.  Refused first when
+        16 N (n_low + R) bytes, plus V's 16 n_high R and
+        ``_DFT_BLOCK_BYTES``, exceed the dense-byte limit."""
         n, split = self.n, self.split
         _check_dense_bytes(f"dense_basis(n={n}, r={self.r})",
                            16 * (n * self.dimension + split.n_high * self.r)
@@ -304,30 +265,23 @@ class RoastBasis:
 
 def _out_of_band_eigenvectors(op: ProlateOperator, split: DftBandSplit,
                                r: int, power: int) -> np.ndarray:
-    """Leading ``r`` eigenvectors of G = Fbar^* B^power Fbar, matrix-free, in
-    the real cosine/sine coordinates of ``_cos_sin_rows``, largest first,
-    each column signed as the DPSS vectors are.
+    """Leading ``r`` eigenvectors of G = Fbar^* B^power Fbar, real n_high x r
+    in the ``_cos_sin_rows`` layout, largest first, signed by ``_fix_signs``.
 
-    B is real, so G is real symmetric in those coordinates, and one product
-    is an inverse real FFT, ``power`` prolate matvecs and a real FFT,
-    O(N log N).  Symmetric Lanczos (ARPACK) runs on G + s I: its residual
-    test is relative to the Ritz value, so without the shift it stalls once
-    r passes the numerical rank.  Its tolerance sits a few hundred eps above
-    the round-off of one product, which the Ritz values past the numerical
-    rank cannot get under.  The Krylov space holds min(n_high, r +
-    ``_KRYLOV_OVERSAMPLE``) vectors, not ARPACK's default max(2r + 1, 20),
-    because ARPACK fills the whole space before its first convergence test.
-    G's eigenvalues fall off geometrically past the band edge, so a few
-    vectors past the r wanted ones, the oversampling of a randomized range
-    finder (Halko, Martinsson and Tropp, arXiv:0909.4061, sec. 4.2), bring
-    the top r Ritz pairs to the tolerance in that first fill or after a
-    short restart.  ARPACK cannot take r = n_high, so there ``eigh``
-    decomposes G applied to the identity; that product holds the identity,
-    the positive-bin spectrum, B's input and output beside one column
-    group's copy, and the two M-row transforms of the circulant embedding,
-    so a call whose 8 n_high (n_high + 4N + 2M) bytes exceed the dense-byte
-    limit is refused first.  Both return orthonormal vectors; no
-    re-orthogonalization follows.
+    One product with G is an inverse real FFT, ``power`` prolate matvecs
+    and a real FFT, O(N log N).  Symmetric Lanczos (ARPACK) runs on G + s I:
+    its residual test is relative to the Ritz value, so without the shift it
+    stalls once r passes the numerical rank.  Its tolerance sits a few
+    hundred eps above one product's round-off.  The Krylov space holds
+    min(n_high, r + ``_KRYLOV_OVERSAMPLE``) vectors, since ARPACK fills it
+    before its first convergence test and G's eigenvalues fall off
+    geometrically (Halko, Martinsson and Tropp, arXiv:0909.4061, sec. 4.2).
+
+    ARPACK cannot take r = n_high, so there ``eigh`` decomposes G applied to
+    the identity: refused first when 8 n_high (n_high + 2N) bytes, for the
+    identity and two N x n_high arrays, plus 3 ``_GROUP_BYTES`` for one
+    column group's copy, spectrum and inverse in ``prolate_apply``, exceed
+    the dense-byte limit.  Both routes return orthonormal vectors.
     """
     n, n_high, h = op.n, split.n_high, split.h
     shift = 1.0 if power == 1 else math.sqrt(np.finfo(float).eps)
@@ -337,13 +291,14 @@ def _out_of_band_eigenvectors(op: ProlateOperator, split: DftBandSplit,
         half = np.zeros((n // 2 + 1, a.shape[1]), dtype=complex)
         _write_positive_rows(a, half[h + 1:])
         y = np.fft.irfft(half, n=n, axis=0, norm="ortho")
+        del half  # before the prolate matvecs form their temporaries
         for _ in range(power):
             y = prolate_apply(op, y)
         return _slepian_rows(y, split) + shift * a
 
     if r == n_high:
         _check_dense_bytes(f"build_roast(n={n}, w={split.w}, r={r})",
-                           8 * n_high * (n_high + 4 * n + 2 * op.embed_size))
+                           8 * n_high * (n_high + 2 * n) + 3 * _GROUP_BYTES)
         vals, ritz = np.linalg.eigh(matvec(np.eye(n_high)))
     else:
         g = spla.LinearOperator((n_high, n_high), matvec=matvec, matmat=matvec,
@@ -363,25 +318,13 @@ def _out_of_band_eigenvectors(op: ProlateOperator, split: DftBandSplit,
 def build_roast(n: int, w: float, r: int, method: str = "svd_fb") -> RoastBasis:
     """Build the deterministic basis with R extra out-of-band directions.
 
-    ``method`` selects the skinny factor: "svd_fb" takes the dominant left
-    singular vectors of the cross operator Fbar^* B, which maximize
-    ||V^* Fbar^* B||_F = tr(V^* Fbar^* B^2 Fbar V) and so weight the prolate
-    eigenvalues as B^2; "svd_fbf" takes the principal eigenvectors of the
-    compressed operator Fbar^* B Fbar, which minimizes the integrated in-band
-    representation error among subspaces that contain F, at fixed R.
-
-    Neither reaches the band-integrated residual of DPSS with the same
-    number of vectors, which is optimal over all subspaces of that dimension
-    (Ky Fan).
-
-    Neither forms Fbar^* B: ``_out_of_band_eigenvectors`` finds the leading
-    eigenvectors of Fbar^* B^2 Fbar (the left singular vectors of Fbar^* B)
-    or of Fbar^* B Fbar by symmetric Lanczos on O(N log N) products, in
-    O(N R) memory.  Past the numerical rank Lanczos stops at its tolerance:
-    ||(I - V V^*) Fbar^* B||_2 floors near 1e-11, against a leading singular
-    value near 0.43.  Raises RuntimeError if Lanczos fails; at R = n_high,
-    where a dense ``eigh`` replaces Lanczos, a size above the dense-byte
-    limit is refused first.
+    "svd_fb" takes the dominant left singular vectors of the cross operator
+    Fbar^* B, the leading eigenvectors of Fbar^* B^2 Fbar; "svd_fbf" takes
+    those of Fbar^* B Fbar, which minimize the integrated in-band error
+    among subspaces that contain F, at fixed R.  DPSS with as many vectors
+    is optimal over all subspaces (Ky Fan).  Neither forms Fbar^* B:
+    ``_out_of_band_eigenvectors`` runs in O(N R) memory.  RuntimeError if
+    Lanczos fails; R = n_high is refused above its charge there.
     """
     if method not in _ROAST_METHODS:
         raise ValueError(f"method must be 'svd_fb' or 'svd_fbf', got {method!r}")
@@ -399,14 +342,9 @@ def build_roast(n: int, w: float, r: int, method: str = "svd_fb") -> RoastBasis:
 
 def build_roast_randomized(n: int, w: float, p: int, seed: int) -> RoastBasis:
     """Build the basis from a Gaussian range sketch of the cross operator
-    (Halko, Martinsson and Tropp, arXiv:0909.4061, Alg. 4.1).
-
-    ``_sketch`` pushes a real N x P standard Gaussian Omega through the fast
-    prolate matvec and a real FFT, O(P N log N), and ``_sketch_basis``
-    orthonormalizes it by pivoted QR.  Columns whose triangular-factor
-    diagonal falls below 1e-12 of the leading one are dropped, so the kept
-    R, recorded on the result, may be < P for rank-deficient sketches.
-    """
+    (Halko, Martinsson and Tropp, arXiv:0909.4061, Alg. 4.1), in
+    O(P N log N): ``_sketch``, then ``_sketch_basis``, whose kept R may be
+    below P."""
     split = build_band_split(n, w)
     if not 1 <= p <= split.n_high:
         raise ValueError(
@@ -423,16 +361,12 @@ def _sketch(op: ProlateOperator, split: DftBandSplit, p: int, seed: int) -> np.n
 
 
 def _sketch_basis(split: DftBandSplit, sketch: np.ndarray, seed: int) -> RoastBasis:
-    """The randomized basis from the pivoted QR of a real ``sketch``; the row
-    map is unitary, so the pivots are those of the complex sketch.
+    """The randomized basis from the pivoted QR of a real ``sketch``.
 
-    The QR is taken in raw form and ``dorgqr`` forms only the kept columns
-    of Q from their reflectors, with the workspace it asks for, where the
-    economic QR would form all P of them, most of them dropped at the
-    rank-deficient widths ``randomized_suite`` takes; a full-rank sketch
-    gets the economic Q bit for bit.  The kept factor, signed as the DPSS
-    vectors are, is stored as a compact column-major copy, so the basis
-    keeps no QR workspace alive.
+    Columns whose triangular-factor diagonal falls below ``_RANK_TOL`` of
+    the leading one are dropped.  ``dorgqr`` forms only the kept columns
+    from the raw QR's reflectors, and the basis stores a compact
+    column-major copy of them, signed by ``_fix_signs``.
     """
     (qr, tau), rmat, _ = sla.qr(sketch, mode="raw", pivoting=True)
     diag = np.abs(np.diag(rmat))
@@ -448,13 +382,22 @@ def _sketch_basis(split: DftBandSplit, sketch: np.ndarray, seed: int) -> RoastBa
 
 
 def _column_fft(x: np.ndarray) -> np.ndarray:
-    """Orthonormal FFT down axis 0; a block whose columns are not contiguous,
-    which numpy's FFT reads at about half speed, is transformed in a
+    """Orthonormal FFT down axis 0; a block whose columns are not
+    contiguous, which numpy's FFT reads slowly, is transformed in a
     ``_column_major`` copy."""
     if x.ndim == 1 or x.flags.f_contiguous:
         return np.fft.fft(x, axis=0, norm="ortho")
     buf = _column_major(x, complex)
     return np.fft.fft(buf, axis=0, norm="ortho", out=buf)
+
+
+def _column_ifft(spectrum: np.ndarray) -> np.ndarray:
+    """Unitary inverse FFT down axis 0, in place: the unnormalized ``ifft``
+    times sqrt(N), not ``norm="ortho"``, which rounds differently; the
+    trace-path ``integrated_residual`` in the verify ledger reads synthesis
+    to the last bit."""
+    return np.multiply(np.fft.ifft(spectrum, axis=0, out=spectrum),
+                       np.sqrt(spectrum.shape[0]), out=spectrum)
 
 
 def _bin_pairs(split: DftBandSplit, spectrum: np.ndarray) -> tuple:
@@ -491,10 +434,8 @@ def _fold(pos: np.ndarray, neg: np.ndarray, nyquist: np.ndarray) -> np.ndarray:
 
 def _high_coefficients(basis: RoastBasis, spectrum: np.ndarray) -> np.ndarray:
     """V^* s over the out-of-band bins s of an N x c ``spectrum``, as the real
-    R x 2c array [Re | Im]: for Y the bins' ``_fold``, the pairs' share of
-    q^T Y is summed over row blocks of ``_ROW_CHUNK`` and scaled by
-    sqrt(1/2), and the Nyquist row's share added unscaled.
-    """
+    R x 2c array [Re | Im]: q^T of the bins' ``_fold``, the pairs' share
+    summed over ``_ROW_CHUNK`` row blocks and scaled by sqrt(1/2)."""
     y = _fold(*_bin_pairs(basis.split, spectrum))
     q, pairs = basis.q, 2 * basis.split.n_neg
     qp, yp = q[:pairs], y[:pairs]
@@ -536,13 +477,9 @@ def _write_high_bins(basis: RoastBasis, z: np.ndarray,
 
 
 def apply_analysis(basis: RoastBasis, x: np.ndarray) -> np.ndarray:
-    """Coefficients Q^* x in O(N log N + N R); accepts a vector or columns.
-
-    One orthonormal FFT (``_column_fft``), then slices of the spectrum (see
-    ``DftBandSplit``): the in-band coefficients are two slices, and V^* s
-    over the out-of-band bins is q^T of their ``_fold``, in row blocks that
-    OpenBLAS runs about twice as fast as one tall product
-    (``_high_coefficients``).  Block coefficients come back column-major.
+    """Coefficients Q^* x of a vector or columns, in O(N log N + N R): one
+    ``_column_fft``, two in-band slices of the spectrum (``DftBandSplit``)
+    and ``_high_coefficients``.  Block coefficients come back column-major.
     """
     n = basis.n
     x = _leading(x, n, "samples")
@@ -559,17 +496,9 @@ def apply_analysis(basis: RoastBasis, x: np.ndarray) -> np.ndarray:
 
 
 def apply_synthesis(basis: RoastBasis, coeffs: np.ndarray) -> np.ndarray:
-    """Reconstruct Q @ coeffs; exact inverse of analysis on coefficient space.
-
-    A column-major spectrum is filled slice by slice (see ``DftBandSplit``):
-    the in-band coefficients by two assignments, the out-of-band bins by one
-    real product with the stored factor q in row blocks, as analysis takes
-    it (``_write_high_bins``), the negative bins the conjugate of V's rows.
-    The inverse FFT runs in place and is scaled by sqrt(N) afterwards, not
-    taken with ``norm="ortho"``: the two round differently, and the
-    trace-path ``integrated_residual`` in the verify ledger would read the
-    difference.
-    """
+    """Q @ coeffs, the exact inverse of analysis on coefficient space: a
+    column-major spectrum filled by two in-band slices and
+    ``_write_high_bins``, then ``_column_ifft``."""
     n, n_low, r = basis.n, basis.split.n_low, basis.r
     coeffs = _leading(coeffs, n_low + r, "coefficients")
     h = basis.split.h
@@ -582,18 +511,13 @@ def apply_synthesis(basis: RoastBasis, coeffs: np.ndarray) -> np.ndarray:
     z[:, :cols] = c[n_low:].real
     z[:, cols:] = c[n_low:].imag
     _write_high_bins(basis, z, block)
-    return np.multiply(np.fft.ifft(spectrum, axis=0, out=spectrum), np.sqrt(n),
-                       out=spectrum)
+    return _column_ifft(spectrum)
 
 
 @dataclass(frozen=True)
 class SubDftBasis:
-    """Widened partial DFT: the band columns plus R nearest out-of-band ones.
-
-    The extra columns go ceil(R/2) to the positive-frequency side and
-    floor(R/2) to the negative side, so the dimension is exactly
-    2*floor(NW)+1+R and matches the other bases at equal R.
-    """
+    """Widened partial DFT: the band columns plus R nearest out-of-band ones,
+    ceil(R/2) of them on the positive-frequency side."""
 
     n: int
     indices: np.ndarray
@@ -613,8 +537,7 @@ class SubDftBasis:
         coeffs = _leading(coeffs, self.dimension, "coefficients")
         spectrum = np.zeros((self.n,) + coeffs.shape[1:], dtype=complex, order="F")
         spectrum[self.indices] = coeffs
-        return np.multiply(np.fft.ifft(spectrum, axis=0, out=spectrum),
-                           np.sqrt(self.n), out=spectrum)
+        return _column_ifft(spectrum)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return self.synthesize(self.analyze(x))
@@ -710,11 +633,9 @@ def fst_rank_bound(n: int, delta: float) -> int:
 #
 # Layout: magic "ROAST\0", format version u16 LE, u32 LE header length, UTF-8
 # JSON header {n, w, r, method, seed?} with sorted keys, the real factor q
-# (n_high x R) as column-major little-endian float64, 8 n_high R bytes, CRC32
-# (u32 LE) of every preceding byte.  Version 1 held the complex V, twice the
-# bytes, and is refused: q cannot be recovered from V bit for bit.  The same
-# basis always encodes to the same bytes; the reader ignores unknown header
-# keys, such as the creation time that older writers stamped.
+# (n_high x R) as column-major little-endian float64, CRC32 (u32 LE) of every
+# preceding byte.  The same basis always encodes to the same bytes; the
+# reader refuses other versions and ignores unknown header keys.
 
 _MAGIC = b"ROAST\x00"
 _FORMAT_VERSION = 2
@@ -729,8 +650,7 @@ class BasisFormatError(ValueError):
 
 
 def serialize_basis(basis: RoastBasis) -> bytes:
-    """Encode a built basis; the round trip restores q, and so V, bit for
-    bit."""
+    """Encode a built basis; the round trip restores q bit for bit."""
     header = {
         "n": basis.n,
         "w": basis.w,
@@ -751,11 +671,8 @@ def _is_int(value) -> bool:
 
 
 def deserialize_basis(data: bytes) -> RoastBasis:
-    """Decode a serialized basis, validating structure, checksum, and shape.
-
-    Headers with a signal length above 2**24 are refused.  The returned
-    basis holds q as a read-only column-major view of the payload bytes.
-    """
+    """Decode a serialized basis, validating structure, checksum and shape;
+    q is a read-only view of the payload bytes."""
     fixed = len(_MAGIC) + 2 + 4
     if len(data) < fixed + 4:
         raise BasisFormatError("truncated stream: shorter than the fixed header")

@@ -10,38 +10,16 @@ scaling-bench    build/apply timings and SNR across signal lengths
 rank-report      skinny-matrix widths versus length for the fast methods
 recover          one CG recovery experiment through a chosen subspace
 
-In ``scaling-bench`` the ``snr`` column is the SNR of one draw of
-``--tones`` random tones, at signal seed ``seed + n``, under each basis, and
-``fft_seconds`` times ``np.fft.fft`` of the same probe as ``apply_seconds``
-times an analysis, so each row reads analysis against the FFT.  The
-``dpss`` row keeps ``n_low + r`` Slepian vectors (n_low = 2 floor(NW) + 1),
-the dimension of the ``roast`` (svd_fb) row, and is written only up to
-N = 4096; the other rows are written at every N.
+Each subcommand takes only the flags it reads.  A value outside its range
+exits 2 before the runner starts; a rank, sketch width or ``--m`` that does
+not fit the band split of its N and ``--w``, or a size a dense path
+refuses, exits 2 from the runner before any basis is built or signal drawn.
 
-Three commands list their bases by hand rather than through
-``roast.basis.BASES``: ``bandlimited-snr`` forms residual vectors, peeling
-the columns of one ``build_roast(r_max)`` off one at a time, and reports
-the running minimum over R of the nested families (ROAST, DPSS, Sub-DFT),
-so their curves are monotone in R (acceptance criterion 09 relies on
-that); its randomized bases at R = 1 .. r_max take column prefixes of one
-sketch drawn at r_max; ``sweep-sinusoid`` honours
-``--method`` and falls back to the deterministic basis at R = 0, because a
-sketch needs P >= 1; ``scaling-bench`` times each builder separately.
-
-``--r`` is the count of extra directions, or for ``build --method
-randomized`` the sketch width.  A value outside its range exits 2 before
-the runner starts.  A rank, sketch width or ``--m`` that does not fit the
-band split of its N and ``--w`` exits 2 from the runner that derives it,
-before any basis is built or signal drawn, and so does a size a dense path
-refuses.
-
-Each subcommand takes only the flags it reads.  Every output is stamped
-with the command, the version, those flags (unset ones left out) and the
-values the run derives (``dimension``, ``r_used``).
-
-Output is plot-ready CSV (metadata in ``#`` comment lines, floats at 17
-significant digits) or the JSON equivalent.  Identical configuration and
-seed reproduce byte-identical output; timing columns are the only
+Every output is stamped with the command, the version, the set flags and
+the values the run derives (``dimension``, ``r_used``).  Output is
+plot-ready CSV (metadata in ``#`` comment lines, floats at 17 significant
+digits) or the JSON equivalent.  Identical configuration and seed
+reproduce byte-identical output; timing columns are the only
 nondeterministic values.
 """
 
@@ -216,6 +194,7 @@ def run_sweep_sinusoid(args: argparse.Namespace) -> int:
     dpss = build_dpss(n, w, dim)  # its byte guard refuses before other builds
     subdft = build_subdft(n, w, r)
     roast = build_roast(n, w, r, args.method)
+    # a sketch needs P >= 1, so at R = 0 the deterministic basis stands in
     roast_r = build_roast_randomized(n, w, r, args.seed) if r >= 1 else roast
 
     # mirrored bit for bit, so the +-f fold of the ROAST kernel halves it
@@ -235,12 +214,9 @@ def run_sweep_sinusoid(args: argparse.Namespace) -> int:
 def _peeled_energies(resid: np.ndarray, cols: np.ndarray,
                      coeffs: np.ndarray) -> np.ndarray:
     """||resid - sum_{j<R} cols_j coeffs_j||^2 for R = 0 .. len(coeffs), for
-    a vector or columns ``resid`` and a row of ``coeffs`` per column j.
-
-    The columns are subtracted from the residual one at a time and each
-    energy is the norm of that residual, so it keeps its accuracy far
-    below the round-off of total minus captured energy.
-    """
+    a vector or columns ``resid`` and a row of ``coeffs`` per column j,
+    each the norm of the peeled residual: far more accurate than total
+    minus captured energy."""
     resid = np.array(resid)
     out = np.empty(len(coeffs) + 1)
     out[0] = np.vdot(resid, resid).real
@@ -290,8 +266,8 @@ def run_bandlimited_snr(args: argparse.Namespace) -> int:
         rand_vec = folded - qr @ (qr.T @ folded)
         rand_resid[rr] = np.vdot(rand_vec, rand_vec)
 
-    # the nested families cannot lose energy as R grows; the running
-    # minimum keeps their curves monotone through round-off
+    # the nested families (ROAST, DPSS, Sub-DFT) cannot lose energy as R
+    # grows; the running minimum keeps their curves monotone through round-off
     snr = {
         "snr_subdft": snr_from_energies(total, np.minimum.accumulate(sub_resid)),
         "snr_dpss": snr_from_energies(total, np.minimum.accumulate(dpss_resid)),
@@ -383,7 +359,7 @@ def run_recover(args: argparse.Namespace) -> int:
                                  tol=args.tol)
     columns = ["basis", "n", "w", "m", "r", "seed", "relative_error",
                "iterations", "condition_estimate", "converged"]
-    rows = [[report.basis_choice, args.n, args.w, args.m, r, args.seed,
+    rows = [[args.basis_choice, args.n, args.w, args.m, r, args.seed,
              report.relative_error, report.iterations,
              report.condition_estimate, report.converged]]
     _emit(args, render_output(args, columns, rows))

@@ -1,11 +1,9 @@
 """Computable diagnostics for the approximation guarantees.
 
-Every inequality the construction is supposed to satisfy becomes a number
-here: singular-value decay of the cross operator, eigenvalue concentration
-counts, integrated and pointwise in-band residuals (with two independent
-computation paths that must agree), subspace angles, and capture errors for
-the leading Slepian vectors.  Results land in a small ledger structure that
-serializes to JSON.
+Every inequality the construction should satisfy becomes a number here:
+singular-value decay of the cross operator, eigenvalue concentration, the
+integrated residual by two independent paths, pointwise residuals, subspace
+angles and Slepian capture errors.  Results land in a JSON ledger.
 """
 
 from __future__ import annotations
@@ -63,33 +61,23 @@ _BAND_NODES = 4096
 _FD_STEP = 1e-5
 
 
-def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 @dataclass
 class LedgerEntry:
-    """One verified inequality: lhs <= rhs (within slack)."""
+    """One verified inequality: lhs <= rhs, allowing ``_LEDGER_SLACK`` of
+    round-off."""
 
     check_id: str
     lhs_value: float
     rhs_bound: float
-    satisfied: bool
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.lhs_value = float(self.lhs_value)
         self.rhs_bound = float(self.rhs_bound)
-        self.satisfied = bool(self.satisfied)
-        self.params = {k: _jsonable(v) for k, v in self.params.items()}
+
+    @property
+    def satisfied(self) -> bool:
+        return self.lhs_value <= self.rhs_bound + _LEDGER_SLACK
 
     def to_dict(self) -> dict:
         return {"check_id": self.check_id, "lhs_value": self.lhs_value,
@@ -97,16 +85,9 @@ class LedgerEntry:
                 "params": self.params}
 
     @classmethod
-    def check(cls, check_id: str, lhs: float, rhs: float, **params) -> "LedgerEntry":
-        """Entry for lhs <= rhs, allowing ``_LEDGER_SLACK`` of round-off."""
-        return cls(check_id=check_id, lhs_value=lhs, rhs_bound=rhs,
-                   satisfied=lhs <= rhs + _LEDGER_SLACK, params=params)
-
-    @classmethod
     def from_dict(cls, d: dict) -> "LedgerEntry":
         return cls(check_id=d["check_id"], lhs_value=d["lhs_value"],
-                   rhs_bound=d["rhs_bound"], satisfied=d["satisfied"],
-                   params=dict(d.get("params", {})))
+                   rhs_bound=d["rhs_bound"], params=dict(d.get("params", {})))
 
 
 @dataclass
@@ -116,7 +97,7 @@ class BoundLedger:
     entries: list = field(default_factory=list)
 
     def add(self, check_id: str, lhs: float, rhs: float, **params) -> LedgerEntry:
-        entry = LedgerEntry.check(check_id, lhs, rhs, **params)
+        entry = LedgerEntry(check_id, lhs, rhs, params)
         self.entries.append(entry)
         return entry
 
@@ -130,33 +111,44 @@ class BoundLedger:
     def to_json(self, **meta) -> str:
         doc = {"meta": meta, "all_satisfied": self.all_satisfied,
                "entries": [e.to_dict() for e in self.entries]}
-        return json.dumps(doc, indent=2, sort_keys=True)
+        # a numpy scalar in params is written as its Python value
+        return json.dumps(doc, indent=2, sort_keys=True,
+                          default=lambda value: value.item())
 
     @classmethod
     def from_json(cls, text: str) -> "BoundLedger":
         doc = json.loads(text)
-        ledger = cls(entries=[LedgerEntry.from_dict(d) for d in doc["entries"]])
-        return ledger
+        return cls(entries=[LedgerEntry.from_dict(d) for d in doc["entries"]])
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Singular values of the cross operator against the decay envelope."""
+    """Singular values of the cross operator against the decay envelope
+    15 exp(-i / C_N)."""
 
     n: int
     w: float
     singular_values: np.ndarray
-    c_n: float
-    violations: list
 
-    def tail_sum(self, r: int) -> float:
-        return float(np.sum(self.singular_values[r:]))
+    @property
+    def c_n(self) -> float:
+        return log_width_constant(self.n)
+
+    @property
+    def violations(self) -> list:
+        """Indices i where sigma_i passes the envelope by more than
+        ``_LEDGER_SLACK``."""
+        sigma = self.singular_values
+        bound = 15.0 * np.exp(-np.arange(len(sigma)) / self.c_n)
+        return np.flatnonzero(sigma > bound + _LEDGER_SLACK).tolist()
 
     def tail_bound_entry(self, r: int) -> LedgerEntry:
         """Geometric-series envelope on the tail sum past index r."""
-        rhs = 15.0 * math.exp(-(r - 1) / self.c_n) * self.c_n
-        return LedgerEntry.check("singular_tail_geometric", self.tail_sum(r), rhs,
-                                 n=self.n, w=self.w, r=r)
+        c_n = self.c_n
+        return LedgerEntry("singular_tail_geometric",
+                           float(np.sum(self.singular_values[r:])),
+                           15.0 * math.exp(-(r - 1) / c_n) * c_n,
+                           {"n": self.n, "w": self.w, "r": r})
 
 
 def _as_projector(projector):
@@ -169,8 +161,8 @@ def _as_projector(projector):
 
 
 def residual_snr(projector, x: np.ndarray) -> float:
-    """SNR in dB of the projection xhat of x, by ``snr_from_energies`` from
-    the squared norms of x and x - xhat.  A zero signal is rejected."""
+    """SNR in dB (``snr_from_energies``) of the projection of x; a zero
+    signal is rejected."""
     x = np.asarray(x)
     signal = float(np.vdot(x, x).real)
     if signal == 0.0:
@@ -180,10 +172,8 @@ def residual_snr(projector, x: np.ndarray) -> float:
 
 
 def snr_from_energies(signal: float, residual) -> np.ndarray:
-    """SNR = 10 log10(signal / residual) dB, elementwise, from the squared
-    norms of the signal and of each residual.  Residuals below 1e-15 of the
-    signal norm report +inf (capped at ``SNR_CSV_CAP`` when written to
-    CSV)."""
+    """10 log10(signal / residual) dB, elementwise, from squared norms;
+    residuals below ``_SNR_EXACT`` of the signal norm report +inf."""
     residual = np.asarray(residual, dtype=float)
     with np.errstate(divide="ignore"):
         snr = 10.0 * np.log10(signal / residual)
@@ -217,8 +207,8 @@ def _full_solve(dpss) -> tuple[int, float]:
 
 def _leading_slepian_rows(dpss, eps: float, split) -> tuple[int, np.ndarray]:
     """(k, ``_slepian_rows`` of s_k) for the k Slepian vectors s_k of the
-    full solve ``dpss`` whose eigenvalues reach ``eps``, on ``split``; s_k
-    is checked orthonormal to 1e-8, and k = 0 is refused."""
+    full solve ``dpss`` whose eigenvalues reach ``eps``; s_k is checked
+    orthonormal, and k = 0 is refused."""
     k = int(np.sum(dpss.eigenvalues >= eps))
     if k == 0:
         raise ValueError(f"no eigenvalues reach eps={eps}; nothing to capture")
@@ -228,14 +218,10 @@ def _leading_slepian_rows(dpss, eps: float, split) -> tuple[int, np.ndarray]:
 
 
 def _checked_basis(q_like, what: str = "basis"):
-    """``q_like`` with orthonormal columns, in the form the kernels take.
-
-    A ``RoastBasis`` is returned as is and checked on its real factor q
-    alone: Q^* Q is blockdiag(I, V^* V) by construction, and V^* V = q^T q.  A ``SubDftBasis`` is returned as
-    is too: its unitary DFT columns are exactly orthonormal when its indices
-    are distinct and lie in [0, N), which is what is checked.  Anything else
-    becomes its dense columns, checked in full.
-    """
+    """``q_like`` checked orthonormal: a ``RoastBasis`` on q alone, since
+    Q^* Q = blockdiag(I, q^T q), and a ``SubDftBasis`` on its indices being
+    distinct and in [0, N), both returned as they are; anything else as its
+    dense columns."""
     if isinstance(q_like, RoastBasis):
         _ensure_orthonormal(q_like.q, what=what)
         return q_like
@@ -252,20 +238,16 @@ def _checked_basis(q_like, what: str = "basis"):
 
 
 def integrated_residual(op: ProlateOperator, q_like) -> float:
-    """Band-integrated squared residual of in-band sinusoids under Q Q^*.
+    """Band-integrated squared residual of in-band sinusoids under Q Q^*,
+    as trace(B) - sum_i q_i^* B q_i through the fast prolate matvec, floored
+    at zero against round-off.
 
-    Computed without quadrature as trace(B) - sum_i q_i^* B q_i through the
-    fast prolate matvec, the sum taken pairwise over every entry.  A
-    ``RoastBasis`` or ``SubDftBasis`` supplies its columns by synthesis, one
-    inverse FFT, with no dense DFT columns.  Its peak is the larger of the
-    synthesis of the identity, at most 16 d (2N + 5d/2) bytes for d =
-    ``dimension``, and the N x d columns beside their M-row spectrum in the
-    circulant embedding and their product with their conjugate, 16 d (2N +
-    M); 384 KiB more cover the 128 KiB buffer of the real view's sum and a
-    separate conjugate below numpy's 256 KiB threshold for reusing
-    temporaries.  A call above the dense-byte limit is refused first.  For
-    residuals below round-off the trace difference can land
-    epsilon-negative; it is floored at zero.
+    A ``RoastBasis`` or ``SubDftBasis`` supplies its d = ``dimension``
+    columns by synthesis of the identity.  Refused first when 16 d (2N +
+    max(M, 5d/2)) bytes, plus 384 KiB, exceed the dense-byte limit: the
+    synthesis, or the columns beside their M-row embedded spectrum and their
+    product with their conjugate; the 384 KiB cover the sum's 128 KiB buffer
+    and a conjugate below numpy's 256 KiB threshold for reusing temporaries.
     """
     q = _checked_basis(q_like)
     if isinstance(q, (RoastBasis, SubDftBasis)):
@@ -281,10 +263,8 @@ def integrated_residual(op: ProlateOperator, q_like) -> float:
 
 
 def _dirichlet_ratio(n: int, rows: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """Real ratio sin(pi n x) / sin(pi x) / sqrt(n), x = f - k/n, rows k by f.
-
-    Its magnitude is |d_f[k]| for d_f = F^* e_f, the unitary DFT of the
-    sampled sinusoid; the phase exp(i pi (n-1) x) is left to the caller.
+    """Real ratio sin(pi n x) / sin(pi x) / sqrt(n), x = f - k/n, rows k by
+    f: |d_f[k]| for d_f = F^* e_f, the unitary DFT of the sampled sinusoid.
     """
     # x = j + t with |t| <= 1/2: sin(pi t) is accurate near every bin, and
     # the ratio picks up (-1)^((n-1) j).  The arithmetic runs in place on
@@ -313,23 +293,21 @@ def _dirichlet_ratio(n: int, rows: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
 def _dirichlet_blocks(n: int, rows: np.ndarray, freqs: np.ndarray):
     """(slice, ``_dirichlet_ratio`` over ``rows``) for each block of
-    max(64, 2**16 // rows) ``freqs``, a size the row count alone sets."""
+    max(64, 2**16 // rows) ``freqs``."""
     block = max(64, 2 ** 16 // max(len(rows), 1))
     for i0 in range(0, len(freqs), block):
         yield slice(i0, i0 + block), _dirichlet_ratio(n, rows, freqs[i0:i0 + block])
 
 
 def _dirichlet_residual_sq(split, qs: list, freqs: np.ndarray) -> np.ndarray:
-    """||(I - V V^*) d_f||^2 over the out-of-band rows of the Dirichlet
-    kernel d_f = F^* e_f, a row for each stored factor q in ``qs`` (possibly
-    of no columns) of a basis on ``split``.
+    """||(I - V V^*) d_f||^2 over the out-of-band rows of d_f = F^* e_f, a
+    row for each stored factor q in ``qs``, possibly of no columns, of a
+    basis on ``split``.
 
-    d_f[k] is a unit scalar in f times rho_k s_k for the real
-    ``_dirichlet_ratio`` s and the row phase rho_k = exp(-i pi (n-1) k / n),
-    its exponent reduced mod 2n to stay accurate at large n.  With the rows
-    in ``_fold``'s order and sqrt(1/2) on rho's pairs, Y = ``_fold``(rho s)
-    is U rho s for the unitary U with U V = q, and each residual is
-    ||Y - q (q^T Y)||^2: two real products per factor and block.
+    d_f[k] is a unit scalar in f times rho_k s_k for the ``_dirichlet_ratio``
+    s and the row phase rho_k = exp(-i pi (n-1) k / n), its exponent reduced
+    mod 2n.  With sqrt(1/2) on rho's pairs, Y = ``_fold``(rho s) is U rho s
+    for the unitary U with U V = q, so each residual is ||Y - q (q^T Y)||^2.
     """
     n, m = split.n, split.n_neg
     rows = np.concatenate(_bin_pairs(split, np.arange(n)))
@@ -353,23 +331,12 @@ def sinusoid_residual_sq(projector, n: int, freqs: np.ndarray) -> np.ndarray:
     objects that share one (n, w): one row per basis, each bit for bit that
     basis's own call.  Any other list or tuple raises ``ValueError``.
 
-    A ``RoastBasis`` or ``SubDftBasis`` takes the Dirichlet path: with
-    d_f[k] = exp(i pi (n-1) x) sin(pi n x) / sin(pi x) / sqrt(n), x = f - k/n,
-    the unitary DFT of e_f, the residual is ||(I - V V^*) d_f||^2 over the
-    n_high out-of-band rows through each stored factor q
-    (``_dirichlet_residual_sq``), or the sum of d_f's squares over the bins
-    outside a ``SubDftBasis``'s index set.  Both sine arguments are reduced
-    mod 1, so the ratio takes its limit n where sin(pi x) vanishes and is
-    exactly zero where n x is an integer: a held sinusoid on the DFT grid
-    leaves a zero residual.  The residual vector is formed before its norm;
-    n - ||Q^* e_f||^2 would turn residuals of 1e-20 into round-off of 1e-13.
-    Each block of frequencies forms its ratio once for every basis.  Every
-    ``RoastBasis`` is closed under conjugation, so e_f and e_{-f} = conj e_f
-    leave one residual norm: the kernel runs at each distinct |f| once.
-
-    Any other ``projector``, an object with ``project`` or a matrix Q
-    applied densely as Q (Q^* x), takes blocks of max(1, 2**21 // n)
-    sinusoids.
+    A ``RoastBasis`` takes ``_dirichlet_residual_sq`` once per distinct |f|,
+    being closed under conjugation; a ``SubDftBasis`` sums the squared
+    ``_dirichlet_ratio`` outside its indices.  Anything else is applied
+    densely to blocks of max(1, 2**21 // n) sinusoids.  Each residual is
+    formed before its norm: n - ||Q^* e_f||^2 would turn residuals of 1e-20
+    into round-off of 1e-13.
     """
     sequence = isinstance(projector, (list, tuple))
     if sequence and (not projector
@@ -409,8 +376,8 @@ def _band_grid(w: float, count: int) -> np.ndarray:
 
 
 def integrated_residual_quadrature(op: ProlateOperator, q_like) -> float:
-    """Same quantity by composite trapezoid over the ``_band_grid`` nodes,
-    residual vectors evaluated pointwise.  Cross-validates the trace path."""
+    """``integrated_residual`` by the trapezoid rule over the ``_band_grid``
+    nodes: an independent check of the trace path."""
     q = _checked_basis(q_like)
     grid = _band_grid(op.w, _BAND_NODES)
     return float(np.trapezoid(sinusoid_residual_sq(q, op.n, grid), grid))
@@ -418,23 +385,15 @@ def integrated_residual_quadrature(op: ProlateOperator, q_like) -> float:
 
 def residual_path_bound(trace_value: float, quad_value: float,
                         abs_floor: float) -> float:
-    """Largest gap the two residual paths may show and still agree.
-
-    Relative to the larger value, with an absolute floor for residuals that
-    sit at the float64 noise level where relative comparison is meaningless.
-    """
+    """Largest gap the two residual paths may show and still agree: 1e-4 of
+    the larger value plus ``abs_floor`` for residuals at round-off."""
     return 1e-4 * max(abs(trace_value), abs(quad_value)) + abs_floor
 
 
 def subspace_angle(a_like, b_like) -> np.ndarray:
     """Cosines of the principal angles between two orthonormal column spans,
-    descending.
-
-    The cosines are the singular values of A^* B; the last, the cosine of
-    the largest angle, measures how far the narrower subspace sticks out of
-    the wider one.  A ``RoastBasis`` or ``SubDftBasis`` on one side enters
-    through its analysis, Q^* A, with no dense columns.
-    """
+    descending: the singular values of A^* B.  A ``RoastBasis`` or
+    ``SubDftBasis`` on one side enters through its analysis."""
     a = _checked_basis(a_like, what="first basis")
     b = _checked_basis(b_like, what="second basis")
     if isinstance(b, (RoastBasis, SubDftBasis)):
@@ -450,16 +409,10 @@ def subspace_angle(a_like, b_like) -> np.ndarray:
 
 
 def largest_angle_cos_direct(a_like, b_like) -> float:
-    """Largest-angle cosine via the wider basis's explicit projector.
-
-    Independent computational path (dense N x N projector) for
-    cross-checking ``subspace_angle``: the infimum of ||P_wide a|| over unit
-    vectors a in the narrower span equals the smallest singular value of
-    P_wide @ A_narrow.  The projector beside the conjugated copy of the k
-    wide columns it is formed from, then beside its product with the
-    narrow ones, takes at most 16 N (N + k) bytes; above the dense-byte
-    limit the call is refused before any of them is formed.
-    """
+    """Largest-angle cosine as the smallest singular value of P_wide A_narrow,
+    the dense N x N projector of the wider basis on the narrower columns:
+    an independent check of ``subspace_angle``.  Refused first when 16 N
+    (N + k) bytes, for k wide columns, exceed the dense-byte limit."""
     a = _dense_columns(a_like)
     b = _dense_columns(b_like)
     if a.shape[1] > b.shape[1]:
@@ -473,21 +426,16 @@ def largest_angle_cos_direct(a_like, b_like) -> float:
 
 
 def singular_decay_report(n: int, w: float) -> SpectrumReport:
-    """Full singular spectrum of the cross operator with envelope comparison,
-    from real SVDs of the parity blocks of its rows (``_cross_rows``).
+    """Full singular spectrum of the cross operator, from real SVDs of the
+    parity blocks of its rows (``_cross_rows``).
 
     B commutes with the time reversal J, and the row c_k of bin k has
-    c_k J = exp(-2i t_k) conj c_k, t_k = pi k (N-1)/N, so Re exp(i t_k) c_k
-    is even in time and Im exp(i t_k) c_k and the Nyquist row odd.  Turning
-    each (cos, sin) row pair by t_k and the columns to (e_j +- e_{N-1-j}) /
-    sqrt(2) are orthogonal maps that leave blockdiag(n_neg x ceil(N/2),
-    (n_neg + Nyquist) x floor(N/2)): two SVDs at a quarter of the cost.
-
-    The SVDs decompose the factor, not its Gram matrix G = Fbar^* B^2 Fbar:
-    the tail singular values fall many orders below the leading one, and
-    their squares sit below round-off relative to G's top eigenvalue, so
-    sqrt(eigvalsh(G)) would return round-off for every value below about
-    1e-8 of the largest.
+    c_k J = exp(-2i t_k) conj c_k, t_k = pi k (N-1)/N.  Turning each (cos,
+    sin) row pair by t_k and the columns to (e_j +- e_{N-1-j}) / sqrt(2)
+    leaves blockdiag(n_neg x ceil(N/2), (n_neg + Nyquist) x floor(N/2)):
+    two SVDs at a quarter of the cost.  The SVDs decompose the factor, not
+    its Gram matrix, whose eigenvalues would lose every singular value below
+    about 1e-8 of the largest to round-off.
     """
     split = build_band_split(n, w)
     rows = _cross_rows(build_prolate(n, w), split)
@@ -506,11 +454,7 @@ def singular_decay_report(n: int, w: float) -> SpectrumReport:
     odd[:m] += sin * minus[:m]
     sigma = -np.sort(-np.concatenate(
         [np.linalg.svd(b, compute_uv=False) for b in (even, odd)]))
-    c_n = log_width_constant(n)
-    bound = 15.0 * np.exp(-np.arange(len(sigma)) / c_n)
-    violations = np.flatnonzero(sigma > bound + _LEDGER_SLACK).tolist()
-    return SpectrumReport(n=int(n), w=float(w), singular_values=sigma,
-                          c_n=c_n, violations=violations)
+    return SpectrumReport(n=int(n), w=float(w), singular_values=sigma)
 
 
 def eigenvalue_concentration_report(n: int, w: float, eps: float,
@@ -520,20 +464,15 @@ def eigenvalue_concentration_report(n: int, w: float, eps: float,
         raise ValueError(f"eps must lie in (0, 1/2), got {eps!r}")
     count = int(np.sum((eigenvalues >= eps) & (eigenvalues <= 1.0 - eps)))
     bound = 2.0 * log_width_constant(n) * math.log(15.0 / eps)
-    return LedgerEntry.check("eigenvalue_concentration", count, bound,
-                             n=n, w=w, eps=eps)
+    return LedgerEntry("eigenvalue_concentration", count, bound,
+                       {"n": n, "w": w, "eps": eps})
 
 
 def sinusoid_derivative_check(op: ProlateOperator, q_like) -> BoundLedger:
-    """Scan the in-band residual function and verify its smoothness envelope.
-
-    At each of the ``_BAND_NODES`` grid frequencies the squared residual of
-    the sampled sinusoid is differenced centrally with step ``_FD_STEP``;
-    the absolute derivative must stay below 2 pi N^2, and the pointwise
-    residual ratio must respect the bound implied by the band-integrated
-    residual, the trapezoid rule over the same grid (the trace path cancels
-    to round-off, even 0, when tiny).  The ``_band_grid`` nodes and both
-    shifts, closed under negation, go through one ``sinusoid_residual_sq``.
+    """Check the in-band residual's derivative, by central differences of
+    step ``_FD_STEP`` on the ``_band_grid`` nodes, against 2 pi N^2, and its
+    maximum over N against the bound implied by its trapezoid integral over
+    the same grid, which resolves what the trace path rounds to zero.
     """
     n, w = op.n, op.w
     if w < 1.0 / (4.0 * np.pi * n):
@@ -560,11 +499,11 @@ def sinusoid_derivative_check(op: ProlateOperator, q_like) -> BoundLedger:
 
 def _capture_errors(x: np.ndarray, q: np.ndarray) -> tuple[float, float, float]:
     """||R||_2^2, the largest squared column norm of R, and sqrt(1 - ||R||_2^2)
-    for R = X - q q^T X.  For the out-of-band rows ``x`` of orthonormal s_k
-    (``_slepian_rows``) and the real factor ``q``, R is s_k - Q Q^* s_k up to
-    an isometry and the third value is the ``subspace_angle`` cosine of s_k
-    against Q.  ||R||_2^2 is the top eigenvalue of the smaller Gram of R,
-    formed after deflation, so it carries only relative round-off."""
+    for R = X - q q^T X.  For ``x`` the ``_slepian_rows`` of orthonormal
+    s_k, R is s_k - Q Q^* s_k up to an isometry and the third value is the
+    largest-angle cosine of s_k against Q.  ||R||_2^2 is the top eigenvalue
+    of the smaller Gram of R, formed after deflation, so it carries only
+    relative round-off."""
     resid = x - q @ (q.T @ x)
     gram = resid @ resid.T if resid.shape[0] <= resid.shape[1] else resid.T @ resid
     top = gram.shape[0] - 1
@@ -577,20 +516,12 @@ def dpss_capture_report(dpss, eps: float, basis) -> BoundLedger:
     """Check how well the basis captures the leading Slepian subspace.
 
     ``dpss`` is the full Slepian solve at the (N, W) of ``basis``, else
-    ``ValueError``.  K is the number of its eigenvalues >= eps.  The
-    deflation residual eta = ||(I - V V^*) Fbar^* B|| / eps bounds the squared
-    spectral capture error of the K-dimensional Slepian projector and the
-    per-vector squared residuals, and through sqrt(1 - N eta) the angle cosine.
-
-    All run in real cosine/sine coordinates, whose maps are unitary, through
-    ``_capture_errors``: eta from the real rows of the cross operator
-    (``_cross_rows``) and the basis's real factor q, and the Slepian values
-    from the out-of-band rows of s_k (``_leading_slepian_rows``).  s_k and
-    q are checked orthonormal to 1e-8.
-
-    For the svd_fb basis at the verify detail point eta reads the Lanczos
-    stopping floor of ``build_roast``, while both capture errors sit near
-    1e-20, so those two entries cannot show a change in the solver.
+    ``ValueError``; K counts its eigenvalues >= eps.  The deflation residual
+    eta = ||(I - V V^*) Fbar^* B|| / eps bounds the squared spectral capture
+    error of the K Slepian vectors and their squared residuals, and through
+    sqrt(1 - N eta) the angle cosine.  All come from ``_capture_errors`` on
+    the basis's q: eta on ``_cross_rows``, the rest on
+    ``_leading_slepian_rows``.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps!r}")

@@ -1,10 +1,8 @@
 """Prolate (sinc-kernel) operator, DPSS basis, DFT band split, and test signal.
 
-Everything downstream builds on the objects here: the implicit symmetric
-Toeplitz operator with an FFT-fast matvec, the leading Slepian vectors
-obtained from the commuting tridiagonal eigenproblem, the split of the DFT
-into in-band and out-of-band columns, and the one signal generator,
-``random_bandlimited``, a seeded sum of random in-band tones.
+The implicit Toeplitz operator with an FFT-fast matvec, the Slepian vectors
+of the commuting tridiagonal, the in-band/out-of-band split of the DFT and
+``random_bandlimited``, on which everything downstream builds.
 """
 
 from __future__ import annotations
@@ -139,15 +137,8 @@ class ProlateOperator:
 
 
 def build_prolate(n: int, w: float) -> ProlateOperator:
-    """Construct the prolate operator for length ``n`` and half-bandwidth ``w``.
-
-    Parameters
-    ----------
-    n : int
-        Signal length, at least 2.
-    w : float
-        Half-bandwidth, strictly inside (0, 1/2).
-    """
+    """The prolate operator for length ``n`` >= 2 and half-bandwidth ``w``
+    in (0, 1/2)."""
     _validate_nw(n, w)
     first_row = np.empty(n)
     first_row[0] = 2.0 * w
@@ -178,42 +169,41 @@ def _circulant_apply(op: ProlateOperator, block: np.ndarray) -> np.ndarray:
 
 
 def prolate_apply(op: ProlateOperator, x: np.ndarray) -> np.ndarray:
-    """Compute B @ x via the circulant embedding.
+    """B @ x via the circulant embedding, for a length-N vector or an N x b
+    block; each column is bit for bit the same whatever the layout, and
+    real input gives a real result by the real FFT.
 
-    ``x`` may be a length-N vector or an N x b block of columns; the result
-    matches the dense matvec to round-off, each column bit for bit the same
-    whatever the layout.  Real input takes the half-length real FFT and
-    returns a real result.  A block whose columns are not contiguous, which
-    numpy's FFT reads at about half speed, goes in groups of columns whose
-    spectrum holds at most ``_GROUP_BYTES``, each copied column-major; the
-    temporaries stay at one group's size beside the Fortran-ordered result.
+    A block wider than one group, or whose columns are not contiguous,
+    which numpy's FFT reads slowly, goes in groups of columns whose
+    spectrum holds at most ``_GROUP_BYTES``, each copied column-major if it
+    is not; the temporaries stay at one group's size beside the result.
     """
     x = np.asarray(x)
     if x.shape[0] != op.n:
         raise ValueError(f"operator size {op.n} does not match input length {x.shape[0]}")
-    if x.ndim == 1 or x.flags.f_contiguous:
+    dtype = np.dtype(float if np.isrealobj(x) else complex)
+    cols = max(1, _GROUP_BYTES // (dtype.itemsize * op.embed_size))
+    if x.ndim == 1 or (x.flags.f_contiguous and x.shape[1] <= cols):
         return _circulant_apply(op, x)
-    out = np.empty(x.shape, dtype=float if np.isrealobj(x) else complex, order="F")
-    cols = max(1, _GROUP_BYTES // (out.itemsize * op.embed_size))
+    out = np.empty(x.shape, dtype=dtype, order="F")
     for j0 in range(0, x.shape[1], cols):
-        group = _column_major(x[:, j0:j0 + cols], out.dtype)
+        group = x[:, j0:j0 + cols]
+        if not group.flags.f_contiguous:
+            group = _column_major(group, dtype)
         out[:, j0:j0 + cols] = _circulant_apply(op, group)
     return out
 
 
 @dataclass(frozen=True)
 class DpssBasis:
-    """Leading ``k`` Slepian vectors (columns) with concentration eigenvalues;
-    ``n`` and ``k`` are the shape of ``vectors``.
+    """Leading ``k`` Slepian vectors with concentration eigenvalues; ``n``
+    and ``k`` are the shape of ``vectors``.
 
-    Columns are orthonormal, in the exact descending order of the commuting
-    tridiagonal's eigenvectors, so column j has parity (-1)^j under time
-    reversal, and follow the sign convention that the first entry of
-    magnitude above 1e-12 is positive.  ``vectors`` is Fortran-ordered, so
-    each column is contiguous.  ``eigenvalues`` holds the columns' Rayleigh
+    The columns are orthonormal, Fortran-ordered, signed by ``_fix_signs``
+    and in the commuting tridiagonal's descending order, so column j has
+    parity (-1)^j under time reversal.  ``eigenvalues`` holds their Rayleigh
     quotients sorted descending; a column's own quotient differs from its
-    listed value only inside the clusters at 0 and 1, and there by at most
-    about 1.5e-15.
+    listed value only inside the clusters at 0 and 1.
     """
 
     w: float
@@ -260,12 +250,10 @@ def _half_eigenvectors(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndar
 def _fix_signs(vecs: np.ndarray) -> None:
     """Flip real columns in place so each one's first entry of magnitude
     above 1e-12 is positive; a column with none is signed by its first
-    entry.  Rows are scanned in blocks of ``_SIGN_ROWS``, and of at most an
-    eighth of the rows, each over the columns still searching, so the
-    block's copies stay near a quarter of the array's bytes.  The columns
-    to flip are negated one at a time: a broadcast product would take
-    numpy's iterator buffer, up to 64 KiB, more than the whole array at
-    small N."""
+    entry.  Rows are scanned in blocks of at most ``_SIGN_ROWS`` and an
+    eighth of the rows, so the copies stay near a quarter of the array's
+    bytes, and columns are negated one at a time, so no iterator buffer of
+    up to 64 KiB comes on top."""
     first = vecs[0].copy()
     open_cols = np.arange(vecs.shape[1])
     rows = min(_SIGN_ROWS, max(1, vecs.shape[0] // 8))
@@ -308,19 +296,14 @@ def build_dpss(n: int, w: float, k: int) -> DpssBasis:
     Each half is solved in full by divide and conquer (LAPACK ``stevd``), at
     O(N^2) time and memory whatever k is.  T is a Jacobi matrix, so in
     descending order the j-th eigenvector has parity (-1)^j: the columns
-    interleave the top ceil(k/2) even and floor(k/2) odd vectors.  A call
-    whose estimate 8 (N k + 2 ceil(N/2)^2) bytes exceeds
-    ``_MAX_DENSE_BYTES`` is refused before anything is allocated.  No
-    N x k temporary comes on top: each half is scaled straight into its
-    columns and mirrored from them, and ``_fix_signs`` scans row blocks.
+    interleave the top ceil(k/2) even and floor(k/2) odd vectors.  Refused
+    first when 8 (N k + 2 ceil(N/2)^2) bytes exceed the dense-byte limit;
+    no N x k temporary comes on top.
 
-    Each eigenvalue is a Rayleigh quotient from one real FFT: B is the
-    leading block of the circulant embedding, so by Parseval v^T B v =
-    sum_j c_j |V_j|^2 / M for the M-point spectrum V of the padded v and the
-    real circulant spectrum c.  Columns go in blocks of ``_RAYLEIGH_BLOCK``,
-    or of fewer where that many would not fit in the bytes of the half-size
-    solve; the values are clamped into (0, 1) and sorted descending, while
-    the columns keep the solver's exact order (see ``DpssBasis``).
+    Each eigenvalue is a Rayleigh quotient from one real FFT: by Parseval
+    v^T B v = sum_j c_j |V_j|^2 / M for the M-point spectrum V of the padded
+    v and the real circulant spectrum c.  Columns go in blocks of at most
+    ``_RAYLEIGH_BLOCK`` that fit in the bytes of the half-size solve.
     """
     _validate_nw(n, w)
     if not 1 <= k <= n:
@@ -382,13 +365,11 @@ class DftBandSplit:
     """Partition of the N DFT columns into the 2*floor(NW)+1 lowest
     frequencies and their complement, stored as (N, W) alone.
 
-    With the in-band half-width ``h`` = floor(NW) and the count ``n_neg``
-    of negative out-of-band bins, every part of the split is a slice of the
-    spectrum: the in-band bins are spectrum[N-h:] then spectrum[:h+1], and
-    the out-of-band ones are the negative bins spectrum[N//2+1:N-h] (the
-    first n_neg) then the positive ones spectrum[h+1:N//2+1], Nyquist last.
-    ``low_indices`` and ``high_indices``, built on each read, index those
-    slices in ascending signed frequency (k/N for k <= N/2, else (k-N)/N).
+    With h = floor(NW), the in-band bins are spectrum[N-h:] then
+    spectrum[:h+1], and the out-of-band ones the ``n_neg`` negative bins
+    spectrum[N//2+1:N-h] then the positive ones spectrum[h+1:N//2+1],
+    Nyquist last: ``low_indices`` and ``high_indices``, in ascending signed
+    frequency.
     """
 
     n: int
@@ -436,20 +417,14 @@ class SignalEnsemble:
 
 def random_bandlimited(n: int, w: float, num_tones: int, seed: int) -> SignalEnsemble:
     """Superpose ``num_tones`` unit-amplitude random-phase sinusoids with
-    frequencies drawn uniformly from [-w, w].  Fully reproducible from seed.
+    frequencies drawn uniformly from [-w, w], reproducibly from ``seed``.
 
     x[m] = sum_j c_j exp(2 pi i f_j m) is evaluated through the two-level
     factorization exp(2 pi i f (qB + r)) = exp(2 pi i f qB) exp(2 pi i f r),
-    with B the power of two nearest sqrt(N), r < B and q < ceil(N/B).  Each
-    tone then costs ceil(N/B) + B exponentials instead of N, and the weighted
-    sum over tones is one complex GEMM, (outer * c) @ inner^T, whose
-    ceil(N/B) x B result read row by row holds the N samples.  Tones go in
-    chunks of max(1, ``_PHASOR_BUDGET`` // (ceil(N/B) + B)), so one chunk's
-    two phasor tables hold at most 2**20 complex entries (16 MiB) whatever
-    the tone count.  The samples differ from the direct sum at round-off:
-    the largest error against an extended-precision reference stays within
-    4 sqrt(T) (2 pi W N + 8) eps for T tones, the direct formula's own phase
-    error being 2 pi W N eps per tone.
+    with B the power of two nearest sqrt(N): ceil(N/B) + B exponentials a
+    tone, and one complex GEMM over each chunk of tones whose two phasor
+    tables hold at most ``_PHASOR_BUDGET`` entries.  The error against an
+    exact sum stays within 4 sqrt(T) (2 pi W N + 8) eps for T tones.
     """
     _validate_nw(n, w)
     if num_tones < 1:

@@ -2,12 +2,8 @@
 
 Demonstrates the conditioning payoff of an orthonormal transform: solving
 min ||y - Phi Q a|| by CG on the normal equations converges quickly when Q
-is orthonormal and crawls when Q is replaced by an ill-conditioned fast
-factorization of the same dimension.  ``recovery_experiment`` runs CG on
-(Phi Q)^* (Phi Q), with the compressed sensing matrix (Phi Q)^* formed once
-by block analysis: dim * m * 16 bytes beside Phi, and no FFT inside the CG
-loop.  The reported condition number is the ratio of that CG run's extreme
-Ritz values: at most the true value, and ``nan`` when CG takes no step.
+is orthonormal and crawls when Q is an ill-conditioned fast factorization
+of the same dimension.
 """
 
 from __future__ import annotations
@@ -44,22 +40,23 @@ class CgResult:
     """One CG run, with each step's alpha_k and beta_k = rs_{k+1} / rs_k."""
 
     solution: np.ndarray
-    iterations: int
     residual_history: list
     converged: bool
     alphas: list = field(default_factory=list)
     betas: list = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.alphas)
 
 
 def cgd_solve(apply_normal_op, rhs: np.ndarray, tol: float = 1e-8,
               max_iter: int | None = None) -> CgResult:
     """Conjugate gradient on a Hermitian positive semidefinite action.
 
-    Terminates when the residual 2-norm falls below ``tol`` relative to the
-    right-hand side, or after ``max_iter`` steps (default 4x the dimension).
-    Non-convergence is reported through ``converged`` and the recorded
-    residual history, never silently.  A run stopped at ``max_iter = k``
-    returns the k-th iterate of the unbounded run.
+    Stops when the residual 2-norm falls below ``tol`` relative to the
+    right-hand side, or after ``max_iter`` steps (default 4x the dimension),
+    whose iterate is that of the unbounded run; ``converged`` says which.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
@@ -72,8 +69,7 @@ def cgd_solve(apply_normal_op, rhs: np.ndarray, tol: float = 1e-8,
     rs = float(np.vdot(r, r).real)
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
-        return CgResult(solution=x, iterations=0, residual_history=[0.0],
-                        converged=True)
+        return CgResult(solution=x, residual_history=[0.0], converged=True)
     history = [float(np.sqrt(rs))]
     alphas, betas = [], []
     while np.sqrt(rs) > tol * rhs_norm and len(alphas) < max_iter:
@@ -90,7 +86,7 @@ def cgd_solve(apply_normal_op, rhs: np.ndarray, tol: float = 1e-8,
         p = r + betas[-1] * p
         rs = rs_next
         history.append(float(np.sqrt(rs)))
-    return CgResult(solution=x, iterations=len(alphas), residual_history=history,
+    return CgResult(solution=x, residual_history=history,
                     converged=bool(np.sqrt(rs) <= tol * rhs_norm),
                     alphas=alphas, betas=betas)
 
@@ -106,15 +102,11 @@ class RecoveryProblem:
 
 def build_recovery_problem(n: int, w: float, m: int, seed: int) -> RecoveryProblem:
     """Random bandlimited truth of ``_NUM_TONES`` tones observed through an
-    M x N sensing matrix; a call whose 16 M N bytes, plus the 8 N bytes
-    per row of its draw buffer, exceed the dense-byte limit is refused
-    before the matrix is formed.
-
-    Phi = (G_re + 1j G_im) / sqrt(2M) for standard normal M x N draws G_re,
-    then G_im, from one generator, bit for bit: complex division by a real
-    scalar multiplies both parts by its reciprocal.  The generator fills
-    values in order, so drawing each part ``_sensing_rows`` rows at a time
-    through one real buffer gives the same Phi as drawing it whole.
+    M x N sensing matrix Phi = (G_re + 1j G_im) / sqrt(2M), for standard
+    normal draws G_re then G_im from one generator.  Each part is drawn
+    ``_sensing_rows`` rows at a time, the same values as one whole draw.
+    Refused first when 16 M N bytes, plus 8 N bytes per row of the draw
+    buffer, exceed the dense-byte limit.
     """
     if not 2 * int(np.floor(n * w)) <= m <= n:
         raise ValueError(
@@ -138,13 +130,11 @@ def build_recovery_problem(n: int, w: float, m: int, seed: int) -> RecoveryProbl
 def condition_estimate(result: CgResult) -> float:
     """Condition number of the operator CG ran on, from its Ritz values.
 
-    CG's step sizes define the Lanczos tridiagonal T of the Krylov space it
-    explored: diagonal 1/alpha_k + beta_{k-1}/alpha_{k-1}, off-diagonal
-    sqrt(beta_k)/alpha_k.  The eigenvalues of T (Ritz values) lie inside
-    the operator's spectrum and converge to its ends first, so their ratio
-    is at most the true condition number and close to it once CG has
-    converged.  No operator product is spent.  Returns ``nan`` when CG took
-    no step.
+    CG's steps define the Lanczos tridiagonal T of its Krylov space:
+    diagonal 1/alpha_k + beta_{k-1}/alpha_{k-1}, off-diagonal
+    sqrt(beta_k)/alpha_k.  The Ritz values lie inside the operator's
+    spectrum and converge to its ends first, so their ratio is at most the
+    true condition number.  ``nan`` when CG took no step.
     """
     if not result.alphas:
         return float("nan")
@@ -174,7 +164,6 @@ def _compressed_adjoint(phi: np.ndarray, basis) -> np.ndarray:
 
 @dataclass
 class RecoveryReport:
-    basis_choice: str
     relative_error: float
     iterations: int
     condition_estimate: float
@@ -183,22 +172,14 @@ class RecoveryReport:
 
 def recovery_experiment(n: int, w: float, m: int, basis_choice: str, seed: int,
                         r: int | None = None, tol: float = 1e-8) -> RecoveryReport:
-    """Recover a bandlimited signal of ``_NUM_TONES`` tones from y = Phi x
-    through the chosen subspace, on ``build_recovery_problem``'s problem.
+    """Recover the signal of ``build_recovery_problem`` through the basis
+    ``BASES[basis_choice](n, w, r, seed)``, R defaulting to floor(3 ln N):
+    CG on the normal equations Q^* Phi^* Phi Q a = Q^* Phi^* y, then
+    xhat = Q a.
 
-    ``basis_choice`` is a key of ``roast.basis.BASES``; the basis is built
-    as ``BASES[basis_choice](n, w, r, seed)``, so every choice has dimension
-    2*floor(NW)+1+R (``seed`` also seeds the randomized sketch).  R defaults
-    to floor(3 ln N).  Solves the normal equations Q^* Phi^* Phi Q a =
-    Q^* Phi^* y by CG and reconstructs xhat = Q a, which lies in the
-    subspace by construction.
-
-    CG runs on A^* A with A = Phi Q.  A^* = Q^* Phi^* is formed once, before
-    CG, as a dim x m array (dim * m * 16 bytes): the basis's ``analyze`` takes
-    the conjugated transpose of one block of Phi's rows at a time, so no
-    conjugated M x N copy of Phi is formed.  Each CG step is then two dense
-    products with no FFT: A a = conj((A^*)^T conj(a)), through a transposed
-    view of A^*, and A^* (A a).
+    A^* = (Phi Q)^*, dim x m, is formed once by ``_compressed_adjoint``, so
+    each CG step is two dense products with no FFT: A a = conj((A^*)^T
+    conj(a)) through a transposed view, and A^* (A a).
     """
     if basis_choice not in BASES:
         raise ValueError(
@@ -216,7 +197,7 @@ def recovery_experiment(n: int, w: float, m: int, basis_choice: str, seed: int,
     xhat = basis.synthesize(result.solution)
     rel_err = float(np.linalg.norm(xhat - problem.truth)
                     / np.linalg.norm(problem.truth))
-    return RecoveryReport(basis_choice=basis_choice, relative_error=rel_err,
+    return RecoveryReport(relative_error=rel_err,
                           iterations=result.iterations,
                           condition_estimate=condition_estimate(result),
                           converged=result.converged)

@@ -1,10 +1,9 @@
 """Full numerical verification suite for the approximation guarantees.
 
 Runs every inequality the library is built to satisfy, across a fixed
-(N, W) grid, and collects the results in a ledger.  The CLI ``verify``
-command is a thin wrapper around :func:`full_verification`, which alone
-solves the DPSS; the acceptance tests call the granular suites directly.
-Suites that read Slepian vectors take the full solve and read N and W from it.
+(N, W) grid, and collects the results in a ledger; ``roast verify`` wraps
+``full_verification``.  Suites that read Slepian vectors take the full
+solve and read N and W from it.
 """
 
 from __future__ import annotations
@@ -95,8 +94,7 @@ def core_grid_checks(dpss) -> BoundLedger:
 
 def capture_suite(dpss, eps: float) -> BoundLedger:
     """Leading-DPSS capture at accuracy eps, with the angle bound at
-    enlarged R, at the (N, W) of the full Slepian solve ``dpss``; the cross
-    operator's rows are formed inside ``dpss_capture_report``."""
+    enlarged R, at the (N, W) of the full Slepian solve ``dpss``."""
     ledger = BoundLedger()
     n, w = _full_solve(dpss)
     split = build_band_split(n, w)
@@ -122,13 +120,9 @@ def capture_suite(dpss, eps: float) -> BoundLedger:
 
 
 def average_suite(n: int, w: float, eps: float) -> BoundLedger:
-    """Band-averaged normalized residual at the rank sized for eps, the
-    quadrature value over N, plus the trace/quadrature cross-check.
-
-    The trace path floors its round-off, dimension * eps * trace(B), at zero;
-    the two paths may differ by that round-off on top of the relative
-    tolerance.
-    """
+    """Band-averaged normalized residual at the rank sized for eps, and the
+    trace/quadrature cross-check, which allows the trace path's round-off,
+    dimension * eps * trace(B), on top of the relative tolerance."""
     ledger = BoundLedger()
     op = build_prolate(n, w)
     r = min(rank_for_average(n, eps), build_band_split(n, w).n_high)
@@ -166,18 +160,11 @@ def randomized_suite(dpss, eps: float, num_seeds: int) -> BoundLedger:
     per-vector residual, the subspace-angle floor sqrt(1 - N*eps), the
     band-averaged residual and the pointwise in-band residual, each at the
     width its sizing rule gives, clamped to n_high.  Each seed draws one
-    sketch at the widest width, whose basis is ``build_roast_randomized``'s
-    bit for bit; a narrower width takes a column prefix, still an N x p
-    standard Gaussian sketch, through its own pivoted QR.  Each entry
-    records the kept R over the seeds as ``r_min`` and ``r_max``.
-
-    Capture and angle take the real route of ``dpss_capture_report``; the
-    angle cosine is sqrt(1 - ||R||_2^2) for the capture residual R.  The
-    average-width and pointwise bases of all seeds share one
-    ``sinusoid_residual_sq`` call on the mirrored in-band grid of
-    ``integrated_residual_quadrature``, which forms each ±f pair once, and
-    each seed's average is the trapezoid of its curve over N, which
-    resolves residuals the trace path floors at zero.
+    sketch at the widest width, ``build_roast_randomized``'s; a narrower
+    width takes a column prefix, still an N x p Gaussian sketch.  Each entry
+    records the kept R over the seeds as ``r_min`` and ``r_max``.  The
+    residual curves of every seed come from one ``sinusoid_residual_sq``
+    call on the ``_band_grid``.
     """
     ledger = BoundLedger()
     n, w = _full_solve(dpss)

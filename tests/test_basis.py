@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import re
+import resource
 import struct
 import time
 import tracemalloc
@@ -750,10 +753,10 @@ _GUARDED_PATHS = [
      16 * 1025 * (1025 + 40)),
     ("prolate_dense", lambda n, w: partial(prolate_dense, build_prolate(n, w)),
      8 * 1025**2),
-    # G applied to the identity at R = n_high: the identity, four N x n_high
-    # arrays and the two transforms of the 4096-row circulant embedding
+    # G applied to the identity at R = n_high: the identity, two N x n_high
+    # arrays, and one 4 MiB column group's copy, spectrum and inverse
     ("build_roast", lambda n, w: partial(build_roast, n, w, 512),
-     8 * 512 * (512 + 4 * 1025 + 2 * 4096)),
+     8 * 512 * (512 + 2 * 1025) + 3 * 2**22),
     # the synthesized columns, their 4096-row embedded spectrum and their
     # product with their conjugate, and 384 KiB for the sum's buffer and a
     # conjugate numpy would not reuse below 256 KiB
@@ -764,41 +767,93 @@ _GUARDED_PATHS = [
 ]
 
 
-class TestDenseByteGuards:
-    # every call would need gigabytes; each must refuse before allocating
-    @pytest.mark.parametrize("name,call", [
-        ("cross_operator_dense",  # 24 n_high N = 5.2 GB
-         lambda: roast.cross_operator_dense(build_prolate(16384, 0.1),
-                                            build_band_split(16384, 0.1))),
-        ("_cross_rows",  # 16 n_high N = 3.4 GB
-         lambda: roast.singular_decay_report(16384, 0.1)),
-        ("dense_basis",  # 16 N dimension = 2,147,745,792 B, plus the
-         # 1 MiB row block: just above the 2,147,483,648 B limit
-         lambda: _empty_roast_basis(16384, 0.25).dense_basis()),
-        ("largest_angle_cos_direct",  # 16 N (N + 2) = 4.3 GB
-         lambda: roast.diagnostics.largest_angle_cos_direct(
-             np.eye(16384, 1), np.eye(16384, 2))),
-        ("build_fst_analog",  # 32 N^2 = 8.6 GB
-         lambda: build_fst_analog(16384, 0.25, 4)),
-        ("dft_columns",  # 16 N K = 4.3 GB
-         lambda: dft_columns(16384, np.arange(16384))),
-        ("prolate_dense",  # 8 N^2 = 2,147,745,800 B, just above the limit
-         lambda: prolate_dense(build_prolate(16385, 0.25))),
-        ("build_roast",  # 8 n_high (n_high + 4 N + 2 M) = 9.1 GB at R = n_high
-         lambda: build_roast(16384, 0.25, 8191)),
-        ("integrated_residual",  # 16 dimension (2 N + M) = 8.6 GB
-         lambda: integrated_residual(build_prolate(16384, 0.25),
-                                     _empty_roast_basis(16384, 0.25))),
-    ])
-    def test_refused_before_allocating(self, name, call):
+# every call would need gigabytes; each must refuse before allocating
+_REFUSED = [
+    ("cross_operator_dense",  # 24 n_high N = 5.2 GB
+     lambda: roast.cross_operator_dense(build_prolate(16384, 0.1),
+                                        build_band_split(16384, 0.1))),
+    ("_cross_rows",  # 16 n_high N = 3.4 GB
+     lambda: roast.singular_decay_report(16384, 0.1)),
+    ("dense_basis",  # 16 N dimension = 2,147,745,792 B, plus the
+     # 1 MiB row block: just above the 2,147,483,648 B limit
+     lambda: _empty_roast_basis(16384, 0.25).dense_basis()),
+    ("largest_angle_cos_direct",  # 16 N (N + 2) = 4.3 GB
+     lambda: roast.diagnostics.largest_angle_cos_direct(
+         np.eye(16384, 1), np.eye(16384, 2))),
+    ("build_fst_analog",  # 32 N^2 = 8.6 GB
+     lambda: build_fst_analog(16384, 0.25, 4)),
+    ("dft_columns",  # 16 N K = 4.3 GB
+     lambda: dft_columns(16384, np.arange(16384))),
+    ("prolate_dense",  # 8 N^2 = 2,147,745,800 B, just above the limit
+     lambda: prolate_dense(build_prolate(16385, 0.25))),
+    ("build_roast",  # 8 n_high (n_high + 2 N) = 2.7 GB at R = n_high
+     lambda: build_roast(16384, 0.25, 8191)),
+    ("integrated_residual",  # 16 dimension (2 N + M) = 8.6 GB
+     lambda: integrated_residual(build_prolate(16384, 0.25),
+                                 _empty_roast_basis(16384, 0.25))),
+]
+
+# Address space the child of ``refusals`` may add to its own: room for the
+# refusals and their small inputs, far below the 537 MB or more that the
+# first large allocation of any case takes without its guard.
+_REFUSAL_HEADROOM = 2**27
+
+
+def _refuse_under_cap(conn):
+    """Run every case of ``_REFUSED`` with the address space capped, and send
+    back each case's outcome by name: "refused", or what happened instead."""
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        mapped = int(fh.read().split()[0]) * resource.getpagesize()
+    cap = mapped + _REFUSAL_HEADROOM
+    resource.setrlimit(resource.RLIMIT_AS,
+                       (cap if hard == resource.RLIM_INFINITY else min(cap, hard),
+                        hard))
+    outcomes = {}
+    for name, call in _REFUSED:
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=f"{name}.*MiB, above the"):
-                call()
+            call()
+            outcomes[name] = "returned without refusing"
+        except ValueError as exc:
             peak = tracemalloc.get_traced_memory()[1]
+            if not re.search(f"{name}.*MiB, above the", str(exc)):
+                outcomes[name] = f"wrong refusal: {exc}"
+            else:
+                outcomes[name] = "refused" if peak < 2**24 else f"peak {peak} B"
+        except Exception as exc:  # MemoryError once a guard is missing
+            outcomes[name] = f"raised {exc!r} under the cap"
         finally:
             tracemalloc.stop()
-        assert peak < 2**24
+    conn.send(outcomes)
+
+
+@pytest.fixture(scope="module")
+def refusals():
+    """Outcomes of ``_REFUSED``, run in one forked child whose address space
+    is capped, so that a missing guard fails in seconds with MemoryError
+    instead of allocating gigabytes."""
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_refuse_under_cap, args=(send,))
+    child.start()
+    send.close()
+    try:
+        outcomes = recv.recv() if recv.poll(120) else {}
+    except EOFError:
+        outcomes = {}
+    child.join(10)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    return outcomes or {"exitcode": child.exitcode}
+
+
+class TestDenseByteGuards:
+    @pytest.mark.parametrize("name,call", _REFUSED)
+    def test_refused_before_allocating(self, name, call, refusals):
+        # refusals ran call in the capped child
+        assert refusals.get(name) == "refused", refusals
 
     def test_refusal_names_the_refusing_function(self):
         # singular_decay_report forms the real rows, never the complex

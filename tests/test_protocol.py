@@ -4,14 +4,16 @@ Each entry of ``roast.BASES``, and the svd_fbf ROAST basis, builds a basis
 with ``n``, ``dimension``, ``analyze``, ``synthesize``, ``project`` and
 ``dense_basis``; the fast paths must agree with the explicit matrix Q that
 ``dense_basis`` returns.  A ROAST basis's R is the column count of its
-stored factor q, and its serialized bytes restore it bit for bit.
+stored factor q, and its serialized bytes restore it bit for bit.  Explicit
+examples take R = n_high, the whole out-of-band span, where ``build_roast``
+decomposes with ``eigh`` instead of Lanczos.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from roast import (BASES, RoastBasis, build_roast, deserialize_basis,
@@ -45,6 +47,13 @@ def gap(a, b):
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(instance=instances())
+# (N, W, R = n_high, seed) at odd and even N
+@example(instance=(64, 0.25, 31, 0))
+@example(instance=(101, 0.25, 50, 1))
+@example(instance=(200, 0.1, 159, 2))
+@example(instance=(255, 0.25, 128, 3))
+@example(instance=(299, 0.4, 60, 4))
+@example(instance=(300, 0.25, 149, 5))
 def test_basis_protocol(name, instance):
     n, w, r, seed = instance
     basis = BUILDERS[name](n, w, r, seed)
