@@ -26,9 +26,9 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .prolate import (
-    _GROUP_BYTES,
     DftBandSplit,
     ProlateOperator,
+    _apply_bytes,
     _check_dense_bytes,
     _column_major,
     _fix_signs,
@@ -278,10 +278,12 @@ def _out_of_band_eigenvectors(op: ProlateOperator, split: DftBandSplit,
     geometrically (Halko, Martinsson and Tropp, arXiv:0909.4061, sec. 4.2).
 
     ARPACK cannot take r = n_high, so there ``eigh`` decomposes G applied to
-    the identity: refused first when 8 n_high (n_high + 2N) bytes, for the
-    identity and two N x n_high arrays, plus 3 ``_GROUP_BYTES`` for one
-    column group's copy, spectrum and inverse in ``prolate_apply``, exceed
-    the dense-byte limit.  Both routes return orthonormal vectors.
+    the identity, refused first when its largest stage exceeds the
+    dense-byte limit: the identity and the N x n_high block beside
+    ``_apply_bytes``; 8 n_high (2 n_high + 2N + 2) for the identity, the
+    block, its rfft and the rows; or ``eigh``'s 40 n_high^2 for G, LAPACK's
+    copy, the vectors and dsyevd's 2 n_high^2 work.  Both routes return
+    orthonormal vectors.
     """
     n, n_high, h = op.n, split.n_high, split.h
     shift = 1.0 if power == 1 else math.sqrt(np.finfo(float).eps)
@@ -294,11 +296,14 @@ def _out_of_band_eigenvectors(op: ProlateOperator, split: DftBandSplit,
         del half  # before the prolate matvecs form their temporaries
         for _ in range(power):
             y = prolate_apply(op, y)
-        return _slepian_rows(y, split) + shift * a
+        y = _slepian_rows(y, split)
+        y += shift * a
+        return y
 
     if r == n_high:
-        _check_dense_bytes(f"build_roast(n={n}, w={split.w}, r={r})",
-                           8 * n_high * (n_high + 2 * n) + 3 * _GROUP_BYTES)
+        stages = (8 * n_high * (n_high + n) + _apply_bytes(n, n_high, float),
+                  8 * n_high * (2 * n_high + 2 * n + 2), 40 * n_high**2)
+        _check_dense_bytes(f"build_roast(n={n}, w={split.w}, r={r})", max(stages))
         vals, ritz = np.linalg.eigh(matvec(np.eye(n_high)))
     else:
         g = spla.LinearOperator((n_high, n_high), matvec=matvec, matmat=matvec,
@@ -672,7 +677,8 @@ def _is_int(value) -> bool:
 
 def deserialize_basis(data: bytes) -> RoastBasis:
     """Decode a serialized basis, validating structure, checksum and shape;
-    q is a read-only view of the payload bytes."""
+    headers with a signal length above 2**24 are refused.  q is a read-only
+    view of the payload bytes."""
     fixed = len(_MAGIC) + 2 + 4
     if len(data) < fixed + 4:
         raise BasisFormatError("truncated stream: shorter than the fixed header")

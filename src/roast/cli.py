@@ -1,16 +1,7 @@
 """Command-line front end: build bases, verify bounds, reproduce experiments.
 
-Subcommands
------------
-build            construct a basis and serialize it to disk
-verify           run the bound suite, emit a JSON ledger, exit nonzero on failure
-sweep-sinusoid   SNR of each projection method across a frequency grid
-bandlimited-snr  SNR of each method versus R on a fixed bandlimited signal
-scaling-bench    build/apply timings and SNR across signal lengths
-rank-report      skinny-matrix widths versus length for the fast methods
-recover          one CG recovery experiment through a chosen subspace
-
-Each subcommand takes only the flags it reads.  A value outside its range
+``_COMMANDS`` declares each subcommand, its help and the flags it reads;
+``verify`` exits nonzero when a bound fails.  A value outside its range
 exits 2 before the runner starts; a rank, sketch width or ``--m`` that does
 not fit the band split of its N and ``--w``, or a size a dense path
 refuses, exits 2 from the runner before any basis is built or signal drawn.

@@ -41,8 +41,8 @@ _RAYLEIGH_BLOCK = 64
 # Rows per block while _fix_signs looks for each column's first entry.
 _SIGN_ROWS = 64
 
-# Bytes of one column group's spectrum when prolate_apply regroups a block
-# whose columns are not contiguous.
+# Bytes of one column group's spectrum; prolate_apply takes in such groups a
+# block wider than one group or whose columns are not contiguous.
 _GROUP_BYTES = 2 ** 22
 
 # Bytes of one row block of a copy into column-major order.
@@ -168,6 +168,12 @@ def _circulant_apply(op: ProlateOperator, block: np.ndarray) -> np.ndarray:
     return np.fft.ifft(full, axis=0, out=full)[:op.n]
 
 
+def _apply_bytes(n: int, cols: int, dtype) -> int:
+    """Bytes ``prolate_apply`` holds for an N x ``cols`` block: the result
+    and 3 ``_GROUP_BYTES`` for one group's copy, spectrum and inverse."""
+    return np.dtype(dtype).itemsize * n * cols + 3 * _GROUP_BYTES
+
+
 def prolate_apply(op: ProlateOperator, x: np.ndarray) -> np.ndarray:
     """B @ x via the circulant embedding, for a length-N vector or an N x b
     block; each column is bit for bit the same whatever the layout, and
@@ -176,7 +182,7 @@ def prolate_apply(op: ProlateOperator, x: np.ndarray) -> np.ndarray:
     A block wider than one group, or whose columns are not contiguous,
     which numpy's FFT reads slowly, goes in groups of columns whose
     spectrum holds at most ``_GROUP_BYTES``, each copied column-major if it
-    is not; the temporaries stay at one group's size beside the result.
+    is not; ``_apply_bytes`` bounds what it holds.
     """
     x = np.asarray(x)
     if x.shape[0] != op.n:

@@ -754,7 +754,8 @@ _GUARDED_PATHS = [
     ("prolate_dense", lambda n, w: partial(prolate_dense, build_prolate(n, w)),
      8 * 1025**2),
     # G applied to the identity at R = n_high: the identity, two N x n_high
-    # arrays, and one 4 MiB column group's copy, spectrum and inverse
+    # arrays, and one 4 MiB column group's copy, spectrum and inverse; the
+    # route's rows and eigh stages are smaller at this size
     ("build_roast", lambda n, w: partial(build_roast, n, w, 512),
      8 * 512 * (512 + 2 * 1025) + 3 * 2**22),
     # the synthesized columns, their 4096-row embedded spectrum and their
@@ -786,7 +787,7 @@ _REFUSED = [
      lambda: dft_columns(16384, np.arange(16384))),
     ("prolate_dense",  # 8 N^2 = 2,147,745,800 B, just above the limit
      lambda: prolate_dense(build_prolate(16385, 0.25))),
-    ("build_roast",  # 8 n_high (n_high + 2 N) = 2.7 GB at R = n_high
+    ("build_roast",  # 8 n_high (2 n_high + 2 N + 2) = 3.2 GB at R = n_high
      lambda: build_roast(16384, 0.25, 8191)),
     ("integrated_residual",  # 16 dimension (2 N + M) = 8.6 GB
      lambda: integrated_residual(build_prolate(16384, 0.25),
@@ -795,7 +796,9 @@ _REFUSED = [
 
 # Address space the child of ``refusals`` may add to its own: room for the
 # refusals and their small inputs, far below the 537 MB or more that the
-# first large allocation of any case takes without its guard.
+# first large allocation of any case takes without its guard.  8 MiB was
+# enough on a 2-core host.  Every case refuses before any BLAS call, so the
+# child starts no thread and the room needed does not grow with core count.
 _REFUSAL_HEADROOM = 2**27
 
 
@@ -847,6 +850,21 @@ def refusals():
         child.kill()
         child.join()
     return outcomes or {"exitcode": child.exitcode}
+
+
+def _recorded_charges(monkeypatch, *modules):
+    """The list to which each module's ``_check_dense_bytes`` appends the
+    charge it checks."""
+    charges = []
+    check = roast.prolate._check_dense_bytes
+
+    def record(what, estimate):
+        charges.append(estimate)
+        check(what, estimate)
+
+    for module in modules:
+        monkeypatch.setattr(module, "_check_dense_bytes", record)
+    return charges
 
 
 class TestDenseByteGuards:
@@ -912,16 +930,9 @@ class TestDenseByteGuards:
         # buffers and the caches a first call fills
         n, w = 1025, 0.25
         call = setup(n, w)
-        charges = []
-        check = roast.prolate._check_dense_bytes
-
-        def record(what, estimate):
-            charges.append(estimate)
-            check(what, estimate)
-
-        for module in (roast.prolate, roast.basis, roast.diagnostics,
-                       roast.recovery, dense_oracles):
-            monkeypatch.setattr(module, "_check_dense_bytes", record)
+        charges = _recorded_charges(monkeypatch, roast.prolate, roast.basis,
+                                    roast.diagnostics, roast.recovery,
+                                    dense_oracles)
         tracemalloc.start()
         try:
             call()
@@ -929,6 +940,27 @@ class TestDenseByteGuards:
         finally:
             tracemalloc.stop()
         assert charges[:1] == [charge]
+        assert peak <= charge + 2**17
+
+    @pytest.mark.parametrize("w, charge", [
+        pytest.param(0.25, 8 * 1499 * (2 * 1499 + 2 * 3000 + 2), id="rows"),
+        pytest.param(0.1, 40 * 2399**2, id="eigh"),
+    ])
+    def test_eigh_route_peak_within_the_charge(self, w, charge, monkeypatch):
+        # at N = 3000 the n_high x n_high terms, not the prolate matvec's
+        # column groups, set the charge of the R = n_high route; the traced
+        # peak is the rows stage, which a charge without its 8 n_high^2
+        # rows would miss at both widths
+        n = 3000
+        op, split = build_prolate(n, w), build_band_split(n, w)
+        charges = _recorded_charges(monkeypatch, roast.basis)
+        tracemalloc.start()
+        try:
+            roast.basis._out_of_band_eigenvectors(op, split, split.n_high, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert charges == [charge]
         assert peak <= charge + 2**17
 
 
