@@ -1,8 +1,9 @@
-"""The verify suites, and ``roast verify`` against its committed reference.
+"""The verify suites, and ``roast verify`` against its committed references.
 
-``tests/data/verify_ledger.json`` is ``roast verify --out`` at its defaults
-with one BLAS thread.  A change that moves the ledger on purpose rewrites it
-with
+``tests/data/verify_ledger.json`` is ``roast verify --out`` at its defaults,
+and ``tests/data/verify_single_point.json`` is ``roast verify --single-point``
+at ``_SINGLE_POINT_ARGS``, both with one BLAS thread.  A change that moves a
+ledger on purpose rewrites both with
 
     PYTHONPATH=src python tests/test_verify.py
 
@@ -269,6 +270,10 @@ class TestResidualPathAgreement:
 # values' last bits depend on the thread count, and the root conftest pins
 # one thread for the tests
 _REFERENCE = pathlib.Path(__file__).parent / "data" / "verify_ledger.json"
+_SINGLE_POINT = _REFERENCE.with_name("verify_single_point.json")
+# an odd N, which takes build_dpss's odd branch
+_SINGLE_POINT_ARGS = ["verify", "--single-point", "--n", "301", "--w", "0.1",
+                      "--eps", "1e-4"]
 
 
 def _moved(old, new):
@@ -359,8 +364,17 @@ class TestReferenceLedger:
             assert len(_ledger_moves(entries, new)) == count, edits
 
 
+def test_single_point_matches_its_reference(tmp_path):
+    out = tmp_path / "ledger.json"
+    assert main([*_SINGLE_POINT_ARGS, "--out", str(out)]) == 0
+    moves = _ledger_moves(json.loads(_SINGLE_POINT.read_text())["entries"],
+                          json.loads(out.read_text())["entries"])
+    assert not moves, "ledger moved, old -> new:\n" + "\n".join(moves)
+
+
 if __name__ == "__main__":
     _REFERENCE.parent.mkdir(parents=True, exist_ok=True)
-    code = main(["verify", "--out", str(_REFERENCE)])
-    print(f"wrote {_REFERENCE}")
-    raise SystemExit(code)
+    codes = [main(["verify", "--out", str(_REFERENCE)]),
+             main([*_SINGLE_POINT_ARGS, "--out", str(_SINGLE_POINT)])]
+    print(f"wrote {_REFERENCE} and {_SINGLE_POINT}")
+    raise SystemExit(max(codes))
