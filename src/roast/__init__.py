@@ -37,7 +37,6 @@ from .basis import (
 from .diagnostics import (
     BoundLedger,
     dpss_capture_report,
-    eigenvalue_concentration_report,
     integrated_residual,
     integrated_residual_quadrature,
     residual_snr,

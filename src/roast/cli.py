@@ -3,8 +3,9 @@
 ``_COMMANDS`` declares each subcommand, its help and the flags it reads;
 ``verify`` exits nonzero when a bound fails.  A value outside its range
 exits 2 before the runner starts; a rank, sketch width or ``--m`` that does
-not fit the band split of its N and ``--w``, or a size a dense path
-refuses, exits 2 from the runner before any basis is built or signal drawn.
+not fit the band split of N and ``--w``, a size a dense path refuses, or an
+``--eps`` no eigenvalue reaches exits 2 from the runner before any basis is
+built or signal drawn.
 
 Every output is stamped with the command, the version, the set flags and
 the values the run derives (``dimension``, ``r_used``).  Output is
@@ -115,7 +116,8 @@ _RANK_FACTORS = {"sweep-sinusoid": 4.0, "recover": 3.0, "scaling-bench": 3.0}
 
 
 class _SizeError(ValueError):
-    """A width or count that does not fit the band split; main exits 2."""
+    """A width or count that does not fit the band split, or an eps no
+    eigenvalue reaches; main exits 2."""
 
 
 def _fit(n: int, w: float, flag: str, width: int) -> int:
@@ -162,6 +164,8 @@ def run_verify(args: argparse.Namespace) -> int:
     if args.single_point:
         # one full Slepian solve serves both suites
         dpss = build_dpss(args.n, args.w, args.n)
+        if dpss.eigenvalues[0] < args.eps:  # the largest: nothing to capture
+            raise _SizeError(f"no eigenvalues reach eps={args.eps}")
         ledger = core_grid_checks(dpss)
         ledger.extend(capture_suite(dpss, args.eps))
     else:

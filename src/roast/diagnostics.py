@@ -1,9 +1,9 @@
 """Computable diagnostics for the approximation guarantees.
 
-Every inequality the construction should satisfy becomes a number here:
-singular-value decay of the cross operator, eigenvalue concentration, the
-integrated residual by two independent paths, pointwise residuals, subspace
-angles and Slepian capture errors.  Results land in a JSON ledger.
+The numbers the guarantees are about: the cross operator's singular values,
+the integrated residual by two independent paths, the in-band residual and
+its derivative, subspace angles and Slepian capture errors.  ``roast.verify``
+states the bounds on them and writes every entry of the ledger typed here.
 """
 
 from __future__ import annotations
@@ -19,15 +19,14 @@ from .basis import (RoastBasis, SubDftBasis, _bin_pairs, _cross_rows, _fold,
                     _slepian_rows)
 from .prolate import (
     ProlateOperator,
+    _apply_bytes,
     _check_dense_bytes,
     build_band_split,
     build_prolate,
-    log_width_constant,
     prolate_apply,
 )
 
 __all__ = [
-    "SpectrumReport",
     "LedgerEntry",
     "BoundLedger",
     "residual_snr",
@@ -36,11 +35,9 @@ __all__ = [
     "integrated_residual",
     "integrated_residual_quadrature",
     "sinusoid_residual_sq",
-    "residual_path_bound",
     "subspace_angle",
     "largest_angle_cos_direct",
     "singular_decay_report",
-    "eigenvalue_concentration_report",
     "sinusoid_derivative_check",
     "dpss_capture_report",
 ]
@@ -119,36 +116,6 @@ class BoundLedger:
     def from_json(cls, text: str) -> "BoundLedger":
         doc = json.loads(text)
         return cls(entries=[LedgerEntry.from_dict(d) for d in doc["entries"]])
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Singular values of the cross operator against the decay envelope
-    15 exp(-i / C_N)."""
-
-    n: int
-    w: float
-    singular_values: np.ndarray
-
-    @property
-    def c_n(self) -> float:
-        return log_width_constant(self.n)
-
-    @property
-    def violations(self) -> list:
-        """Indices i where sigma_i passes the envelope by more than
-        ``_LEDGER_SLACK``."""
-        sigma = self.singular_values
-        bound = 15.0 * np.exp(-np.arange(len(sigma)) / self.c_n)
-        return np.flatnonzero(sigma > bound + _LEDGER_SLACK).tolist()
-
-    def tail_bound_entry(self, r: int) -> LedgerEntry:
-        """Geometric-series envelope on the tail sum past index r."""
-        c_n = self.c_n
-        return LedgerEntry("singular_tail_geometric",
-                           float(np.sum(self.singular_values[r:])),
-                           15.0 * math.exp(-(r - 1) / c_n) * c_n,
-                           {"n": self.n, "w": self.w, "r": r})
 
 
 def _as_projector(projector):
@@ -243,22 +210,23 @@ def integrated_residual(op: ProlateOperator, q_like) -> float:
     at zero against round-off.
 
     A ``RoastBasis`` or ``SubDftBasis`` supplies its d = ``dimension``
-    columns by synthesis of the identity.  Refused first when 16 d (2N +
-    max(M, 5d/2)) bytes, plus 384 KiB, exceed the dense-byte limit: the
-    synthesis, or the columns beside their M-row embedded spectrum and their
-    product with their conjugate; the 384 KiB cover the sum's 128 KiB buffer
-    and a conjugate below numpy's 256 KiB threshold for reusing temporaries.
+    columns by synthesis of the identity, which holds less than either later
+    stage.  Refused first when the larger exceeds the dense-byte limit: the
+    N x d columns beside their matvec's ``_apply_bytes``, or 48 N d bytes for
+    the columns, their matvec and their conjugate product, plus 384 KiB for
+    the sum's 128 KiB buffer and a conjugate below numpy's 256 KiB threshold.
     """
     q = _checked_basis(q_like)
     if isinstance(q, (RoastBasis, SubDftBasis)):
-        d = q.dimension
-        _check_dense_bytes(f"integrated_residual(n={op.n}, dimension={d})",
-                           16 * d * (2 * op.n + max(op.embed_size, 5 * d // 2))
-                           + 3 * 2**17)
+        n, d = op.n, q.dimension
+        _check_dense_bytes(f"integrated_residual(n={n}, dimension={d})",
+                           max(16 * n * d + _apply_bytes(n, d, complex),
+                               48 * n * d + 3 * 2**17))
         q = q.synthesize(np.eye(d))
     if q.shape[0] != op.n:
         raise ValueError(f"basis rows {q.shape[0]} do not match operator size {op.n}")
-    captured = np.sum((q.conj() * prolate_apply(op, q)).real)
+    bq = prolate_apply(op, q)  # before the conjugate, which would sit beside it
+    captured = np.sum((q.conj() * bq).real)
     return max(op.trace() - float(captured), 0.0)
 
 
@@ -383,13 +351,6 @@ def integrated_residual_quadrature(op: ProlateOperator, q_like) -> float:
     return float(np.trapezoid(sinusoid_residual_sq(q, op.n, grid), grid))
 
 
-def residual_path_bound(trace_value: float, quad_value: float,
-                        abs_floor: float) -> float:
-    """Largest gap the two residual paths may show and still agree: 1e-4 of
-    the larger value plus ``abs_floor`` for residuals at round-off."""
-    return 1e-4 * max(abs(trace_value), abs(quad_value)) + abs_floor
-
-
 def subspace_angle(a_like, b_like) -> np.ndarray:
     """Cosines of the principal angles between two orthonormal column spans,
     descending: the singular values of A^* B.  A ``RoastBasis`` or
@@ -425,9 +386,9 @@ def largest_angle_cos_direct(a_like, b_like) -> float:
     return float(sigma[-1])
 
 
-def singular_decay_report(n: int, w: float) -> SpectrumReport:
-    """Full singular spectrum of the cross operator, from real SVDs of the
-    parity blocks of its rows (``_cross_rows``).
+def singular_decay_report(n: int, w: float) -> np.ndarray:
+    """Singular values of the cross operator, descending, from real SVDs of
+    the parity blocks of its rows (``_cross_rows``).
 
     B commutes with the time reversal J, and the row c_k of bin k has
     c_k J = exp(-2i t_k) conj c_k, t_k = pi k (N-1)/N.  Turning each (cos,
@@ -452,28 +413,17 @@ def singular_decay_report(n: int, w: float) -> SpectrumReport:
     even -= sin * rows[m:2 * m, :n - half]
     odd[:m] *= cos
     odd[:m] += sin * minus[:m]
-    sigma = -np.sort(-np.concatenate(
+    return -np.sort(-np.concatenate(
         [np.linalg.svd(b, compute_uv=False) for b in (even, odd)]))
-    return SpectrumReport(n=int(n), w=float(w), singular_values=sigma)
 
 
-def eigenvalue_concentration_report(n: int, w: float, eps: float,
-                                    eigenvalues: np.ndarray) -> LedgerEntry:
-    """Count of ``eigenvalues`` inside [eps, 1-eps] against 2 C_N log(15/eps)."""
-    if not 0.0 < eps < 0.5:
-        raise ValueError(f"eps must lie in (0, 1/2), got {eps!r}")
-    count = int(np.sum((eigenvalues >= eps) & (eigenvalues <= 1.0 - eps)))
-    bound = 2.0 * log_width_constant(n) * math.log(15.0 / eps)
-    return LedgerEntry("eigenvalue_concentration", count, bound,
-                       {"n": n, "w": w, "eps": eps})
-
-
-def sinusoid_derivative_check(op: ProlateOperator, q_like) -> BoundLedger:
-    """Check the in-band residual's derivative, by central differences of
-    step ``_FD_STEP`` on the ``_band_grid`` nodes, against 2 pi N^2, and its
-    maximum over N against the bound implied by its trapezoid integral over
-    the same grid, which resolves what the trace path rounds to zero.
-    """
+def sinusoid_derivative_check(op: ProlateOperator,
+                              q_like) -> tuple[float, float, float]:
+    """(max |r'|, max r / N, the integral of r) for the in-band residual
+    r(f) = ||e_f - Q Q^* e_f||^2 on the ``_band_grid`` nodes: r' by central
+    differences of step ``_FD_STEP``, the integral by the trapezoid rule
+    over the same grid, which resolves what the trace path rounds to zero.
+    A half-bandwidth below 1/(4 pi N) is refused."""
     n, w = op.n, op.w
     if w < 1.0 / (4.0 * np.pi * n):
         raise ValueError(f"half-bandwidth {w} below 1/(4 pi N) for n={n}")
@@ -483,18 +433,8 @@ def sinusoid_derivative_check(op: ProlateOperator, q_like) -> BoundLedger:
     center, upper, lower = np.split(sinusoid_residual_sq(
         q, n, np.concatenate([grid, grid + _FD_STEP, grid - _FD_STEP])), 3)
     deriv = (upper - lower) / (2.0 * _FD_STEP)
-
-    ledger = BoundLedger()
-    ledger.add("residual_derivative_bound", np.max(np.abs(deriv)),
-               2.0 * np.pi * n**2, n=n, w=w, grid_size=_BAND_NODES,
-               fd_step=_FD_STEP)
-
-    integral = float(np.trapezoid(center, grid))
-    pointwise_bound = max(2.0 * math.sqrt(np.pi) * math.sqrt(integral),
-                          integral / (n * w))
-    ledger.add("pointwise_residual_from_average", float(np.max(center)) / n,
-               pointwise_bound, n=n, w=w, integral=integral)
-    return ledger
+    return (float(np.max(np.abs(deriv))), float(np.max(center)) / n,
+            float(np.trapezoid(center, grid)))
 
 
 def _capture_errors(x: np.ndarray, q: np.ndarray) -> tuple[float, float, float]:
@@ -512,17 +452,15 @@ def _capture_errors(x: np.ndarray, q: np.ndarray) -> tuple[float, float, float]:
             math.sqrt(max(1.0 - spectral_sq, 0.0)))
 
 
-def dpss_capture_report(dpss, eps: float, basis) -> BoundLedger:
-    """Check how well the basis captures the leading Slepian subspace.
-
-    ``dpss`` is the full Slepian solve at the (N, W) of ``basis``, else
-    ``ValueError``; K counts its eigenvalues >= eps.  The deflation residual
-    eta = ||(I - V V^*) Fbar^* B|| / eps bounds the squared spectral capture
-    error of the K Slepian vectors and their squared residuals, and through
-    sqrt(1 - N eta) the angle cosine.  All come from ``_capture_errors`` on
-    the basis's q: eta on ``_cross_rows``, the rest on
-    ``_leading_slepian_rows``.
-    """
+def dpss_capture_report(dpss, eps: float,
+                        basis) -> tuple[int, float, float, float, float]:
+    """(K, eta, ||R||_2^2, the largest squared column norm of R, cos theta)
+    for the K Slepian vectors whose eigenvalues reach eps, their capture
+    residual R and largest angle theta against the basis, and the deflation
+    residual eta = ||(I - V V^*) Fbar^* B|| / eps.  ``dpss`` is the full
+    solve at the (N, W) of ``basis`` and eps lies in (0, 1/2), else
+    ``ValueError``.  All come from ``_capture_errors`` on the basis's q: eta
+    on ``_cross_rows``, the rest on ``_leading_slepian_rows``."""
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps!r}")
     n, w = _full_solve(dpss)
@@ -533,14 +471,4 @@ def dpss_capture_report(dpss, eps: float, basis) -> BoundLedger:
     q = _checked_basis(basis).q
     rows = _cross_rows(build_prolate(n, w), basis.split)
     eta = math.sqrt(max(_capture_errors(rows, q)[0], 0.0)) / eps
-    capture_sq, per_vector, cos_theta = _capture_errors(x, q)
-
-    ledger = BoundLedger()
-    params = {"n": n, "w": w, "eps": eps, "k": k, "r": basis.r,
-              "method": basis.method, "eta": eta}
-    ledger.add("dpss_capture_spectral_sq", capture_sq, eta, **params)
-    ledger.add("dpss_capture_per_vector", per_vector, eta, **params)
-    angle_floor = math.sqrt(max(1.0 - n * eta, 0.0))
-    # angle inequality runs the other way: cos >= floor
-    ledger.add("dpss_capture_angle", angle_floor, cos_theta, **params)
-    return ledger
+    return (k, eta, *_capture_errors(x, q))

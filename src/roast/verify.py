@@ -1,9 +1,10 @@
 """Full numerical verification suite for the approximation guarantees.
 
 Runs every inequality the library is built to satisfy, across a fixed
-(N, W) grid, and collects the results in a ledger; ``roast verify`` wraps
-``full_verification``.  Suites that read Slepian vectors take the full
-solve and read N and W from it.
+(N, W) grid; ``roast verify`` wraps ``full_verification``.  The numbers come
+from ``roast.diagnostics``; this module states each bound and writes every
+ledger entry.  Suites that read Slepian vectors take the full solve and read
+N and W from it.
 """
 
 from __future__ import annotations
@@ -12,39 +13,18 @@ import math
 
 import numpy as np
 
-from .basis import (
-    _sketch,
-    _sketch_basis,
-    build_roast,
-    rank_for_average,
-    rank_for_capture,
-    rank_for_capture_angle,
-    rank_for_pointwise,
-    sketch_for_average,
-    sketch_for_capture,
-    sketch_for_capture_angle,
-    sketch_for_pointwise,
-)
-from .diagnostics import (
-    _BAND_NODES,
-    BoundLedger,
-    _band_grid,
-    _capture_errors,
-    _checked_basis,
-    _full_solve,
-    _leading_slepian_rows,
-    dpss_capture_report,
-    eigenvalue_concentration_report,
-    integrated_residual,
-    integrated_residual_quadrature,
-    largest_angle_cos_direct,
-    residual_path_bound,
-    singular_decay_report,
-    sinusoid_derivative_check,
-    sinusoid_residual_sq,
-    subspace_angle,
-)
-from .prolate import build_band_split, build_dpss, build_prolate
+from .basis import (_sketch, _sketch_basis, build_roast, rank_for_average,
+                    rank_for_capture, rank_for_capture_angle, rank_for_pointwise,
+                    sketch_for_average, sketch_for_capture,
+                    sketch_for_capture_angle, sketch_for_pointwise)
+from .diagnostics import (_BAND_NODES, _FD_STEP, _LEDGER_SLACK, BoundLedger,
+                          _band_grid, _capture_errors, _checked_basis,
+                          _full_solve, _leading_slepian_rows, dpss_capture_report,
+                          integrated_residual, integrated_residual_quadrature,
+                          largest_angle_cos_direct, singular_decay_report,
+                          sinusoid_derivative_check, sinusoid_residual_sq,
+                          subspace_angle)
+from .prolate import build_band_split, build_dpss, build_prolate, log_width_constant
 
 __all__ = [
     "DEFAULT_GRID",
@@ -64,37 +44,45 @@ _NUM_PAIRS = 100
 
 
 def core_grid_checks(dpss) -> BoundLedger:
-    """Trace identity, eigenvalue bisection/concentration, singular decay."""
+    """Trace identity, eigenvalue bisection and concentration, and the cross
+    operator's singular values against 15 exp(-i / C_N) and its tail sums;
+    an entry whose index leaves the spectrum is not written."""
     ledger = BoundLedger()
     n, w = _full_solve(dpss)
     lam = dpss.eigenvalues
     params = {"n": n, "w": w}
+    c_n = log_width_constant(n)
 
     ledger.add("trace_identity", abs(float(lam.sum()) - 2.0 * n * w), 1e-8, **params)
     lo = int(math.floor(2 * n * w)) - 1
     hi = int(math.ceil(2 * n * w))
-    ledger.add("eigenvalue_bisection_lower", 0.5, float(lam[lo]),
-               index=lo, **params)
-    ledger.add("eigenvalue_bisection_upper", float(lam[hi]), 0.5,
-               index=hi, **params)
+    if lo >= 0:
+        ledger.add("eigenvalue_bisection_lower", 0.5, float(lam[lo]),
+                   index=lo, **params)
+    if hi < n:
+        ledger.add("eigenvalue_bisection_upper", float(lam[hi]), 0.5,
+                   index=hi, **params)
     for eps in _CONCENTRATION_EPS:
-        ledger.entries.append(
-            eigenvalue_concentration_report(n, w, eps, lam))
+        ledger.add("eigenvalue_concentration",
+                   np.count_nonzero((lam >= eps) & (lam <= 1.0 - eps)),
+                   2.0 * c_n * math.log(15.0 / eps), eps=eps, **params)
 
-    report = singular_decay_report(n, w)
-    ledger.add("singular_decay_violations", float(len(report.violations)), 0.0,
-               **params)
-    ledger.add("cross_operator_norm_below_one",
-               float(report.singular_values[0]), 1.0 - 1e-12, **params)
+    sigma = singular_decay_report(n, w)
+    envelope = 15.0 * np.exp(-np.arange(len(sigma)) / c_n)
+    ledger.add("singular_decay_violations",
+               np.count_nonzero(sigma > envelope + _LEDGER_SLACK), 0.0, **params)
+    ledger.add("cross_operator_norm_below_one", sigma[0], 1.0 - 1e-12, **params)
     for r in _TAIL_RANKS:
-        if r < len(report.singular_values):
-            ledger.entries.append(report.tail_bound_entry(r))
+        if r < len(sigma):
+            ledger.add("singular_tail_geometric", np.sum(sigma[r:]),
+                       15.0 * math.exp(-(r - 1) / c_n) * c_n, r=r, **params)
     return ledger
 
 
 def capture_suite(dpss, eps: float) -> BoundLedger:
-    """Leading-DPSS capture at accuracy eps, with the angle bound at
-    enlarged R, at the (N, W) of the full Slepian solve ``dpss``."""
+    """Leading-DPSS capture at accuracy eps against eps and against the
+    deflation residual eta, the angle cosine above sqrt(1 - N eta), then the
+    angle bound at enlarged R."""
     ledger = BoundLedger()
     n, w = _full_solve(dpss)
     split = build_band_split(n, w)
@@ -102,14 +90,15 @@ def capture_suite(dpss, eps: float) -> BoundLedger:
 
     r_used = min(rank_for_capture(n, eps), split.n_high)
     basis = build_roast(n, w, r_used)
-    report = dpss_capture_report(dpss, eps, basis)
-    by_id = {e.check_id: e for e in report.entries}
+    _, eta, capture_sq, per_vector, cos_theta = dpss_capture_report(dpss, eps, basis)
     params = {"n": n, "w": w, "eps": eps, "k": k, "r": r_used}
-    ledger.add("dpss_capture_spectral_sq_vs_eps",
-               by_id["dpss_capture_spectral_sq"].lhs_value, eps, **params)
-    ledger.add("dpss_capture_per_vector_vs_eps",
-               by_id["dpss_capture_per_vector"].lhs_value, eps, **params)
-    ledger.extend(report)
+    ledger.add("dpss_capture_spectral_sq_vs_eps", capture_sq, eps, **params)
+    ledger.add("dpss_capture_per_vector_vs_eps", per_vector, eps, **params)
+    params.update(method=basis.method, eta=eta)
+    ledger.add("dpss_capture_spectral_sq", capture_sq, eta, **params)
+    ledger.add("dpss_capture_per_vector", per_vector, eta, **params)
+    ledger.add("dpss_capture_angle", math.sqrt(max(1.0 - n * eta, 0.0)),
+               cos_theta, **params)
 
     r_angle = min(rank_for_capture_angle(n, eps), split.n_high)
     basis_angle = build_roast(n, w, r_angle) if r_angle != r_used else basis
@@ -138,18 +127,27 @@ def average_suite(n: int, w: float, eps: float) -> BoundLedger:
     return ledger
 
 
+def residual_path_bound(trace_value: float, quad_value: float,
+                        abs_floor: float) -> float:
+    """Largest gap the two residual paths may show and still agree: 1e-4 of
+    the larger value plus ``abs_floor`` for residuals at round-off."""
+    return 1e-4 * max(abs(trace_value), abs(quad_value)) + abs_floor
+
+
 def pointwise_suite(n: int, w: float, eps: float) -> BoundLedger:
-    """Pointwise in-band residual relative to eps, and the derivative bound."""
+    """Pointwise in-band residual against eps and against the bound its
+    integral implies, and its derivative against 2 pi N^2."""
     ledger = BoundLedger()
     op = build_prolate(n, w)
     r = min(rank_for_pointwise(n, w, eps), build_band_split(n, w).n_high)
     basis = build_roast(n, w, r)
-    deriv_ledger = sinusoid_derivative_check(op, basis)
-    by_id = {e.check_id: e for e in deriv_ledger.entries}
-    ledger.add("pointwise_residual_vs_eps",
-               by_id["pointwise_residual_from_average"].lhs_value, eps,
-               n=n, w=w, eps=eps, r=r)
-    ledger.extend(deriv_ledger)
+    deriv, pointwise, integral = sinusoid_derivative_check(op, basis)
+    ledger.add("pointwise_residual_vs_eps", pointwise, eps, n=n, w=w, eps=eps, r=r)
+    ledger.add("residual_derivative_bound", deriv, 2.0 * np.pi * n**2, n=n, w=w,
+               grid_size=_BAND_NODES, fd_step=_FD_STEP)
+    ledger.add("pointwise_residual_from_average", pointwise,
+               max(2.0 * math.sqrt(np.pi) * math.sqrt(integral), integral / (n * w)),
+               n=n, w=w, integral=integral)
     return ledger
 
 

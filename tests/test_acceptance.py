@@ -24,13 +24,14 @@ from roast import (
     integrated_residual_quadrature,
 )
 from roast.cli import _median_seconds, main
-from roast.diagnostics import residual_path_bound
 from roast.verify import (
     DEFAULT_GRID,
     average_suite,
     capture_suite,
+    core_grid_checks,
     pointwise_suite,
     randomized_suite,
+    residual_path_bound,
     small_instance_checks,
 )
 
@@ -99,15 +100,18 @@ def test_criterion_02_eigenvalue_concentration(caches):
 def test_criterion_03_singular_decay(caches):
     conditions = []
     for n, w in DEFAULT_GRID:
-        spec = caches.spectrum(n, w)
-        conditions.append((spec.violations == [],
-                           f"decay violations at ({n},{w}): {spec.violations}"))
-        for r in (5, 10, 20):
-            if r < len(spec.singular_values):
-                entry = spec.tail_bound_entry(r)
-                conditions.append((entry.satisfied,
-                                   f"tail bound at ({n},{w},R={r}): "
-                                   f"{entry.lhs_value:.3e} > {entry.rhs_bound:.3e}"))
+        ledger = core_grid_checks(caches.dpss(n, w))
+        [decay] = [e for e in ledger.entries
+                   if e.check_id == "singular_decay_violations"]
+        conditions.append((decay.satisfied,
+                           f"{decay.lhs_value:.0f} decay violations at ({n},{w})"))
+        tails = [e for e in ledger.entries if e.check_id == "singular_tail_geometric"]
+        ranks = [r for r in (5, 10, 20) if r < roast.build_band_split(n, w).n_high]
+        conditions.append(([e.params["r"] for e in tails] == ranks,
+                           f"tail ranks at ({n},{w}): {[e.params['r'] for e in tails]}"))
+        conditions += [(e.satisfied, f"tail bound at ({n},{w},R={e.params['r']}): "
+                                     f"{e.lhs_value:.3e} > {e.rhs_bound:.3e}")
+                       for e in tails]
     report("3 (singular decay and tail sums)", conditions)
 
 

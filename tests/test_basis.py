@@ -758,13 +758,13 @@ _GUARDED_PATHS = [
     # route's rows and eigh stages are smaller at this size
     ("build_roast", lambda n, w: partial(build_roast, n, w, 512),
      8 * 512 * (512 + 2 * 1025) + 3 * 2**22),
-    # the synthesized columns, their 4096-row embedded spectrum and their
-    # product with their conjugate, and 384 KiB for the sum's buffer and a
-    # conjugate numpy would not reuse below 256 KiB
+    # the 533 synthesized columns beside their prolate matvec and its
+    # three 4 MiB column groups: above the conjugate product's 48 N d
+    # plus 384 KiB at this size
     ("integrated_residual",
      lambda n, w: partial(integrated_residual, build_prolate(n, w),
                           build_roast_randomized(n, w, 20, 7)),
-     16 * 533 * (2 * 1025 + 4096) + 3 * 2**17),
+     32 * 1025 * 533 + 3 * 2**22),
 ]
 
 
@@ -789,7 +789,7 @@ _REFUSED = [
      lambda: prolate_dense(build_prolate(16385, 0.25))),
     ("build_roast",  # 8 n_high (2 n_high + 2 N + 2) = 3.2 GB at R = n_high
      lambda: build_roast(16384, 0.25, 8191)),
-    ("integrated_residual",  # 16 dimension (2 N + M) = 8.6 GB
+    ("integrated_residual",  # 48 N dimension = 6.4 GB
      lambda: integrated_residual(build_prolate(16384, 0.25),
                                  _empty_roast_basis(16384, 0.25))),
 ]
@@ -941,6 +941,22 @@ class TestDenseByteGuards:
             tracemalloc.stop()
         assert charges[:1] == [charge]
         assert peak <= charge + 2**17
+
+    def test_integrated_residual_product_within_the_charge(self, monkeypatch):
+        # at N = 2048 the conjugate product's 48 N d, plus 384 KiB for the
+        # sum's buffer and a small conjugate, sets the charge, not the
+        # matvec stage's 32 N d + 12 MiB; the traced peak is the product
+        n, w = 2048, 0.25
+        op, basis = build_prolate(n, w), build_roast_randomized(n, w, 20, 7)
+        charges = _recorded_charges(monkeypatch, roast.diagnostics)
+        tracemalloc.start()
+        try:
+            integrated_residual(op, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert charges == [48 * n * basis.dimension + 3 * 2**17]
+        assert peak <= charges[0] + 2**17
 
     @pytest.mark.parametrize("w, charge", [
         pytest.param(0.25, 8 * 1499 * (2 * 1499 + 2 * 3000 + 2), id="rows"),

@@ -584,6 +584,20 @@ class TestValidation:
         err = capsys.readouterr().err
         assert re.match(r"error: build_dpss\(n=65536, k=65536\).*MiB limit", err)
 
+    def test_eps_no_eigenvalue_reaches_exits_2(self, capsys, patch_everywhere):
+        # every flag is in range, but at N=16, W=0.001 the largest Slepian
+        # eigenvalue is about 2NW = 0.032: no vector to capture, refused
+        # before any check runs or basis is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the refusal")
+
+        for start in (roast.verify.core_grid_checks, roast.build_roast):
+            patch_everywhere(start, refuse)
+        assert main(["verify", "--single-point", "--n", "16", "--w", "0.001",
+                     "--eps", "0.4"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: no eigenvalues reach eps=0.4")
+
     def test_sweep_refuses_the_dpss_before_any_other_build(
             self, capsys, patch_everywhere):
         def refuse(*args, **kwargs):

@@ -11,7 +11,6 @@ from roast import (
     build_roast,
     build_subdft,
     dpss_capture_report,
-    eigenvalue_concentration_report,
     integrated_residual,
     integrated_residual_quadrature,
     log_width_constant,
@@ -21,9 +20,19 @@ from roast import (
     sinusoid_derivative_check,
     subspace_angle,
 )
-from roast.diagnostics import (largest_angle_cos_direct, residual_path_bound,
-                               sinusoid_residual_sq)
-from roast.verify import capture_suite, pointwise_suite, small_instance_checks
+from roast.diagnostics import largest_angle_cos_direct, sinusoid_residual_sq
+from roast.verify import (capture_suite, core_grid_checks, pointwise_suite,
+                          residual_path_bound, small_instance_checks)
+
+
+def entries_of(ledger, check_id):
+    return [e for e in ledger.entries if e.check_id == check_id]
+
+
+def pointwise_bound(integral, n, w):
+    """The bound on max r / N that the integral of r implies, as the
+    pointwise suite states it."""
+    return max(2.0 * math.sqrt(np.pi) * math.sqrt(integral), integral / (n * w))
 
 
 class TestResidualSnr:
@@ -177,7 +186,9 @@ class TestSinusoidResidualKernel:
         op = caches.op(64, 0.25)
         assert integrated_residual_quadrature(op, basis) >= 0.0
         assert integrated_residual(op, basis) >= 0.0
-        assert sinusoid_derivative_check(op, basis).all_satisfied
+        deriv, pointwise, integral = sinusoid_derivative_check(op, basis)
+        assert deriv <= 2 * np.pi * 64**2
+        assert 0.0 < pointwise <= pointwise_bound(integral, 64, 0.25)
 
     @pytest.mark.parametrize("n", [128, 129])
     def test_subdft_basis_needs_no_dense_columns(self, caches, n,
@@ -191,14 +202,12 @@ class TestSinusoidResidualKernel:
             got, want = path(op, basis), path(op, dense)
             assert want > 0.0
             assert abs(got - want) <= 1e-12 * want
-        # the difference quotient scales the residuals' round-off by
-        # 1 / (2 _FD_STEP) = 5e4: its gap reads 5.6e-12 at N=128
+        # (max |r'|, max r / N, integral of r): the difference quotient
+        # scales the residuals' round-off by 1 / (2 _FD_STEP) = 5e4, so its
+        # gap reads 5.6e-12 at N=128
         got, want = (sinusoid_derivative_check(op, q) for q in (basis, dense))
-        for a, b in zip(got.entries, want.entries):
-            rel = 1e-10 if a.check_id == "residual_derivative_bound" else 1e-12
-            assert a.check_id == b.check_id
-            assert abs(a.lhs_value - b.lhs_value) <= rel * b.lhs_value
-            assert abs(a.rhs_bound - b.rhs_bound) <= 1e-12 * b.rhs_bound
+        for a, b, rel in zip(got, want, (1e-10, 1e-12, 1e-12)):
+            assert abs(a - b) <= rel * b
 
     @pytest.mark.parametrize("last", [0, 64])  # a repeated bin, a bin past N-1
     def test_subdft_basis_with_bad_indices_refused(self, last):
@@ -418,18 +427,19 @@ class TestSubspaceAngle:
 
 class TestSpectrumReport:
     def test_no_violations_and_norm_below_one(self, caches):
-        report = caches.spectrum(256, 0.25)
-        assert report.violations == []
-        assert report.singular_values[0] < 1.0
+        ledger = core_grid_checks(caches.dpss(256, 0.25))
+        [violations] = entries_of(ledger, "singular_decay_violations")
+        assert violations.lhs_value == 0.0 and violations.satisfied
+        assert caches.spectrum(256, 0.25)[0] < 1.0
 
     def test_spectrum_length(self, caches):
-        report = caches.spectrum(256, 0.25)
-        assert len(report.singular_values) == 256 - 2 * 64 - 1
+        assert len(caches.spectrum(256, 0.25)) == 256 - 2 * 64 - 1
 
     def test_tail_bound_entries(self, caches):
-        report = caches.spectrum(256, 0.25)
-        for r in (5, 10, 20):
-            assert report.tail_bound_entry(r).satisfied
+        ledger = core_grid_checks(caches.dpss(256, 0.25))
+        tails = entries_of(ledger, "singular_tail_geometric")
+        assert [e.params["r"] for e in tails] == [5, 10, 20]
+        assert all(e.satisfied for e in tails)
 
     @pytest.mark.parametrize("n,w", [(256, 0.25), (257, 0.25), (64, 0.1),
                                      (129, 0.4), (64, 0.01), (65, 0.01)])
@@ -439,7 +449,7 @@ class TestSpectrumReport:
         # the DC bin is in band, so n_high is N - 1
         sigma = np.linalg.svd(roast.cross_operator_dense(
             build_prolate(n, w), roast.build_band_split(n, w)), compute_uv=False)
-        got = roast.singular_decay_report(n, w).singular_values
+        got = roast.singular_decay_report(n, w)
         assert got.shape == sigma.shape
         np.testing.assert_allclose(got, sigma, rtol=0,
                                    atol=10 * np.finfo(float).eps * sigma[0])
@@ -455,26 +465,36 @@ class TestSpectrumReport:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        report = singular_decay_report(1024, 0.1)
+        sigma = singular_decay_report(1024, 0.1)
         assert shapes == [(409, 512), (410, 512)]
-        assert len(report.singular_values) == 819
-        assert np.all(np.diff(report.singular_values) <= 0.0)
+        assert len(sigma) == 819
+        assert np.all(np.diff(sigma) <= 0.0)
 
-    def test_bound_curve_matches_formula(self, caches):
-        # the violations are the indices where a singular value passes the
-        # envelope 15 exp(-j / C_N), with the ledger's 1e-12 slack
-        report = caches.spectrum(256, 0.25)
-        sigma = report.singular_values
-        envelope = 15.0 * np.exp(-np.arange(len(sigma)) / report.c_n)
-        assert report.violations == np.flatnonzero(
-            sigma > envelope + 1e-12).tolist()
+    def test_bound_curve_matches_formula(self, caches, monkeypatch):
+        # the violation count is the number of indices where a singular
+        # value passes the envelope 15 exp(-j / C_N) by the ledger's 1e-12
+        # slack; a spectrum scaled by 40 passes it at its head
+        sigma = 40.0 * caches.spectrum(256, 0.25)
+        envelope = 15.0 * np.exp(-np.arange(len(sigma)) / log_width_constant(256))
+        want = np.count_nonzero(sigma > envelope + 1e-12)
+        monkeypatch.setattr(roast.verify, "singular_decay_report",
+                            lambda n, w: sigma)
+        ledger = core_grid_checks(caches.dpss(256, 0.25))
+        [violations] = entries_of(ledger, "singular_decay_violations")
+        assert 0 < want < len(sigma)
+        assert violations.lhs_value == want and not violations.satisfied
+        for tail in entries_of(ledger, "singular_tail_geometric"):
+            assert tail.lhs_value == np.sum(sigma[tail.params["r"]:])
 
 
 class TestConcentration:
     def test_reference_point(self, caches):
         lam = caches.dpss(1024, 0.25).eigenvalues
-        entry = eigenvalue_concentration_report(1024, 0.25, 1e-2, lam)
+        ledger = core_grid_checks(caches.dpss(1024, 0.25))
+        entry = next(e for e in entries_of(ledger, "eigenvalue_concentration")
+                     if e.params["eps"] == 1e-2)
         assert abs(log_width_constant(1024) - 9.652) <= 1e-3
+        assert entry.lhs_value == np.sum((lam >= 1e-2) & (lam <= 1 - 1e-2))
         assert entry.rhs_bound == pytest.approx(
             2 * log_width_constant(1024) * math.log(1500.0))
         assert entry.satisfied
@@ -483,39 +503,30 @@ class TestConcentration:
         lam = caches.dpss(256, 0.25).eigenvalues
         assert np.sum((lam >= 0.4999) & (lam <= 0.5001)) <= 1
 
-    def test_eps_validation(self, caches):
-        with pytest.raises(ValueError):
-            eigenvalue_concentration_report(64, 0.25, 0.6,
-                                            caches.dpss(64, 0.25).eigenvalues)
-
 
 class TestDerivativeCheck:
     def test_complete_basis_flat(self, caches):
         op = caches.op(64, 0.25)
         full_dft = roast.dft_columns(64, np.arange(64))
-        ledger = sinusoid_derivative_check(op, full_dft)
-        assert ledger.all_satisfied
-        by_id = {e.check_id: e for e in ledger.entries}
-        assert by_id["pointwise_residual_from_average"].lhs_value <= 1e-12
+        deriv, pointwise, integral = sinusoid_derivative_check(op, full_dft)
+        assert deriv <= 2 * np.pi * 64**2
+        assert pointwise <= 1e-12 and integral <= 1e-12
 
     def test_roast_basis_within_envelope(self, caches):
         op = caches.op(512, 0.25)
-        ledger = sinusoid_derivative_check(op, caches.roast(512, 0.25, 19))
-        assert ledger.all_satisfied
-        by_id = {e.check_id: e for e in ledger.entries}
-        assert by_id["residual_derivative_bound"].rhs_bound == pytest.approx(
-            2 * np.pi * 512**2)
+        deriv, pointwise, integral = sinusoid_derivative_check(
+            op, caches.roast(512, 0.25, 19))
+        assert 0.0 < deriv <= 2 * np.pi * 512**2
+        assert pointwise <= pointwise_bound(integral, 512, 0.25)
 
     def test_pointwise_bound_holds_without_slack(self, caches):
         # at the verify ledger's detail point the residual is ~1e-20, far
         # below the trace path's round-off; the bound must still cover it
         op = caches.op(512, 0.25)
         basis = caches.roast(512, 0.25, 115)
-        ledger = sinusoid_derivative_check(op, basis)
-        entry = {e.check_id: e for e in ledger.entries}[
-            "pointwise_residual_from_average"]
-        assert entry.lhs_value <= entry.rhs_bound
-        assert entry.params["integral"] == pytest.approx(
+        _, pointwise, integral = sinusoid_derivative_check(op, basis)
+        assert pointwise <= pointwise_bound(integral, 512, 0.25)
+        assert integral == pytest.approx(
             integrated_residual_quadrature(op, basis), rel=1e-12)
 
     def test_too_narrow_band_rejected(self):
@@ -529,20 +540,23 @@ class TestCaptureReport:
         n, w = 128, 0.25
         split = roast.build_band_split(n, w)
         basis = build_roast(n, w, split.n_high)
-        ledger = dpss_capture_report(caches.dpss(n, w), 1e-3, basis)
-        by_id = {e.check_id: e for e in ledger.entries}
-        assert by_id["dpss_capture_spectral_sq"].lhs_value <= 1e-12
-        assert by_id["dpss_capture_per_vector"].lhs_value <= 1e-12
-        assert by_id["dpss_capture_angle"].rhs_bound >= 1 - 1e-10
+        _, _, capture_sq, per_vector, cos_theta = dpss_capture_report(
+            caches.dpss(n, w), 1e-3, basis)
+        assert capture_sq <= 1e-12
+        assert per_vector <= 1e-12
+        assert cos_theta >= 1 - 1e-10
 
     def test_sized_basis_meets_eps(self, caches):
+        # the capture errors within eta and eps, and the angle above the
+        # floor sqrt(1 - N eta), all without the ledger's 1e-12 slack
         n, w, eps = 512, 0.25, 1e-3
         basis = caches.roast(n, w, rank_for_capture(n, eps))
-        ledger = dpss_capture_report(caches.dpss(n, w), eps, basis)
-        assert ledger.all_satisfied
-        by_id = {e.check_id: e for e in ledger.entries}
-        assert by_id["dpss_capture_spectral_sq"].lhs_value <= eps
-        assert by_id["dpss_capture_per_vector"].lhs_value <= eps
+        dpss = caches.dpss(n, w)
+        k, eta, capture_sq, per_vector, cos_theta = dpss_capture_report(
+            dpss, eps, basis)
+        assert k == np.sum(dpss.eigenvalues >= eps)
+        assert max(capture_sq, per_vector) <= min(eta, eps)
+        assert math.sqrt(max(1.0 - n * eta, 0.0)) <= cos_theta
 
     def test_eps_validation(self, caches):
         with pytest.raises(ValueError):
@@ -558,8 +572,8 @@ class TestCaptureReport:
         s_k = dpss.vectors[:, :int(np.sum(dpss.eigenvalues >= eps))]
         basis = roast.build_roast_randomized(n, w, 4, 0)
         cross = caches.cross(n, w)
-        by_id = {e.check_id: e for e in dpss_capture_report(
-            dpss, eps, basis).entries}
+        k, eta, capture_sq, per_vector, cos_theta = dpss_capture_report(
+            dpss, eps, basis)
 
         dense = basis.dense_basis()
         resid = s_k - dense @ (dense.conj().T @ s_k)
@@ -569,12 +583,9 @@ class TestCaptureReport:
         deflated = cross - basis.v @ (basis.v.conj().T @ cross)
         want_eta = np.linalg.norm(deflated, 2) / eps
         assert want_per > 1e-6
-        got = (by_id["dpss_capture_spectral_sq"].lhs_value,
-               by_id["dpss_capture_per_vector"].lhs_value,
-               by_id["dpss_capture_angle"].rhs_bound,
-               by_id["dpss_capture_spectral_sq"].params["eta"])
-        assert got == pytest.approx((want_sq, want_per, want_cos, want_eta),
-                                    rel=1e-12, abs=0)
+        assert k == s_k.shape[1]
+        assert (capture_sq, per_vector, cos_theta, eta) == pytest.approx(
+            (want_sq, want_per, want_cos, want_eta), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n", [64, 65, 512])
     def test_eta_matches_the_full_spectral_norm(self, n, caches):
@@ -589,8 +600,8 @@ class TestCaptureReport:
         q = basis.q
         real = roast.basis._cross_rows(caches.op(n, w), basis.split)
         want = np.linalg.norm(real - q @ (q.T @ real), 2) / eps
-        entry = dpss_capture_report(caches.dpss(n, w), eps, basis).entries[0]
-        assert entry.params["eta"] == pytest.approx(want, rel=1e-12, abs=0)
+        eta = dpss_capture_report(caches.dpss(n, w), eps, basis)[1]
+        assert eta == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_reports_never_form_the_complex_cross_operator(
             self, caches, patch_everywhere):
@@ -600,10 +611,10 @@ class TestCaptureReport:
 
         patch_everywhere(roast.basis.cross_operator_dense, refuse)
         n, w, dpss = 64, 0.25, caches.dpss(64, 0.25)
-        assert singular_decay_report(n, w).violations == []
+        assert core_grid_checks(dpss).all_satisfied
         basis = caches.roast(n, w, 5)
-        assert len(dpss_capture_report(dpss, 1e-2, basis).entries) == 3
-        assert len(capture_suite(dpss, 1e-3).entries) > 3
+        assert len(dpss_capture_report(dpss, 1e-2, basis)) == 5
+        assert len(capture_suite(dpss, 1e-3).entries) == 6
 
     @pytest.mark.parametrize("n, w", [(64, 0.2), (65, 0.25)])
     def test_refuses_a_basis_at_another_split(self, n, w, caches):

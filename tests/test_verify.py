@@ -43,9 +43,11 @@ def entry_map(ledger):
 
 
 def _calls_on_a_solve(dpss, basis):
-    """The four calls that read N and W from the Slepian solve they take."""
-    return [lambda: core_grid_checks(dpss), lambda: capture_suite(dpss, 1e-3),
-            lambda: randomized_suite(dpss, 1e-2, num_seeds=2),
+    """The four calls that read N and W from the Slepian solve they take,
+    each returning its ledger entries or its numbers."""
+    return [lambda: core_grid_checks(dpss).entries,
+            lambda: capture_suite(dpss, 1e-3).entries,
+            lambda: randomized_suite(dpss, 1e-2, num_seeds=2).entries,
             lambda: dpss_capture_report(dpss, 1e-2, basis)]
 
 
@@ -66,7 +68,7 @@ class TestSolveInput:
 
         patch_everywhere(roast.prolate.build_dpss, no_solve)
         for call in calls:
-            assert call().entries
+            assert call()
 
 
 class TestSuites:
@@ -82,6 +84,19 @@ class TestSuites:
                 "eigenvalue_bisection_upper", "eigenvalue_concentration",
                 "singular_decay_violations",
                 "cross_operator_norm_below_one"} <= ids
+
+    @pytest.mark.parametrize("n, w, written", [
+        (40, 0.01, ["eigenvalue_bisection_upper"]),  # 2NW < 1: no lower index
+        (2, 0.1, ["eigenvalue_bisection_upper"]),
+        (64, 0.499, ["eigenvalue_bisection_lower"]),  # ceil(2NW) = N
+        (4, 0.45, ["eigenvalue_bisection_lower"]),
+    ])
+    def test_bisection_entries_only_inside_the_spectrum(self, n, w, written):
+        ledger = core_grid_checks(roast.prolate.build_dpss(n, w, n))
+        bisection = [e for e in ledger.entries if "bisection" in e.check_id]
+        assert [e.check_id for e in bisection] == written
+        assert all(0 <= e.params["index"] < n for e in bisection)
+        assert ledger.all_satisfied
 
     def test_average_suite_small(self):
         ledger = average_suite(64, 0.25, 1e-2)
