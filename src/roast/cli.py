@@ -164,7 +164,9 @@ def run_verify(args: argparse.Namespace) -> int:
     if args.single_point:
         # one full Slepian solve serves both suites
         dpss = build_dpss(args.n, args.w, args.n)
-        if dpss.eigenvalues[0] < args.eps:  # the largest: nothing to capture
+        # diagnostics._leading_slepian_rows refuses the same k = 0, but
+        # only after the core checks have run
+        if not np.any(dpss.eigenvalues >= args.eps):
             raise _SizeError(f"no eigenvalues reach eps={args.eps}")
         ledger = core_grid_checks(dpss)
         ledger.extend(capture_suite(dpss, args.eps))

@@ -210,18 +210,23 @@ def integrated_residual(op: ProlateOperator, q_like) -> float:
     at zero against round-off.
 
     A ``RoastBasis`` or ``SubDftBasis`` supplies its d = ``dimension``
-    columns by synthesis of the identity, which holds less than either later
-    stage.  Refused first when the larger exceeds the dense-byte limit: the
-    N x d columns beside their matvec's ``_apply_bytes``, or 48 N d bytes for
-    the columns, their matvec and their conjugate product, plus 384 KiB for
-    the sum's 128 KiB buffer and a conjugate below numpy's 256 KiB threshold.
+    columns by synthesis of the identity.  Refused first when the largest
+    stage exceeds the dense-byte limit: the N x d columns beside their
+    matvec's ``_apply_bytes``; 48 N d bytes for the columns, their matvec
+    and their conjugate product, plus 384 KiB for the sum's 128 KiB buffer
+    and a conjugate below numpy's 256 KiB threshold; or a ``RoastBasis``
+    synthesis, 8 d^2 + 16 d (N + 2R + n_high) bytes for the identity, the
+    spectrum, V's coefficients, their scaled copy and q times them, plus
+    three 64 KiB ufunc buffers.
     """
     q = _checked_basis(q_like)
     if isinstance(q, (RoastBasis, SubDftBasis)):
         n, d = op.n, q.dimension
-        _check_dense_bytes(f"integrated_residual(n={n}, dimension={d})",
-                           max(16 * n * d + _apply_bytes(n, d, complex),
-                               48 * n * d + 3 * 2**17))
+        stages = [16 * n * d + _apply_bytes(n, d, complex), 48 * n * d + 3 * 2**17]
+        if isinstance(q, RoastBasis):
+            stages.append(8 * d * d + 16 * d * (n + 2 * q.r + q.split.n_high)
+                          + 3 * 2**16)
+        _check_dense_bytes(f"integrated_residual(n={n}, dimension={d})", max(stages))
         q = q.synthesize(np.eye(d))
     if q.shape[0] != op.n:
         raise ValueError(f"basis rows {q.shape[0]} do not match operator size {op.n}")
@@ -453,8 +458,8 @@ def _capture_errors(x: np.ndarray, q: np.ndarray) -> tuple[float, float, float]:
 
 
 def dpss_capture_report(dpss, eps: float,
-                        basis) -> tuple[int, float, float, float, float]:
-    """(K, eta, ||R||_2^2, the largest squared column norm of R, cos theta)
+                        basis) -> tuple[float, float, float, float]:
+    """(eta, ||R||_2^2, the largest squared column norm of R, cos theta)
     for the K Slepian vectors whose eigenvalues reach eps, their capture
     residual R and largest angle theta against the basis, and the deflation
     residual eta = ||(I - V V^*) Fbar^* B|| / eps.  ``dpss`` is the full
@@ -467,8 +472,8 @@ def dpss_capture_report(dpss, eps: float,
     if (basis.n, basis.w) != (n, w):
         raise ValueError(f"basis at (n={basis.n}, w={basis.w}) does not match "
                          f"the solve at (n={n}, w={w})")
-    k, x = _leading_slepian_rows(dpss, eps, basis.split)
+    _, x = _leading_slepian_rows(dpss, eps, basis.split)
     q = _checked_basis(basis).q
     rows = _cross_rows(build_prolate(n, w), basis.split)
     eta = math.sqrt(max(_capture_errors(rows, q)[0], 0.0)) / eps
-    return (k, eta, *_capture_errors(x, q))
+    return (eta, *_capture_errors(x, q))

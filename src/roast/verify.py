@@ -13,17 +13,38 @@ import math
 
 import numpy as np
 
-from .basis import (_sketch, _sketch_basis, build_roast, rank_for_average,
-                    rank_for_capture, rank_for_capture_angle, rank_for_pointwise,
-                    sketch_for_average, sketch_for_capture,
-                    sketch_for_capture_angle, sketch_for_pointwise)
-from .diagnostics import (_BAND_NODES, _FD_STEP, _LEDGER_SLACK, BoundLedger,
-                          _band_grid, _capture_errors, _checked_basis,
-                          _full_solve, _leading_slepian_rows, dpss_capture_report,
-                          integrated_residual, integrated_residual_quadrature,
-                          largest_angle_cos_direct, singular_decay_report,
-                          sinusoid_derivative_check, sinusoid_residual_sq,
-                          subspace_angle)
+from .basis import (
+    _sketch,
+    _sketch_basis,
+    build_roast,
+    rank_for_average,
+    rank_for_capture,
+    rank_for_capture_angle,
+    rank_for_pointwise,
+    sketch_for_average,
+    sketch_for_capture,
+    sketch_for_capture_angle,
+    sketch_for_pointwise,
+)
+from .diagnostics import (
+    _BAND_NODES,
+    _FD_STEP,
+    _LEDGER_SLACK,
+    BoundLedger,
+    _band_grid,
+    _capture_errors,
+    _checked_basis,
+    _full_solve,
+    _leading_slepian_rows,
+    dpss_capture_report,
+    integrated_residual,
+    integrated_residual_quadrature,
+    largest_angle_cos_direct,
+    singular_decay_report,
+    sinusoid_derivative_check,
+    sinusoid_residual_sq,
+    subspace_angle,
+)
 from .prolate import build_band_split, build_dpss, build_prolate, log_width_constant
 
 __all__ = [
@@ -90,7 +111,7 @@ def capture_suite(dpss, eps: float) -> BoundLedger:
 
     r_used = min(rank_for_capture(n, eps), split.n_high)
     basis = build_roast(n, w, r_used)
-    _, eta, capture_sq, per_vector, cos_theta = dpss_capture_report(dpss, eps, basis)
+    eta, capture_sq, per_vector, cos_theta = dpss_capture_report(dpss, eps, basis)
     params = {"n": n, "w": w, "eps": eps, "k": k, "r": r_used}
     ledger.add("dpss_capture_spectral_sq_vs_eps", capture_sq, eps, **params)
     ledger.add("dpss_capture_per_vector_vs_eps", per_vector, eps, **params)

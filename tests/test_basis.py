@@ -942,12 +942,23 @@ class TestDenseByteGuards:
         assert charges[:1] == [charge]
         assert peak <= charge + 2**17
 
-    def test_integrated_residual_product_within_the_charge(self, monkeypatch):
-        # at N = 2048 the conjugate product's 48 N d, plus 384 KiB for the
-        # sum's buffer and a small conjugate, sets the charge, not the
-        # matvec stage's 32 N d + 12 MiB; the traced peak is the product
-        n, w = 2048, 0.25
-        op, basis = build_prolate(n, w), build_roast_randomized(n, w, 20, 7)
+    @pytest.mark.parametrize("n, w, build, charge", [
+        # the conjugate product's 48 N d, plus 384 KiB for the sum's buffer
+        # and a small conjugate, above the matvec stage's 32 N d + 12 MiB
+        pytest.param(2048, 0.25, lambda: build_roast_randomized(2048, 0.25, 20, 7),
+                     48 * 2048 * 1045 + 3 * 2**17, id="product"),
+        # at R = n_high = 820 > n_low the synthesis of the identity: the
+        # identity, the spectrum, V's real coefficients, their scaled copy
+        # and q times them, plus three 64 KiB ufunc buffers; its 62.7 MiB
+        # peak is 14 MiB above the product stage's charge
+        pytest.param(1025, 0.1, lambda: build_roast(1025, 0.1, 820),
+                     8 * 1025**2 + 16 * 1025 * (1025 + 3 * 820) + 3 * 2**16,
+                     id="synthesis"),
+    ])
+    def test_integrated_residual_peak_within_the_charge(self, n, w, build, charge,
+                                                        monkeypatch):
+        # the stage named in each case sets the charge and the traced peak
+        op, basis = build_prolate(n, w), build()
         charges = _recorded_charges(monkeypatch, roast.diagnostics)
         tracemalloc.start()
         try:
@@ -955,8 +966,8 @@ class TestDenseByteGuards:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert charges == [48 * n * basis.dimension + 3 * 2**17]
-        assert peak <= charges[0] + 2**17
+        assert charges == [charge]
+        assert peak <= charge + 2**17
 
     @pytest.mark.parametrize("w, charge", [
         pytest.param(0.25, 8 * 1499 * (2 * 1499 + 2 * 3000 + 2), id="rows"),

@@ -540,7 +540,7 @@ class TestCaptureReport:
         n, w = 128, 0.25
         split = roast.build_band_split(n, w)
         basis = build_roast(n, w, split.n_high)
-        _, _, capture_sq, per_vector, cos_theta = dpss_capture_report(
+        _, capture_sq, per_vector, cos_theta = dpss_capture_report(
             caches.dpss(n, w), 1e-3, basis)
         assert capture_sq <= 1e-12
         assert per_vector <= 1e-12
@@ -552,9 +552,8 @@ class TestCaptureReport:
         n, w, eps = 512, 0.25, 1e-3
         basis = caches.roast(n, w, rank_for_capture(n, eps))
         dpss = caches.dpss(n, w)
-        k, eta, capture_sq, per_vector, cos_theta = dpss_capture_report(
+        eta, capture_sq, per_vector, cos_theta = dpss_capture_report(
             dpss, eps, basis)
-        assert k == np.sum(dpss.eigenvalues >= eps)
         assert max(capture_sq, per_vector) <= min(eta, eps)
         assert math.sqrt(max(1.0 - n * eta, 0.0)) <= cos_theta
 
@@ -572,7 +571,7 @@ class TestCaptureReport:
         s_k = dpss.vectors[:, :int(np.sum(dpss.eigenvalues >= eps))]
         basis = roast.build_roast_randomized(n, w, 4, 0)
         cross = caches.cross(n, w)
-        k, eta, capture_sq, per_vector, cos_theta = dpss_capture_report(
+        eta, capture_sq, per_vector, cos_theta = dpss_capture_report(
             dpss, eps, basis)
 
         dense = basis.dense_basis()
@@ -583,7 +582,6 @@ class TestCaptureReport:
         deflated = cross - basis.v @ (basis.v.conj().T @ cross)
         want_eta = np.linalg.norm(deflated, 2) / eps
         assert want_per > 1e-6
-        assert k == s_k.shape[1]
         assert (capture_sq, per_vector, cos_theta, eta) == pytest.approx(
             (want_sq, want_per, want_cos, want_eta), rel=1e-12, abs=0)
 
@@ -600,7 +598,7 @@ class TestCaptureReport:
         q = basis.q
         real = roast.basis._cross_rows(caches.op(n, w), basis.split)
         want = np.linalg.norm(real - q @ (q.T @ real), 2) / eps
-        eta = dpss_capture_report(caches.dpss(n, w), eps, basis)[1]
+        eta = dpss_capture_report(caches.dpss(n, w), eps, basis)[0]
         assert eta == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_reports_never_form_the_complex_cross_operator(
@@ -613,7 +611,7 @@ class TestCaptureReport:
         n, w, dpss = 64, 0.25, caches.dpss(64, 0.25)
         assert core_grid_checks(dpss).all_satisfied
         basis = caches.roast(n, w, 5)
-        assert len(dpss_capture_report(dpss, 1e-2, basis)) == 5
+        assert len(dpss_capture_report(dpss, 1e-2, basis)) == 4
         assert len(capture_suite(dpss, 1e-3).entries) == 6
 
     @pytest.mark.parametrize("n, w", [(64, 0.2), (65, 0.25)])
