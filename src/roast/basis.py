@@ -5,7 +5,7 @@ DFT columns F augmented with R extra directions inside the out-of-band DFT
 span.  Analysis and synthesis cost one FFT plus a skinny real product,
 O(N log N + N R).  Every V is closed under conjugation, V[-k] = conj V[k],
 so Q Q^* is real and V is fixed by a real orthonormal n_high x R factor q
-in the coordinates of ``_cos_sin_rows``; a ``RoastBasis`` stores q.
+in the coordinates of ``_slepian_rows``; a ``RoastBasis`` stores q.
 
 Also here: the widened-DFT baseline (Sub-DFT), the sizing rules, and a
 binary serialization.  ``RoastBasis``, ``SubDftBasis`` and ``DpssBasis``
@@ -130,29 +130,23 @@ def cross_operator_dense(op: ProlateOperator, split: DftBandSplit) -> np.ndarray
     return _dft_rows(_cross_rows(op, split))
 
 
-def _cos_sin_rows(pos: np.ndarray, n_sin: int) -> np.ndarray:
-    """Real cosine/sine rows of positive-frequency DFT rows: the layout of
-    the stored factor q.
-
-    ``pos`` holds the rows of ascending positive bins.  Its first ``n_sin``
-    rows give sqrt(2) Re, then the same rows give sqrt(2) Im, and any row
-    past them (the Nyquist bin) gives its real part.  Rows of a matrix whose
-    row at bin -k is the conjugate of the row at bin k, such as F^* x for
-    real x, become U times that matrix with U unitary: the coordinates of
-    the real orthonormal basis sqrt(2) Re f_k, -sqrt(2) Im f_k of the span.
-    """
-    out = np.empty((n_sin + pos.shape[0],) + pos.shape[1:])
-    np.multiply(pos[:n_sin].real, math.sqrt(2.0), out=out[:n_sin])
-    np.multiply(pos[:n_sin].imag, math.sqrt(2.0), out=out[n_sin:2 * n_sin])
-    out[2 * n_sin:] = pos[n_sin:].real
-    return out
-
-
 def _slepian_rows(x: np.ndarray, split: DftBandSplit) -> np.ndarray:
-    """U Fbar^* x (``_cos_sin_rows``) for real columns ``x``, from one
-    orthonormal ``rfft``."""
-    spec = np.fft.rfft(x, axis=0, norm="ortho")
-    return _cos_sin_rows(spec[split.h + 1:], split.n_neg)
+    """U Fbar^* x for real columns ``x``, from one orthonormal ``rfft``: the
+    layout of the stored factor q.
+
+    Of the ascending positive out-of-band bins, the first m = ``n_neg`` give
+    rows of sqrt(2) Re, then the same bins give sqrt(2) Im, and the Nyquist
+    bin, if any, gives its real part.  Row -k of Fbar^* x is the conjugate
+    of row k, so U is unitary: these are the coordinates in the real
+    orthonormal basis sqrt(2) Re f_k, -sqrt(2) Im f_k of the span.
+    """
+    pos = np.fft.rfft(x, axis=0, norm="ortho")[split.h + 1:]
+    m = split.n_neg
+    out = np.empty((split.n_high,) + pos.shape[1:])
+    np.multiply(pos[:m].real, math.sqrt(2.0), out=out[:m])
+    np.multiply(pos[:m].imag, math.sqrt(2.0), out=out[m:2 * m])
+    out[2 * m:] = pos[m:].real
+    return out
 
 
 def _cross_rows(op: ProlateOperator, split: DftBandSplit) -> np.ndarray:
@@ -176,8 +170,8 @@ def _cross_rows(op: ProlateOperator, split: DftBandSplit) -> np.ndarray:
 
 
 def _write_positive_rows(cos_sin: np.ndarray, out: np.ndarray) -> None:
-    """Write into ``out`` the positive-bin rows, then the Nyquist row: the
-    inverse of ``_cos_sin_rows``."""
+    """Write into ``out`` the positive-bin rows, then the Nyquist row, of
+    rows in the ``_slepian_rows`` layout."""
     m = cos_sin.shape[0] // 2
     np.multiply(cos_sin[:m], math.sqrt(0.5), out=out[:m].real)
     np.multiply(cos_sin[m:2 * m], math.sqrt(0.5), out=out[:m].imag)
@@ -186,7 +180,7 @@ def _write_positive_rows(cos_sin: np.ndarray, out: np.ndarray) -> None:
 
 def _dft_rows(cos_sin: np.ndarray) -> np.ndarray:
     """Complex column-major out-of-band rows, in ``high_indices`` order, of
-    rows in the ``_cos_sin_rows`` layout.  The negative bins take the
+    rows in the ``_slepian_rows`` layout.  The negative bins take the
     positive bins' products with the sine sign flipped, so row -k is the
     conjugate of row k bit for bit."""
     m = cos_sin.shape[0] // 2
@@ -246,7 +240,7 @@ class RoastBasis:
         spectrum = _column_fft(_leading(x, n, "samples"))
         block = spectrum.reshape(n, -1)
         _write_high_bins(self, _high_coefficients(self, block), block)
-        return _column_ifft(spectrum)
+        return np.fft.ifft(spectrum, axis=0, norm="ortho", out=spectrum)
 
     def dense_basis(self) -> np.ndarray:
         """Explicit N x (n_low + R) matrix [F, Fbar V], written by
@@ -266,7 +260,7 @@ class RoastBasis:
 def _out_of_band_eigenvectors(op: ProlateOperator, split: DftBandSplit,
                                r: int, power: int) -> np.ndarray:
     """Leading ``r`` eigenvectors of G = Fbar^* B^power Fbar, real n_high x r
-    in the ``_cos_sin_rows`` layout, largest first, signed by ``_fix_signs``.
+    in the ``_slepian_rows`` layout, largest first, signed by ``_fix_signs``.
 
     One product with G is an inverse real FFT, ``power`` prolate matvecs
     and a real FFT, O(N log N).  Symmetric Lanczos (ARPACK) runs on G + s I:
@@ -376,6 +370,9 @@ def _sketch_basis(split: DftBandSplit, sketch: np.ndarray, seed: int) -> RoastBa
     (qr, tau), rmat, _ = sla.qr(sketch, mode="raw", pivoting=True)
     diag = np.abs(np.diag(rmat))
     keep = int(np.sum(diag > _RANK_TOL * diag[0])) if diag.size else 0
+    if keep == 0:  # dorgqr refuses an empty factor
+        return RoastBasis(split=split, q=np.zeros((split.n_high, 0)),
+                          method="randomized", seed=int(seed))
     lwork = int(sla.lapack.dorgqr(qr[:, :keep], tau[:keep], lwork=-1)[1][0])
     real, _, info = sla.lapack.dorgqr(qr[:, :keep], tau[:keep], lwork=lwork,
                                       overwrite_a=True)
@@ -394,15 +391,6 @@ def _column_fft(x: np.ndarray) -> np.ndarray:
         return np.fft.fft(x, axis=0, norm="ortho")
     buf = _column_major(x, complex)
     return np.fft.fft(buf, axis=0, norm="ortho", out=buf)
-
-
-def _column_ifft(spectrum: np.ndarray) -> np.ndarray:
-    """Unitary inverse FFT down axis 0, in place: the unnormalized ``ifft``
-    times sqrt(N), not ``norm="ortho"``, which rounds differently; the
-    trace-path ``integrated_residual`` in the verify ledger reads synthesis
-    to the last bit."""
-    return np.multiply(np.fft.ifft(spectrum, axis=0, out=spectrum),
-                       np.sqrt(spectrum.shape[0]), out=spectrum)
 
 
 def _bin_pairs(split: DftBandSplit, spectrum: np.ndarray) -> tuple:
@@ -503,7 +491,7 @@ def apply_analysis(basis: RoastBasis, x: np.ndarray) -> np.ndarray:
 def apply_synthesis(basis: RoastBasis, coeffs: np.ndarray) -> np.ndarray:
     """Q @ coeffs, the exact inverse of analysis on coefficient space: a
     column-major spectrum filled by two in-band slices and
-    ``_write_high_bins``, then ``_column_ifft``."""
+    ``_write_high_bins``, then one orthonormal inverse FFT in place."""
     n, n_low, r = basis.n, basis.split.n_low, basis.r
     coeffs = _leading(coeffs, n_low + r, "coefficients")
     h = basis.split.h
@@ -516,7 +504,7 @@ def apply_synthesis(basis: RoastBasis, coeffs: np.ndarray) -> np.ndarray:
     z[:, :cols] = c[n_low:].real
     z[:, cols:] = c[n_low:].imag
     _write_high_bins(basis, z, block)
-    return _column_ifft(spectrum)
+    return np.fft.ifft(spectrum, axis=0, norm="ortho", out=spectrum)
 
 
 @dataclass(frozen=True)
@@ -542,7 +530,7 @@ class SubDftBasis:
         coeffs = _leading(coeffs, self.dimension, "coefficients")
         spectrum = np.zeros((self.n,) + coeffs.shape[1:], dtype=complex, order="F")
         spectrum[self.indices] = coeffs
-        return _column_ifft(spectrum)
+        return np.fft.ifft(spectrum, axis=0, norm="ortho", out=spectrum)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return self.synthesize(self.analyze(x))

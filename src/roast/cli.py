@@ -239,7 +239,7 @@ def run_bandlimited_snr(args: argparse.Namespace) -> int:
 
     # each widened-DFT basis zeroes the bins it holds, so its energy is a
     # direct sum over the out-of-band bins outside build_subdft's set
-    spectrum = np.fft.fft(x) / np.sqrt(n)
+    spectrum = np.fft.fft(x, norm="ortho")
     sub_resid = np.empty(r_max + 1)
     for rr in range(r_max + 1):
         spectrum[build_subdft(n, w, rr).indices] = 0.0

@@ -160,7 +160,7 @@ def _dense_columns(q_like) -> np.ndarray:
 def _ensure_orthonormal(q: np.ndarray, what: str) -> None:
     gram = q.conj().T @ q
     err = np.max(np.abs(gram - np.eye(q.shape[1])), initial=0.0)
-    if err > _ORTHONORMAL_TOL:
+    if not err <= _ORTHONORMAL_TOL:  # refuses NaN too
         raise ValueError(f"{what} is not orthonormal: Gram deviation {err:.3e} "
                          f"> {_ORTHONORMAL_TOL:.0e}")
 
@@ -450,7 +450,8 @@ def _capture_errors(x: np.ndarray, q: np.ndarray) -> tuple[float, float, float]:
     of the smaller Gram of R, formed after deflation, so it carries only
     relative round-off."""
     resid = x - q @ (q.T @ x)
-    gram = resid @ resid.T if resid.shape[0] <= resid.shape[1] else resid.T @ resid
+    # R^T R when R has no rows (no out-of-band space): its zeros give (0, 0, 1)
+    gram = resid @ resid.T if 0 < resid.shape[0] <= resid.shape[1] else resid.T @ resid
     top = gram.shape[0] - 1
     spectral_sq = float(eigvalsh(gram, subset_by_index=[top, top])[0])
     return (spectral_sq, float(np.max(np.einsum("ij,ij->j", resid, resid))),

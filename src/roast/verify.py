@@ -92,7 +92,8 @@ def core_grid_checks(dpss) -> BoundLedger:
     envelope = 15.0 * np.exp(-np.arange(len(sigma)) / c_n)
     ledger.add("singular_decay_violations",
                np.count_nonzero(sigma > envelope + _LEDGER_SLACK), 0.0, **params)
-    ledger.add("cross_operator_norm_below_one", sigma[0], 1.0 - 1e-12, **params)
+    if sigma.size:
+        ledger.add("cross_operator_norm_below_one", sigma[0], 1.0 - 1e-12, **params)
     for r in _TAIL_RANKS:
         if r < len(sigma):
             ledger.add("singular_tail_geometric", np.sum(sigma[r:]),

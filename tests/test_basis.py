@@ -475,7 +475,7 @@ class TestSlicedApply:
         spectrum = np.zeros((n, basis.dimension), dtype=complex)
         spectrum[split.low_indices] = eye[:split.n_low]
         spectrum[split.high_indices] = basis.v @ eye[split.n_low:]
-        expected = np.fft.ifft(spectrum, axis=0) * np.sqrt(n)
+        expected = np.fft.ifft(spectrum, axis=0, norm="ortho")
         np.testing.assert_array_equal(basis.synthesize(eye), expected)
 
 
@@ -695,9 +695,13 @@ class TestCrossOperator:
         assert np.max(np.abs(got - want)) <= 1e-13
         rows = roast.basis._cross_rows(op, split)
         assert rows.dtype == np.float64
-        np.testing.assert_allclose(
-            rows, roast.basis._cos_sin_rows(want[split.n_neg:], split.n_neg),
-            rtol=0, atol=1e-13)
+        # q's layout: sqrt(2) Re and sqrt(2) Im of the positive bins, then
+        # the Nyquist row's real part
+        m = split.n_neg
+        pos = want[m:]
+        layout = np.vstack([np.sqrt(2) * pos[:m].real, np.sqrt(2) * pos[:m].imag,
+                            pos[m:].real])
+        np.testing.assert_allclose(rows, layout, rtol=0, atol=1e-13)
 
     def test_rows_peak_at_the_rows_plus_four_blocks(self):
         # four blocks of N-point spectra and rows beside the rows, each of at

@@ -435,10 +435,15 @@ class TestChoices:
 
 
 class TestVerifyCommand:
-    def test_single_point_passes(self, tmp_path):
+    # odd N at floor(NW) = (N - 1) / 2 leaves no out-of-band space
+    @pytest.mark.parametrize("n, w, eps", [("64", "0.25", "1e-3"),
+                                           ("5", "0.49", "0.1"),
+                                           ("3", "0.45", "0.1"),
+                                           ("17", "0.49", "0.1")])
+    def test_single_point_passes(self, n, w, eps, tmp_path):
         out = tmp_path / "ledger.json"
-        code = main(["verify", "--single-point", "--n", "64", "--w", "0.25",
-                     "--eps", "1e-3", "--out", str(out)])
+        code = main(["verify", "--single-point", "--n", n, "--w", w,
+                     "--eps", eps, "--out", str(out)])
         assert code == 0
         ledger = BoundLedger.from_json(out.read_text())
         assert ledger.all_satisfied

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -216,6 +217,14 @@ class TestSinusoidResidualKernel:
                                       indices=np.r_[basis.indices[:-1], last])
         with pytest.raises(ValueError, match="not orthonormal"):
             integrated_residual_quadrature(build_prolate(64, 0.25), bad)
+
+    def test_roast_basis_with_a_nan_refused(self, caches):
+        # NaN fails every comparison, so the guard must not read "err > tol"
+        basis = caches.roast(64, 0.25, 5)
+        q = basis.q.copy()
+        q[0, 0] = np.nan
+        with pytest.raises(ValueError, match="not orthonormal"):
+            integrated_residual(caches.op(64, 0.25), dataclasses.replace(basis, q=q))
 
     def test_rejects_length_mismatch(self, caches):
         with pytest.raises(ValueError, match="does not match"):
@@ -536,8 +545,9 @@ class TestDerivativeCheck:
 
 
 class TestCaptureReport:
-    def test_complete_basis_captures_exactly(self, caches):
-        n, w = 128, 0.25
+    # at (5, 0.49) n_high = 0, so R = 0 is complete
+    @pytest.mark.parametrize("n, w", [(128, 0.25), (5, 0.49)])
+    def test_complete_basis_captures_exactly(self, n, w, caches):
         split = roast.build_band_split(n, w)
         basis = build_roast(n, w, split.n_high)
         _, capture_sq, per_vector, cos_theta = dpss_capture_report(

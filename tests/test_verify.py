@@ -90,6 +90,7 @@ class TestSuites:
         (2, 0.1, ["eigenvalue_bisection_upper"]),
         (64, 0.499, ["eigenvalue_bisection_lower"]),  # ceil(2NW) = N
         (4, 0.45, ["eigenvalue_bisection_lower"]),
+        (5, 0.49, ["eigenvalue_bisection_lower"]),  # n_high = 0: no spectrum
     ])
     def test_bisection_entries_only_inside_the_spectrum(self, n, w, written):
         ledger = core_grid_checks(roast.prolate.build_dpss(n, w, n))
@@ -111,6 +112,13 @@ class TestSuites:
         angle = entry_map(ledger)["randomized_angle_mean"]
         assert "strict_floor" in angle.params
         assert angle.params["strict_floor"] >= angle.lhs_value
+
+    def test_randomized_suite_without_out_of_band_space(self, caches):
+        # odd N at floor(NW) = (N - 1) / 2 leaves n_high = 0: every width
+        # clamps to zero and each sketch keeps no column
+        ledger = randomized_suite(caches.dpss(5, 0.49), 1e-2, num_seeds=2)
+        assert len(ledger.entries) == 5 and ledger.all_satisfied
+        assert {e.params["r_max"] for e in ledger.entries} == {0}
 
     @staticmethod
     def _count_sketches_and_qrs(monkeypatch, caches, n):
