@@ -28,10 +28,12 @@ import scipy.sparse.linalg as spla
 from .prolate import (
     DftBandSplit,
     ProlateOperator,
+    _COPY_BYTES,
     _apply_bytes,
     _check_dense_bytes,
     _column_major,
     _fix_signs,
+    _group_width,
     _leading,
     build_band_split,
     build_dpss,
@@ -237,10 +239,10 @@ class RoastBasis:
         """Q Q^* x: the out-of-band bins are replaced in place by V V^* of
         them."""
         n = self.n
-        spectrum = _column_fft(_leading(x, n, "samples"))
-        block = spectrum.reshape(n, -1)
+        x = _leading(x, n, "samples")
+        block = _column_fft(x.reshape(n, -1))
         _write_high_bins(self, _high_coefficients(self, block), block)
-        return np.fft.ifft(spectrum, axis=0, norm="ortho", out=spectrum)
+        return np.fft.ifft(block, axis=0, norm="ortho", out=block).reshape(x.shape)
 
     def dense_basis(self) -> np.ndarray:
         """Explicit N x (n_low + R) matrix [F, Fbar V], written by
@@ -343,7 +345,8 @@ def build_roast_randomized(n: int, w: float, p: int, seed: int) -> RoastBasis:
     """Build the basis from a Gaussian range sketch of the cross operator
     (Halko, Martinsson and Tropp, arXiv:0909.4061, Alg. 4.1), in
     O(P N log N): ``_sketch``, then ``_sketch_basis``, whose kept R may be
-    below P."""
+    below P.  It peaks in ``_sketch`` at Omega's 8 N P bytes, the sketch's
+    8 n_high P and one column group's ``_apply_bytes``."""
     split = build_band_split(n, w)
     if not 1 <= p <= split.n_high:
         raise ValueError(
@@ -353,10 +356,26 @@ def build_roast_randomized(n: int, w: float, p: int, seed: int) -> RoastBasis:
 
 def _sketch(op: ProlateOperator, split: DftBandSplit, p: int, seed: int) -> np.ndarray:
     """Real cosine/sine rows (``_slepian_rows``) of Fbar^* B Omega, Omega
-    the N x ``p`` standard Gaussian from ``seed``."""
-    # Omega is a temporary, freed before the rows of B Omega are written
+    the N x ``p`` standard Gaussian from ``seed``, as a column-major
+    n_high x ``p`` array.
+
+    Omega is drawn column-major in ``_COPY_BYTES`` row blocks, the values of
+    one N x ``p`` draw, and goes through B in ``_group_width`` column groups
+    written into the sketch: Omega's 8 N P bytes, the sketch's 8 n_high P
+    and one group's ``_apply_bytes`` are held at once.
+    """
+    n = op.n
     rng = np.random.default_rng(seed)
-    return _slepian_rows(prolate_apply(op, rng.standard_normal((op.n, p))), split)
+    omega = np.empty((n, p), order="F")
+    rows = max(1, _COPY_BYTES // (8 * max(p, 1)))
+    for i0 in range(0, n, rows):
+        omega[i0:i0 + rows] = rng.standard_normal((min(rows, n - i0), p))
+    sketch = np.empty((split.n_high, p), order="F")
+    cols = _group_width(op, float)
+    for j0 in range(0, p, cols):
+        sketch[:, j0:j0 + cols] = _slepian_rows(
+            prolate_apply(op, omega[:, j0:j0 + cols]), split)
+    return sketch
 
 
 def _sketch_basis(split: DftBandSplit, sketch: np.ndarray, seed: int) -> RoastBasis:
@@ -477,7 +496,7 @@ def apply_analysis(basis: RoastBasis, x: np.ndarray) -> np.ndarray:
     n = basis.n
     x = _leading(x, n, "samples")
     h, n_low = basis.split.h, basis.split.n_low
-    spectrum = _column_fft(x).reshape(n, -1)
+    spectrum = _column_fft(x.reshape(n, -1))
     z = _high_coefficients(basis, spectrum)
     cols = spectrum.shape[1]
     out = np.empty((basis.dimension, cols), dtype=complex, order="F")
@@ -494,17 +513,17 @@ def apply_synthesis(basis: RoastBasis, coeffs: np.ndarray) -> np.ndarray:
     ``_write_high_bins``, then one orthonormal inverse FFT in place."""
     n, n_low, r = basis.n, basis.split.n_low, basis.r
     coeffs = _leading(coeffs, n_low + r, "coefficients")
-    h = basis.split.h
-    spectrum = np.empty((n,) + coeffs.shape[1:], dtype=complex, order="F")
-    block, c = spectrum.reshape(n, -1), coeffs.reshape(n_low + r, -1)
+    h, c = basis.split.h, coeffs.reshape(n_low + r, -1)
+    cols = c.shape[1]
+    block = np.empty((n, cols), dtype=complex, order="F")
     block[n - h:] = c[:h]
     block[:h + 1] = c[h:n_low]
-    cols = block.shape[1]
     z = np.empty((r, 2 * cols), order="F")
     z[:, :cols] = c[n_low:].real
     z[:, cols:] = c[n_low:].imag
     _write_high_bins(basis, z, block)
-    return np.fft.ifft(spectrum, axis=0, norm="ortho", out=spectrum)
+    spectrum = np.fft.ifft(block, axis=0, norm="ortho", out=block)
+    return spectrum.reshape((n,) + coeffs.shape[1:])
 
 
 @dataclass(frozen=True)

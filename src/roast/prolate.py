@@ -168,6 +168,12 @@ def _circulant_apply(op: ProlateOperator, block: np.ndarray) -> np.ndarray:
     return np.fft.ifft(full, axis=0, out=full)[:op.n]
 
 
+def _group_width(op: ProlateOperator, dtype) -> int:
+    """Columns of one ``prolate_apply`` group: the most whose spectrum holds
+    at most ``_GROUP_BYTES``, and at least one."""
+    return max(1, _GROUP_BYTES // (np.dtype(dtype).itemsize * op.embed_size))
+
+
 def _apply_bytes(n: int, cols: int, dtype) -> int:
     """Bytes ``prolate_apply`` holds for an N x ``cols`` block: the result
     and 3 ``_GROUP_BYTES`` for one group's copy, spectrum and inverse."""
@@ -180,15 +186,15 @@ def prolate_apply(op: ProlateOperator, x: np.ndarray) -> np.ndarray:
     real input gives a real result by the real FFT.
 
     A block wider than one group, or whose columns are not contiguous,
-    which numpy's FFT reads slowly, goes in groups of columns whose
-    spectrum holds at most ``_GROUP_BYTES``, each copied column-major if it
-    is not; ``_apply_bytes`` bounds what it holds.
+    which numpy's FFT reads slowly, goes in groups of ``_group_width``
+    columns, each copied column-major if it is not; ``_apply_bytes`` bounds
+    what it holds.
     """
     x = np.asarray(x)
     if x.shape[0] != op.n:
         raise ValueError(f"operator size {op.n} does not match input length {x.shape[0]}")
     dtype = np.dtype(float if np.isrealobj(x) else complex)
-    cols = max(1, _GROUP_BYTES // (dtype.itemsize * op.embed_size))
+    cols = _group_width(op, dtype)
     if x.ndim == 1 or (x.flags.f_contiguous and x.shape[1] <= cols):
         return _circulant_apply(op, x)
     out = np.empty(x.shape, dtype=dtype, order="F")
@@ -232,10 +238,14 @@ class DpssBasis:
         return self.vectors
 
     def analyze(self, x: np.ndarray) -> np.ndarray:
-        return _real_product(self.vectors.T, _leading(x, self.n, "samples"))
+        x = _leading(x, self.n, "samples")
+        c = _real_product(self.vectors.T, x.reshape(self.n, -1))
+        return c.reshape((self.k,) + x.shape[1:])
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        return _real_product(self.vectors, _leading(coeffs, self.k, "coefficients"))
+        coeffs = _leading(coeffs, self.k, "coefficients")
+        x = _real_product(self.vectors, coeffs.reshape(self.k, -1))
+        return x.reshape((self.n,) + coeffs.shape[1:])
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the span of the retained vectors."""

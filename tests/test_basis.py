@@ -573,6 +573,37 @@ class TestRandomized:
         with pytest.raises(ValueError):
             build_roast_randomized(256, 0.25, 128, seed=1)
 
+    @pytest.mark.parametrize("n, w, p", [
+        (8192, 0.25, 40),   # 2 column groups of at most 32, 21 draw blocks
+        (65536, 0.25, 9),   # 3 groups of at most 4, 37 draw blocks
+        (8193, 0.1, 17),    # odd N, no Nyquist row
+        (8193, 0.1, 1),
+        (1024, 0.25, 0),
+        (5, 0.49, 0),       # no out-of-band row either
+    ])
+    def test_sketch_is_the_one_shot_draw(self, n, w, p):
+        # Omega drawn column-major in row blocks and pushed through B in
+        # column groups gives the rows of one N x P draw pushed through whole
+        op, split = build_prolate(n, w), build_band_split(n, w)
+        omega = np.random.default_rng(11).standard_normal((n, p))
+        one_shot = roast.basis._slepian_rows(roast.prolate_apply(op, omega), split)
+        sketch = roast.basis._sketch(op, split, p, 11)
+        assert sketch.flags.f_contiguous
+        assert np.array_equal(sketch, one_shot)
+
+    def test_build_peak_within_four_and_a_half_q(self):
+        # Omega's 8 N P bytes, the sketch's 8 n_high P and one column group's
+        # apply: 4.3 times q's bytes at N = 65536
+        n, w, p = 65536, 0.25, 33
+        tracemalloc.start()
+        try:
+            basis = build_roast_randomized(n, w, p, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.r == p
+        assert peak <= 4.5 * basis.q.nbytes
+
     def test_close_to_deterministic_on_bandlimited_signal(self, caches):
         # measured desk-scale behavior: with no oversampling the sketch
         # trails the exact singular subspace once residuals sit above the

@@ -82,6 +82,16 @@ def test_basis_protocol(name, instance):
         x = probe(rng, n, 3)
         assert np.array_equal(restored.analyze(x), basis.analyze(x))
 
+    # an N x 2 x 3 block: every trailing axis is a column, read one by one
+    x = probe(rng, n, 2, 3)
+    c = probe(rng, basis.dimension, 2, 3)
+    for method, block in ((basis.analyze, x), (basis.synthesize, c),
+                          (basis.project, x)):
+        got = method(block)
+        assert got.shape == method(block[:, 0, 0]).shape + (2, 3)
+        for i, j in np.ndindex(2, 3):
+            assert gap(got[:, i, j], method(block[:, i, j])) <= TOL
+
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
